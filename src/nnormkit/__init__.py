@@ -31,7 +31,7 @@ from .quotient import (
     ClassCollection,
     Frame,
     IndexSet,
-    QuotientFrame,
+    Profile,
     class1_norm,
     class_collection,
     classm_norm,
@@ -39,6 +39,7 @@ from .quotient import (
     in_kept_span,
     is_quotient_zero,
     quotient_norm_axioms,
+    quotient_profile,
     random_frame,
     standard_frame,
 )

@@ -9,7 +9,7 @@ package targets (dimensions up to a few dozen).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,12 +92,16 @@ class SpaceConfig:
     """Ambient space: dimension d, norm arity n <= d, and an SPD metric.
 
     metric=None means the standard dot product (identity metric).
+    `whitening` is L^T for the Cholesky factor metric = L L^T (None for the
+    dot product), so that inner(a, b) = (L^T a) . (L^T b).
     """
 
     dim: int
     arity: int
     metric: np.ndarray | None = None
     tol: Tolerance = DEFAULT_TOL
+
+    whitening: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -108,12 +112,14 @@ class SpaceConfig:
             m = as_square_matrix(self.metric, self.dim).copy()
             if np.max(np.abs(m - m.T)) > self.tol.sym:
                 raise ValueError("metric is not symmetric")
-            # positive definite <=> every leading principal minor is positive
-            for k in range(1, self.dim + 1):
-                if determinant(m[:k, :k]) <= 0.0:
-                    raise ValueError("metric is not positive definite")
+            try:
+                whitening = np.linalg.cholesky(m).T
+            except np.linalg.LinAlgError:
+                raise ValueError("metric is not positive definite") from None
             m.flags.writeable = False
+            whitening.flags.writeable = False
             object.__setattr__(self, "metric", m)
+            object.__setattr__(self, "whitening", whitening)
 
     def metric_matrix(self) -> np.ndarray:
         return np.eye(self.dim) if self.metric is None else self.metric
@@ -143,6 +149,18 @@ def hadamard_scale(cfg: SpaceConfig, vs) -> float:
     for v in vs:
         scale *= metric_length(cfg, v)
     return scale
+
+
+def unit_rows(cfg: SpaceConfig, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Whitened rows L^T v scaled to unit length, and their metric lengths.
+
+    Lengths are taken as math.hypot takes them, so no row overflows or
+    underflows on the way to unit length. Zero rows stay zero.
+    """
+    if cfg.whitening is not None:
+        rows = rows @ cfg.whitening.T
+    lengths = [math.hypot(*row) for row in rows.tolist()]
+    return rows / np.array([x if x > 0.0 else 1.0 for x in lengths])[:, None], lengths
 
 
 def gram_matrix(cfg: SpaceConfig, vs) -> np.ndarray:
@@ -184,29 +202,28 @@ def determinant(m) -> float:
 def rank(vs, tol: Tolerance = DEFAULT_TOL) -> int:
     """Numerical rank of a list of vectors by row reduction.
 
-    The pivot threshold is tol.zero scaled by the largest absolute entry of
-    the input, which makes the result invariant under rescaling the whole set.
-    Pivots are chosen by complete pivoting (largest entry of the remaining
-    submatrix): multipliers then never exceed 1, so rounding noise stays at
-    machine level instead of being amplified through a small early pivot,
-    and perturbations at 1e-12 of the entry scale classify as dependent.
+    Each row is first divided by its largest absolute entry, so the result
+    does not change when any one vector is rescaled; zero rows stay zero.
+    A pivot counts when it exceeds tol.zero. Pivots are chosen by complete
+    pivoting (largest entry of the remaining submatrix): multipliers then
+    never exceed 1, so rounding noise stays at machine level instead of
+    being amplified through a small early pivot, and perturbations at 1e-12
+    of a vector's own scale classify as dependent.
     rank < len(vs) is the package-wide criterion for linear dependence.
     """
     if len(vs) == 0:
         raise ValueError("rank needs at least one vector")
     first = as_vector(vs[0])
     rows = np.array([as_vector(v, first.shape[0]) for v in vs])
-    scale = float(np.max(np.abs(rows)))
-    if scale == 0.0:
-        return 0
-    threshold = tol.zero * scale
-    a = rows.copy()
+    tops = np.max(np.abs(rows), axis=1)
+    nonzero = tops > 0.0
+    a = rows[nonzero] / tops[nonzero, None]
     m, d = a.shape
     r = 0
     while r < min(m, d):
         sub = np.abs(a[r:, r:])
         i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        if sub[i, j] <= threshold:
+        if sub[i, j] <= tol.zero:
             break
         if i != 0:
             a[[r, r + i]] = a[[r + i, r]]

@@ -1,8 +1,9 @@
 """The Gram-determinant norm on n-tuples of vectors, and a seeded checker
 for the defining axioms that works against any injected evaluator.
 
-A value of the standard norm is sqrt(max(det(Gram), 0)); the clamp removes
-the tiny negative determinants rounding can produce on dependent tuples.
+A value of the standard norm is sqrt(det(Gram)), the volume of the
+parallelepiped the vectors span; it is taken from a QR factor of the unit
+whitened vectors, so the Gram matrix is never formed.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .linalg import (
     inner,
     metric_length,
     rank,
+    unit_rows,
 )
 
 __all__ = [
@@ -48,21 +50,21 @@ def standard_norm(cfg: SpaceConfig, vs) -> float:
     volume of the parallelepiped the vectors span, and is zero exactly when
     they are linearly dependent.
 
-    The Gram matrix is equilibrated by the vector lengths before the
-    determinant (value unchanged: det(D G' D) = det(G') * prod(lengths)^2),
-    so rounding stays relative to the tuple's scale even when the vectors'
-    magnitudes differ by orders of magnitude.
+    The whitened vectors are scaled to unit length first, and the volume of
+    the unit vectors is |prod r_ii| of their QR factor (det G = prod r_ii^2
+    without forming G, whose condition number is the square of theirs). The
+    value is that volume times the product of the lengths, so rounding stays
+    relative to the tuple's scale even when magnitudes differ by hundreds of
+    orders.
     """
     if len(vs) != cfg.arity:
         raise DimensionMismatch("vector count", cfg.arity, len(vs))
-    vectors = [as_vector(v, cfg.dim) for v in vs]
-    g = gram_matrix(cfg, vectors)
-    lengths = np.sqrt(np.clip(np.diag(g), 0.0, None))
-    if np.any(lengths == 0.0):
+    rows = np.array([as_vector(v, cfg.dim) for v in vs])
+    units, lengths = unit_rows(cfg, rows)
+    if min(lengths) == 0.0:
         return 0.0
-    scaled = g / np.outer(lengths, lengths)
-    volume = math.sqrt(max(determinant(scaled), 0.0))
-    return float(np.prod(lengths)) * volume
+    r = np.linalg.qr(units.T, mode="r")
+    return math.prod(lengths) * abs(math.prod(np.diagonal(r).tolist()))
 
 
 @dataclass(frozen=True)
@@ -229,10 +231,6 @@ class _Sampler:
         return out
 
 
-def _scale(cfg: SpaceConfig, vs) -> float:
-    return hadamard_scale(cfg, vs)
-
-
 def _check_nonnegativity(norm, sampler, trials):
     worst = None
     for vs, label in sampler.boundary_batch(trials):
@@ -250,7 +248,7 @@ def _check_definiteness_forward(norm, sampler, trials):
     worst = None
     for vs, label in sampler.boundary_batch(trials):
         value = norm(vs)
-        if value <= cfg.tol.zero * _scale(cfg, vs):
+        if value <= cfg.tol.zero * hadamard_scale(cfg, vs):
             if rank(vs, cfg.tol) == cfg.arity:
                 witness = Witness(tuple(vs), {"construction": label, "value": value}, math.inf)
                 worst = witness
@@ -267,7 +265,7 @@ def _check_definiteness_backward(norm, sampler, trials):
     for _ in range(trials):
         vs = sampler.dependent()
         value = norm(vs)
-        allowed = threshold_rel * _scale(cfg, vs)
+        allowed = threshold_rel * hadamard_scale(cfg, vs)
         if value > allowed:
             gap = value - allowed
             if worst is None or gap > worst.discrepancy:
@@ -300,7 +298,7 @@ def _check_permutation(norm, sampler, trials):
     worst = None
     for vs in sampler.equality_batch(trials):
         base = norm(vs)
-        scale = _scale(cfg, vs)
+        scale = hadamard_scale(cfg, vs)
         if n <= 4:
             perms = itertools.permutations(range(n))
         else:
@@ -322,7 +320,7 @@ def _check_homogeneity(norm, sampler, trials):
         alpha = float(sampler.rng.uniform(-10.0, 10.0))
         scaled = [alpha * vs[0]] + vs[1:]
         value = norm(scaled)
-        gap = _rel_gap(value, abs(alpha) * base, abs(alpha) * _scale(cfg, vs), band)
+        gap = _rel_gap(value, abs(alpha) * base, abs(alpha) * hadamard_scale(cfg, vs), band)
         if gap > cfg.tol.rel and (worst is None or gap > worst.discrepancy):
             worst = Witness(tuple(vs), {"alpha": alpha, "value": value, "base": base}, gap)
     return worst
@@ -338,7 +336,7 @@ def _check_triangle(norm, sampler, trials):
         alt = [first_alt] + vs[1:]
         lhs = norm(summed)
         rhs = norm(vs) + norm(alt)
-        scale = max(_scale(cfg, summed), _scale(cfg, vs), _scale(cfg, alt))
+        scale = max(hadamard_scale(cfg, summed), hadamard_scale(cfg, vs), hadamard_scale(cfg, alt))
         if lhs <= band * scale:
             continue  # zero-class left side cannot violate the inequality
         violation = (lhs - rhs) / max(scale, _TINY)
@@ -403,6 +401,6 @@ def shift_invariance_check(norm: NNorm, vs, alphas) -> tuple[bool, float]:
     shifted_first = vectors[0] + sum(a * v for a, v in zip(alphas, vectors[1:]))
     base = norm(vectors)
     shifted = norm([shifted_first] + vectors[1:])
-    scale = max(_scale(cfg, vectors), _scale(cfg, [shifted_first] + vectors[1:]))
+    scale = max(hadamard_scale(cfg, vectors), hadamard_scale(cfg, [shifted_first] + vectors[1:]))
     gap = _rel_gap(base, shifted, scale, _zero_band(cfg))
     return gap <= cfg.tol.rel, gap

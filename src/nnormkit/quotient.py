@@ -7,13 +7,18 @@ the n-norm of (u, all frame vectors except y_j). Cosets are never
 materialised: every operation takes a representative, and well-definedness
 is enforced by the coset-invariance check.
 
+Every quotient-norm value and zero decision is read off the class-1 profile
+of its representative (`Profile`). For the standard norm the profile is a
+closed form against a factor of the frame taken once (`FrameGeometry`); any
+other evaluator is called once per index the caller names.
+
 All index sets are 1-based, here and in the JSON forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping
 
@@ -29,6 +34,7 @@ from .linalg import (
     inner,
     metric_length,
     rank,
+    unit_rows,
 )
 from .nnorm import Axiom, AxiomReport, NNorm, Witness
 
@@ -36,10 +42,12 @@ __all__ = [
     "IndexSet",
     "ClassCollection",
     "Frame",
-    "QuotientFrame",
+    "FrameGeometry",
+    "Profile",
     "class_collection",
     "class1_norm",
     "classm_norm",
+    "quotient_profile",
     "coset_invariance_check",
     "quotient_norm_axioms",
     "is_quotient_zero",
@@ -50,10 +58,10 @@ __all__ = [
 ]
 
 #: relative threshold (against the Hadamard scale of the evaluated tuples)
-#: below which a quotient-norm value is classified as zero. Sits midway, in
-#: log scale, between the double-precision noise floor of Gram-determinant
-#: square roots (~1e-8 on unit-scale input) and the smallest genuine values
-#: the adversarial samplers produce (>= ~1e-6).
+#: below which a quotient-norm value is classified as zero. Sits below the
+#: smallest genuine values the adversarial samplers produce (>= ~1e-6) and
+#: above the double-precision noise of Gram-determinant square roots (~1e-8
+#: on unit-scale input), which injected evaluators built on them still carry.
 SPAN_DECISION_REL = 1e-7
 
 
@@ -140,6 +148,7 @@ class Frame:
 
     space: SpaceConfig
     vectors: np.ndarray
+    _geometries: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         rows = np.asarray(self.vectors, dtype=float)
@@ -182,6 +191,15 @@ class Frame:
         """Frame vectors whose indices are NOT in s (the removed set)."""
         s.validate_for(self.n)
         return [self.vectors[i - 1] for i in s.complement(self.n)]
+
+    def geometry(self, cfg: SpaceConfig) -> "FrameGeometry":
+        """The frame's factored geometry under the metric of `cfg`, built on
+        first use and kept for the frame's lifetime, one per metric."""
+        key = None if cfg.metric is None else cfg.metric.tobytes()
+        geometry = self._geometries.get(key)
+        if geometry is None:
+            geometry = self._geometries[key] = FrameGeometry(self, cfg)
+        return geometry
 
     def to_json(self) -> dict:
         out = {
@@ -229,38 +247,148 @@ def _check_compatible(frame: Frame, norm: NNorm) -> None:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class Profile:
+    """The class-1 quotient norms of one vector u against a frame.
+
+    Entry j-1 of `values` is the n-norm of (u, Y without y_j), entry j-1 of
+    `scales` is that tuple's Hadamard scale (the product of its metric
+    lengths), and entry j-1 of `zero` says value <= SPAN_DECISION_REL *
+    scale. A class-m norm is the sum of the entries named by its index set.
+    Entries a generic evaluation skipped hold NaN (and False).
+    """
+
+    values: np.ndarray
+    scales: np.ndarray
+    zero: np.ndarray
+
+    def value(self, s: IndexSet) -> float:
+        """classm_norm(u, s): the sum of the class-1 values over s."""
+        values = self.values
+        return float(sum(values[j - 1] for j in s))
+
+    def scale(self, s: IndexSet) -> float:
+        """Sum of the Hadamard scales over s; bounds value(s) from above."""
+        scales = self.scales
+        return float(sum(scales[j - 1] for j in s))
+
+    def floor(self, s: IndexSet) -> float:
+        """Threshold at or below which value(s) is classified as zero."""
+        return SPAN_DECISION_REL * self.scale(s)
+
+    def is_zero(self, s: IndexSet) -> bool:
+        return self.value(s) <= self.floor(s)
+
+    def all_zero(self, s: IndexSet) -> bool:
+        """Is every class-1 term over s classified as zero on its own?"""
+        zero = self.zero
+        return all(zero[j - 1] for j in s)
+
+
+class FrameGeometry:
+    """Closed-form class-1 profiles against one frame under one metric.
+
+    With the metric M = L L^T (L = I for the dot product), the frame rows
+    are whitened to L^T y_i, of lengths l_i, and normalised to unit rows e_i.
+    A complete QR factor [e_1 ... e_n] = Q R is taken once. A whitened
+    vector splits as L^T u = sum_i c_i e_i + u_perp, and then
+
+        ||u, Y without y_j|| = P_j * hypot(V_j * |u_perp|, V * c_j),
+
+    where V = prod |r_ii| is the volume of the unit rows, V_j = V times the
+    length of row j of R^-1 is the volume of the unit rows without e_j, and
+    P_j is the product of the l_i with i != j. Squared, this is
+    det G_(-j) |u_perp|^2 + c_j^2 det G (Gunawan & Mashadi, "On n-normed
+    spaces", IJMMS 27, 2001): all n values come from one small product
+    instead of n Gram determinants, and no Gram matrix is ever formed.
+
+    A vector is scaled by a power of two to a largest entry in [0.5, 1)
+    before the product and scaled back after it, so values stay finite and
+    accurate wherever the true value is representable.
+    """
+
+    def __init__(self, frame: Frame, cfg: SpaceConfig):
+        n = frame.n
+        units, lengths = unit_rows(cfg, frame.vectors)
+        q, r = np.linalg.qr(units.T, mode="complete")
+        r_inv = np.linalg.inv(r[:n])
+        volume = abs(math.prod(np.diagonal(r).tolist()))
+        rotate = q.T if cfg.whitening is None else q.T @ cfg.whitening
+        # one product gives V * c (first n rows) and Q^T L^T u (last d rows)
+        self._kernel = np.vstack([volume * (r_inv @ rotate[:n]), rotate])
+        self._n = n
+        self._minor_volumes = volume * np.sqrt(np.sum(r_inv * r_inv, axis=1))
+        self._others = np.array([math.prod(lengths[:j] + lengths[j + 1 :]) for j in range(n)])
+
+    def profile(self, u: np.ndarray) -> Profile:
+        """Values, scales and zero flags of every class-1 norm of u."""
+        top = max(map(abs, u.tolist()))
+        if top == 0.0:
+            zeros = np.zeros(self._n)
+            return Profile(zeros, zeros, zeros == 0.0)
+        exponent = math.frexp(top)[1]
+        y = (self._kernel @ np.ldexp(u, -exponent)).tolist()
+        n = self._n
+        length = math.hypot(*y[n:])
+        values = self._others * np.hypot(self._minor_volumes * math.hypot(*y[2 * n :]), y[:n])
+        scales = self._others * length
+        zero = values <= SPAN_DECISION_REL * scales
+        return Profile(np.ldexp(values, exponent), np.ldexp(scales, exponent), zero)
+
+
+def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profile:
+    """One injected-norm evaluation per requested column; NaN elsewhere."""
+    values = np.full(frame.n, np.nan)
+    scales = np.full(frame.n, np.nan)
+    for j in columns:
+        tup = [u] + frame.without(j)
+        values[j - 1] = norm(tup)
+        scales[j - 1] = hadamard_scale(norm.cfg, tup)
+    return Profile(values, scales, values <= SPAN_DECISION_REL * scales)
+
+
+def _profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profile:
+    # the closed form holds for the standard norm only; any other evaluator
+    # is called on exactly the tuples the requested columns name
+    if norm.kind == "standard":
+        return frame.geometry(norm.cfg).profile(u)
+    return _generic_profile(frame, norm, u, columns)
+
+
+def quotient_profile(frame: Frame, norm: NNorm, u, columns=None) -> Profile:
+    """Class-1 profile of u under the norm's own metric.
+
+    The standard norm reads all n columns off the frame's geometry. Other
+    evaluators are called once per index in `columns` (1-based; all n when
+    None), and the other entries are NaN.
+    """
+    _check_compatible(frame, norm)
+    u = as_vector(u, frame.dim)
+    if columns is None:
+        columns = range(1, frame.n + 1)
+    else:
+        columns = sorted(set(columns))
+        if columns and not 1 <= columns[0] <= columns[-1] <= frame.n:
+            raise ValueError(f"frame indices must be in 1..{frame.n}, got {columns}")
+    return _profile(frame, norm, u, columns)
+
+
 def class1_norm(frame: Frame, norm: NNorm, u, j: int) -> float:
     """Quotient norm of the coset of u after removing y_j: the n-norm of
     (u, y_1, ..., y_{j-1}, y_{j+1}, ..., y_n)."""
-    _check_compatible(frame, norm)
-    u = as_vector(u, frame.dim)
-    return float(norm([u] + frame.without(j)))
+    return float(quotient_profile(frame, norm, u, (j,)).values[j - 1])
 
 
 def classm_norm(frame: Frame, norm: NNorm, u, s: IndexSet) -> float:
     """Quotient norm after removing the frame vectors named by s: by
     definition the sum of the class-1 norms over the indices of s."""
-    s.validate_for(frame.n)
-    u = as_vector(u, frame.dim)
-    return sum(class1_norm(frame, norm, u, j) for j in s)
-
-
-def _classm_scale(frame: Frame, u, s: IndexSet) -> float:
-    """Sum of the Hadamard scales of the evaluated tuples; an upper bound
-    for classm_norm(u, s) and the magnitude residuals are measured against."""
-    cfg = frame.space
-    u = as_vector(u, frame.dim)
-    total = 0.0
-    for j in s:
-        total += hadamard_scale(cfg, [u] + frame.without(j))
-    return total
+    return quotient_profile(frame, norm, u, s).value(s)
 
 
 def is_quotient_zero(frame: Frame, norm: NNorm, u, s: IndexSet) -> bool:
     """Classify a quotient-norm value as zero, at SPAN_DECISION_REL relative
-    to the scale of the evaluated tuples."""
-    value = classm_norm(frame, norm, u, s)
-    return value <= SPAN_DECISION_REL * _classm_scale(frame, u, s)
+    to the summed Hadamard scales of the evaluated tuples."""
+    return quotient_profile(frame, norm, u, s).is_zero(s)
 
 
 def in_kept_span(frame: Frame, u, s: IndexSet) -> bool:
@@ -294,28 +422,12 @@ def coset_invariance_check(frame: Frame, norm: NNorm, u, s: IndexSet, coeffs: Ma
     shifted = u.copy()
     for i in complement:
         shifted = shifted + float(coeffs[i]) * frame.row(i)
-    base = classm_norm(frame, norm, u, s)
-    moved = classm_norm(frame, norm, shifted, s)
-    scale = max(_classm_scale(frame, u, s), _classm_scale(frame, shifted, s))
-    gap = abs(base - moved) / max(base, moved, scale, 1e-300)
+    here = _profile(frame, norm, u, s)
+    moved = _profile(frame, norm, shifted, s)
+    base, value = here.value(s), moved.value(s)
+    scale = max(here.scale(s), moved.scale(s))
+    gap = abs(base - value) / max(base, value, scale, 1e-300)
     return gap <= frame.space.tol.rel, gap
-
-
-@dataclass(frozen=True)
-class QuotientFrame:
-    """A frame together with a removed index set and the norm to evaluate
-    with; a convenience view of one quotient space."""
-
-    frame: Frame
-    removed: IndexSet
-    norm: NNorm
-
-    def __post_init__(self):
-        self.removed.validate_for(self.frame.n)
-        _check_compatible(self.frame, self.norm)
-
-    def norm_of(self, u) -> float:
-        return classm_norm(self.frame, self.norm, u, self.removed)
 
 
 def _adversarial_member(frame: Frame, s: IndexSet, rng: np.random.Generator) -> np.ndarray:
@@ -364,13 +476,17 @@ def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, se
     rng = np.random.default_rng(seed)
     reports = []
 
+    def profile(u):
+        return _profile(frame, norm, u, s)
+
     worst = None
     for _ in range(trials):
         u = rng.uniform(-1.0, 1.0, frame.dim)
         alpha = float(rng.uniform(-10.0, 10.0))
-        base = classm_norm(frame, norm, u, s)
-        value = classm_norm(frame, norm, alpha * u, s)
-        scale = abs(alpha) * _classm_scale(frame, u, s)
+        here = profile(u)
+        base = here.value(s)
+        value = profile(alpha * u).value(s)
+        scale = abs(alpha) * here.scale(s)
         gap = abs(value - abs(alpha) * base) / max(abs(alpha) * base, scale, 1e-300)
         if gap > tol.rel and (worst is None or gap > worst.discrepancy):
             worst = Witness((u,), {"alpha": alpha, "value": value, "base": base}, gap)
@@ -380,9 +496,10 @@ def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, se
     for _ in range(trials):
         u = rng.uniform(-1.0, 1.0, frame.dim)
         v = rng.uniform(-1.0, 1.0, frame.dim)
-        lhs = classm_norm(frame, norm, u + v, s)
-        rhs = classm_norm(frame, norm, u, s) + classm_norm(frame, norm, v, s)
-        scale = max(_classm_scale(frame, u, s), _classm_scale(frame, v, s), _classm_scale(frame, u + v, s))
+        pu, pv, psum = profile(u), profile(v), profile(u + v)
+        lhs = psum.value(s)
+        rhs = pu.value(s) + pv.value(s)
+        scale = max(pu.scale(s), pv.scale(s), psum.scale(s))
         violation = (lhs - rhs) / max(scale, 1e-300)
         if violation > tol.rel and (worst is None or violation > worst.discrepancy):
             worst = Witness((u, v), {"lhs": lhs, "rhs": rhs}, violation)
@@ -396,18 +513,19 @@ def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, se
         else:
             delta = 1e-6 if t % 4 == 1 else 1e-3
             u = _adversarial_member(frame, s, rng) + delta * _escape_direction(frame, s, rng)
-        if is_quotient_zero(frame, norm, u, s) and not in_kept_span(frame, u, s):
-            value = classm_norm(frame, norm, u, s)
-            worst = Witness((u,), {"value": value}, math.inf)
+        here = profile(u)
+        if here.is_zero(s) and not in_kept_span(frame, u, s):
+            worst = Witness((u,), {"value": here.value(s)}, math.inf)
     reports.append(AxiomReport(Axiom.DEFINITENESS_FORWARD, worst is None, trials, worst))
 
     # members of the kept span must evaluate to zero
     worst = None
     for _ in range(trials):
         u = _adversarial_member(frame, s, rng)
-        if not is_quotient_zero(frame, norm, u, s):
-            value = classm_norm(frame, norm, u, s)
-            gap = value / max(_classm_scale(frame, u, s), 1e-300)
+        here = profile(u)
+        if not here.is_zero(s):
+            value = here.value(s)
+            gap = value / max(here.scale(s), 1e-300)
             if worst is None or gap > worst.discrepancy:
                 worst = Witness((u,), {"value": value}, gap)
     reports.append(AxiomReport(Axiom.DEFINITENESS_BACKWARD, worst is None, trials, worst))

@@ -7,11 +7,12 @@ Analytic and exact. For tabulated data the verdict is Sampled and biased
 toward Inconclusive: a finite window can support a conclusion but never
 prove one.
 
-Analytic verdicts reduce every subset question to the vector of class-1 norm
-values of a handful of fixed vectors (the "profile"). Zero/nonzero
-classification happens once per frame index, so verdicts derived from the
-same profile can never disagree by rounding: the cross-class equivalences
-hold through the same class-1 decomposition that makes them true.
+Every verdict reduces its subset questions to the class-1 profiles of the
+vectors involved (`quotient.Profile`), built once per distinct vector and
+read by column for each subset. Zero/nonzero classification happens once per
+frame index, so verdicts derived from the same profile can never disagree by
+rounding: the cross-class equivalences hold through the same class-1
+decomposition that makes them true.
 """
 
 from __future__ import annotations
@@ -20,21 +21,20 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import DimensionMismatch, SpaceConfig, as_vector, hadamard_scale
+from .linalg import DimensionMismatch, SpaceConfig, as_vector
 from .nnorm import NNorm, standard_nnorm
 from .quotient import (
-    SPAN_DECISION_REL,
     Frame,
     IndexSet,
-    class1_norm,
     class_collection,
-    classm_norm,
+    quotient_profile,
     standard_frame,
 )
 
@@ -300,8 +300,7 @@ class Verdict:
 
 def class1_profile(frame: Frame, norm: NNorm, w) -> np.ndarray:
     """Vector of the n class-1 norm values of w."""
-    w = as_vector(w, frame.dim)
-    return np.array([class1_norm(frame, norm, w, j) for j in range(1, frame.n + 1)])
+    return quotient_profile(frame, norm, w).values
 
 
 def zero_profile(frame: Frame, norm: NNorm, w) -> np.ndarray:
@@ -310,19 +309,7 @@ def zero_profile(frame: Frame, norm: NNorm, w) -> np.ndarray:
     Entry j-1 answers: is the coset of w trivial after removing y_j? The
     threshold is SPAN_DECISION_REL relative to each evaluated tuple's scale.
     """
-    w = as_vector(w, frame.dim)
-    cfg = frame.space
-    values = class1_profile(frame, norm, w)
-    flags = np.zeros(frame.n, dtype=bool)
-    for j in range(1, frame.n + 1):
-        scale = hadamard_scale(cfg, [w] + frame.without(j))
-        flags[j - 1] = values[j - 1] <= SPAN_DECISION_REL * scale
-    return flags
-
-
-def _subset_zero(flags: np.ndarray, s: IndexSet) -> bool:
-    # classm_norm is a sum of nonnegative class-1 terms: zero iff all are
-    return bool(all(flags[j - 1] for j in s))
+    return quotient_profile(frame, norm, w).zero
 
 
 class AnalyticTraces:
@@ -341,32 +328,32 @@ class AnalyticTraces:
         kind = spec.kind
         if kind in (SequenceKind.CONSTANT, SequenceKind.CONVERGENT_POWER):
             if self.limit is not None:
-                self._w_flags = zero_profile(frame, norm, spec.base - self.limit)
-                self._w_values = class1_profile(frame, norm, spec.base - self.limit)
+                self._w = self._profile(spec.base - self.limit)
         elif kind is SequenceKind.OSCILLATING:
+            cv = spec.coefficient * spec.direction
             if self.limit is not None:
                 w = spec.base - self.limit
-                cv = spec.coefficient * spec.direction
-                self._plus_flags = zero_profile(frame, norm, w + cv)
-                self._minus_flags = zero_profile(frame, norm, w - cv)
-                self._plus_values = class1_profile(frame, norm, w + cv)
-                self._minus_values = class1_profile(frame, norm, w - cv)
-            self._v_flags = zero_profile(frame, norm, spec.coefficient * spec.direction)
+                self._plus = self._profile(w + cv)
+                self._minus = self._profile(w - cv)
+            self._v = self._profile(cv)
         elif kind is SequenceKind.DIVERGENT_LINEAR:
-            self._v_flags = zero_profile(frame, norm, spec.direction)
+            self._v = self._profile(spec.direction)
             if self.limit is not None:
-                self._l_flags = zero_profile(frame, norm, self.limit)
+                self._l = self._profile(self.limit)
+
+    def _profile(self, w):
+        return quotient_profile(self.frame, self.norm, w)
 
     def trace_limit_zero(self, s: IndexSet) -> bool:
         """Does classm_norm(x_k - limit, s) tend to zero?"""
         kind = self.spec.kind
         if kind in (SequenceKind.CONSTANT, SequenceKind.CONVERGENT_POWER):
-            return _subset_zero(self._w_flags, s)
+            return self._w.all_zero(s)
         if kind is SequenceKind.OSCILLATING:
-            return _subset_zero(self._plus_flags, s) and _subset_zero(self._minus_flags, s)
+            return self._plus.all_zero(s) and self._minus.all_zero(s)
         # divergent linear: the kv part must lie in the kept span, after
         # which the trace is constantly the norm of the (negated) limit
-        return _subset_zero(self._v_flags, s) and _subset_zero(self._l_flags, s)
+        return self._v.all_zero(s) and self._l.all_zero(s)
 
     def cauchy_on(self, s: IndexSet) -> bool:
         """Does classm_norm(x_k - x_l, s) tend to zero as k, l -> oo?"""
@@ -374,60 +361,55 @@ class AnalyticTraces:
         if kind in (SequenceKind.CONSTANT, SequenceKind.CONVERGENT_POWER):
             return True
         if kind is SequenceKind.OSCILLATING:
-            return self.spec.coefficient == 0.0 or _subset_zero(self._v_flags, s)
-        return _subset_zero(self._v_flags, s)
+            return self.spec.coefficient == 0.0 or self._v.all_zero(s)
+        return self._v.all_zero(s)
+
+    @cached_property
+    def _bound_profiles(self) -> tuple:
+        spec = self.spec
+        if spec.kind is SequenceKind.CONSTANT:
+            return (self._profile(spec.base),)
+        if spec.kind is SequenceKind.CONVERGENT_POWER:
+            return self._profile(spec.base), self._profile(spec.direction)
+        cv = spec.coefficient * spec.direction
+        return self._profile(spec.base + cv), self._profile(spec.base - cv)
 
     def bounded_on(self, s: IndexSet) -> tuple[bool, float]:
         """Is sup_k classm_norm(x_k, s) finite, and an analytic bound for it."""
-        spec, frame, norm = self.spec, self.frame, self.norm
-        kind = spec.kind
+        kind = self.spec.kind
+        if kind is SequenceKind.DIVERGENT_LINEAR:
+            if self._v.all_zero(s):
+                # kv stays in the kept span, so every coset is the zero coset
+                return True, 0.0
+            return False, math.inf
+        profiles = self._bound_profiles
         if kind is SequenceKind.CONSTANT:
-            return True, classm_norm(frame, norm, spec.base, s)
+            return True, profiles[0].value(s)
         if kind is SequenceKind.CONVERGENT_POWER:
             # k >= 1 so |c| k**-p <= |c|
-            bound = classm_norm(frame, norm, spec.base, s) + abs(spec.coefficient) * classm_norm(
-                frame, norm, spec.direction, s
-            )
-            return True, bound
-        if kind is SequenceKind.OSCILLATING:
-            cv = spec.coefficient * spec.direction
-            bound = max(
-                classm_norm(frame, norm, spec.base + cv, s),
-                classm_norm(frame, norm, spec.base - cv, s),
-            )
-            return True, bound
-        if _subset_zero(self._v_flags, s):
-            # kv stays in the kept span, so every coset is the zero coset
-            return True, 0.0
-        return False, math.inf
+            base, direction = profiles
+            return True, base.value(s) + abs(self.spec.coefficient) * direction.value(s)
+        plus, minus = profiles
+        return True, max(plus.value(s), minus.value(s))
 
 
-def _difference_trace(spec: SequenceSpec, frame: Frame, norm: NNorm, limit, k: int, s: IndexSet) -> float:
-    w = eval_sequence(spec, k) if limit is None else eval_sequence(spec, k) - limit
-    return classm_norm(frame, norm, w, s)
-
-
-def _evidence_for(spec, frame, norm, limit, selection, ks) -> tuple[TracePoint, ...]:
-    points = []
-    for s in selection.subsets:
-        for k in ks:
-            try:
-                value = _difference_trace(spec, frame, norm, limit, int(k), s)
-            except ValueError:
-                continue  # outside a custom table window
-            points.append(TracePoint(int(k), s, value))
-    return tuple(points)
+def _evidence_for(frame, norm, selection, ks, vector_at) -> tuple[TracePoint, ...]:
+    """Trace points (k, s, classm_norm(vector_at(k), s)), subset by subset,
+    from one profile per k."""
+    columns = selection.union()
+    profiles = []
+    for k in ks:
+        try:
+            w = vector_at(int(k))
+        except ValueError:
+            continue  # k outside the sequence's index range
+        profiles.append((int(k), quotient_profile(frame, norm, w, columns)))
+    return tuple(TracePoint(k, s, p.value(s)) for s in selection.subsets for k, p in profiles)
 
 
 def _validate_selection(frame: Frame, selection: NormSelection) -> None:
     if selection.n != frame.n:
         raise DimensionMismatch("selection arity", frame.n, selection.n)
-
-
-def _zero_floor(frame: Frame, norm: NNorm, w, s: IndexSet) -> float:
-    cfg = frame.space
-    scale = sum(hadamard_scale(cfg, [as_vector(w, frame.dim)] + frame.without(j)) for j in s)
-    return SPAN_DECISION_REL * scale
 
 
 def converges_wrt(
@@ -454,22 +436,20 @@ def converges_wrt(
     if spec.kind is not SequenceKind.CUSTOM:
         traces = AnalyticTraces(spec, frame, norm, limit)
         ok = all(traces.trace_limit_zero(s) for s in selection.subsets)
-        evidence = _evidence_for(spec, frame, norm, limit, selection, evidence_ks)
+        evidence = _evidence_for(frame, norm, selection, evidence_ks, lambda k: eval_sequence(spec, k) - limit)
         if ok:
             return Verdict(Conclusion.CONVERGES, Method.ANALYTIC, limit=limit, evidence=evidence)
         return Verdict(Conclusion.DIVERGES, Method.ANALYTIC, evidence=evidence)
 
     ks = [k for k, _ in spec.table]
     window = (ks[0], ks[-1])
+    columns = selection.union()
+    profiles = [quotient_profile(frame, norm, v - limit, columns) for _, v in spec.table]
     all_good = True
     evidence = []
     for s in selection.subsets:
-        values = []
-        floor = 0.0
-        for k in ks:
-            w = eval_sequence(spec, k) - limit
-            values.append(classm_norm(frame, norm, w, s))
-            floor = max(floor, _zero_floor(frame, norm, w, s))
+        values = [p.value(s) for p in profiles]
+        floor = max(p.floor(s) for p in profiles)
         evidence.extend(TracePoint(k, s, v) for k, v in zip(ks, values))
         if all(v <= floor for v in values):
             continue
@@ -499,17 +479,19 @@ def is_cauchy_wrt(
     if spec.kind is not SequenceKind.CUSTOM:
         traces = AnalyticTraces(spec, frame, norm)
         ok = all(traces.cauchy_on(s) for s in selection.subsets)
-        evidence = []
-        for s in selection.subsets:
-            for k in evidence_ks:
-                diff = eval_sequence(spec, 2 * int(k)) - eval_sequence(spec, int(k))
-                evidence.append(TracePoint(int(k), s, classm_norm(frame, norm, diff, s)))
+        evidence = _evidence_for(
+            frame, norm, selection, evidence_ks, lambda k: eval_sequence(spec, 2 * k) - eval_sequence(spec, k)
+        )
         conclusion = Conclusion.CAUCHY if ok else Conclusion.NOT_CAUCHY
         return Verdict(conclusion, Method.ANALYTIC, evidence=tuple(evidence))
 
     ks = [k for k, _ in spec.table]
     window = (ks[0], ks[-1])
     values = {k: v for k, v in spec.table}
+    columns = selection.union()
+    # every difference lies in the first tail; later tails reuse its profiles
+    gaps = {(a, b): quotient_profile(frame, norm, values[a] - values[b], columns) for a in ks for b in ks}
+    first = quotient_profile(frame, norm, values[ks[0]], columns)
     all_good = True
     evidence = []
     for s in selection.subsets:
@@ -517,15 +499,13 @@ def is_cauchy_wrt(
         # only tails with at least two points say anything about a diameter
         for t in range(len(ks) - 1):
             tail = ks[t:]
-            diam = max(
-                classm_norm(frame, norm, values[a] - values[b], s) for a in tail for b in tail
-            )
+            diam = max(gaps[a, b].value(s) for a in tail for b in tail)
             diameters.append(diam)
             evidence.append(TracePoint(tail[0], s, diam))
         if not diameters:
             all_good = False
             continue
-        floor = _zero_floor(frame, norm, values[ks[0]], s)
+        floor = first.floor(s)
         if all(d <= floor for d in diameters):
             continue
         nonincreasing = all(a >= b - floor for a, b in zip(diameters, diameters[1:]))
@@ -565,15 +545,11 @@ def is_bounded_wrt(
                 window=(ks[0], ks[-1]),
             )
         traces = AnalyticTraces(spec, frame, norm)
-        bounds = []
-        for s in selection.subsets:
-            ok, bound = traces.bounded_on(s)
-            if not ok:
-                evidence = _evidence_for(spec, frame, norm, None, selection, evidence_ks)
-                return Verdict(Conclusion.UNBOUNDED, Method.ANALYTIC, evidence=evidence)
-            bounds.append(bound)
-        evidence = _evidence_for(spec, frame, norm, None, selection, evidence_ks)
-        return Verdict(Conclusion.BOUNDED, Method.ANALYTIC, bound=max(bounds), evidence=evidence)
+        bounds = [traces.bounded_on(s) for s in selection.subsets]
+        evidence = _evidence_for(frame, norm, selection, evidence_ks, lambda k: eval_sequence(spec, k))
+        if not all(ok for ok, _ in bounds):
+            return Verdict(Conclusion.UNBOUNDED, Method.ANALYTIC, evidence=evidence)
+        return Verdict(Conclusion.BOUNDED, Method.ANALYTIC, bound=max(b for _, b in bounds), evidence=evidence)
 
     points = [as_vector(p, frame.dim) for p in points_or_spec]
     if not points:
@@ -591,9 +567,11 @@ def is_bounded_wrt(
 def _max_over_points(points, frame, norm, selection, ks):
     best = 0.0
     evidence = []
+    columns = selection.union()
     for k, p in zip(ks, points):
+        profile = quotient_profile(frame, norm, p, columns)
         for s in selection.subsets:
-            value = classm_norm(frame, norm, p, s)
+            value = profile.value(s)
             evidence.append(TracePoint(int(k), s, value))
             best = max(best, value)
     return tuple(evidence), best
@@ -787,15 +765,8 @@ def counterexample_r5(k_max: int = 100, frame: Frame | None = None) -> Counterex
     zero = np.zeros(5)
     rows = []
     for k in range(1, k_max + 1):
-        x_k = eval_sequence(spec, k)
-        rows.append(
-            (
-                k,
-                classm_norm(frame, norm, x_k, s12),
-                classm_norm(frame, norm, x_k, s34),
-                classm_norm(frame, norm, x_k, s15),
-            )
-        )
+        profile = quotient_profile(frame, norm, eval_sequence(spec, k))
+        rows.append((k, profile.value(s12), profile.value(s34), profile.value(s15)))
     return CounterexampleRecord(
         k_max=k_max,
         rows=tuple(rows),

@@ -1,8 +1,9 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nnormkit.linalg import (
     DEFAULT_TOL,
@@ -194,6 +195,9 @@ class TestRank:
         st.randoms(use_true_random=False),
         st.floats(0.5, 100.0),
     )
+    # with one pivot threshold for the whole set, scaling the first row by 7
+    # pushed the second row's only entry below it
+    @example([[0.0, 0.0, 9.0, 0.0], [0.0, 0.0, 0.0, 5.960464477539063e-08]], random.Random(0), 7.0)
     def test_permutation_and_scaling_invariance(self, vs, rnd, factor):
         base = rank(vs)
         shuffled = list(vs)

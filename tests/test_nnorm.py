@@ -66,6 +66,24 @@ class TestStandardNorm:
             scaled_zero = value <= 1e-7 * max(hadamard_scale(cfg, vs), 1e-300)
             assert dependent == scaled_zero
 
+    @pytest.mark.parametrize("small, large", [(1e-160, 1e160), (1e-200, 1e200)])
+    def test_lengths_hundreds_of_orders_apart(self, small, large):
+        # a Gram matrix of these overflows, or loses the small vector
+        cfg = cfg_of(2, 2)
+        assert standard_norm(cfg, [[large, 0.0], [0.0, small]]) == pytest.approx(1.0, rel=1e-15)
+        assert standard_norm(cfg, [[small, 0.0], [0.0, large]]) == pytest.approx(1.0, rel=1e-15)
+
+    def test_small_vector_nearly_parallel_to_a_unit_one(self):
+        # independent at 5e-9 of the small vector's own length: rank says so,
+        # and the value must not collapse to the 0.0 a Gram determinant gives
+        cfg = cfg_of(2, 3)
+        vs = [
+            np.array([0.2056836, -0.90300418, 0.37719718]),
+            np.array([-4.20123254e-05, 1.84444968e-04, -7.70451821e-05]),
+        ]
+        assert rank(vs) == 2
+        assert standard_norm(cfg, vs) > cfg.tol.zero * hadamard_scale(cfg, vs)
+
 
 class TestCheckAxioms:
     def test_standard_norm_passes_all(self):

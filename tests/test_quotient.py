@@ -10,7 +10,6 @@ from nnormkit.quotient import (
     ClassCollection,
     Frame,
     IndexSet,
-    QuotientFrame,
     class1_norm,
     class_collection,
     classm_norm,
@@ -308,15 +307,3 @@ class TestQuotientNormAxioms:
         with pytest.raises(ValueError):
             quotient_norm_axioms(frame, norm, IndexSet([1]), trials=0, seed=1)
 
-
-class TestQuotientFrame:
-    def test_norm_of_matches_classm(self, frame34):
-        frame, norm = frame34
-        qf = QuotientFrame(frame=frame, removed=IndexSet([1, 2]), norm=norm)
-        u = np.array([1.0, -0.5, 0.25, 2.0])
-        assert qf.norm_of(u) == classm_norm(frame, norm, u, IndexSet([1, 2]))
-
-    def test_invalid_removed_rejected(self, frame34):
-        frame, norm = frame34
-        with pytest.raises(ValueError):
-            QuotientFrame(frame=frame, removed=IndexSet([4]), norm=norm)
