@@ -1,9 +1,12 @@
 """Dense small-matrix numerics shared by the whole package.
 
 Vectors and matrices are float64 numpy arrays. Shape and finiteness are
-validated at the public boundaries; the kernels (LU determinant, row-reduction
-rank) assume clean inputs and are written for the desk-scale sizes this
-package targets (dimensions up to a few dozen).
+validated once, at the public boundaries, a tuple of vectors as one array
+(`as_rows`). The private kernels `_inner`, `_metric_length` and
+`_hadamard_scale` take arrays the package built or checked already. The
+kernels (LU determinant, row-reduction rank) assume clean inputs and are
+written for the desk-scale sizes this package targets (dimensions up to a few
+dozen).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ __all__ = [
     "DEFAULT_TOL",
     "SpaceConfig",
     "as_vector",
+    "as_rows",
     "as_square_matrix",
     "inner",
     "metric_length",
@@ -75,6 +79,25 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def as_rows(vs, dim: int | None = None) -> np.ndarray:
+    """Coerce a sequence of vectors to a finite 2-D float array, one row per
+    vector, checked as one array; the row length is `dim`, or the first
+    vector's when None.
+
+    A bad input raises what as_vector raises for the first bad vector.
+    """
+    if len(vs) == 0:
+        return np.zeros((0, dim or 0))
+    try:
+        rows = np.asarray(vs, dtype=float)
+    except ValueError:  # ragged; found below
+        rows = None
+    if rows is not None and rows.ndim == 2 and dim in (None, rows.shape[1]) and np.isfinite(rows).all():
+        return rows
+    first = as_vector(vs[0], dim)
+    return np.array([as_vector(v, first.shape[0]) for v in vs])
+
+
 def as_square_matrix(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite square 2-D float array."""
     m = np.asarray(x, dtype=float)
@@ -127,8 +150,10 @@ class SpaceConfig:
 
 def inner(cfg: SpaceConfig, a, b) -> float:
     """Inner product a' M b under the config's metric."""
-    a = as_vector(a, cfg.dim)
-    b = as_vector(b, cfg.dim)
+    return _inner(cfg, as_vector(a, cfg.dim), as_vector(b, cfg.dim))
+
+
+def _inner(cfg: SpaceConfig, a: np.ndarray, b: np.ndarray) -> float:
     if cfg.metric is None:
         return float(a @ b)
     # symmetrised evaluation so inner(a, b) == inner(b, a) bit-for-bit
@@ -136,7 +161,11 @@ def inner(cfg: SpaceConfig, a, b) -> float:
 
 
 def metric_length(cfg: SpaceConfig, v) -> float:
-    return math.sqrt(max(inner(cfg, v, v), 0.0))
+    return _metric_length(cfg, as_vector(v, cfg.dim))
+
+
+def _metric_length(cfg: SpaceConfig, v: np.ndarray) -> float:
+    return math.sqrt(max(_inner(cfg, v, v), 0.0))
 
 
 def hadamard_scale(cfg: SpaceConfig, vs) -> float:
@@ -144,11 +173,15 @@ def hadamard_scale(cfg: SpaceConfig, vs) -> float:
 
     This is the Hadamard upper bound for the Gram-volume of the tuple, and is
     the natural magnitude against which norm values and residuals are scaled.
+    Each length is taken as `unit_rows` takes it (math.hypot of the whitened
+    vector), never through a squared length, so the scale is finite and
+    nonzero wherever the product itself is representable.
     """
-    scale = 1.0
-    for v in vs:
-        scale *= metric_length(cfg, v)
-    return scale
+    return _hadamard_scale(cfg, as_rows(vs, cfg.dim))
+
+
+def _hadamard_scale(cfg: SpaceConfig, rows) -> float:
+    return math.prod(unit_rows(cfg, np.asarray(rows))[1])
 
 
 def unit_rows(cfg: SpaceConfig, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -167,7 +200,7 @@ def gram_matrix(cfg: SpaceConfig, vs) -> np.ndarray:
     """Matrix of pairwise inner products; symmetrised to kill rounding skew."""
     if len(vs) == 0:
         raise ValueError("gram_matrix needs at least one vector")
-    rows = np.array([as_vector(v, cfg.dim) for v in vs])
+    rows = as_rows(vs, cfg.dim)
     if cfg.metric is None:
         g = rows @ rows.T
     else:
@@ -213,8 +246,7 @@ def rank(vs, tol: Tolerance = DEFAULT_TOL) -> int:
     """
     if len(vs) == 0:
         raise ValueError("rank needs at least one vector")
-    first = as_vector(vs[0])
-    rows = np.array([as_vector(v, first.shape[0]) for v in vs])
+    rows = as_rows(vs)
     tops = np.max(np.abs(rows), axis=1)
     nonzero = tops > 0.0
     a = rows[nonzero] / tops[nonzero, None]

@@ -19,12 +19,12 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     SpaceConfig,
-    as_vector,
+    _hadamard_scale,
+    _inner,
+    _metric_length,
+    as_rows,
     determinant,
     gram_matrix,
-    hadamard_scale,
-    inner,
-    metric_length,
     rank,
     unit_rows,
 )
@@ -46,9 +46,9 @@ _TINY = 1e-300  # guards denominators; never meaningful as a norm value
 def standard_norm(cfg: SpaceConfig, vs) -> float:
     """Standard n-norm: square root of the Gram determinant of the tuple.
 
-    Requires exactly cfg.arity vectors of dimension cfg.dim. The value is the
-    volume of the parallelepiped the vectors span, and is zero exactly when
-    they are linearly dependent.
+    Requires exactly cfg.arity finite vectors of dimension cfg.dim, checked
+    as one array. The value is the volume of the parallelepiped the vectors
+    span, and is zero exactly when they are linearly dependent.
 
     The whitened vectors are scaled to unit length first, and the volume of
     the unit vectors is |prod r_ii| of their QR factor (det G = prod r_ii^2
@@ -59,8 +59,7 @@ def standard_norm(cfg: SpaceConfig, vs) -> float:
     """
     if len(vs) != cfg.arity:
         raise DimensionMismatch("vector count", cfg.arity, len(vs))
-    rows = np.array([as_vector(v, cfg.dim) for v in vs])
-    units, lengths = unit_rows(cfg, rows)
+    units, lengths = unit_rows(cfg, as_rows(vs, cfg.dim))
     if min(lengths) == 0.0:
         return 0.0
     r = np.linalg.qr(units.T, mode="r")
@@ -145,7 +144,7 @@ class _Sampler:
         return list(self.rng.uniform(-1.0, 1.0, (self.cfg.arity, self.cfg.dim)))
 
     def _unit(self, v: np.ndarray) -> np.ndarray:
-        return v / metric_length(self.cfg, v)
+        return v / _metric_length(self.cfg, v)
 
     def _conditioned_units(self, count: int) -> list[np.ndarray]:
         if count == 0:
@@ -161,7 +160,7 @@ class _Sampler:
         if not rows:
             return w
         g = gram_matrix(self.cfg, rows)
-        b = np.array([inner(self.cfg, r, w) for r in rows])
+        b = np.array([_inner(self.cfg, r, w) for r in rows])
         coeffs = np.linalg.solve(g, b)
         return w - np.array(rows).T @ coeffs
 
@@ -176,7 +175,7 @@ class _Sampler:
         if kind == 0 and n >= 2:  # exact combination of the others
             others = self._conditioned_units(n - 1)
             combo = np.array(others).T @ self.rng.uniform(-0.75, 0.75, n - 1)
-            if metric_length(self.cfg, combo) > 1e-3:
+            if _metric_length(self.cfg, combo) > 1e-3:
                 combo = self._unit(combo)
             tup, _ = self._insert(others, combo)
             return tup
@@ -196,12 +195,12 @@ class _Sampler:
             return [delta * self._conditioned_units(1)[0]]
         others = self._conditioned_units(n - 1)
         combo = np.array(others).T @ self.rng.uniform(-0.75, 0.75, n - 1)
-        if metric_length(self.cfg, combo) > 1e-3:
+        if _metric_length(self.cfg, combo) > 1e-3:
             combo = self._unit(combo)
         for _ in range(200):
             w = self._unit(self.rng.normal(size=self.cfg.dim))
             perp = self._perp_part(others, w)
-            if metric_length(self.cfg, perp) >= self.MIN_PERP:
+            if _metric_length(self.cfg, perp) >= self.MIN_PERP:
                 break
         tup, _ = self._insert(others, combo + delta * w)
         return tup
@@ -248,7 +247,7 @@ def _check_definiteness_forward(norm, sampler, trials):
     worst = None
     for vs, label in sampler.boundary_batch(trials):
         value = norm(vs)
-        if value <= cfg.tol.zero * hadamard_scale(cfg, vs):
+        if value <= cfg.tol.zero * _hadamard_scale(cfg, vs):
             if rank(vs, cfg.tol) == cfg.arity:
                 witness = Witness(tuple(vs), {"construction": label, "value": value}, math.inf)
                 worst = witness
@@ -265,7 +264,7 @@ def _check_definiteness_backward(norm, sampler, trials):
     for _ in range(trials):
         vs = sampler.dependent()
         value = norm(vs)
-        allowed = threshold_rel * hadamard_scale(cfg, vs)
+        allowed = threshold_rel * _hadamard_scale(cfg, vs)
         if value > allowed:
             gap = value - allowed
             if worst is None or gap > worst.discrepancy:
@@ -298,7 +297,7 @@ def _check_permutation(norm, sampler, trials):
     worst = None
     for vs in sampler.equality_batch(trials):
         base = norm(vs)
-        scale = hadamard_scale(cfg, vs)
+        scale = _hadamard_scale(cfg, vs)
         if n <= 4:
             perms = itertools.permutations(range(n))
         else:
@@ -320,7 +319,7 @@ def _check_homogeneity(norm, sampler, trials):
         alpha = float(sampler.rng.uniform(-10.0, 10.0))
         scaled = [alpha * vs[0]] + vs[1:]
         value = norm(scaled)
-        gap = _rel_gap(value, abs(alpha) * base, abs(alpha) * hadamard_scale(cfg, vs), band)
+        gap = _rel_gap(value, abs(alpha) * base, abs(alpha) * _hadamard_scale(cfg, vs), band)
         if gap > cfg.tol.rel and (worst is None or gap > worst.discrepancy):
             worst = Witness(tuple(vs), {"alpha": alpha, "value": value, "base": base}, gap)
     return worst
@@ -336,7 +335,7 @@ def _check_triangle(norm, sampler, trials):
         alt = [first_alt] + vs[1:]
         lhs = norm(summed)
         rhs = norm(vs) + norm(alt)
-        scale = max(hadamard_scale(cfg, summed), hadamard_scale(cfg, vs), hadamard_scale(cfg, alt))
+        scale = max(_hadamard_scale(cfg, summed), _hadamard_scale(cfg, vs), _hadamard_scale(cfg, alt))
         if lhs <= band * scale:
             continue  # zero-class left side cannot violate the inequality
         violation = (lhs - rhs) / max(scale, _TINY)
@@ -397,10 +396,10 @@ def shift_invariance_check(norm: NNorm, vs, alphas) -> tuple[bool, float]:
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.shape[0] != cfg.arity - 1:
         raise DimensionMismatch("shift coefficient count", cfg.arity - 1, alphas.shape)
-    vectors = [as_vector(v, cfg.dim) for v in vs]
+    vectors = list(as_rows(vs, cfg.dim))
     shifted_first = vectors[0] + sum(a * v for a, v in zip(alphas, vectors[1:]))
     base = norm(vectors)
     shifted = norm([shifted_first] + vectors[1:])
-    scale = max(hadamard_scale(cfg, vectors), hadamard_scale(cfg, [shifted_first] + vectors[1:]))
+    scale = max(_hadamard_scale(cfg, vectors), _hadamard_scale(cfg, [shifted_first] + vectors[1:]))
     gap = _rel_gap(base, shifted, scale, _zero_band(cfg))
     return gap <= cfg.tol.rel, gap

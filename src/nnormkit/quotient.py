@@ -27,12 +27,11 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     SpaceConfig,
+    _inner,
+    _metric_length,
     as_vector,
     determinant,
     gram_matrix,
-    hadamard_scale,
-    inner,
-    metric_length,
     rank,
     unit_rows,
 )
@@ -230,7 +229,7 @@ def random_frame(cfg: SpaceConfig, rng: np.random.Generator, min_volume: float =
     """
     for _ in range(max_tries):
         rows = rng.uniform(-1.0, 1.0, (cfg.arity, cfg.dim))
-        lengths = np.array([metric_length(cfg, r) for r in rows])
+        lengths = np.array([_metric_length(cfg, r) for r in rows])
         if np.any(lengths == 0.0):
             continue
         rows = rows / lengths[:, None]
@@ -337,13 +336,22 @@ class FrameGeometry:
 
 
 def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profile:
-    """One injected-norm evaluation per requested column; NaN elsewhere."""
+    """One injected-norm evaluation per requested column; NaN elsewhere.
+
+    The evaluator receives (u, the frame rows without y_j) as a list of
+    1-D arrays. The scales follow the closed form's rule: the length of u,
+    taken once as `unit_rows` takes it, times the frame geometry's product
+    of the other rows' lengths, so both paths share one scale and neither
+    squares a length on the way.
+    """
+    others = frame.geometry(norm.cfg)._others
+    length = unit_rows(norm.cfg, u[None, :])[1][0]
+    rows = list(frame.vectors)
     values = np.full(frame.n, np.nan)
     scales = np.full(frame.n, np.nan)
     for j in columns:
-        tup = [u] + frame.without(j)
-        values[j - 1] = norm(tup)
-        scales[j - 1] = hadamard_scale(norm.cfg, tup)
+        values[j - 1] = norm([u] + rows[: j - 1] + rows[j:])
+        scales[j - 1] = others[j - 1] * length
     return Profile(values, scales, values <= SPAN_DECISION_REL * scales)
 
 
@@ -448,14 +456,14 @@ def _escape_direction(frame: Frame, s: IndexSet, rng: np.random.Generator) -> np
         g = gram_matrix(cfg, rows)
         for _ in range(200):
             w = rng.normal(size=frame.dim)
-            b = np.array([inner(cfg, r, w) for r in rows])
+            b = np.array([_inner(cfg, r, w) for r in rows])
             perp = w - np.array(rows).T @ np.linalg.solve(g, b)
-            length = metric_length(cfg, perp)
+            length = _metric_length(cfg, perp)
             if length >= 0.1:
                 return perp / length
     j = int(rng.choice(list(s)))
     y = frame.row(j)
-    return y / metric_length(cfg, y)
+    return y / _metric_length(cfg, y)
 
 
 def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, seed: int) -> list[AxiomReport]:

@@ -474,6 +474,13 @@ def is_cauchy_wrt(
     Evidence rows sample the doubled-index differences x_{2k} - x_k, which
     expose both decay and linear growth. For custom tables the verdict is
     Sampled: Cauchy when the tail diameters shrink, otherwise Inconclusive.
+
+    A tail's diameter is the largest quotient norm of x_a - x_b over its
+    index pairs a < b, one profile per unordered pair. That is the diameter
+    over all ordered pairs for any n-norm: a diagonal pair is the zero
+    vector, and absolute homogeneity gives x_b - x_a the value of x_a - x_b.
+    An injected evaluator that breaks homogeneity is measured over the
+    a < b pairs only.
     """
     _validate_selection(frame, selection)
     if spec.kind is not SequenceKind.CUSTOM:
@@ -490,7 +497,7 @@ def is_cauchy_wrt(
     values = {k: v for k, v in spec.table}
     columns = selection.union()
     # every difference lies in the first tail; later tails reuse its profiles
-    gaps = {(a, b): quotient_profile(frame, norm, values[a] - values[b], columns) for a in ks for b in ks}
+    gaps = {(a, b): quotient_profile(frame, norm, values[a] - values[b], columns) for a, b in combinations(ks, 2)}
     first = quotient_profile(frame, norm, values[ks[0]], columns)
     all_good = True
     evidence = []
@@ -499,7 +506,7 @@ def is_cauchy_wrt(
         # only tails with at least two points say anything about a diameter
         for t in range(len(ks) - 1):
             tail = ks[t:]
-            diam = max(gaps[a, b].value(s) for a in tail for b in tail)
+            diam = max(gaps[pair].value(s) for pair in combinations(tail, 2))
             diameters.append(diam)
             evidence.append(TracePoint(tail[0], s, diam))
         if not diameters:

@@ -1,0 +1,119 @@
+"""Validation happens once, at the public boundary: the errors a bad tuple
+gets from `standard_norm`, and how often the sampled verdicts call an
+injected evaluator and the vector validator."""
+
+import importlib
+from math import comb
+
+import numpy as np
+import pytest
+
+from nnormkit import linalg
+from nnormkit.linalg import DimensionMismatch, SpaceConfig
+from nnormkit.nnorm import NNorm, standard_norm
+from nnormkit.quotient import IndexSet, random_frame
+from nnormkit.topology import (
+    NormSelection,
+    convergent_power,
+    converges_wrt,
+    custom_sequence,
+    eval_sequence,
+    full_selection,
+    is_bounded_wrt,
+    is_cauchy_wrt,
+)
+
+CFG = SpaceConfig(dim=3, arity=2)
+TABLE_LENGTH = 6
+
+
+@pytest.mark.parametrize(
+    "vs, message",
+    [
+        ([[1, 0, 0]], "vector count: expected 2, got 1"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "vector count: expected 2, got 3"),
+        ([[1, 0], [0, 1]], "vector length: expected 3, got 2"),
+        ([[1, 0, 0], [0, 1]], "vector length: expected 3, got 2"),
+        ([[1, 0, 0], [0, 1, 0, 0]], "vector length: expected 3, got 4"),
+        ([[1, 0, 0], [[0, 1, 0]]], "vector ndim: expected 1, got 2"),
+        ([[[1, 0, 0]], [[0, 1, 0]]], "vector ndim: expected 1, got 2"),
+        ([1.0, 2.0], "vector ndim: expected 1, got 0"),
+    ],
+)
+def test_standard_norm_rejects_misshapen_tuples(vs, message):
+    with pytest.raises(DimensionMismatch) as err:
+        standard_norm(CFG, vs)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_standard_norm_names_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="non-finite coordinates") as err:
+        standard_norm(CFG, [[1.0, 0.0, 0.0], [0.0, bad, 1.0]])
+    assert not isinstance(err.value, DimensionMismatch)
+
+
+def test_standard_norm_reports_the_first_bad_vector():
+    # a non-finite first vector is named before a short second one, as a
+    # vector-by-vector check would name it
+    with pytest.raises(ValueError, match="non-finite coordinates"):
+        standard_norm(CFG, [[float("nan"), 0.0, 0.0], [0.0, 1.0]])
+
+
+def _table_and_frame():
+    cfg = SpaceConfig(dim=5, arity=4)
+    rng = np.random.default_rng(11)
+    frame = random_frame(cfg, rng)
+    spec = convergent_power(rng.uniform(-1.0, 1.0, 5), rng.uniform(-1.0, 1.0, 5), coefficient=1.5)
+    table = custom_sequence([(k, eval_sequence(spec, k)) for k in range(1, TABLE_LENGTH + 1)])
+    return cfg, frame, table, spec.base
+
+
+def _counting_norm(cfg):
+    calls = []
+
+    def evaluator(vs):
+        calls.append(len(vs))
+        return standard_norm(cfg, vs)
+
+    return NNorm(cfg, "injected", evaluator), calls
+
+
+@pytest.mark.parametrize(
+    "selection",
+    [full_selection(4, 1), full_selection(4, 4), NormSelection(4, (IndexSet([1, 3]), IndexSet([3, 4])))],
+    ids=["class-1", "class-4", "columns-1-3-4"],
+)
+def test_sampled_verdicts_evaluate_each_profile_column_once(selection):
+    cfg, frame, table, limit = _table_and_frame()
+    columns = len(selection.union())
+    norm, calls = _counting_norm(cfg)
+    # one profile per unordered pair of table entries, plus the first entry
+    is_cauchy_wrt(table, frame, norm, selection)
+    assert len(calls) == (comb(TABLE_LENGTH, 2) + 1) * columns
+    calls.clear()
+    converges_wrt(table, frame, norm, selection, limit)
+    assert len(calls) == TABLE_LENGTH * columns
+    calls.clear()
+    is_bounded_wrt(table, frame, norm, selection)
+    assert len(calls) == TABLE_LENGTH * columns
+
+
+def test_sampled_cauchy_validates_each_profiled_vector_once(monkeypatch):
+    # every module that bound as_vector calls the counting one; the injected
+    # evaluator's tuples are checked as one array, without as_vector
+    cfg, frame, table, _ = _table_and_frame()
+    norm, _ = _counting_norm(cfg)
+    original = linalg.as_vector
+    seen = []
+
+    def counting(x, dim=None):
+        seen.append(dim)
+        return original(x, dim)
+
+    for name in ("linalg", "nnorm", "quotient", "topology", "cli"):
+        module = importlib.import_module(f"nnormkit.{name}")
+        if getattr(module, "as_vector", None) is original:
+            monkeypatch.setattr(module, "as_vector", counting)
+    is_cauchy_wrt(table, frame, norm, full_selection(4, 2))
+    assert len(seen) == comb(TABLE_LENGTH, 2) + 1

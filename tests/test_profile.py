@@ -1,23 +1,37 @@
 """The closed-form class-1 profile against its references: the generic
 per-tuple path (an injected evaluator around `standard_norm`), 50-digit
-Gram determinants in mpmath, and exact rescaling."""
+Gram determinants in mpmath, and exact rescaling; and the sampled verdicts
+read off either path."""
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nnormkit.linalg import SpaceConfig
+from nnormkit.linalg import SpaceConfig, hadamard_scale
 from nnormkit.nnorm import NNorm, standard_nnorm, standard_norm
 from nnormkit.quotient import (
     IndexSet,
     class1_norm,
     class_collection,
     classm_norm,
+    in_kept_span,
     is_quotient_zero,
     quotient_norm_axioms,
     quotient_profile,
     random_frame,
+    standard_frame,
+)
+from nnormkit.topology import (
+    constant,
+    convergent_power,
+    converges_wrt,
+    custom_sequence,
+    eval_sequence,
+    full_selection,
+    is_bounded_wrt,
+    is_cauchy_wrt,
+    oscillating,
 )
 
 #: fast and generic values may differ by this much, relative to the Hadamard
@@ -25,6 +39,9 @@ from nnormkit.quotient import (
 #: factorizations; over 900 vectors on 300 random shapes they differed by at
 #: most 7.6e-16, so this leaves a hundredfold margin
 FAST_VS_GENERIC = 1e-13
+#: the generic path multiplies the same lengths as hadamard_scale in another
+#: order: at most n - 1 <= 4 roundings on each side
+GENERIC_SCALE_REL = 1e-15
 
 
 def generic(cfg: SpaceConfig) -> NNorm:
@@ -42,6 +59,9 @@ def assert_profiles_match(frame, cfg, vectors):
         p, q = quotient_profile(frame, fast, u), quotient_profile(frame, slow, u)
         assert np.all(np.abs(p.values - q.values) <= FAST_VS_GENERIC * q.scales), (p.values, q.values)
         np.testing.assert_allclose(p.scales, q.scales, rtol=1e-13)
+        for j in range(1, frame.n + 1):
+            tuple_scale = hadamard_scale(cfg, [u] + frame.without(j))
+            assert q.scales[j - 1] == pytest.approx(tuple_scale, rel=GENERIC_SCALE_REL, abs=0.0)
         for s in class_collection(frame.n, 1):
             assert is_quotient_zero(frame, fast, u, s) == is_quotient_zero(frame, slow, u, s)
 
@@ -160,3 +180,70 @@ def test_generic_path_evaluates_only_the_named_columns():
     assert len(seen) == 2
     assert np.isnan(profile.values[[0, 2]]).all()
     assert classm_norm(frame, counting, u, IndexSet([2, 4])) == profile.value(IndexSet([2, 4]))
+
+
+@pytest.mark.parametrize("size", [1e200, 1e-200])
+def test_generic_scales_stay_in_range(size):
+    # a scale taken through squared lengths is inf at 1e200 (so every value
+    # classified as zero) and 0.0 at 1e-200
+    cfg = SpaceConfig(dim=3, arity=2)
+    frame = standard_frame(cfg)
+    u = np.array([0.0, 0.0, size])
+    s = IndexSet([1])
+    assert hadamard_scale(cfg, [u, frame.row(2)]) == size
+    assert not in_kept_span(frame, u, s)
+    for norm in (standard_nnorm(cfg), generic(cfg)):
+        profile = quotient_profile(frame, norm, u)
+        np.testing.assert_allclose(profile.scales, [size, size], rtol=1e-15)
+        np.testing.assert_allclose(profile.values, [size, size], rtol=1e-15)
+        assert not is_quotient_zero(frame, norm, u, s)
+
+
+def _tables(rng, frame):
+    d, rows = frame.dim, frame.vectors
+    x = rng.uniform(-1.0, 1.0, d)
+    in_span = rows.T @ rng.uniform(-1.0, 1.0, frame.n)
+    specs = [
+        (convergent_power(x, rng.uniform(-1.0, 1.0, d), coefficient=1.5), x),
+        (convergent_power(x, in_span, coefficient=1.5), x),
+        (oscillating(x, rng.uniform(-1.0, 1.0, d), coefficient=0.75), x),
+        (constant(x), x + rng.uniform(-1.0, 1.0, d)),
+        (constant(x), x + in_span),
+    ]
+    return [(custom_sequence([(k, eval_sequence(spec, k)) for k in range(1, 7)]), limit) for spec, limit in specs]
+
+
+def _verdicts(table, frame, norm, selection, limit):
+    return (
+        converges_wrt(table, frame, norm, selection, limit),
+        is_cauchy_wrt(table, frame, norm, selection),
+        is_bounded_wrt(table, frame, norm, selection),
+    )
+
+
+def _largest_scale(frame, norm, table, limit):
+    """Largest summed Hadamard scale of any vector the verdicts profile."""
+    points = [v for _, v in table.table]
+    vectors = points + [v - limit for v in points] + [a - b for a in points for b in points]
+    return max(float(np.sum(quotient_profile(frame, norm, w).scales)) for w in vectors)
+
+
+@pytest.mark.parametrize("metric", [False, True], ids=["dot", "spd"])
+@pytest.mark.parametrize("extra", [0, 1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sampled_verdicts_agree_between_fast_and_generic_paths(n, extra, metric):
+    rng = np.random.default_rng(1000 + 10 * n + extra + 100 * metric)
+    d = n + extra
+    cfg = SpaceConfig(dim=d, arity=n, metric=spd_metric(rng, d) if metric else None)
+    frame = random_frame(cfg, rng)
+    fast, slow = standard_nnorm(cfg), generic(cfg)
+    for table, limit in _tables(rng, frame):
+        tol = FAST_VS_GENERIC * _largest_scale(frame, fast, table, limit)
+        for m in sorted({1, n}):
+            selection = full_selection(n, m)
+            for p, q in zip(_verdicts(table, frame, fast, selection, limit), _verdicts(table, frame, slow, selection, limit)):
+                assert (p.conclusion, p.method, p.window) == (q.conclusion, q.method, q.window)
+                assert [(e.k, e.subset) for e in p.evidence] == [(e.k, e.subset) for e in q.evidence]
+                np.testing.assert_allclose([e.value for e in p.evidence], [e.value for e in q.evidence], rtol=0.0, atol=tol)
+                if p.bound is not None:
+                    assert abs(p.bound - q.bound) <= tol
