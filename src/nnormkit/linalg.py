@@ -66,6 +66,9 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+#: the ValueError message for a vector with an infinite or NaN entry
+NON_FINITE = "vector has non-finite coordinates"
+
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-D float array, optionally of a fixed length."""
@@ -75,7 +78,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch("vector length", dim, v.shape[0])
     if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite coordinates")
+        raise ValueError(NON_FINITE)
     return v
 
 

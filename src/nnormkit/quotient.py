@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Mapping
 
 import numpy as np
 
 from .linalg import (
+    NON_FINITE,
     DimensionMismatch,
     SpaceConfig,
     _inner,
@@ -134,7 +136,10 @@ class ClassCollection:
         return built
 
 
+@lru_cache
 def class_collection(n: int, m: int) -> ClassCollection:
+    """The class-m collection for arity n; built once per (n, m) and shared,
+    which is safe because it is frozen."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     members = tuple(IndexSet(c) for c in combinations(range(1, n + 1), m))
@@ -255,21 +260,38 @@ class Profile:
     lengths), and entry j-1 of `zero` says value <= SPAN_DECISION_REL *
     scale. A class-m norm is the sum of the entries named by its index set.
     Entries a generic evaluation skipped hold NaN (and False).
+
+    Sums over s add Python floats, taken from the arrays once per profile,
+    in index order from 0.0.
     """
 
     values: np.ndarray
     scales: np.ndarray
     zero: np.ndarray
 
+    @cached_property
+    def _value_list(self) -> list[float]:
+        return self.values.tolist()
+
+    @cached_property
+    def _scale_list(self) -> list[float]:
+        return self.scales.tolist()
+
     def value(self, s: IndexSet) -> float:
         """classm_norm(u, s): the sum of the class-1 values over s."""
-        values = self.values
-        return float(sum(values[j - 1] for j in s))
+        values = self._value_list
+        total = 0.0
+        for j in s.indices:
+            total += values[j - 1]
+        return total
 
     def scale(self, s: IndexSet) -> float:
         """Sum of the Hadamard scales over s; bounds value(s) from above."""
-        scales = self.scales
-        return float(sum(scales[j - 1] for j in s))
+        scales = self._scale_list
+        total = 0.0
+        for j in s.indices:
+            total += scales[j - 1]
+        return total
 
     def floor(self, s: IndexSet) -> float:
         """Threshold at or below which value(s) is classified as zero."""
@@ -304,6 +326,13 @@ class FrameGeometry:
     A vector is scaled by a power of two to a largest entry in [0.5, 1)
     before the product and scaled back after it, so values stay finite and
     accurate wherever the true value is representable.
+
+    The vector's shape is the caller's to check. Its finiteness is decided
+    here, from values the profile needs anyway: an infinite entry (or a NaN
+    the scan for the largest entry starts on) fails the scan, and any other
+    NaN makes the whitened length NaN. Either raises the ValueError that
+    `as_vector` raises, so a computed vector that overflowed is named as
+    such instead of giving NaN values.
     """
 
     def __init__(self, frame: Frame, cfg: SpaceConfig):
@@ -321,14 +350,19 @@ class FrameGeometry:
 
     def profile(self, u: np.ndarray) -> Profile:
         """Values, scales and zero flags of every class-1 norm of u."""
-        top = max(map(abs, u.tolist()))
-        if top == 0.0:
+        coords = u.tolist()
+        top = max(map(abs, coords))
+        if not top < math.inf:
+            raise ValueError(NON_FINITE)
+        if not any(coords):  # all zero; a NaN entry is truthy
             zeros = np.zeros(self._n)
             return Profile(zeros, zeros, zeros == 0.0)
         exponent = math.frexp(top)[1]
         y = (self._kernel @ np.ldexp(u, -exponent)).tolist()
         n = self._n
         length = math.hypot(*y[n:])
+        if not length < math.inf:
+            raise ValueError(NON_FINITE)
         values = self._others * np.hypot(self._minor_volumes * math.hypot(*y[2 * n :]), y[:n])
         scales = self._others * length
         zero = values <= SPAN_DECISION_REL * scales
@@ -342,8 +376,10 @@ def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profi
     1-D arrays. The scales follow the closed form's rule: the length of u,
     taken once as `unit_rows` takes it, times the frame geometry's product
     of the other rows' lengths, so both paths share one scale and neither
-    squares a length on the way.
+    squares a length on the way. A non-finite u raises before any call.
     """
+    if not np.isfinite(u).all():
+        raise ValueError(NON_FINITE)
     others = frame.geometry(norm.cfg)._others
     length = unit_rows(norm.cfg, u[None, :])[1][0]
     rows = list(frame.vectors)
@@ -356,8 +392,15 @@ def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profi
 
 
 def _profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profile:
-    # the closed form holds for the standard norm only; any other evaluator
-    # is called on exactly the tuples the requested columns name
+    """Class-1 profile of a 1-D float array of the frame's dimension.
+
+    The private entry behind `quotient_profile`, for vectors computed from
+    inputs that were checked already: the shapes, the norm's compatibility
+    with the frame and `columns` (sorted 1-based indices) are the caller's
+    to check; a non-finite u still raises. The closed form holds for the
+    standard norm only; any other evaluator is called on exactly the tuples
+    the requested columns name.
+    """
     if norm.kind == "standard":
         return frame.geometry(norm.cfg).profile(u)
     return _generic_profile(frame, norm, u, columns)

@@ -12,7 +12,14 @@ vectors involved (`quotient.Profile`), built once per distinct vector and
 read by column for each subset. Zero/nonzero classification happens once per
 frame index, so verdicts derived from the same profile can never disagree by
 rounding: the cross-class equivalences hold through the same class-1
-decomposition that makes them true.
+decomposition that makes them true. An equivalence table takes one set of
+profiles (the traces and the evidence vectors at k = 1 and 10) and reads all
+n of its class-m rows off it, through the same row builders the public
+verdicts use.
+
+Inputs are validated once, at the public boundary. The vectors a closed-form
+verdict computes from its checked spec and limit go to the profile's private
+entry unchecked; a term that overflowed is still named non-finite there.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from enum import Enum
 from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
@@ -33,6 +40,9 @@ from .nnorm import NNorm, standard_nnorm
 from .quotient import (
     Frame,
     IndexSet,
+    Profile,
+    _check_compatible,
+    _profile,
     class_collection,
     quotient_profile,
     standard_frame,
@@ -254,8 +264,10 @@ class NormSelection:
         return cls(n=int(obj["n"]), subsets=tuple(IndexSet.from_json(s) for s in obj["subsets"]))
 
 
+@lru_cache
 def full_selection(n: int, m: int) -> NormSelection:
-    """The whole class-m collection as a selection."""
+    """The whole class-m collection as a selection; built once per (n, m)
+    and shared, which is safe because it is frozen."""
     return NormSelection(n=n, subsets=class_collection(n, m).members)
 
 
@@ -321,6 +333,7 @@ class AnalyticTraces:
             raise ValueError("analytic traces need a closed-form sequence")
         if spec.dim != frame.dim:
             raise DimensionMismatch("sequence dimension", frame.dim, spec.dim)
+        _check_compatible(frame, norm)
         self.spec = spec
         self.frame = frame
         self.norm = norm
@@ -341,8 +354,9 @@ class AnalyticTraces:
             if self.limit is not None:
                 self._l = self._profile(self.limit)
 
-    def _profile(self, w):
-        return quotient_profile(self.frame, self.norm, w)
+    def _profile(self, w) -> Profile:
+        # w is computed from the checked spec and limit
+        return _profile(self.frame, self.norm, w, range(1, self.frame.n + 1))
 
     def trace_limit_zero(self, s: IndexSet) -> bool:
         """Does classm_norm(x_k - limit, s) tend to zero?"""
@@ -393,18 +407,67 @@ class AnalyticTraces:
         return True, max(plus.value(s), minus.value(s))
 
 
-def _evidence_for(frame, norm, selection, ks, vector_at) -> tuple[TracePoint, ...]:
-    """Trace points (k, s, classm_norm(vector_at(k), s)), subset by subset,
-    from one profile per k."""
-    columns = selection.union()
+# What the evidence rows of each verdict sample at index k.
+
+
+def _offset(spec: SequenceSpec, limit, k: int):
+    """x_k - limit, for convergence."""
+    return eval_sequence(spec, k) - limit
+
+
+def _term(spec: SequenceSpec, limit, k: int):
+    """x_k, for boundedness."""
+    return eval_sequence(spec, k)
+
+
+def _doubling_gap(spec: SequenceSpec, limit, k: int):
+    """x_{2k} - x_k, for Cauchy: it exposes both decay and linear growth."""
+    return eval_sequence(spec, 2 * k) - eval_sequence(spec, k)
+
+
+def _evidence_profiles(traces: AnalyticTraces, columns, ks, vector_at) -> list[tuple[int, Profile]]:
+    """One profile per k of vector_at(spec, limit, k), skipping the k outside
+    the sequence's index range. `columns` are the sorted frame indices an
+    injected evaluator is called on."""
     profiles = []
     for k in ks:
         try:
-            w = vector_at(int(k))
+            w = vector_at(traces.spec, traces.limit, int(k))
         except ValueError:
             continue  # k outside the sequence's index range
-        profiles.append((int(k), quotient_profile(frame, norm, w, columns)))
+        profiles.append((int(k), _profile(traces.frame, traces.norm, w, columns)))
+    return profiles
+
+
+def _trace_points(profiles, selection: NormSelection) -> tuple[TracePoint, ...]:
+    """Trace points (k, s, classm_norm(x, s)), subset by subset."""
     return tuple(TracePoint(k, s, p.value(s)) for s in selection.subsets for k, p in profiles)
+
+
+# Each analytic verdict is built from the sequence's traces and the evidence
+# profiles of its row, for one selection. The public verdicts and every row
+# of equivalence_matrix go through these three.
+
+
+def _convergence_row(traces: AnalyticTraces, profiles, selection: NormSelection) -> Verdict:
+    evidence = _trace_points(profiles, selection)
+    if all(traces.trace_limit_zero(s) for s in selection.subsets):
+        return Verdict(Conclusion.CONVERGES, Method.ANALYTIC, limit=traces.limit, evidence=evidence)
+    return Verdict(Conclusion.DIVERGES, Method.ANALYTIC, evidence=evidence)
+
+
+def _boundedness_row(traces: AnalyticTraces, profiles, selection: NormSelection) -> Verdict:
+    bounds = [traces.bounded_on(s) for s in selection.subsets]
+    evidence = _trace_points(profiles, selection)
+    if not all(ok for ok, _ in bounds):
+        return Verdict(Conclusion.UNBOUNDED, Method.ANALYTIC, evidence=evidence)
+    return Verdict(Conclusion.BOUNDED, Method.ANALYTIC, bound=max(b for _, b in bounds), evidence=evidence)
+
+
+def _cauchy_row(traces: AnalyticTraces, profiles, selection: NormSelection) -> Verdict:
+    ok = all(traces.cauchy_on(s) for s in selection.subsets)
+    conclusion = Conclusion.CAUCHY if ok else Conclusion.NOT_CAUCHY
+    return Verdict(conclusion, Method.ANALYTIC, evidence=_trace_points(profiles, selection))
 
 
 def _validate_selection(frame: Frame, selection: NormSelection) -> None:
@@ -432,15 +495,12 @@ def converges_wrt(
     Inconclusive.
     """
     _validate_selection(frame, selection)
-    limit = as_vector(candidate_limit, frame.dim)
     if spec.kind is not SequenceKind.CUSTOM:
-        traces = AnalyticTraces(spec, frame, norm, limit)
-        ok = all(traces.trace_limit_zero(s) for s in selection.subsets)
-        evidence = _evidence_for(frame, norm, selection, evidence_ks, lambda k: eval_sequence(spec, k) - limit)
-        if ok:
-            return Verdict(Conclusion.CONVERGES, Method.ANALYTIC, limit=limit, evidence=evidence)
-        return Verdict(Conclusion.DIVERGES, Method.ANALYTIC, evidence=evidence)
+        traces = AnalyticTraces(spec, frame, norm, candidate_limit)
+        columns = sorted(selection.union())
+        return _convergence_row(traces, _evidence_profiles(traces, columns, evidence_ks, _offset), selection)
 
+    limit = as_vector(candidate_limit, frame.dim)
     ks = [k for k, _ in spec.table]
     window = (ks[0], ks[-1])
     columns = selection.union()
@@ -485,12 +545,8 @@ def is_cauchy_wrt(
     _validate_selection(frame, selection)
     if spec.kind is not SequenceKind.CUSTOM:
         traces = AnalyticTraces(spec, frame, norm)
-        ok = all(traces.cauchy_on(s) for s in selection.subsets)
-        evidence = _evidence_for(
-            frame, norm, selection, evidence_ks, lambda k: eval_sequence(spec, 2 * k) - eval_sequence(spec, k)
-        )
-        conclusion = Conclusion.CAUCHY if ok else Conclusion.NOT_CAUCHY
-        return Verdict(conclusion, Method.ANALYTIC, evidence=tuple(evidence))
+        columns = sorted(selection.union())
+        return _cauchy_row(traces, _evidence_profiles(traces, columns, evidence_ks, _doubling_gap), selection)
 
     ks = [k for k, _ in spec.table]
     window = (ks[0], ks[-1])
@@ -552,11 +608,8 @@ def is_bounded_wrt(
                 window=(ks[0], ks[-1]),
             )
         traces = AnalyticTraces(spec, frame, norm)
-        bounds = [traces.bounded_on(s) for s in selection.subsets]
-        evidence = _evidence_for(frame, norm, selection, evidence_ks, lambda k: eval_sequence(spec, k))
-        if not all(ok for ok, _ in bounds):
-            return Verdict(Conclusion.UNBOUNDED, Method.ANALYTIC, evidence=evidence)
-        return Verdict(Conclusion.BOUNDED, Method.ANALYTIC, bound=max(b for _, b in bounds), evidence=evidence)
+        columns = sorted(selection.union())
+        return _boundedness_row(traces, _evidence_profiles(traces, columns, evidence_ks, _term), selection)
 
     points = [as_vector(p, frame.dim) for p in points_or_spec]
     if not points:
@@ -609,18 +662,29 @@ class EquivalenceTable:
 def equivalence_matrix(spec: SequenceSpec, frame: Frame, norm: NNorm, candidate_limit) -> EquivalenceTable:
     """Convergence, boundedness, and Cauchy verdicts against the FULL class-m
     collection for every m = 1..n. The cross-class equivalences require each
-    column to agree across rows; the test suite asserts exactly that."""
+    column to agree across rows; the test suite asserts exactly that.
+
+    Row m equals what converges_wrt, is_bounded_wrt and is_cauchy_wrt give on
+    full_selection(n, m) with evidence_ks=(1, 10). Every row reads the same
+    traces and the same evidence profiles, taken once per table: a class-m
+    norm is a sum of class-1 norms, so the rows differ only in the sums.
+    """
     if spec.kind is SequenceKind.CUSTOM:
         raise ValueError("equivalence matrix needs a closed-form sequence")
+    traces = AnalyticTraces(spec, frame, norm, candidate_limit)
+    columns = range(1, frame.n + 1)
+    offsets = _evidence_profiles(traces, columns, (1, 10), _offset)
+    terms = _evidence_profiles(traces, columns, (1, 10), _term)
+    gaps = _evidence_profiles(traces, columns, (1, 10), _doubling_gap)
     rows = []
     for m in range(1, frame.n + 1):
         sel = full_selection(frame.n, m)
         rows.append(
             EquivalenceRow(
                 m=m,
-                convergence=converges_wrt(spec, frame, norm, sel, candidate_limit, evidence_ks=(1, 10)),
-                boundedness=is_bounded_wrt(spec, frame, norm, sel, evidence_ks=(1, 10)),
-                cauchy=is_cauchy_wrt(spec, frame, norm, sel, evidence_ks=(1, 10)),
+                convergence=_convergence_row(traces, offsets, sel),
+                boundedness=_boundedness_row(traces, terms, sel),
+                cauchy=_cauchy_row(traces, gaps, sel),
             )
         )
     return EquivalenceTable(rows=tuple(rows))
@@ -771,8 +835,9 @@ def counterexample_r5(k_max: int = 100, frame: Frame | None = None) -> Counterex
     covering = NormSelection(n=5, subsets=(s12, s34, s15))
     zero = np.zeros(5)
     rows = []
+    columns = range(1, 6)
     for k in range(1, k_max + 1):
-        profile = quotient_profile(frame, norm, eval_sequence(spec, k))
+        profile = _profile(frame, norm, eval_sequence(spec, k), columns)
         rows.append((k, profile.value(s12), profile.value(s34), profile.value(s15)))
     return CounterexampleRecord(
         k_max=k_max,

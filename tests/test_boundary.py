@@ -1,6 +1,7 @@
 """Validation happens once, at the public boundary: the errors a bad tuple
-gets from `standard_norm`, and how often the sampled verdicts call an
-injected evaluator and the vector validator."""
+gets from `standard_norm`, how often the sampled verdicts call an injected
+evaluator and the vector validator, and what an equivalence table
+validates."""
 
 import importlib
 from math import comb
@@ -10,13 +11,14 @@ import pytest
 
 from nnormkit import linalg
 from nnormkit.linalg import DimensionMismatch, SpaceConfig
-from nnormkit.nnorm import NNorm, standard_norm
+from nnormkit.nnorm import NNorm, standard_nnorm, standard_norm
 from nnormkit.quotient import IndexSet, random_frame
 from nnormkit.topology import (
     NormSelection,
     convergent_power,
     converges_wrt,
     custom_sequence,
+    equivalence_matrix,
     eval_sequence,
     full_selection,
     is_bounded_wrt,
@@ -99,11 +101,9 @@ def test_sampled_verdicts_evaluate_each_profile_column_once(selection):
     assert len(calls) == TABLE_LENGTH * columns
 
 
-def test_sampled_cauchy_validates_each_profiled_vector_once(monkeypatch):
-    # every module that bound as_vector calls the counting one; the injected
-    # evaluator's tuples are checked as one array, without as_vector
-    cfg, frame, table, _ = _table_and_frame()
-    norm, _ = _counting_norm(cfg)
+def _count_as_vector(monkeypatch) -> list:
+    """Make every module that bound as_vector call a counting one; returns
+    the list of `dim` arguments it saw."""
     original = linalg.as_vector
     seen = []
 
@@ -115,5 +115,26 @@ def test_sampled_cauchy_validates_each_profiled_vector_once(monkeypatch):
         module = importlib.import_module(f"nnormkit.{name}")
         if getattr(module, "as_vector", None) is original:
             monkeypatch.setattr(module, "as_vector", counting)
+    return seen
+
+
+def test_sampled_cauchy_validates_each_profiled_vector_once(monkeypatch):
+    # the injected evaluator's tuples are checked as one array, without
+    # as_vector
+    cfg, frame, table, _ = _table_and_frame()
+    norm, _ = _counting_norm(cfg)
+    seen = _count_as_vector(monkeypatch)
     is_cauchy_wrt(table, frame, norm, full_selection(4, 2))
     assert len(seen) == comb(TABLE_LENGTH, 2) + 1
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+def test_equivalence_table_validates_only_its_limit(monkeypatch, injected):
+    # the vectors a table computes from its checked spec and limit are
+    # profiled without another check
+    cfg, frame, _, limit = _table_and_frame()
+    spec = convergent_power(limit, np.ones(5), coefficient=0.5)
+    norm = _counting_norm(cfg)[0] if injected else standard_nnorm(cfg)
+    seen = _count_as_vector(monkeypatch)
+    equivalence_matrix(spec, frame, norm, limit)
+    assert seen == [5]

@@ -1,0 +1,142 @@
+"""equivalence_matrix reads every class-m row off one set of profiles: its
+rows equal the public verdicts bit for bit, an injected evaluator is called
+once per column of each profile the table needs, and a computed vector that
+overflows is still named as non-finite."""
+
+import numpy as np
+import pytest
+
+from corpus import build_corpus
+from nnormkit.linalg import SpaceConfig
+from nnormkit.nnorm import NNorm, standard_nnorm, standard_norm
+from nnormkit.quotient import random_frame
+from nnormkit.topology import (
+    Verdict,
+    constant,
+    convergent_power,
+    converges_wrt,
+    divergent_linear,
+    equivalence_matrix,
+    full_selection,
+    is_bounded_wrt,
+    is_cauchy_wrt,
+    oscillating,
+)
+
+
+def _spd_metric(rng, d: int) -> np.ndarray:
+    a = rng.normal(size=(d, d))
+    return a @ a.T / d + np.eye(d)
+
+
+def _counting_norm(cfg):
+    calls = []
+
+    def evaluator(vs):
+        calls.append(len(vs))
+        return standard_norm(cfg, vs)
+
+    return NNorm(cfg, "injected", evaluator), calls
+
+
+def _bits(verdict: Verdict) -> tuple:
+    """Everything a verdict reports, with floats as their exact bits."""
+    return (
+        verdict.conclusion,
+        verdict.method,
+        verdict.window,
+        None if verdict.limit is None else verdict.limit.tobytes(),
+        None if verdict.bound is None else float(verdict.bound).hex(),
+        tuple((p.k, p.subset.indices, float(p.value).hex()) for p in verdict.evidence),
+    )
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+@pytest.mark.parametrize("metric", [False, True], ids=["dot", "spd"])
+@pytest.mark.parametrize("extra", [0, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rows_equal_the_public_verdicts(n, extra, metric, injected):
+    rng = np.random.default_rng(1000 * n + 10 * extra + metric)
+    d = n + extra
+    cfg = SpaceConfig(dim=d, arity=n, metric=_spd_metric(rng, d) if metric else None)
+    frame = random_frame(cfg, rng)
+    norm = _counting_norm(cfg)[0] if injected else standard_nnorm(cfg)
+    corpus = build_corpus(rng, d, frame.vectors, per_kind=3)
+    # a zero oscillation is Cauchy and converges to its centre
+    centre = rng.uniform(-1.0, 1.0, d)
+    corpus.append((oscillating(centre, rng.uniform(-1.0, 1.0, d), coefficient=0.0), centre, None))
+    for spec, limit, _ in corpus:
+        table = equivalence_matrix(spec, frame, norm, limit)
+        assert [row.m for row in table.rows] == list(range(1, n + 1))
+        for row in table.rows:
+            sel = full_selection(n, row.m)
+            assert _bits(row.convergence) == _bits(converges_wrt(spec, frame, norm, sel, limit, evidence_ks=(1, 10)))
+            assert _bits(row.boundedness) == _bits(is_bounded_wrt(spec, frame, norm, sel, evidence_ks=(1, 10)))
+            assert _bits(row.cauchy) == _bits(is_cauchy_wrt(spec, frame, norm, sel, evidence_ks=(1, 10)))
+
+
+#: profiles the traces of each kind take, besides the six evidence profiles
+#: (x_k - limit, x_k and x_{2k} - x_k at k = 1 and 10): the offset from the
+#: limit and the bound's terms; the two signed offsets, the oscillation and
+#: the two bound terms; the direction and the limit
+TRACE_PROFILES = {"constant": 2, "convergent_power": 3, "oscillating": 5, "divergent_linear": 2}
+
+
+def _spec(kind, rng, d):
+    x, v = rng.uniform(-1.0, 1.0, d), rng.uniform(-1.0, 1.0, d)
+    return {
+        "constant": lambda: constant(x),
+        "convergent_power": lambda: convergent_power(x, v, coefficient=1.5, exponent=0.7),
+        "oscillating": lambda: oscillating(x, v, coefficient=0.8),
+        "divergent_linear": lambda: divergent_linear(v),
+    }[kind](), x
+
+
+@pytest.mark.parametrize("kind", sorted(TRACE_PROFILES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_table_calls_the_evaluator_once_per_profile_column(n, kind):
+    # every row reads the same profiles, so the count is linear in n; one
+    # set of profiles per row would make it n times as large
+    rng = np.random.default_rng(n)
+    cfg = SpaceConfig(dim=n + 1, arity=n)
+    frame = random_frame(cfg, rng)
+    norm, calls = _counting_norm(cfg)
+    spec, limit = _spec(kind, rng, n + 1)
+    equivalence_matrix(spec, frame, norm, limit)
+    assert len(calls) == n * (6 + TRACE_PROFILES[kind])
+    assert set(calls) == {n}
+
+
+def _overflowing_specs():
+    e1 = np.zeros(3)
+    e1[0] = 1e308
+    e3 = np.zeros(3)
+    e3[2] = 1e308
+    base = np.array([0.5, -0.25, 1.0])
+    return [
+        ("linear-e1", divergent_linear(e1)),
+        ("linear-e3", divergent_linear(e3)),
+        ("power-e1", convergent_power(base, e1, coefficient=1e10)),
+        ("power-e3", convergent_power(base, e3, coefficient=1e10)),
+    ]
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+@pytest.mark.parametrize("spec", [s for _, s in _overflowing_specs()], ids=[name for name, _ in _overflowing_specs()])
+def test_overflowing_terms_are_named_non_finite(spec, injected):
+    # the spec's vectors are finite; its terms or their differences overflow
+    cfg = SpaceConfig(dim=3, arity=2)
+    frame = random_frame(cfg, np.random.default_rng(5))
+    norm = _counting_norm(cfg)[0] if injected else standard_nnorm(cfg)
+    limit = np.zeros(3)
+    sel = full_selection(2, 1)
+    calls = [
+        lambda: equivalence_matrix(spec, frame, norm, limit),
+        lambda: converges_wrt(spec, frame, norm, sel, limit),
+        lambda: is_bounded_wrt(spec, frame, norm, sel),
+        lambda: is_cauchy_wrt(spec, frame, norm, sel),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and inf - inf
+        for call in calls:
+            with pytest.raises(ValueError, match="non-finite coordinates"):
+                call()

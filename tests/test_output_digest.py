@@ -1,0 +1,44 @@
+"""The compare mode of tools/output_digest.py: it names every item whose
+digests differ between two output files and sets the exit status."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+
+
+@pytest.fixture(scope="module")
+def digest_tool():
+    spec = importlib.util.spec_from_file_location("output_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write(path, per_item, whole=("c0", "s0")):
+    path.write_text(json.dumps({"w@1": {"items": len(per_item), "contract": whole[0], "strict": whole[1], "per_item": per_item}}))
+    return str(path)
+
+
+def test_identical_outputs_exit_zero(digest_tool, tmp_path, capsys):
+    items = {"a": ["c1", "s1"], "b": ["c2", "s2"]}
+    a, b = _write(tmp_path / "a.json", items), _write(tmp_path / "b.json", dict(items))
+    assert digest_tool.main(["output_digest.py", "--compare", a, b]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"0 difference(s); 2 item(s) in {a}"]
+
+
+def test_differing_items_are_named(digest_tool, tmp_path, capsys):
+    a = _write(tmp_path / "a.json", {"a": ["c1", "s1"], "b": ["c2", "s2"], "c": ["c3", "s3"]})
+    # b differs in its strict digest only, c is missing, d is new
+    b = _write(tmp_path / "b.json", {"a": ["c1", "s1"], "b": ["c2", "sX"], "d": ["c4", "s4"]}, ("c0", "sY"))
+    assert digest_tool.main(["output_digest.py", "--compare", a, b]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "w@1: workload digests",
+        "w@1: b",
+        "w@1: c",
+        "w@1: d",
+        f"4 difference(s); 3 item(s) in {a}",
+    ]

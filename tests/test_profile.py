@@ -3,6 +3,8 @@ per-tuple path (an injected evaluator around `standard_norm`), 50-digit
 Gram determinants in mpmath, and exact rescaling; and the sampled verdicts
 read off either path."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -197,6 +199,22 @@ def test_generic_scales_stay_in_range(size):
         np.testing.assert_allclose(profile.scales, [size, size], rtol=1e-15)
         np.testing.assert_allclose(profile.values, [size, size], rtol=1e-15)
         assert not is_quotient_zero(frame, norm, u, s)
+
+
+@pytest.mark.parametrize("metric", [False, True], ids=["dot", "spd"])
+@pytest.mark.parametrize(
+    "u",
+    [[np.nan, 0, 0], [0, np.nan, 0], [0, 0, np.inf], [1, -np.inf, 0], [0, -np.inf, np.nan], [np.nan, np.inf, 2]],
+)
+def test_geometry_names_non_finite_vectors(u, metric):
+    # the geometry takes unchecked arrays from the verdicts: it must name a
+    # NaN or an infinity wherever it sits, and add no warning from inf * 0
+    cfg = SpaceConfig(dim=3, arity=2, metric=spd_metric(np.random.default_rng(2), 3) if metric else None)
+    geometry = standard_frame(cfg).geometry(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            geometry.profile(np.array(u, dtype=float))
 
 
 def _tables(rng, frame):

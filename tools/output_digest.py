@@ -2,14 +2,17 @@
 them bit-identical.
 
     python3 tools/output_digest.py <checkout> <out.json> [seed ...]
+    python3 tools/output_digest.py --compare <a.json> <b.json>
 
 Builds each workload of ``bench/workloads.py`` in <checkout> for each seed
 (default 101 102 103), runs every timed and probe item once, and hashes what
 it returned. The "contract" digest covers conclusions, methods, windows,
 limits, evidence values and bounds (as ``float.hex``), axiom pass/fail and
 CLI exit codes. The "strict" digest adds axiom witnesses (discrepancy and
-details) and the bytes of every CLI report. Run it on two checkouts and
-compare the printed lines, or the per-item digests in <out.json>.
+details) and the bytes of every CLI report. Run it on two checkouts, then
+``--compare`` the two output files: it prints the label of every item whose
+contract or strict digest differs (or that only one file has) and exits 1
+if there is any.
 """
 
 import glob
@@ -21,7 +24,34 @@ import tempfile
 from enum import Enum
 
 
+def compare(path_a, path_b) -> int:
+    """Print each item (and each workload) whose digests differ between two
+    output files; the exit status is 1 when any does."""
+    with open(path_a, encoding="utf-8") as fh:
+        a = json.load(fh)
+    with open(path_b, encoding="utf-8") as fh:
+        b = json.load(fh)
+    differing = 0
+    for key in sorted(a.keys() | b.keys()):
+        # the workload digests also cover the CLI report files
+        whole_a = [a.get(key, {}).get(d) for d in ("contract", "strict")]
+        if whole_a != [b.get(key, {}).get(d) for d in ("contract", "strict")]:
+            differing += 1
+            print(f"{key}: workload digests")
+        items_a = a.get(key, {}).get("per_item", {})
+        items_b = b.get(key, {}).get("per_item", {})
+        for label in sorted(items_a.keys() | items_b.keys()):
+            if items_a.get(label) != items_b.get(label):
+                differing += 1
+                print(f"{key}: {label}")
+    compared = sum(len(v["per_item"]) for v in a.values())
+    print(f"{differing} difference(s); {compared} item(s) in {path_a}")
+    return 1 if differing else 0
+
+
 def main(argv):
+    if len(argv) == 4 and argv[1] == "--compare":
+        return compare(argv[2], argv[3])
     root, out_path = os.path.abspath(argv[1]), argv[2]
     seeds = [int(s) for s in argv[3:]] or [101, 102, 103]
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
@@ -83,4 +113,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    sys.exit(main(sys.argv))
