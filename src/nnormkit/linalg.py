@@ -2,8 +2,8 @@
 
 Vectors and matrices are float64 numpy arrays. Shape and finiteness are
 validated once, at the public boundaries, a tuple of vectors as one array
-(`as_rows`). The private kernels `_inner`, `_metric_length` and
-`_hadamard_scale` take arrays the package built or checked already. The
+(`as_rows`). The private kernels (leading underscore) take arrays the
+package built or checked already. The
 kernels (LU determinant, row-reduction rank) assume clean inputs and are
 written for the desk-scale sizes this package targets (dimensions up to a few
 dozen).
@@ -203,12 +203,27 @@ def gram_matrix(cfg: SpaceConfig, vs) -> np.ndarray:
     """Matrix of pairwise inner products; symmetrised to kill rounding skew."""
     if len(vs) == 0:
         raise ValueError("gram_matrix needs at least one vector")
-    rows = as_rows(vs, cfg.dim)
-    if cfg.metric is None:
-        g = rows @ rows.T
-    else:
-        g = rows @ cfg.metric @ rows.T
+    return _gram_matrix(cfg, as_rows(vs, cfg.dim))
+
+
+def _gram_matrix(cfg: SpaceConfig, rows: np.ndarray) -> np.ndarray:
+    g = rows @ rows.T if cfg.metric is None else rows @ cfg.metric @ rows.T
     return 0.5 * (g + g.T)
+
+
+def _gram_volume(cfg: SpaceConfig, rows) -> float:
+    """sqrt(det G) of checked rows, clamped at 0."""
+    return math.sqrt(max(determinant(_gram_matrix(cfg, np.asarray(rows))), 0.0))
+
+
+def _perp_part(cfg: SpaceConfig, rows, w: np.ndarray) -> np.ndarray:
+    """w minus its metric projection onto the span of the checked,
+    independent rows (w itself when there are none)."""
+    if len(rows) == 0:
+        return w
+    rows = np.asarray(rows)
+    b = np.array([_inner(cfg, r, w) for r in rows])
+    return w - rows.T @ np.linalg.solve(_gram_matrix(cfg, rows), b)
 
 
 def determinant(m) -> float:

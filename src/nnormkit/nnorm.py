@@ -8,6 +8,7 @@ whitened vectors, so the Gram matrix is never formed.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,12 +20,12 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     SpaceConfig,
+    _gram_volume,
     _hadamard_scale,
-    _inner,
     _metric_length,
+    _perp_part,
     as_rows,
-    determinant,
-    gram_matrix,
+    determinant,  # unused here; bench/spans.py traces this binding
     rank,
     unit_rows,
 )
@@ -151,18 +152,9 @@ class _Sampler:
             return []
         for _ in range(200):
             rows = [self._unit(self.rng.normal(size=self.cfg.dim)) for _ in range(count)]
-            vol = math.sqrt(max(determinant(gram_matrix(self.cfg, rows)), 0.0))
-            if vol >= self.MIN_VOLUME:
+            if _gram_volume(self.cfg, rows) >= self.MIN_VOLUME:
                 return rows
         return rows  # pathological metric; keep the last draw
-
-    def _perp_part(self, rows: list[np.ndarray], w: np.ndarray) -> np.ndarray:
-        if not rows:
-            return w
-        g = gram_matrix(self.cfg, rows)
-        b = np.array([_inner(self.cfg, r, w) for r in rows])
-        coeffs = np.linalg.solve(g, b)
-        return w - np.array(rows).T @ coeffs
 
     def _insert(self, rows: list[np.ndarray], special: np.ndarray) -> tuple[list[np.ndarray], int]:
         slot = int(self.rng.integers(0, len(rows) + 1))
@@ -199,7 +191,7 @@ class _Sampler:
             combo = self._unit(combo)
         for _ in range(200):
             w = self._unit(self.rng.normal(size=self.cfg.dim))
-            perp = self._perp_part(others, w)
+            perp = _perp_part(self.cfg, others, w)
             if _metric_length(self.cfg, perp) >= self.MIN_PERP:
                 break
         tup, _ = self._insert(others, combo + delta * w)
@@ -214,6 +206,10 @@ class _Sampler:
             else:
                 out.append(self.generic())
         return out
+
+    def dependent_batch(self, trials: int) -> list[list[np.ndarray]]:
+        """Exactly dependent tuples, for the zero-value check."""
+        return [self.dependent() for _ in range(trials)]
 
     def boundary_batch(self, trials: int) -> list[tuple[list[np.ndarray], str]]:
         """Tuples for threshold checks, labelled by construction."""
@@ -230,9 +226,9 @@ class _Sampler:
         return out
 
 
-def _check_nonnegativity(norm, sampler, trials):
+def _check_nonnegativity(norm, batch, rng):
     worst = None
-    for vs, label in sampler.boundary_batch(trials):
+    for vs, label in batch:
         value = norm(vs)
         if not (math.isfinite(value) and value >= -norm.cfg.tol.zero):
             gap = -value if math.isfinite(value) else math.inf
@@ -241,11 +237,11 @@ def _check_nonnegativity(norm, sampler, trials):
     return worst
 
 
-def _check_definiteness_forward(norm, sampler, trials):
+def _check_definiteness_forward(norm, batch, rng):
     # whenever the value collapses to zero scale, the tuple must be dependent
     cfg = norm.cfg
     worst = None
-    for vs, label in sampler.boundary_batch(trials):
+    for vs, label in batch:
         value = norm(vs)
         if value <= cfg.tol.zero * _hadamard_scale(cfg, vs):
             if rank(vs, cfg.tol) == cfg.arity:
@@ -254,15 +250,14 @@ def _check_definiteness_forward(norm, sampler, trials):
     return worst
 
 
-def _check_definiteness_backward(norm, sampler, trials):
+def _check_definiteness_backward(norm, batch, rng):
     # dependent tuples must evaluate to zero at determinant precision; the
     # threshold is sqrt(tol.zero) because the norm is the root of the Gram
     # determinant, where tol.zero itself lives
     cfg = norm.cfg
     threshold_rel = math.sqrt(cfg.tol.zero)
     worst = None
-    for _ in range(trials):
-        vs = sampler.dependent()
+    for vs in batch:
         value = norm(vs)
         allowed = threshold_rel * _hadamard_scale(cfg, vs)
         if value > allowed:
@@ -290,18 +285,18 @@ def _rel_gap(a: float, b: float, scale: float, band: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), scale, _TINY)
 
 
-def _check_permutation(norm, sampler, trials):
+def _check_permutation(norm, batch, rng):
     cfg = norm.cfg
     n = cfg.arity
     band = _zero_band(cfg)
     worst = None
-    for vs in sampler.equality_batch(trials):
+    for vs in batch:
         base = norm(vs)
         scale = _hadamard_scale(cfg, vs)
         if n <= 4:
             perms = itertools.permutations(range(n))
         else:
-            perms = [tuple(sampler.rng.permutation(n)) for _ in range(8)]
+            perms = [tuple(rng.permutation(n)) for _ in range(8)]
         for perm in perms:
             value = norm([vs[i] for i in perm])
             gap = _rel_gap(value, base, scale, band)
@@ -310,13 +305,13 @@ def _check_permutation(norm, sampler, trials):
     return worst
 
 
-def _check_homogeneity(norm, sampler, trials):
+def _check_homogeneity(norm, batch, rng):
     cfg = norm.cfg
     band = _zero_band(cfg)
     worst = None
-    for vs in sampler.equality_batch(trials):
+    for vs in batch:
         base = norm(vs)
-        alpha = float(sampler.rng.uniform(-10.0, 10.0))
+        alpha = float(rng.uniform(-10.0, 10.0))
         scaled = [alpha * vs[0]] + vs[1:]
         value = norm(scaled)
         gap = _rel_gap(value, abs(alpha) * base, abs(alpha) * _hadamard_scale(cfg, vs), band)
@@ -325,12 +320,12 @@ def _check_homogeneity(norm, sampler, trials):
     return worst
 
 
-def _check_triangle(norm, sampler, trials):
+def _check_triangle(norm, batch, rng):
     cfg = norm.cfg
     band = _zero_band(cfg)
     worst = None
-    for vs in sampler.equality_batch(trials):
-        first_alt = sampler.rng.uniform(-1.0, 1.0, cfg.dim)
+    for vs in batch:
+        first_alt = rng.uniform(-1.0, 1.0, cfg.dim)
         summed = [vs[0] + first_alt] + vs[1:]
         alt = [first_alt] + vs[1:]
         lhs = norm(summed)
@@ -344,25 +339,26 @@ def _check_triangle(norm, sampler, trials):
     return worst
 
 
-def _check_shift(norm, sampler, trials):
+def _check_shift(norm, batch, rng):
     cfg = norm.cfg
     worst = None
-    for vs in sampler.equality_batch(trials):
-        alphas = sampler.rng.uniform(-5.0, 5.0, cfg.arity - 1) if cfg.arity > 1 else np.zeros(0)
+    for vs in batch:
+        alphas = rng.uniform(-5.0, 5.0, cfg.arity - 1) if cfg.arity > 1 else np.zeros(0)
         passed, gap = shift_invariance_check(norm, vs, alphas)
         if not passed and (worst is None or gap > worst.discrepancy):
             worst = Witness(tuple(vs), {"alphas": alphas}, gap)
     return worst
 
 
+#: each check with the `_Sampler` method that draws its batch
 _CHECKS = [
-    (Axiom.NONNEGATIVITY, _check_nonnegativity),
-    (Axiom.DEFINITENESS_FORWARD, _check_definiteness_forward),
-    (Axiom.DEFINITENESS_BACKWARD, _check_definiteness_backward),
-    (Axiom.PERMUTATION_INVARIANCE, _check_permutation),
-    (Axiom.ABSOLUTE_HOMOGENEITY, _check_homogeneity),
-    (Axiom.TRIANGLE_INEQUALITY, _check_triangle),
-    (Axiom.SHIFT_INVARIANCE, _check_shift),
+    (Axiom.NONNEGATIVITY, "boundary_batch", _check_nonnegativity),
+    (Axiom.DEFINITENESS_FORWARD, "boundary_batch", _check_definiteness_forward),
+    (Axiom.DEFINITENESS_BACKWARD, "dependent_batch", _check_definiteness_backward),
+    (Axiom.PERMUTATION_INVARIANCE, "equality_batch", _check_permutation),
+    (Axiom.ABSOLUTE_HOMOGENEITY, "equality_batch", _check_homogeneity),
+    (Axiom.TRIANGLE_INEQUALITY, "equality_batch", _check_triangle),
+    (Axiom.SHIFT_INVARIANCE, "equality_batch", _check_shift),
 ]
 
 
@@ -376,13 +372,20 @@ def check_axioms(norm: NNorm, trials: int, seed: int) -> list[AxiomReport]:
     sample mix includes adversarial near-dependent tuples at perturbations
     1e-3, 1e-6, and 1e-12. Deterministic for a given seed; failures are
     reported with witnesses rather than raised.
+
+    Each batch is drawn once, from a generator seeded with `seed`; each check
+    reading it draws on from its own copy of that generator.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    drawn = {}
     reports = []
-    for axiom, fn in _CHECKS:
-        sampler = _Sampler(norm.cfg, np.random.default_rng(seed))
-        witness = fn(norm, sampler, trials)
+    for axiom, draw, fn in _CHECKS:
+        if draw not in drawn:
+            sampler = _Sampler(norm.cfg, np.random.default_rng(seed))
+            drawn[draw] = (getattr(sampler, draw)(trials), sampler.rng)
+        batch, rng = drawn[draw]
+        witness = fn(norm, batch, copy.deepcopy(rng))
         reports.append(AxiomReport(axiom=axiom, passed=witness is None, trials=trials, witness=witness))
     return reports
 

@@ -29,11 +29,11 @@ from .linalg import (
     NON_FINITE,
     DimensionMismatch,
     SpaceConfig,
-    _inner,
+    _gram_volume,
     _metric_length,
+    _perp_part,
     as_vector,
-    determinant,
-    gram_matrix,
+    determinant,  # unused here; bench/spans.py traces this binding
     rank,
     unit_rows,
 )
@@ -238,8 +238,7 @@ def random_frame(cfg: SpaceConfig, rng: np.random.Generator, min_volume: float =
         if np.any(lengths == 0.0):
             continue
         rows = rows / lengths[:, None]
-        vol = math.sqrt(max(determinant(gram_matrix(cfg, rows)), 0.0))
-        if vol >= min_volume:
+        if _gram_volume(cfg, rows) >= min_volume:
             return Frame(space=cfg, vectors=rows)
     raise ValueError(f"could not draw a frame with volume >= {min_volume} in {max_tries} tries")
 
@@ -260,6 +259,9 @@ class Profile:
     lengths), and entry j-1 of `zero` says value <= SPAN_DECISION_REL *
     scale. A class-m norm is the sum of the entries named by its index set.
     Entries a generic evaluation skipped hold NaN (and False).
+
+    The one zero rule is per index: a sum of nonnegative class-1 norms
+    vanishes exactly when each does, so `is_zero(s)` needs every flag over s.
 
     Sums over s add Python floats, taken from the arrays once per profile,
     in index order from 0.0.
@@ -294,13 +296,10 @@ class Profile:
         return total
 
     def floor(self, s: IndexSet) -> float:
-        """Threshold at or below which value(s) is classified as zero."""
+        """Tolerance of the sampled trend rule; not a zero rule."""
         return SPAN_DECISION_REL * self.scale(s)
 
     def is_zero(self, s: IndexSet) -> bool:
-        return self.value(s) <= self.floor(s)
-
-    def all_zero(self, s: IndexSet) -> bool:
         """Is every class-1 term over s classified as zero on its own?"""
         zero = self.zero
         return all(zero[j - 1] for j in s)
@@ -437,8 +436,9 @@ def classm_norm(frame: Frame, norm: NNorm, u, s: IndexSet) -> float:
 
 
 def is_quotient_zero(frame: Frame, norm: NNorm, u, s: IndexSet) -> bool:
-    """Classify a quotient-norm value as zero, at SPAN_DECISION_REL relative
-    to the summed Hadamard scales of the evaluated tuples."""
+    """Is the coset of u zero after removing s? True when every class-1
+    value over s is at most SPAN_DECISION_REL times its tuple's Hadamard
+    scale (`Profile.is_zero`)."""
     return quotient_profile(frame, norm, u, s).is_zero(s)
 
 
@@ -495,12 +495,8 @@ def _escape_direction(frame: Frame, s: IndexSet, rng: np.random.Generator) -> np
     along a removed frame vector."""
     cfg = frame.space
     if frame.dim > frame.n:
-        rows = [frame.vectors[i] for i in range(frame.n)]
-        g = gram_matrix(cfg, rows)
         for _ in range(200):
-            w = rng.normal(size=frame.dim)
-            b = np.array([_inner(cfg, r, w) for r in rows])
-            perp = w - np.array(rows).T @ np.linalg.solve(g, b)
+            perp = _perp_part(cfg, frame.vectors, rng.normal(size=frame.dim))
             length = _metric_length(cfg, perp)
             if length >= 0.1:
                 return perp / length

@@ -17,9 +17,11 @@ profiles (the traces and the evidence vectors at k = 1 and 10) and reads all
 n of its class-m rows off it, through the same row builders the public
 verdicts use.
 
-Inputs are validated once, at the public boundary. The vectors a closed-form
-verdict computes from its checked spec and limit go to the profile's private
-entry unchecked; a term that overflowed is still named non-finite there.
+Inputs are validated once, at the public boundary; a sequence's vectors
+when it is built, and its fit to a frame once per verdict. Table entries and
+the vectors a verdict computes from a checked sequence and limit go to the
+profile's private entry unchecked; one that overflowed is still named
+non-finite there. Tabulated verdicts share one trend rule (`_settles`).
 """
 
 from __future__ import annotations
@@ -324,16 +326,22 @@ def zero_profile(frame: Frame, norm: NNorm, w) -> np.ndarray:
     return quotient_profile(frame, norm, w).zero
 
 
+def _check_spec(spec: SequenceSpec, frame: Frame, norm: NNorm) -> None:
+    """A sequence's dimension and the norm must fit the frame."""
+    if spec.dim != frame.dim:
+        raise DimensionMismatch("sequence dimension", frame.dim, spec.dim)
+    _check_compatible(frame, norm)
+
+
 class AnalyticTraces:
     """Per-subset limiting behaviour of the norm traces of a closed-form
-    sequence, relative to a candidate limit (where one is involved)."""
+    sequence, relative to a candidate limit (where one is involved). Zero
+    decisions are `Profile.is_zero`, the one per-index rule."""
 
     def __init__(self, spec: SequenceSpec, frame: Frame, norm: NNorm, limit=None):
         if spec.kind is SequenceKind.CUSTOM:
             raise ValueError("analytic traces need a closed-form sequence")
-        if spec.dim != frame.dim:
-            raise DimensionMismatch("sequence dimension", frame.dim, spec.dim)
-        _check_compatible(frame, norm)
+        _check_spec(spec, frame, norm)
         self.spec = spec
         self.frame = frame
         self.norm = norm
@@ -362,12 +370,12 @@ class AnalyticTraces:
         """Does classm_norm(x_k - limit, s) tend to zero?"""
         kind = self.spec.kind
         if kind in (SequenceKind.CONSTANT, SequenceKind.CONVERGENT_POWER):
-            return self._w.all_zero(s)
+            return self._w.is_zero(s)
         if kind is SequenceKind.OSCILLATING:
-            return self._plus.all_zero(s) and self._minus.all_zero(s)
+            return self._plus.is_zero(s) and self._minus.is_zero(s)
         # divergent linear: the kv part must lie in the kept span, after
         # which the trace is constantly the norm of the (negated) limit
-        return self._v.all_zero(s) and self._l.all_zero(s)
+        return self._v.is_zero(s) and self._l.is_zero(s)
 
     def cauchy_on(self, s: IndexSet) -> bool:
         """Does classm_norm(x_k - x_l, s) tend to zero as k, l -> oo?"""
@@ -375,8 +383,8 @@ class AnalyticTraces:
         if kind in (SequenceKind.CONSTANT, SequenceKind.CONVERGENT_POWER):
             return True
         if kind is SequenceKind.OSCILLATING:
-            return self.spec.coefficient == 0.0 or self._v.all_zero(s)
-        return self._v.all_zero(s)
+            return self.spec.coefficient == 0.0 or self._v.is_zero(s)
+        return self._v.is_zero(s)
 
     @cached_property
     def _bound_profiles(self) -> tuple:
@@ -392,7 +400,7 @@ class AnalyticTraces:
         """Is sup_k classm_norm(x_k, s) finite, and an analytic bound for it."""
         kind = self.spec.kind
         if kind is SequenceKind.DIVERGENT_LINEAR:
-            if self._v.all_zero(s):
+            if self._v.is_zero(s):
                 # kv stays in the kept span, so every coset is the zero coset
                 return True, 0.0
             return False, math.inf
@@ -426,17 +434,12 @@ def _doubling_gap(spec: SequenceSpec, limit, k: int):
 
 
 def _evidence_profiles(traces: AnalyticTraces, columns, ks, vector_at) -> list[tuple[int, Profile]]:
-    """One profile per k of vector_at(spec, limit, k), skipping the k outside
-    the sequence's index range. `columns` are the sorted frame indices an
-    injected evaluator is called on."""
-    profiles = []
-    for k in ks:
-        try:
-            w = vector_at(traces.spec, traces.limit, int(k))
-        except ValueError:
-            continue  # k outside the sequence's index range
-        profiles.append((int(k), _profile(traces.frame, traces.norm, w, columns)))
-    return profiles
+    """One profile per k >= 1 of vector_at(spec, limit, k); sequences start
+    at k = 1. `columns` are the sorted frame indices an injected evaluator
+    is called on."""
+    spec, limit, frame, norm = traces.spec, traces.limit, traces.frame, traces.norm
+    ks = [k for k in map(int, ks) if k >= 1]
+    return [(k, _profile(frame, norm, vector_at(spec, limit, k), columns)) for k in ks]
 
 
 def _trace_points(profiles, selection: NormSelection) -> tuple[TracePoint, ...]:
@@ -470,6 +473,16 @@ def _cauchy_row(traces: AnalyticTraces, profiles, selection: NormSelection) -> V
     return Verdict(conclusion, Method.ANALYTIC, evidence=_trace_points(profiles, selection))
 
 
+def _settles(series: list[float], floor: float) -> bool:
+    """Sampled trend rule: every sample is at zero scale (at most `floor`),
+    or there are at least three, nonincreasing up to `floor`, and the last
+    is at zero scale or a quarter of the first."""
+    if series and all(v <= floor for v in series):
+        return True
+    nonincreasing = all(a >= b - floor for a, b in zip(series, series[1:]))
+    return nonincreasing and len(series) >= 3 and (series[-1] <= 0.25 * series[0] or series[-1] <= floor)
+
+
 def _validate_selection(frame: Frame, selection: NormSelection) -> None:
     if selection.n != frame.n:
         raise DimensionMismatch("selection arity", frame.n, selection.n)
@@ -495,28 +508,22 @@ def converges_wrt(
     Inconclusive.
     """
     _validate_selection(frame, selection)
+    columns = sorted(selection.union())
     if spec.kind is not SequenceKind.CUSTOM:
         traces = AnalyticTraces(spec, frame, norm, candidate_limit)
-        columns = sorted(selection.union())
         return _convergence_row(traces, _evidence_profiles(traces, columns, evidence_ks, _offset), selection)
 
+    _check_spec(spec, frame, norm)
     limit = as_vector(candidate_limit, frame.dim)
     ks = [k for k, _ in spec.table]
     window = (ks[0], ks[-1])
-    columns = selection.union()
-    profiles = [quotient_profile(frame, norm, v - limit, columns) for _, v in spec.table]
+    profiles = [_profile(frame, norm, v - limit, columns) for _, v in spec.table]
     all_good = True
     evidence = []
     for s in selection.subsets:
         values = [p.value(s) for p in profiles]
-        floor = max(p.floor(s) for p in profiles)
         evidence.extend(TracePoint(k, s, v) for k, v in zip(ks, values))
-        if all(v <= floor for v in values):
-            continue
-        nonincreasing = all(a >= b - floor for a, b in zip(values, values[1:]))
-        decayed = values[-1] <= 0.25 * values[0] or values[-1] <= floor
-        if not (nonincreasing and decayed and len(values) >= 3):
-            all_good = False
+        all_good = _settles(values, max(p.floor(s) for p in profiles)) and all_good
     if all_good:
         return Verdict(Conclusion.CONVERGES, Method.SAMPLED, limit=limit, evidence=tuple(evidence), window=window)
     return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, evidence=tuple(evidence), window=window)
@@ -543,38 +550,25 @@ def is_cauchy_wrt(
     a < b pairs only.
     """
     _validate_selection(frame, selection)
+    columns = sorted(selection.union())
     if spec.kind is not SequenceKind.CUSTOM:
         traces = AnalyticTraces(spec, frame, norm)
-        columns = sorted(selection.union())
         return _cauchy_row(traces, _evidence_profiles(traces, columns, evidence_ks, _doubling_gap), selection)
 
+    _check_spec(spec, frame, norm)
     ks = [k for k, _ in spec.table]
     window = (ks[0], ks[-1])
-    values = {k: v for k, v in spec.table}
-    columns = selection.union()
+    values = dict(spec.table)
     # every difference lies in the first tail; later tails reuse its profiles
-    gaps = {(a, b): quotient_profile(frame, norm, values[a] - values[b], columns) for a, b in combinations(ks, 2)}
-    first = quotient_profile(frame, norm, values[ks[0]], columns)
+    gaps = {(a, b): _profile(frame, norm, values[a] - values[b], columns) for a, b in combinations(ks, 2)}
+    first = _profile(frame, norm, values[ks[0]], columns)
     all_good = True
     evidence = []
     for s in selection.subsets:
-        diameters = []
         # only tails with at least two points say anything about a diameter
-        for t in range(len(ks) - 1):
-            tail = ks[t:]
-            diam = max(gaps[pair].value(s) for pair in combinations(tail, 2))
-            diameters.append(diam)
-            evidence.append(TracePoint(tail[0], s, diam))
-        if not diameters:
-            all_good = False
-            continue
-        floor = first.floor(s)
-        if all(d <= floor for d in diameters):
-            continue
-        nonincreasing = all(a >= b - floor for a, b in zip(diameters, diameters[1:]))
-        decayed = diameters[-1] <= 0.25 * diameters[0] or diameters[-1] <= floor
-        if not (nonincreasing and decayed and len(diameters) >= 3):
-            all_good = False
+        diameters = [max(gaps[pair].value(s) for pair in combinations(ks[t:], 2)) for t in range(len(ks) - 1)]
+        evidence.extend(TracePoint(k, s, d) for k, d in zip(ks, diameters))
+        all_good = _settles(diameters, first.floor(s)) and all_good
     if all_good:
         return Verdict(Conclusion.CAUCHY, Method.SAMPLED, evidence=tuple(evidence), window=window)
     return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, evidence=tuple(evidence), window=window)
@@ -589,52 +583,35 @@ def is_bounded_wrt(
 ) -> Verdict:
     """Boundedness verdict for a finite point set or a sequence spec.
 
-    Finite point sets are always Bounded, with witness M equal to the exact
+    Finite point sets and tables are always Bounded, with witness M the exact
     maximum over points and subsets. Closed-form specs get an Analytic
     verdict from the trace formula.
     """
     _validate_selection(frame, selection)
+    columns = sorted(selection.union())
     if isinstance(points_or_spec, SequenceSpec):
         spec = points_or_spec
-        if spec.kind is SequenceKind.CUSTOM:
-            points = [v for _, v in spec.table]
-            ks = [k for k, _ in spec.table]
-            evidence, best = _max_over_points(points, frame, norm, selection, ks)
-            return Verdict(
-                Conclusion.BOUNDED,
-                Method.SAMPLED,
-                bound=best,
-                evidence=evidence,
-                window=(ks[0], ks[-1]),
-            )
-        traces = AnalyticTraces(spec, frame, norm)
-        columns = sorted(selection.union())
-        return _boundedness_row(traces, _evidence_profiles(traces, columns, evidence_ks, _term), selection)
-
-    points = [as_vector(p, frame.dim) for p in points_or_spec]
-    if not points:
-        raise ValueError("boundedness needs a nonempty point set")
-    evidence, best = _max_over_points(points, frame, norm, selection, range(1, len(points) + 1))
-    return Verdict(
-        Conclusion.BOUNDED,
-        Method.SAMPLED,
-        bound=best,
-        evidence=evidence,
-        window=(1, len(points)),
-    )
-
-
-def _max_over_points(points, frame, norm, selection, ks):
+        if spec.kind is not SequenceKind.CUSTOM:
+            traces = AnalyticTraces(spec, frame, norm)
+            return _boundedness_row(traces, _evidence_profiles(traces, columns, evidence_ks, _term), selection)
+        _check_spec(spec, frame, norm)
+        ks = [k for k, _ in spec.table]
+        points = [v for _, v in spec.table]
+    else:
+        points = [as_vector(p, frame.dim) for p in points_or_spec]
+        if not points:
+            raise ValueError("boundedness needs a nonempty point set")
+        _check_compatible(frame, norm)
+        ks = range(1, len(points) + 1)
     best = 0.0
     evidence = []
-    columns = selection.union()
     for k, p in zip(ks, points):
-        profile = quotient_profile(frame, norm, p, columns)
+        profile = _profile(frame, norm, p, columns)
         for s in selection.subsets:
             value = profile.value(s)
-            evidence.append(TracePoint(int(k), s, value))
+            evidence.append(TracePoint(k, s, value))
             best = max(best, value)
-    return tuple(evidence), best
+    return Verdict(Conclusion.BOUNDED, Method.SAMPLED, bound=best, evidence=tuple(evidence), window=(ks[0], ks[-1]))
 
 
 @dataclass(frozen=True)

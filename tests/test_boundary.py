@@ -1,7 +1,7 @@
 """Validation happens once, at the public boundary: the errors a bad tuple
 gets from `standard_norm`, how often the sampled verdicts call an injected
-evaluator and the vector validator, and what an equivalence table
-validates."""
+evaluator and the vector validator, what an equivalence table validates,
+and the one quotient zero rule."""
 
 import importlib
 from math import comb
@@ -12,7 +12,7 @@ import pytest
 from nnormkit import linalg
 from nnormkit.linalg import DimensionMismatch, SpaceConfig
 from nnormkit.nnorm import NNorm, standard_nnorm, standard_norm
-from nnormkit.quotient import IndexSet, random_frame
+from nnormkit.quotient import IndexSet, in_kept_span, is_quotient_zero, random_frame, standard_frame
 from nnormkit.topology import (
     NormSelection,
     convergent_power,
@@ -23,6 +23,7 @@ from nnormkit.topology import (
     full_selection,
     is_bounded_wrt,
     is_cauchy_wrt,
+    zero_profile,
 )
 
 CFG = SpaceConfig(dim=3, arity=2)
@@ -119,13 +120,59 @@ def _count_as_vector(monkeypatch) -> list:
 
 
 def test_sampled_cauchy_validates_each_profiled_vector_once(monkeypatch):
-    # the injected evaluator's tuples are checked as one array, without
-    # as_vector
+    # the table's vectors were checked when it was built, so neither they
+    # nor their differences are checked again; the injected evaluator's
+    # tuples are checked as one array, without as_vector
     cfg, frame, table, _ = _table_and_frame()
     norm, _ = _counting_norm(cfg)
     seen = _count_as_vector(monkeypatch)
     is_cauchy_wrt(table, frame, norm, full_selection(4, 2))
-    assert len(seen) == comb(TABLE_LENGTH, 2) + 1
+    assert len(seen) == 0
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+def test_sampled_convergence_and_boundedness_validate_only_new_input(monkeypatch, injected):
+    cfg, frame, table, limit = _table_and_frame()
+    norm = _counting_norm(cfg)[0] if injected else standard_nnorm(cfg)
+    selection = full_selection(4, 2)
+    seen = _count_as_vector(monkeypatch)
+    converges_wrt(table, frame, norm, selection, limit)
+    assert seen == [5]  # the candidate limit
+    seen.clear()
+    is_bounded_wrt(table, frame, norm, selection)
+    assert seen == []
+    points = [v for _, v in table.table]
+    is_bounded_wrt(points, frame, norm, selection)
+    assert seen == [5] * TABLE_LENGTH  # one check per point
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+def test_table_of_another_dimension_is_rejected(injected):
+    cfg, frame, _, _ = _table_and_frame()
+    norm = _counting_norm(cfg)[0] if injected else standard_nnorm(cfg)
+    selection = full_selection(4, 1)
+    table = custom_sequence([(k, np.full(4, 1.0 / k)) for k in range(1, TABLE_LENGTH + 1)])
+    verdicts = [
+        lambda: converges_wrt(table, frame, norm, selection, np.zeros(5)),
+        lambda: is_cauchy_wrt(table, frame, norm, selection),
+        lambda: is_bounded_wrt(table, frame, norm, selection),
+    ]
+    for verdict in verdicts:
+        with pytest.raises(DimensionMismatch, match="sequence dimension: expected 5, got 4"):
+            verdict()
+
+
+def test_quotient_zero_is_decided_per_class1_index():
+    # the class-1 value against y_1 is 1.5e-7 of its scale, above the 1e-7
+    # threshold; a rule on the sum over {1,2} would let the zero value
+    # against y_2 hide it
+    frame = standard_frame(SpaceConfig(3, 3))
+    norm = standard_nnorm(frame.space)
+    u = np.array([1.5e-7, 0.0, 1.0])
+    s = IndexSet([1, 2])
+    assert list(zero_profile(frame, norm, u)) == [False, True, False]
+    assert not in_kept_span(frame, u, s)
+    assert not is_quotient_zero(frame, norm, u, s)
 
 
 @pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])

@@ -1,10 +1,12 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nnormkit import nnorm
 from nnormkit.linalg import DimensionMismatch, SpaceConfig, hadamard_scale, rank
 from nnormkit.nnorm import (
     Axiom,
@@ -128,6 +130,33 @@ class TestCheckAxioms:
         a = check_axioms(norm, trials=25, seed=77)
         b = check_axioms(norm, trials=25, seed=77)
         assert [(r.axiom, r.passed) for r in a] == [(r.axiom, r.passed) for r in b]
+
+    def test_draws_each_batch_once(self, monkeypatch):
+        calls = []
+        for name in ("boundary_batch", "equality_batch"):
+
+            def counting(sampler, trials, original=getattr(nnorm._Sampler, name), name=name):
+                calls.append(name)
+                return original(sampler, trials)
+
+            monkeypatch.setattr(nnorm._Sampler, name, counting)
+        check_axioms(standard_nnorm(cfg_of(3, 4)), trials=50, seed=7)
+        assert sorted(calls) == ["boundary_batch", "equality_batch"]
+
+    @pytest.mark.parametrize("n, d, metric", [(3, 4, None), (5, 6, None), (2, 3, np.diag([2.0, 1.0, 0.5]))])
+    def test_reports_equal_a_fresh_draw_per_check(self, n, d, metric):
+        # a norm weighted by its first vector fails the checks whose extra
+        # draws (permutations, scale factors, added vectors, shifts) come
+        # after the shared batch, so witnesses expose any drift in them
+        cfg = cfg_of(n, d, metric)
+        norm = NNorm(cfg, "weighted", lambda vs: standard_norm(cfg, vs) * (1.0 + abs(vs[0][0])))
+        reports = check_axioms(norm, trials=30, seed=8)
+        assert sum(not r.passed for r in reports) >= 3
+        for (axiom, draw, check), report in zip(nnorm._CHECKS, reports):
+            sampler = nnorm._Sampler(cfg, np.random.default_rng(8))
+            witness = check(norm, getattr(sampler, draw)(30), sampler.rng)
+            expected = AxiomReport(axiom=axiom, passed=witness is None, trials=30, witness=witness)
+            assert pickle.dumps(report) == pickle.dumps(expected)
 
     def test_report_requires_witness_on_failure(self):
         with pytest.raises(ValueError):

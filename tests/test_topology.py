@@ -215,6 +215,20 @@ class TestCauchyWrt:
         assert verdict.conclusion is Conclusion.NOT_CAUCHY
 
 
+def test_evidence_skips_indices_below_one():
+    cfg, frame, norm = space(3, 4)
+    spec = convergent_power(np.ones(4), np.eye(4)[3], coefficient=2.0)
+    selection = full_selection(3, 2)
+    ks = (-2, 0, 1, 10)
+    verdicts = [
+        converges_wrt(spec, frame, norm, selection, np.ones(4), evidence_ks=ks),
+        is_cauchy_wrt(spec, frame, norm, selection, evidence_ks=ks),
+        is_bounded_wrt(spec, frame, norm, selection, evidence_ks=ks),
+    ]
+    for verdict in verdicts:
+        assert [p.k for p in verdict.evidence] == [1, 10] * len(selection.subsets)
+
+
 class TestBoundedWrt:
     def test_finite_point_set_bounded_with_max_witness(self):
         cfg, frame, norm = space(2, 3)
