@@ -10,6 +10,7 @@ the seed (and only the seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -434,7 +435,10 @@ def cmd_demo_counterexample(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    `main` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="nnormkit", description=__doc__.splitlines()[0])
 
     def add_common(p, with_trials=False):

@@ -195,6 +195,20 @@ def unit_rows(cfg: SpaceConfig, rows: np.ndarray) -> tuple[np.ndarray, list[floa
     """
     if cfg.whitening is not None:
         rows = rows @ cfg.whitening.T
+    return _unit_whitened(rows)
+
+
+def _unit_stack(cfg: SpaceConfig, stack: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """unit_rows of a (B, n, d) stack of tuples at once, bit for bit as
+    unit_rows takes each tuple alone; the B * n lengths come in row-major
+    order. Each tuple is whitened by its own product with L^T."""
+    if cfg.whitening is not None:
+        stack = stack @ cfg.whitening.T
+    units, lengths = _unit_whitened(stack.reshape(-1, stack.shape[-1]))
+    return units.reshape(stack.shape), lengths
+
+
+def _unit_whitened(rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
     lengths = [math.hypot(*row) for row in rows.tolist()]
     return rows / np.array([x if x > 0.0 else 1.0 for x in lengths])[:, None], lengths
 

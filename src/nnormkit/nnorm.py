@@ -4,6 +4,11 @@ for the defining axioms that works against any injected evaluator.
 A value of the standard norm is sqrt(det(Gram)), the volume of the
 parallelepiped the vectors span; it is taken from a QR factor of the unit
 whitened vectors, so the Gram matrix is never formed.
+
+The checker evaluates each batch of tuples at once. For the standard kind,
+one stacked QR over the batch gives every value, bit for bit the value
+`standard_norm` gives the tuple alone; any other evaluator is called once
+per tuple, in batch order.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .linalg import (
     _hadamard_scale,
     _metric_length,
     _perp_part,
+    _unit_stack,
     as_rows,
     determinant,  # unused here; bench/spans.py traces this binding
     rank,
@@ -63,8 +69,32 @@ def standard_norm(cfg: SpaceConfig, vs) -> float:
     units, lengths = unit_rows(cfg, as_rows(vs, cfg.dim))
     if min(lengths) == 0.0:
         return 0.0
-    r = np.linalg.qr(units.T, mode="r")
-    return math.prod(lengths) * abs(math.prod(np.diagonal(r).tolist()))
+    return _volume(lengths, np.diagonal(np.linalg.qr(units.T, mode="r")).tolist())
+
+
+def _volume(lengths: list[float], diagonal: list[float]) -> float:
+    """The standard value of a tuple without zero rows, from the metric
+    lengths of its rows and the diagonal of the R factor of its unit rows."""
+    return math.prod(lengths) * abs(math.prod(diagonal))
+
+
+def _evaluate(norm: NNorm, stack: np.ndarray) -> tuple[list, list[float]]:
+    """Values of `norm` on each tuple of a checked (B, n, d) stack, in
+    order, and the Hadamard scale of each tuple.
+
+    The standard kind takes all values from one QR of the stacked unit rows
+    and the formula of `standard_norm`; any other kind is called once per
+    tuple, in order, with the tuple as a list of rows.
+    """
+    n = norm.cfg.arity
+    units, flat = _unit_stack(norm.cfg, stack)
+    lengths = [flat[i : i + n] for i in range(0, len(flat), n)]
+    if norm.kind == "standard":
+        diagonals = np.diagonal(np.linalg.qr(units.transpose(0, 2, 1), mode="r"), axis1=1, axis2=2).tolist()
+        values = [0.0 if min(ls) == 0.0 else _volume(ls, dg) for ls, dg in zip(lengths, diagonals)]
+    else:
+        values = [norm(list(vs)) for vs in stack]
+    return values, [math.prod(ls) for ls in lengths]
 
 
 @dataclass(frozen=True)
@@ -118,6 +148,26 @@ class AxiomReport:
     def __post_init__(self):
         if not self.passed and self.witness is None:
             raise ValueError("failing report must carry a witness")
+
+
+class _Batch:
+    """Drawn tuples as the sampler made them (witnesses carry them), their
+    construction labels, and the tuples stacked as one (B, n, d) array.
+
+    `base(norm)` evaluates the batch once per norm, so every check that
+    reads the batch shares its values and scales.
+    """
+
+    def __init__(self, tuples: list[list[np.ndarray]], labels: list[str] | None = None):
+        self.tuples = tuples
+        self.labels = labels
+        self.stack = np.array(tuples)
+        self._base = None
+
+    def base(self, norm: NNorm) -> tuple[list, list[float]]:
+        if self._base is None or self._base[0] is not norm:
+            self._base = (norm, _evaluate(norm, self.stack))
+        return self._base[1]
 
 
 class _Sampler:
@@ -197,7 +247,7 @@ class _Sampler:
         tup, _ = self._insert(others, combo + delta * w)
         return tup
 
-    def equality_batch(self, trials: int) -> list[list[np.ndarray]]:
+    def equality_batch(self, trials: int) -> _Batch:
         """Tuples for value-comparison checks: generic plus mild perturbation."""
         out = []
         for t in range(trials):
@@ -205,31 +255,33 @@ class _Sampler:
                 out.append(self.near_dependent(self.MILD_DELTA))
             else:
                 out.append(self.generic())
-        return out
+        return _Batch(out)
 
-    def dependent_batch(self, trials: int) -> list[list[np.ndarray]]:
+    def dependent_batch(self, trials: int) -> _Batch:
         """Exactly dependent tuples, for the zero-value check."""
-        return [self.dependent() for _ in range(trials)]
+        return _Batch([self.dependent() for _ in range(trials)], ["dependent"] * trials)
 
-    def boundary_batch(self, trials: int) -> list[tuple[list[np.ndarray], str]]:
+    def boundary_batch(self, trials: int) -> _Batch:
         """Tuples for threshold checks, labelled by construction."""
-        out = []
+        tuples, labels = [], []
         for t in range(trials):
             r = t % 5
             if r == 0:
-                out.append((self.dependent(), "dependent"))
+                tuples.append(self.dependent())
+                labels.append("dependent")
             elif r == 1:
-                out.append((self.generic(), "generic"))
+                tuples.append(self.generic())
+                labels.append("generic")
             else:
                 delta = self.DEEP_DELTAS[r - 2]
-                out.append((self.near_dependent(delta), f"perturbed:{delta:g}"))
-        return out
+                tuples.append(self.near_dependent(delta))
+                labels.append(f"perturbed:{delta:g}")
+        return _Batch(tuples, labels)
 
 
 def _check_nonnegativity(norm, batch, rng):
     worst = None
-    for vs, label in batch:
-        value = norm(vs)
+    for vs, label, value in zip(batch.tuples, batch.labels, batch.base(norm)[0]):
         if not (math.isfinite(value) and value >= -norm.cfg.tol.zero):
             gap = -value if math.isfinite(value) else math.inf
             if worst is None or gap > worst.discrepancy:
@@ -241,9 +293,8 @@ def _check_definiteness_forward(norm, batch, rng):
     # whenever the value collapses to zero scale, the tuple must be dependent
     cfg = norm.cfg
     worst = None
-    for vs, label in batch:
-        value = norm(vs)
-        if value <= cfg.tol.zero * _hadamard_scale(cfg, vs):
+    for vs, label, value, scale in zip(batch.tuples, batch.labels, *batch.base(norm)):
+        if value <= cfg.tol.zero * scale:
             if rank(vs, cfg.tol) == cfg.arity:
                 witness = Witness(tuple(vs), {"construction": label, "value": value}, math.inf)
                 worst = witness
@@ -257,13 +308,12 @@ def _check_definiteness_backward(norm, batch, rng):
     cfg = norm.cfg
     threshold_rel = math.sqrt(cfg.tol.zero)
     worst = None
-    for vs in batch:
-        value = norm(vs)
-        allowed = threshold_rel * _hadamard_scale(cfg, vs)
+    for vs, label, value, scale in zip(batch.tuples, batch.labels, *batch.base(norm)):
+        allowed = threshold_rel * scale
         if value > allowed:
             gap = value - allowed
             if worst is None or gap > worst.discrepancy:
-                worst = Witness(tuple(vs), {"construction": "dependent", "value": value}, gap)
+                worst = Witness(tuple(vs), {"construction": label, "value": value}, gap)
     return worst
 
 
@@ -289,16 +339,16 @@ def _check_permutation(norm, batch, rng):
     cfg = norm.cfg
     n = cfg.arity
     band = _zero_band(cfg)
+    bases, scales = batch.base(norm)
+    if n <= 4:
+        perms = [list(itertools.permutations(range(n)))] * len(batch.tuples)
+    else:
+        perms = [[tuple(rng.permutation(n)) for _ in range(8)] for _ in batch.tuples]
+    rows = np.arange(len(perms))[:, None, None]
+    values = iter(_evaluate(norm, batch.stack[rows, np.array(perms)].reshape(-1, n, cfg.dim))[0])
     worst = None
-    for vs in batch:
-        base = norm(vs)
-        scale = _hadamard_scale(cfg, vs)
-        if n <= 4:
-            perms = itertools.permutations(range(n))
-        else:
-            perms = [tuple(rng.permutation(n)) for _ in range(8)]
-        for perm in perms:
-            value = norm([vs[i] for i in perm])
+    for vs, base, scale, tuple_perms in zip(batch.tuples, bases, scales, perms):
+        for perm, value in zip(tuple_perms, values):
             gap = _rel_gap(value, base, scale, band)
             if gap > cfg.tol.rel and (worst is None or gap > worst.discrepancy):
                 worst = Witness(tuple(vs), {"permutation": perm, "value": value, "base": base}, gap)
@@ -308,13 +358,13 @@ def _check_permutation(norm, batch, rng):
 def _check_homogeneity(norm, batch, rng):
     cfg = norm.cfg
     band = _zero_band(cfg)
+    bases, scales = batch.base(norm)
+    alphas = [float(rng.uniform(-10.0, 10.0)) for _ in batch.tuples]
+    scaled = batch.stack.copy()
+    scaled[:, 0] *= np.array(alphas)[:, None]
     worst = None
-    for vs in batch:
-        base = norm(vs)
-        alpha = float(rng.uniform(-10.0, 10.0))
-        scaled = [alpha * vs[0]] + vs[1:]
-        value = norm(scaled)
-        gap = _rel_gap(value, abs(alpha) * base, abs(alpha) * _hadamard_scale(cfg, vs), band)
+    for vs, alpha, value, base, scale in zip(batch.tuples, alphas, _evaluate(norm, scaled)[0], bases, scales):
+        gap = _rel_gap(value, abs(alpha) * base, abs(alpha) * scale, band)
         if gap > cfg.tol.rel and (worst is None or gap > worst.discrepancy):
             worst = Witness(tuple(vs), {"alpha": alpha, "value": value, "base": base}, gap)
     return worst
@@ -323,14 +373,19 @@ def _check_homogeneity(norm, batch, rng):
 def _check_triangle(norm, batch, rng):
     cfg = norm.cfg
     band = _zero_band(cfg)
+    bases, base_scales = batch.base(norm)
+    first_alts = [rng.uniform(-1.0, 1.0, cfg.dim) for _ in batch.tuples]
+    summed, alt = batch.stack.copy(), batch.stack.copy()
+    summed[:, 0] += first_alts
+    alt[:, 0] = first_alts
+    # summed tuples first, then the alternatives, in one stack
+    values, scales = _evaluate(norm, np.concatenate([summed, alt]))
+    count = len(first_alts)
     worst = None
-    for vs in batch:
-        first_alt = rng.uniform(-1.0, 1.0, cfg.dim)
-        summed = [vs[0] + first_alt] + vs[1:]
-        alt = [first_alt] + vs[1:]
-        lhs = norm(summed)
-        rhs = norm(vs) + norm(alt)
-        scale = max(_hadamard_scale(cfg, summed), _hadamard_scale(cfg, vs), _hadamard_scale(cfg, alt))
+    for t, (vs, first_alt) in enumerate(zip(batch.tuples, first_alts)):
+        lhs = values[t]
+        rhs = bases[t] + values[count + t]
+        scale = max(scales[t], base_scales[t], scales[count + t])
         if lhs <= band * scale:
             continue  # zero-class left side cannot violate the inequality
         violation = (lhs - rhs) / max(scale, _TINY)
@@ -342,7 +397,7 @@ def _check_triangle(norm, batch, rng):
 def _check_shift(norm, batch, rng):
     cfg = norm.cfg
     worst = None
-    for vs in batch:
+    for vs in batch.tuples:
         alphas = rng.uniform(-5.0, 5.0, cfg.arity - 1) if cfg.arity > 1 else np.zeros(0)
         passed, gap = shift_invariance_check(norm, vs, alphas)
         if not passed and (worst is None or gap > worst.discrepancy):
@@ -374,7 +429,14 @@ def check_axioms(norm: NNorm, trials: int, seed: int) -> list[AxiomReport]:
     reported with witnesses rather than raised.
 
     Each batch is drawn once, from a generator seeded with `seed`; each check
-    reading it draws on from its own copy of that generator.
+    reading it draws on from its own copy of that generator. The checks share
+    the batch's values: the boundary batch's serve nonnegativity and forward
+    definiteness, the equality batch's base values and scales serve
+    permutation, homogeneity and triangle. Every permuted, scaled, summed or
+    alternative tuple of a check is evaluated in one stack, and the worst
+    witness is picked afterwards in batch order. The standard kind evaluates
+    each stack with one QR; an injected evaluator is called once per tuple,
+    in batch order. Shift invariance calls `shift_invariance_check` per tuple.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

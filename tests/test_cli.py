@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nnormkit.cli import main
+from nnormkit.cli import build_parser, main
 from nnormkit.topology import counterexample_r5, parse_trace_csv
 
 
@@ -170,6 +170,22 @@ class TestDeterminism:
         assert main(["verify", "axioms", "--config", cfg, "--output", str(a)]) == 0
         assert main(["verify", "axioms", "--config", cfg, "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_shared_parser_matches_a_fresh_one(self, tmp_path, capsys):
+        # main reuses one parser; a call that errors in it (exit 2) must not
+        # change what the next call returns or writes
+        cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 2}, "seed": 9, "trials": 5})
+        out = tmp_path / "report.json"
+        argv = ["verify", "axioms", "--config", cfg, "--output", str(out)]
+        build_parser.cache_clear()
+        fresh_code = main(argv)
+        fresh = out.read_bytes()
+        assert build_parser() is build_parser()
+        for bad in (["verify", "nonexistent-suite"], ["norm", "--format", "xml", "1,0,0"]):
+            assert main(bad) == 2
+            assert main(argv) == fresh_code == 0
+            assert out.read_bytes() == fresh
+        capsys.readouterr()
 
     def test_env_var_overrides_seed(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 2}, "seed": 9})

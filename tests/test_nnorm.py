@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nnormkit import nnorm
-from nnormkit.linalg import DimensionMismatch, SpaceConfig, hadamard_scale, rank
+from nnormkit.linalg import DimensionMismatch, SpaceConfig, Tolerance, hadamard_scale, rank
 from nnormkit.nnorm import (
     Axiom,
     AxiomReport,
@@ -157,6 +157,46 @@ class TestCheckAxioms:
             witness = check(norm, getattr(sampler, draw)(30), sampler.rng)
             expected = AxiomReport(axiom=axiom, passed=witness is None, trials=30, witness=witness)
             assert pickle.dumps(report) == pickle.dumps(expected)
+
+    @pytest.mark.parametrize("spd", [False, True], ids=["dot", "spd"])
+    @pytest.mark.parametrize("n, d", [(n, n + k) for n in range(1, 6) for k in (0, 1, 3)])
+    def test_stacked_reports_equal_the_per_tuple_loop(self, n, d, spd):
+        # the standard kind evaluates stacked batches; the injected norm runs
+        # the same standard_norm once per tuple, so the reports, witnesses
+        # included, must agree byte for byte. At rel = 1e-300 every rounding
+        # gap fails, so the witnesses carry the worst values of each check.
+        metric = np.diag(np.linspace(0.5, 2.0, d)) + 0.1 if spd else None
+        for tol, seeds in [(Tolerance(), (20260808, 7, 99)), (Tolerance(rel=1e-300), (20260808,))]:
+            cfg = SpaceConfig(dim=d, arity=n, metric=metric, tol=tol)
+            looped = NNorm(cfg, "injected", lambda vs, cfg=cfg: standard_norm(cfg, vs))
+            for seed in seeds:
+                stacked = check_axioms(standard_nnorm(cfg), trials=20, seed=seed)
+                assert pickle.dumps(stacked) == pickle.dumps(check_axioms(looped, trials=20, seed=seed))
+        # and every value and scale of the drawn batches, bit for bit
+        sampler = nnorm._Sampler(cfg, np.random.default_rng(5))
+        for batch in (sampler.boundary_batch(40), sampler.dependent_batch(40), sampler.equality_batch(40)):
+            values, scales = nnorm._evaluate(standard_nnorm(cfg), batch.stack)
+            assert values == [standard_norm(cfg, vs) for vs in batch.tuples]
+            assert scales == [hadamard_scale(cfg, vs) for vs in batch.tuples]
+
+    @pytest.mark.parametrize("n, d, perms", [(1, 2, 1), (2, 3, 2), (3, 3, 6), (4, 5, 24), (5, 6, 8)])
+    def test_injected_evaluator_calls_per_trial(self, n, d, perms):
+        # per tuple: one shared boundary value, one dependent value, one
+        # shared equality base value, the permutations, one scaled tuple, a
+        # summed and an alternative tuple, and the two shift values
+        cfg = cfg_of(n, d)
+        calls = []
+        norm = NNorm(cfg, "injected", lambda vs: calls.append(1) or standard_norm(cfg, vs))
+        check_axioms(norm, trials=7, seed=3)
+        assert len(calls) == 7 * (perms + 8)
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (3, 4), (5, 6)])
+    def test_standard_kind_calls_standard_norm_only_for_shift(self, n, d, monkeypatch):
+        calls = []
+        original = nnorm.standard_norm
+        monkeypatch.setattr(nnorm, "standard_norm", lambda cfg, vs: calls.append(1) or original(cfg, vs))
+        check_axioms(standard_nnorm(cfg_of(n, d)), trials=7, seed=3)
+        assert len(calls) == 2 * 7
 
     def test_report_requires_witness_on_failure(self):
         with pytest.raises(ValueError):

@@ -42,3 +42,17 @@ def test_differing_items_are_named(digest_tool, tmp_path, capsys):
         "w@1: d",
         f"4 difference(s); 3 item(s) in {a}",
     ]
+
+
+def test_axiom_items_cover_the_criterion_1_grid_and_two_metric_shapes(digest_tool):
+    import nnormkit as nk
+
+    items = digest_tool.axiom_items(nk, seed=5, trials=2)
+    shapes = [f"check_axioms n={n} d={d}" for n in (2, 3, 4, 5) for d in (n, n + 1, n + 3)]
+    shapes += ["check_axioms n=3 d=4 spd", "check_axioms n=5 d=6 spd"]
+    assert [label for label, _ in items] == [s + t for s in shapes for t in ("", " rel=1e-300")]
+    default, strict = items[-2][1](), items[-1][1]()
+    assert [r.trials for r in default] == [2] * 7
+    assert all(r.passed for r in default)
+    # at rel = 1e-300 rounding gaps fail, so witnesses carry values to digest
+    assert not all(r.passed for r in strict)

@@ -6,13 +6,17 @@ them bit-identical.
 
 Builds each workload of ``bench/workloads.py`` in <checkout> for each seed
 (default 101 102 103), runs every timed and probe item once, and hashes what
-it returned. The "contract" digest covers conclusions, methods, windows,
-limits, evidence values and bounds (as ``float.hex``), axiom pass/fail and
-CLI exit codes. The "strict" digest adds axiom witnesses (discrepancy and
-details) and the bytes of every CLI report. Run it on two checkouts, then
-``--compare`` the two output files: it prints the label of every item whose
-contract or strict digest differs (or that only one file has) and exits 1
-if there is any.
+it returned. An ``axioms@<seed>`` section adds ``check_axioms`` calls of
+AXIOM_TRIALS tuples per shape of AXIOM_SHAPES (the criterion-1 grid and two
+shapes with an SPD metric): one at the default tolerances, and one at
+rel = 1e-300, where every rounding gap fails, so that each equality check
+reports a witness whose values the strict digest covers. The "contract"
+digest covers conclusions, methods, windows, limits, evidence values and
+bounds (as ``float.hex``), axiom pass/fail and CLI exit codes. The
+"strict" digest adds axiom witnesses (discrepancy and details) and the bytes
+of every CLI report. Run it on two checkouts, then ``--compare`` the two
+output files: it prints the label of every item whose contract or strict
+digest differs (or that only one file has) and exits 1 if there is any.
 """
 
 import glob
@@ -22,6 +26,25 @@ import os
 import sys
 import tempfile
 from enum import Enum
+
+#: (n, d, SPD metric or not) per check_axioms item of the axioms section
+AXIOM_SHAPES = [(n, d, False) for n in (2, 3, 4, 5) for d in (n, n + 1, n + 3)] + [(3, 4, True), (5, 6, True)]
+AXIOM_TRIALS = 200
+
+
+def axiom_items(nk, seed, trials=AXIOM_TRIALS):
+    """(label, thunk) per shape of AXIOM_SHAPES and tolerance; the thunk runs
+    check_axioms on the standard norm. The metric is diag(0.5..2) + 0.1."""
+    import numpy as np
+
+    items = []
+    for n, d, spd in AXIOM_SHAPES:
+        metric = np.diag(np.linspace(0.5, 2.0, d)) + 0.1 if spd else None
+        for tol, suffix in [(nk.Tolerance(), ""), (nk.Tolerance(rel=1e-300), " rel=1e-300")]:
+            norm = nk.standard_nnorm(nk.SpaceConfig(dim=d, arity=n, metric=metric, tol=tol))
+            label = f"check_axioms n={n} d={d}" + (" spd" if spd else "") + suffix
+            items.append((label, lambda norm=norm: nk.check_axioms(norm, trials, seed)))
+    return items
 
 
 def compare(path_a, path_b) -> int:
@@ -65,6 +88,8 @@ def main(argv):
             return float(x).hex()
         if isinstance(x, (bool, int, str)) or x is None:
             return x
+        if isinstance(x, np.integer):
+            return int(x)
         if isinstance(x, Enum):
             return x.value
         if isinstance(x, np.ndarray):
@@ -85,29 +110,37 @@ def main(argv):
         raise TypeError(f"cannot digest {type(x)}")
 
     result = {}
+
+    def digest(key, items, report_dir=None):
+        """Run each (label, thunk) item and record the section `key`; the
+        strict digest also covers the CLI reports written to report_dir."""
+        contract, strict, per_item = hashlib.sha256(), hashlib.sha256(), {}
+        for label, run in items:
+            output = run()
+            c = json.dumps(plain(output, False), sort_keys=True).encode()
+            s = json.dumps(plain(output, True), sort_keys=True).encode()
+            contract.update(c)
+            strict.update(s)
+            per_item[label] = [hashlib.sha256(c).hexdigest()[:12], hashlib.sha256(s).hexdigest()[:12]]
+        if report_dir is not None:
+            for path in sorted(glob.glob(os.path.join(report_dir, "report_*.json"))):
+                with open(path, encoding="utf-8") as fh:
+                    strict.update(fh.read().replace(report_dir, "<workdir>").encode())
+        result[key] = {
+            "items": len(per_item),
+            "contract": contract.hexdigest()[:16],
+            "strict": strict.hexdigest()[:16],
+            "per_item": per_item,
+        }
+        print(key, len(per_item), result[key]["contract"], result[key]["strict"], flush=True)
+
     for name, build in workloads.WORKLOADS.items():
         for seed in seeds:
             with tempfile.TemporaryDirectory() as tmp:
                 workload = build(seed, tmp)
-                contract, strict, per_item = hashlib.sha256(), hashlib.sha256(), {}
-                for item in workload.items + workload.probe:
-                    output = item.run()
-                    c = json.dumps(plain(output, False), sort_keys=True).encode()
-                    s = json.dumps(plain(output, True), sort_keys=True).encode()
-                    contract.update(c)
-                    strict.update(s)
-                    per_item[item.label] = [hashlib.sha256(c).hexdigest()[:12], hashlib.sha256(s).hexdigest()[:12]]
-                for path in sorted(glob.glob(os.path.join(tmp, "report_*.json"))):
-                    with open(path, encoding="utf-8") as fh:
-                        strict.update(fh.read().replace(tmp, "<workdir>").encode())
-            key = f"{name}@{seed}"
-            result[key] = {
-                "items": len(per_item),
-                "contract": contract.hexdigest()[:16],
-                "strict": strict.hexdigest()[:16],
-                "per_item": per_item,
-            }
-            print(key, len(per_item), result[key]["contract"], result[key]["strict"], flush=True)
+                digest(f"{name}@{seed}", [(item.label, item.run) for item in workload.items + workload.probe], tmp)
+    for seed in seeds:
+        digest(f"axioms@{seed}", axiom_items(nk, seed))
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
 
