@@ -3,10 +3,14 @@
 Vectors and matrices are float64 numpy arrays. Shape and finiteness are
 validated once, at the public boundaries, a tuple of vectors as one array
 (`as_rows`). The private kernels (leading underscore) take arrays the
-package built or checked already. The
-kernels (LU determinant, row-reduction rank) assume clean inputs and are
+package built or checked already. The kernels assume clean inputs and are
 written for the desk-scale sizes this package targets (dimensions up to a few
 dozen).
+
+Every Gram volume sqrt(det G) in the package comes from one kernel,
+`_volumes`: one QR factor of the unit whitened rows of a tuple or of a stack
+of tuples, so no Gram matrix is formed on the way. The LU `determinant` is a
+public function with no caller inside the package.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ __all__ = [
     "as_rows",
     "as_square_matrix",
     "inner",
-    "metric_length",
     "hadamard_scale",
     "gram_matrix",
     "determinant",
@@ -163,10 +166,6 @@ def _inner(cfg: SpaceConfig, a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * (a @ (cfg.metric @ b) + b @ (cfg.metric @ a)))
 
 
-def metric_length(cfg: SpaceConfig, v) -> float:
-    return _metric_length(cfg, as_vector(v, cfg.dim))
-
-
 def _metric_length(cfg: SpaceConfig, v: np.ndarray) -> float:
     return math.sqrt(max(_inner(cfg, v, v), 0.0))
 
@@ -188,29 +187,41 @@ def _hadamard_scale(cfg: SpaceConfig, rows) -> float:
 
 
 def unit_rows(cfg: SpaceConfig, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """Whitened rows L^T v scaled to unit length, and their metric lengths.
+    """Whitened rows L^T v of a checked (..., n, d) array scaled to unit
+    length, and their metric lengths in row-major order.
 
     Lengths are taken as math.hypot takes them, so no row overflows or
-    underflows on the way to unit length. Zero rows stay zero.
+    underflows on the way to unit length. Zero rows stay zero. A stack of
+    tuples comes out bit for bit as each tuple would alone.
     """
     if cfg.whitening is not None:
         rows = rows @ cfg.whitening.T
-    return _unit_whitened(rows)
+    flat = rows.reshape(-1, rows.shape[-1])
+    lengths = [math.hypot(*row) for row in flat.tolist()]
+    units = flat / np.array([x if x > 0.0 else 1.0 for x in lengths])[:, None]
+    return units.reshape(rows.shape), lengths
 
 
-def _unit_stack(cfg: SpaceConfig, stack: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """unit_rows of a (B, n, d) stack of tuples at once, bit for bit as
-    unit_rows takes each tuple alone; the B * n lengths come in row-major
-    order. Each tuple is whitened by its own product with L^T."""
-    if cfg.whitening is not None:
-        stack = stack @ cfg.whitening.T
-    units, lengths = _unit_whitened(stack.reshape(-1, stack.shape[-1]))
-    return units.reshape(stack.shape), lengths
+def _volumes(cfg: SpaceConfig, tuples: np.ndarray) -> tuple[list[float], list[float]]:
+    """Gram volumes sqrt(det G) of a checked (k, d) tuple (a list of one)
+    or of each tuple of a checked (B, k, d) stack, and the rows' metric
+    lengths as `unit_rows` gives them.
 
-
-def _unit_whitened(rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    lengths = [math.hypot(*row) for row in rows.tolist()]
-    return rows / np.array([x if x > 0.0 else 1.0 for x in lengths])[:, None], lengths
+    A volume is the product of the lengths times |prod r_ii| of the QR
+    factor of the unit whitened rows (no Gram matrix, whose condition number
+    is the square of theirs), or 0.0 when a row is zero; no QR is taken
+    when every tuple has one. The r_ii are read off the raw Householder
+    factor, whose upper triangle is what mode="r" copies out.
+    """
+    k = tuples.shape[-2]
+    units, lengths = unit_rows(cfg, tuples)
+    per_tuple = [lengths[i : i + k] for i in range(0, len(lengths), k)]
+    if all(min(ls) == 0.0 for ls in per_tuple):
+        return [0.0] * len(per_tuple), lengths
+    factor = np.linalg.qr(units.swapaxes(-1, -2), mode="raw")[0]
+    diagonals = factor.diagonal(0, -2, -1).reshape(-1, k).tolist()
+    volumes = [0.0 if min(ls) == 0.0 else math.prod(ls) * abs(math.prod(dg)) for ls, dg in zip(per_tuple, diagonals)]
+    return volumes, lengths
 
 
 def gram_matrix(cfg: SpaceConfig, vs) -> np.ndarray:
@@ -223,11 +234,6 @@ def gram_matrix(cfg: SpaceConfig, vs) -> np.ndarray:
 def _gram_matrix(cfg: SpaceConfig, rows: np.ndarray) -> np.ndarray:
     g = rows @ rows.T if cfg.metric is None else rows @ cfg.metric @ rows.T
     return 0.5 * (g + g.T)
-
-
-def _gram_volume(cfg: SpaceConfig, rows) -> float:
-    """sqrt(det G) of checked rows, clamped at 0."""
-    return math.sqrt(max(determinant(_gram_matrix(cfg, np.asarray(rows))), 0.0))
 
 
 def _perp_part(cfg: SpaceConfig, rows, w: np.ndarray) -> np.ndarray:

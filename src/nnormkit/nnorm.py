@@ -3,12 +3,12 @@ for the defining axioms that works against any injected evaluator.
 
 A value of the standard norm is sqrt(det(Gram)), the volume of the
 parallelepiped the vectors span; it is taken from a QR factor of the unit
-whitened vectors, so the Gram matrix is never formed.
+whitened vectors (`linalg._volumes`), so the Gram matrix is never formed.
 
 The checker evaluates each batch of tuples at once. For the standard kind,
 one stacked QR over the batch gives every value, bit for bit the value
 `standard_norm` gives the tuple alone; any other evaluator is called once
-per tuple, in batch order.
+per tuple, in batch order. The sampler's volume gate reads the same kernel.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     SpaceConfig,
-    _gram_volume,
     _hadamard_scale,
     _metric_length,
     _perp_part,
-    _unit_stack,
+    _volumes,
     as_rows,
     determinant,  # unused here; bench/spans.py traces this binding
     rank,
@@ -57,44 +56,31 @@ def standard_norm(cfg: SpaceConfig, vs) -> float:
     as one array. The value is the volume of the parallelepiped the vectors
     span, and is zero exactly when they are linearly dependent.
 
-    The whitened vectors are scaled to unit length first, and the volume of
-    the unit vectors is |prod r_ii| of their QR factor (det G = prod r_ii^2
-    without forming G, whose condition number is the square of theirs). The
-    value is that volume times the product of the lengths, so rounding stays
-    relative to the tuple's scale even when magnitudes differ by hundreds of
-    orders.
+    The value is `linalg._volumes` of the checked tuple: the product of the
+    metric lengths times |prod r_ii| of one QR factor of the unit whitened
+    vectors, 0.0 when a vector is zero.
     """
     if len(vs) != cfg.arity:
         raise DimensionMismatch("vector count", cfg.arity, len(vs))
-    units, lengths = unit_rows(cfg, as_rows(vs, cfg.dim))
-    if min(lengths) == 0.0:
-        return 0.0
-    return _volume(lengths, np.diagonal(np.linalg.qr(units.T, mode="r")).tolist())
-
-
-def _volume(lengths: list[float], diagonal: list[float]) -> float:
-    """The standard value of a tuple without zero rows, from the metric
-    lengths of its rows and the diagonal of the R factor of its unit rows."""
-    return math.prod(lengths) * abs(math.prod(diagonal))
+    return _volumes(cfg, as_rows(vs, cfg.dim))[0][0]
 
 
 def _evaluate(norm: NNorm, stack: np.ndarray) -> tuple[list, list[float]]:
     """Values of `norm` on each tuple of a checked (B, n, d) stack, in
     order, and the Hadamard scale of each tuple.
 
-    The standard kind takes all values from one QR of the stacked unit rows
-    and the formula of `standard_norm`; any other kind is called once per
-    tuple, in order, with the tuple as a list of rows.
+    The standard kind takes all values from one `_volumes` call on the
+    stack, bit for bit what `standard_norm` gives each tuple alone; any other
+    kind takes only the row lengths (no QR) and is called once per tuple, in
+    order, with the tuple as a list of rows.
     """
     n = norm.cfg.arity
-    units, flat = _unit_stack(norm.cfg, stack)
-    lengths = [flat[i : i + n] for i in range(0, len(flat), n)]
     if norm.kind == "standard":
-        diagonals = np.diagonal(np.linalg.qr(units.transpose(0, 2, 1), mode="r"), axis1=1, axis2=2).tolist()
-        values = [0.0 if min(ls) == 0.0 else _volume(ls, dg) for ls, dg in zip(lengths, diagonals)]
+        values, lengths = _volumes(norm.cfg, stack)
     else:
+        lengths = unit_rows(norm.cfg, stack)[1]
         values = [norm(list(vs)) for vs in stack]
-    return values, [math.prod(ls) for ls in lengths]
+    return values, [math.prod(lengths[i : i + n]) for i in range(0, len(lengths), n)]
 
 
 @dataclass(frozen=True)
@@ -202,7 +188,7 @@ class _Sampler:
             return []
         for _ in range(200):
             rows = [self._unit(self.rng.normal(size=self.cfg.dim)) for _ in range(count)]
-            if _gram_volume(self.cfg, rows) >= self.MIN_VOLUME:
+            if _volumes(self.cfg, np.array(rows))[0][0] >= self.MIN_VOLUME:
                 return rows
         return rows  # pathological metric; keep the last draw
 
@@ -302,14 +288,11 @@ def _check_definiteness_forward(norm, batch, rng):
 
 
 def _check_definiteness_backward(norm, batch, rng):
-    # dependent tuples must evaluate to zero at determinant precision; the
-    # threshold is sqrt(tol.zero) because the norm is the root of the Gram
-    # determinant, where tol.zero itself lives
-    cfg = norm.cfg
-    threshold_rel = math.sqrt(cfg.tol.zero)
+    # dependent tuples must evaluate to zero, inside the zero band
+    band = _zero_band(norm.cfg)
     worst = None
     for vs, label, value, scale in zip(batch.tuples, batch.labels, *batch.base(norm)):
-        allowed = threshold_rel * scale
+        allowed = band * scale
         if value > allowed:
             gap = value - allowed
             if worst is None or gap > worst.discrepancy:

@@ -29,9 +29,9 @@ from .linalg import (
     NON_FINITE,
     DimensionMismatch,
     SpaceConfig,
-    _gram_volume,
     _metric_length,
     _perp_part,
+    _volumes,
     as_vector,
     determinant,  # unused here; bench/spans.py traces this binding
     rank,
@@ -230,7 +230,8 @@ def random_frame(cfg: SpaceConfig, rng: np.random.Generator, min_volume: float =
     """A random unit-row frame whose spanning volume is bounded away from 0.
 
     The volume floor keeps quotient-norm values of generic vectors well
-    separated from determinant rounding noise.
+    separated from rounding noise; the volume is `linalg._volumes` of the
+    unit rows.
     """
     for _ in range(max_tries):
         rows = rng.uniform(-1.0, 1.0, (cfg.arity, cfg.dim))
@@ -238,7 +239,7 @@ def random_frame(cfg: SpaceConfig, rng: np.random.Generator, min_volume: float =
         if np.any(lengths == 0.0):
             continue
         rows = rows / lengths[:, None]
-        if _gram_volume(cfg, rows) >= min_volume:
+        if _volumes(cfg, rows)[0][0] >= min_volume:
             return Frame(space=cfg, vectors=rows)
     raise ValueError(f"could not draw a frame with volume >= {min_volume} in {max_tries} tries")
 

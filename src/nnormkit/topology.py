@@ -439,7 +439,10 @@ def _evidence_profiles(traces: AnalyticTraces, columns, ks, vector_at) -> list[t
     is called on."""
     spec, limit, frame, norm = traces.spec, traces.limit, traces.frame, traces.norm
     ks = [k for k in map(int, ks) if k >= 1]
-    return [(k, _profile(frame, norm, vector_at(spec, limit, k), columns)) for k in ks]
+    # a term or difference may overflow; the profile names it non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        vectors = [vector_at(spec, limit, k) for k in ks]
+    return [(k, _profile(frame, norm, v, columns)) for k, v in zip(ks, vectors)]
 
 
 def _trace_points(profiles, selection: NormSelection) -> tuple[TracePoint, ...]:

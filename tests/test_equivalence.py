@@ -3,6 +3,8 @@ rows equal the public verdicts bit for bit, an injected evaluator is called
 once per column of each profile the table needs, and a computed vector that
 overflows is still named as non-finite."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -136,7 +138,9 @@ def test_overflowing_terms_are_named_non_finite(spec, injected):
         lambda: is_bounded_wrt(spec, frame, norm, sel),
         lambda: is_cauchy_wrt(spec, frame, norm, sel),
     ]
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and inf - inf
+    # the typed error comes first: numpy must not warn about inf or inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for call in calls:
             with pytest.raises(ValueError, match="non-finite coordinates"):
                 call()

@@ -56,3 +56,18 @@ def test_axiom_items_cover_the_criterion_1_grid_and_two_metric_shapes(digest_too
     assert all(r.passed for r in default)
     # at rel = 1e-300 rounding gaps fail, so witnesses carry values to digest
     assert not all(r.passed for r in strict)
+
+
+def test_draw_items_cover_the_frames_and_three_batches_of_each_axiom_shape(digest_tool):
+    import nnormkit as nk
+
+    # at 7 trials an equality batch holds a near-dependent tuple, whose draw
+    # depends on the metric
+    items = digest_tool.draw_items(nk, seed=5, trials=7, frames=2)
+    shapes = [f"n={n} d={d}" for n in (2, 3, 4, 5) for d in (n, n + 1, n + 3)] + ["n=3 d=4 spd", "n=5 d=6 spd"]
+    draws = ("random_frame", "boundary_batch", "dependent_batch", "equality_batch")
+    assert [label for label, _ in items] == [f"{draw} {shape}" for shape in shapes for draw in draws]
+    digests = [run() for _, run in items]
+    assert digests == [run() for _, run in items]  # seeded, so repeatable
+    assert len(set(digests)) == len(digests)
+    assert digests != [run() for _, run in digest_tool.draw_items(nk, seed=6, trials=7, frames=2)]

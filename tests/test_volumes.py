@@ -1,0 +1,152 @@
+"""Every Gram volume in the package comes from `linalg._volumes`, one QR
+factor of the unit whitened rows: it equals `standard_norm` bit for bit on a
+tuple and on a stack, agrees with the cofactor oracle, decides the sampler's
+and `random_frame`'s volume gates as the LU Gram volume did, and an injected
+evaluator's stack takes the row lengths without any QR."""
+
+import math
+
+import numpy as np
+import pytest
+
+from nnormkit import nnorm, quotient
+from nnormkit.linalg import SpaceConfig, _volumes, determinant, gram_matrix, hadamard_scale, unit_rows
+from nnormkit.nnorm import NNorm, _evaluate, _Sampler, standard_nnorm, standard_norm
+from nnormkit.quotient import random_frame
+
+from oracles import cofactor_det
+
+
+def _spd(d):
+    return np.diag(np.linspace(0.5, 2.0, d)) + 0.1
+
+
+def _stack(rng, k, d):
+    """Generic tuples plus one with a zero row and one with rows 1e200 and
+    1e-200 (1e200 alone when k = 1)."""
+    stack = rng.uniform(-1.0, 1.0, (6, k, d))
+    stack[1, k // 2] = 0.0
+    stack[2, 0] *= 1e200
+    if k > 1:
+        stack[2, 1] *= 1e-200
+    return stack
+
+
+def _mode_r_volume(cfg, t):
+    """The volume from the upper triangle numpy's mode="r" copies out."""
+    units, lengths = unit_rows(cfg, t)
+    if min(lengths) == 0.0:
+        return 0.0
+    return math.prod(lengths) * abs(math.prod(np.diagonal(np.linalg.qr(units.T, mode="r")).tolist()))
+
+
+@pytest.mark.parametrize("spd", [False, True], ids=["dot", "spd"])
+@pytest.mark.parametrize("k, d", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 5), (4, 4), (5, 6)])
+def test_volumes_equal_standard_norm_bit_for_bit(k, d, spd):
+    cfg = SpaceConfig(dim=d, arity=k, metric=_spd(d) if spd else None)
+    stack = _stack(np.random.default_rng(k * 10 + d), k, d)
+    expected = [standard_norm(cfg, t) for t in stack]
+    assert expected == [_mode_r_volume(cfg, t) for t in stack]
+    assert expected[1] == 0.0
+    assert 0.0 < expected[2] < math.inf
+    volumes, lengths = _volumes(cfg, stack)
+    assert volumes == expected
+    assert lengths == [x for t in stack for x in unit_rows(cfg, t)[1]]
+    for t, value in zip(stack, expected):
+        assert _volumes(cfg, t) == ([value], unit_rows(cfg, t)[1])
+    # unit_rows of the stack are each tuple's unit rows, bit for bit
+    units = unit_rows(cfg, stack)[0]
+    for t, u in zip(stack, units):
+        assert np.array_equal(unit_rows(cfg, t)[0], u)
+
+
+@pytest.mark.parametrize("spd", [False, True], ids=["dot", "spd"])
+def test_volumes_match_the_cofactor_oracle(spd):
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(300):
+        k = int(rng.integers(1, 6))
+        d = k + int(rng.integers(0, 3))
+        metric = _spd(d) if spd else np.eye(d)
+        t = rng.uniform(-1.0, 1.0, (k, d))
+        if np.linalg.cond(t) > 1e2:
+            continue  # well-conditioned draws only
+        cfg = SpaceConfig(dim=d, arity=k, metric=metric if spd else None)
+        exact = math.sqrt(cofactor_det((t @ metric @ t.T).tolist()))
+        assert _volumes(cfg, t)[0][0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+        checked += 1
+    assert checked > 200
+
+
+GATE_SHAPES = [(n, d, None) for n in (2, 3, 4, 5) for d in (n, n + 1, n + 3)] + [(4, 5, "spd")]
+
+
+def _recording(monkeypatch, module, log):
+    def volumes(cfg, tuples):
+        out = _volumes(cfg, tuples)
+        log.append((np.array(tuples), out[0][0]))
+        return out
+
+    monkeypatch.setattr(module, "_volumes", volumes)
+
+
+def _lu_gram_volume(cfg, rows):
+    return math.sqrt(max(determinant(gram_matrix(cfg, rows)), 0.0))
+
+
+def _gate_decisions(cfg, monkeypatch):
+    """(floor, our decision, the LU Gram volume's decision) for every gate
+    decision of random_frame (at 0.05 and 0.1) and of the sampler's three
+    batches (at 0.3), over seeds 1, 2 and 3."""
+    batches = ("boundary_batch", "dependent_batch", "equality_batch")
+    decisions = []
+    for module, draw, floor in [
+        (quotient, lambda rng: [random_frame(cfg, rng) for _ in range(10)], 0.05),
+        (quotient, lambda rng: [random_frame(cfg, rng, min_volume=0.1) for _ in range(10)], 0.1),
+        (nnorm, lambda rng: [getattr(_Sampler(cfg, rng), b)(40) for b in batches], _Sampler.MIN_VOLUME),
+    ]:
+        for seed in (1, 2, 3):
+            log = []
+            _recording(monkeypatch, module, log)
+            draw(np.random.default_rng(seed))
+            decisions += [(floor, volume >= floor, _lu_gram_volume(cfg, rows) >= floor) for rows, volume in log]
+    return decisions
+
+
+@pytest.mark.parametrize("n, d, metric", GATE_SHAPES)
+def test_volume_gates_decide_as_the_lu_gram_volume(n, d, metric, monkeypatch):
+    cfg = SpaceConfig(dim=d, arity=n, metric=_spd(d) if metric else None)
+    decisions = _gate_decisions(cfg, monkeypatch)
+    assert decisions
+    assert all(ours == lu for _, ours, lu in decisions)
+
+
+def test_every_gate_both_accepts_and_rejects_draws(monkeypatch):
+    # so the agreement above covers rejections as well as acceptances
+    decisions = _gate_decisions(SpaceConfig(dim=5, arity=5), monkeypatch)
+    for floor in (0.05, 0.1, _Sampler.MIN_VOLUME):
+        assert {ours for f, ours, _ in decisions if f == floor} == {True, False}
+
+
+@pytest.mark.parametrize("spd", [False, True], ids=["dot", "spd"])
+def test_qr_calls_of_injected_and_standard_stacks(spd, monkeypatch):
+    cfg = SpaceConfig(dim=4, arity=3, metric=_spd(4) if spd else None)
+    stack = np.random.default_rng(9).uniform(-1.0, 1.0, (8, 3, 4))
+    qr_calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
+    product = NNorm(cfg, "injected", lambda vs: math.prod(float(np.abs(v).sum()) for v in vs))
+    values, scales = _evaluate(product, stack)
+    assert qr_calls == []
+    assert values == [product(list(t)) for t in stack]
+    assert scales == [hadamard_scale(cfg, t) for t in stack]
+    # the standard kind takes one QR for the whole stack
+    values, _ = _evaluate(standard_nnorm(cfg), stack)
+    assert len(qr_calls) == 1
+    assert values == [standard_norm(cfg, t) for t in stack]
+    # and none when every tuple has a zero row
+    qr_calls.clear()
+    stack[:, 1] = 0.0
+    assert _volumes(cfg, stack)[0] == [0.0] * 8
+    assert _volumes(cfg, stack[0])[0] == [0.0]
+    assert qr_calls == []

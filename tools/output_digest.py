@@ -10,13 +10,18 @@ it returned. An ``axioms@<seed>`` section adds ``check_axioms`` calls of
 AXIOM_TRIALS tuples per shape of AXIOM_SHAPES (the criterion-1 grid and two
 shapes with an SPD metric): one at the default tolerances, and one at
 rel = 1e-300, where every rounding gap fails, so that each equality check
-reports a witness whose values the strict digest covers. The "contract"
-digest covers conclusions, methods, windows, limits, evidence values and
-bounds (as ``float.hex``), axiom pass/fail and CLI exit codes. The
-"strict" digest adds axiom witnesses (discrepancy and details) and the bytes
-of every CLI report. Run it on two checkouts, then ``--compare`` the two
-output files: it prints the label of every item whose contract or strict
-digest differs (or that only one file has) and exits 1 if there is any.
+reports a witness whose values the strict digest covers. A ``draws@<seed>``
+section hashes the raw bytes of what the volume gates let through, per shape
+of AXIOM_SHAPES: DRAW_FRAMES successive ``random_frame`` draws and the stacks
+of the three ``_Sampler`` batches of AXIOM_TRIALS tuples, each drawn as
+``check_axioms`` draws it; a gate that flips shows there even where no
+verdict moves. The "contract" digest covers conclusions, methods, windows,
+limits, evidence values and bounds (as ``float.hex``), axiom pass/fail and
+CLI exit codes. The "strict" digest adds axiom witnesses (discrepancy and
+details) and the bytes of every CLI report. Run it on two checkouts, then
+``--compare`` the two output files: it prints the label of every item whose
+contract or strict digest differs (or that only one file has) and exits 1
+if there is any.
 """
 
 import glob
@@ -30,6 +35,7 @@ from enum import Enum
 #: (n, d, SPD metric or not) per check_axioms item of the axioms section
 AXIOM_SHAPES = [(n, d, False) for n in (2, 3, 4, 5) for d in (n, n + 1, n + 3)] + [(3, 4, True), (5, 6, True)]
 AXIOM_TRIALS = 200
+DRAW_FRAMES = 20
 
 
 def axiom_items(nk, seed, trials=AXIOM_TRIALS):
@@ -44,6 +50,30 @@ def axiom_items(nk, seed, trials=AXIOM_TRIALS):
             norm = nk.standard_nnorm(nk.SpaceConfig(dim=d, arity=n, metric=metric, tol=tol))
             label = f"check_axioms n={n} d={d}" + (" spd" if spd else "") + suffix
             items.append((label, lambda norm=norm: nk.check_axioms(norm, trials, seed)))
+    return items
+
+
+def draw_items(nk, seed, trials=AXIOM_TRIALS, frames=DRAW_FRAMES):
+    """(label, thunk) per shape of AXIOM_SHAPES and draw; each thunk returns
+    the SHA-256 of the drawn arrays' raw bytes."""
+    import numpy as np
+    from nnormkit.nnorm import _Sampler
+
+    def frame_bytes(cfg):
+        rng = np.random.default_rng(seed)
+        return hashlib.sha256(b"".join(nk.random_frame(cfg, rng).vectors.tobytes() for _ in range(frames))).hexdigest()
+
+    def batch_bytes(cfg, draw):
+        return hashlib.sha256(getattr(_Sampler(cfg, np.random.default_rng(seed)), draw)(trials).stack.tobytes()).hexdigest()
+
+    items = []
+    for n, d, spd in AXIOM_SHAPES:
+        metric = np.diag(np.linspace(0.5, 2.0, d)) + 0.1 if spd else None
+        cfg = nk.SpaceConfig(dim=d, arity=n, metric=metric)
+        shape = f"n={n} d={d}" + (" spd" if spd else "")
+        items.append((f"random_frame {shape}", lambda cfg=cfg: frame_bytes(cfg)))
+        for draw in ("boundary_batch", "dependent_batch", "equality_batch"):
+            items.append((f"{draw} {shape}", lambda cfg=cfg, draw=draw: batch_bytes(cfg, draw)))
     return items
 
 
@@ -141,6 +171,7 @@ def main(argv):
                 digest(f"{name}@{seed}", [(item.label, item.run) for item in workload.items + workload.probe], tmp)
     for seed in seeds:
         digest(f"axioms@{seed}", axiom_items(nk, seed))
+        digest(f"draws@{seed}", draw_items(nk, seed))
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
 
