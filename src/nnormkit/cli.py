@@ -320,33 +320,41 @@ def _mini_corpus(cfg: SpaceConfig, rng: np.random.Generator) -> list:
     return specs
 
 
-def _suite_equivalence(config: RunConfig, seed: int, which: str) -> list[dict]:
-    failures = []
+def _equivalence_tables(config: RunConfig, seed: int) -> list[tuple]:
+    """(spec, frame number, table) for each mini-corpus spec on the config's
+    frame and two seeded random frames: every table the convergence,
+    boundedness and cauchy suites check, built once per run."""
     cfg = config.space
     norm = standard_nnorm(cfg)
     rng = np.random.default_rng(seed)
     frames = [config.frame] + [random_frame(cfg, rng) for _ in range(2)]
+    tables = []
     for spec in _mini_corpus(cfg, rng):
         limit = spec.base if spec.base is not None else np.zeros(cfg.dim)
-        for fi, frame in enumerate(frames):
-            table = equivalence_matrix(spec, frame, norm, limit)
-            conclusions = table.conclusions(which)
-            if len(set(conclusions)) != 1:
-                failures.append(
-                    _failure_entry(
-                        f"{which}:cross_class",
-                        f"spec={spec.kind.value} frame#{fi} verdicts={[c.value for c in conclusions]}",
-                    )
+        tables += [(spec, fi, equivalence_matrix(spec, frame, norm, limit)) for fi, frame in enumerate(frames)]
+    return tables
+
+
+def _suite_equivalence(tables: list[tuple], which: str) -> list[dict]:
+    failures = []
+    for spec, fi, table in tables:
+        conclusions = table.conclusions(which)
+        if len(set(conclusions)) != 1:
+            failures.append(
+                _failure_entry(
+                    f"{which}:cross_class",
+                    f"spec={spec.kind.value} frame#{fi} verdicts={[c.value for c in conclusions]}",
                 )
-            if which == "cauchy":
-                for row in table.rows:
-                    if row.convergence.conclusion is Conclusion.CONVERGES and row.cauchy.conclusion is not Conclusion.CAUCHY:
-                        failures.append(
-                            _failure_entry(
-                                "cauchy:convergent_implies_cauchy",
-                                f"spec={spec.kind.value} frame#{fi} m={row.m}",
-                            )
+            )
+        if which == "cauchy":
+            for row in table.rows:
+                if row.convergence.conclusion is Conclusion.CONVERGES and row.cauchy.conclusion is not Conclusion.CAUCHY:
+                    failures.append(
+                        _failure_entry(
+                            "cauchy:convergent_implies_cauchy",
+                            f"spec={spec.kind.value} frame#{fi} m={row.m}",
                         )
+                    )
     return failures
 
 
@@ -388,15 +396,13 @@ def cmd_verify(args) -> int:
     if suite in ("quotient", "all"):
         failures += _suite_quotient(config, seed, max(1, trials // 4))
         ran.append("quotient")
-    if suite in ("convergence", "all"):
-        failures += _suite_equivalence(config, seed, "convergence")
-        ran.append("convergence")
-    if suite in ("boundedness", "all"):
-        failures += _suite_equivalence(config, seed, "boundedness")
-        ran.append("boundedness")
-    if suite in ("cauchy", "all"):
-        failures += _suite_equivalence(config, seed, "cauchy")
-        ran.append("cauchy")
+    tables = None
+    for which in ("convergence", "boundedness", "cauchy"):
+        if suite in (which, "all"):
+            if tables is None:
+                tables = _equivalence_tables(config, seed)
+            failures += _suite_equivalence(tables, which)
+            ran.append(which)
     if suite in ("covering", "all"):
         failures += _suite_covering(config, seed)
         ran.append("covering")

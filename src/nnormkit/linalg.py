@@ -167,6 +167,11 @@ def _inner(cfg: SpaceConfig, a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _metric_length(cfg: SpaceConfig, v: np.ndarray) -> float:
+    # squares before the root, so it is 0 or inf for entries beyond about
+    # 1e±154. Only draws of unit scale reach it (`random_frame` rows, the
+    # axiom sampler's draws and the quotient probes' perpendicular draws),
+    # so it keeps their bits; a length of anything else, such as a frame
+    # row, is taken as `unit_rows` takes it
     return math.sqrt(max(_inner(cfg, v, v), 0.0))
 
 

@@ -301,8 +301,10 @@ def _check_definiteness_backward(norm, batch, rng):
 
 
 def _zero_band(cfg: SpaceConfig) -> float:
-    # norm values are square roots of determinants, where tol.zero lives, so
-    # values below sqrt(tol.zero) * scale are indistinguishable from zero
+    # an injected evaluator may take its value as the square root of a Gram
+    # determinant, whose rounding sits where tol.zero lives, so values below
+    # sqrt(tol.zero) * scale are indistinguishable from zero there. The band
+    # stays for those evaluators; the built-in QR volume does not need it
     return math.sqrt(cfg.tol.zero)
 
 

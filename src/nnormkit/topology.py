@@ -320,8 +320,9 @@ def class1_profile(frame: Frame, norm: NNorm, w) -> np.ndarray:
 def zero_profile(frame: Frame, norm: NNorm, w) -> np.ndarray:
     """Per-index zero classification of the class-1 values of w.
 
-    Entry j-1 answers: is the coset of w trivial after removing y_j? The
-    threshold is SPAN_DECISION_REL relative to each evaluated tuple's scale.
+    Entry j-1 answers: is the coset of w trivial after removing y_j, that
+    is, does w lie within tol.zero * |w| of the span of the frame without
+    y_j (`quotient.Profile`)?
     """
     return quotient_profile(frame, norm, w).zero
 
@@ -336,9 +337,19 @@ def _check_spec(spec: SequenceSpec, frame: Frame, norm: NNorm) -> None:
 class AnalyticTraces:
     """Per-subset limiting behaviour of the norm traces of a closed-form
     sequence, relative to a candidate limit (where one is involved). Zero
-    decisions are `Profile.is_zero`, the one per-index rule."""
+    decisions are `Profile.is_zero`, the one per-index rule.
 
-    def __init__(self, spec: SequenceSpec, frame: Frame, norm: NNorm, limit=None):
+    `evidence` names the rows a verdict or table samples, each as
+    (ks, vector_at), and `columns` the sorted frame indices an injected
+    evaluator is called on there (all n when None); `self.evidence` holds
+    one list of (k, profile) per row, for the k >= 1 of its ks (sequences
+    start at k = 1). Every vector of the traces, their bounds and the
+    evidence is computed under one `np.errstate` guard, and the profiles are
+    taken after it: a vector that overflowed is named non-finite there, with
+    no numpy warning on the way.
+    """
+
+    def __init__(self, spec: SequenceSpec, frame: Frame, norm: NNorm, limit=None, evidence=(), columns=None):
         if spec.kind is SequenceKind.CUSTOM:
             raise ValueError("analytic traces need a closed-form sequence")
         _check_spec(spec, frame, norm)
@@ -347,20 +358,31 @@ class AnalyticTraces:
         self.norm = norm
         self.limit = None if limit is None else as_vector(limit, frame.dim)
         kind = spec.kind
-        if kind in (SequenceKind.CONSTANT, SequenceKind.CONVERGENT_POWER):
-            if self.limit is not None:
-                self._w = self._profile(spec.base - self.limit)
-        elif kind is SequenceKind.OSCILLATING:
-            cv = spec.coefficient * spec.direction
-            if self.limit is not None:
-                w = spec.base - self.limit
-                self._plus = self._profile(w + cv)
-                self._minus = self._profile(w - cv)
-            self._v = self._profile(cv)
-        elif kind is SequenceKind.DIVERGENT_LINEAR:
-            self._v = self._profile(spec.direction)
-            if self.limit is not None:
-                self._l = self._profile(self.limit)
+        traced = {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            if kind in (SequenceKind.CONSTANT, SequenceKind.CONVERGENT_POWER):
+                if self.limit is not None:
+                    traced["_w"] = spec.base - self.limit
+                bounds = (spec.base,) if kind is SequenceKind.CONSTANT else (spec.base, spec.direction)
+            elif kind is SequenceKind.OSCILLATING:
+                cv = spec.coefficient * spec.direction
+                if self.limit is not None:
+                    w = spec.base - self.limit
+                    traced["_plus"] = w + cv
+                    traced["_minus"] = w - cv
+                traced["_v"] = cv
+                bounds = (spec.base + cv, spec.base - cv)
+            else:
+                traced["_v"] = spec.direction
+                if self.limit is not None:
+                    traced["_l"] = self.limit
+                bounds = ()
+            rows = [[(k, vector_at(spec, self.limit, k)) for k in map(int, ks) if k >= 1] for ks, vector_at in evidence]
+        for name, w in traced.items():
+            setattr(self, name, self._profile(w))
+        self._bound_vectors = bounds
+        columns = range(1, frame.n + 1) if columns is None else columns
+        self.evidence = [[(k, _profile(frame, norm, v, columns)) for k, v in row] for row in rows]
 
     def _profile(self, w) -> Profile:
         # w is computed from the checked spec and limit
@@ -388,13 +410,7 @@ class AnalyticTraces:
 
     @cached_property
     def _bound_profiles(self) -> tuple:
-        spec = self.spec
-        if spec.kind is SequenceKind.CONSTANT:
-            return (self._profile(spec.base),)
-        if spec.kind is SequenceKind.CONVERGENT_POWER:
-            return self._profile(spec.base), self._profile(spec.direction)
-        cv = spec.coefficient * spec.direction
-        return self._profile(spec.base + cv), self._profile(spec.base - cv)
+        return tuple(self._profile(w) for w in self._bound_vectors)
 
     def bounded_on(self, s: IndexSet) -> tuple[bool, float]:
         """Is sup_k classm_norm(x_k, s) finite, and an analytic bound for it."""
@@ -431,18 +447,6 @@ def _term(spec: SequenceSpec, limit, k: int):
 def _doubling_gap(spec: SequenceSpec, limit, k: int):
     """x_{2k} - x_k, for Cauchy: it exposes both decay and linear growth."""
     return eval_sequence(spec, 2 * k) - eval_sequence(spec, k)
-
-
-def _evidence_profiles(traces: AnalyticTraces, columns, ks, vector_at) -> list[tuple[int, Profile]]:
-    """One profile per k >= 1 of vector_at(spec, limit, k); sequences start
-    at k = 1. `columns` are the sorted frame indices an injected evaluator
-    is called on."""
-    spec, limit, frame, norm = traces.spec, traces.limit, traces.frame, traces.norm
-    ks = [k for k in map(int, ks) if k >= 1]
-    # a term or difference may overflow; the profile names it non-finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        vectors = [vector_at(spec, limit, k) for k in ks]
-    return [(k, _profile(frame, norm, v, columns)) for k, v in zip(ks, vectors)]
 
 
 def _trace_points(profiles, selection: NormSelection) -> tuple[TracePoint, ...]:
@@ -513,8 +517,8 @@ def converges_wrt(
     _validate_selection(frame, selection)
     columns = sorted(selection.union())
     if spec.kind is not SequenceKind.CUSTOM:
-        traces = AnalyticTraces(spec, frame, norm, candidate_limit)
-        return _convergence_row(traces, _evidence_profiles(traces, columns, evidence_ks, _offset), selection)
+        traces = AnalyticTraces(spec, frame, norm, candidate_limit, [(evidence_ks, _offset)], columns)
+        return _convergence_row(traces, traces.evidence[0], selection)
 
     _check_spec(spec, frame, norm)
     limit = as_vector(candidate_limit, frame.dim)
@@ -555,8 +559,8 @@ def is_cauchy_wrt(
     _validate_selection(frame, selection)
     columns = sorted(selection.union())
     if spec.kind is not SequenceKind.CUSTOM:
-        traces = AnalyticTraces(spec, frame, norm)
-        return _cauchy_row(traces, _evidence_profiles(traces, columns, evidence_ks, _doubling_gap), selection)
+        traces = AnalyticTraces(spec, frame, norm, evidence=[(evidence_ks, _doubling_gap)], columns=columns)
+        return _cauchy_row(traces, traces.evidence[0], selection)
 
     _check_spec(spec, frame, norm)
     ks = [k for k, _ in spec.table]
@@ -595,8 +599,8 @@ def is_bounded_wrt(
     if isinstance(points_or_spec, SequenceSpec):
         spec = points_or_spec
         if spec.kind is not SequenceKind.CUSTOM:
-            traces = AnalyticTraces(spec, frame, norm)
-            return _boundedness_row(traces, _evidence_profiles(traces, columns, evidence_ks, _term), selection)
+            traces = AnalyticTraces(spec, frame, norm, evidence=[(evidence_ks, _term)], columns=columns)
+            return _boundedness_row(traces, traces.evidence[0], selection)
         _check_spec(spec, frame, norm)
         ks = [k for k, _ in spec.table]
         points = [v for _, v in spec.table]
@@ -651,11 +655,8 @@ def equivalence_matrix(spec: SequenceSpec, frame: Frame, norm: NNorm, candidate_
     """
     if spec.kind is SequenceKind.CUSTOM:
         raise ValueError("equivalence matrix needs a closed-form sequence")
-    traces = AnalyticTraces(spec, frame, norm, candidate_limit)
-    columns = range(1, frame.n + 1)
-    offsets = _evidence_profiles(traces, columns, (1, 10), _offset)
-    terms = _evidence_profiles(traces, columns, (1, 10), _term)
-    gaps = _evidence_profiles(traces, columns, (1, 10), _doubling_gap)
+    traces = AnalyticTraces(spec, frame, norm, candidate_limit, [((1, 10), vector_at) for vector_at in (_offset, _term, _doubling_gap)])
+    offsets, terms, gaps = traces.evidence
     rows = []
     for m in range(1, frame.n + 1):
         sel = full_selection(frame.n, m)

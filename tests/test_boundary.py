@@ -163,9 +163,9 @@ def test_table_of_another_dimension_is_rejected(injected):
 
 
 def test_quotient_zero_is_decided_per_class1_index():
-    # the class-1 value against y_1 is 1.5e-7 of its scale, above the 1e-7
-    # threshold; a rule on the sum over {1,2} would let the zero value
-    # against y_2 hide it
+    # u lies 1.5e-7 |u| from the span of Y without y_1, above the tol.zero
+    # = 1e-9 threshold; a rule on the sum over {1,2} would let the zero
+    # value against y_2 hide it
     frame = standard_frame(SpaceConfig(3, 3))
     norm = standard_nnorm(frame.space)
     u = np.array([1.5e-7, 0.0, 1.0])

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import nnormkit.cli as cli
 from nnormkit.cli import build_parser, main
 from nnormkit.topology import counterexample_r5, parse_trace_csv
 
@@ -119,6 +121,23 @@ class TestVerifyCommand:
         cfg = write_config(tmp_path, {"space": {"dim": 4, "arity": 2}, "trials": 5})
         for suite in ("convergence", "boundedness", "cauchy"):
             assert main(["verify", suite, "--config", cfg, "--seed", "11"]) == 0
+
+    def test_verify_all_builds_each_equivalence_table_once(self, tmp_path, monkeypatch):
+        # 16 specs on 3 frames: 48 tables, read by all three equivalence
+        # suites. The pinned bytes are those of the report when each suite
+        # built its own tables
+        built = []
+        table = cli.equivalence_matrix
+
+        def counting(*args):
+            built.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(cli, "equivalence_matrix", counting)
+        out = tmp_path / "verify.json"
+        assert main(["verify", "all", "--seed", "3", "--trials", "8", "--output", str(out)]) == 0
+        assert len(built) == 48
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == "24863912adbae2a08d93be41307a91759599401279f25ef467e80968a460924d"
 
     def test_corrupted_frame_exits_2(self, tmp_path, capsys):
         cfg = write_config(

@@ -13,6 +13,7 @@ from nnormkit.linalg import SpaceConfig
 from nnormkit.nnorm import NNorm, standard_nnorm, standard_norm
 from nnormkit.quotient import random_frame
 from nnormkit.topology import (
+    AnalyticTraces,
     Verdict,
     constant,
     convergent_power,
@@ -144,3 +145,50 @@ def test_overflowing_terms_are_named_non_finite(spec, injected):
         for call in calls:
             with pytest.raises(ValueError, match="non-finite coordinates"):
                 call()
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        oscillating(np.zeros(3), np.array([1e308, 0.0, 0.0]), coefficient=1e10),
+        oscillating(np.array([1e308, 0.0, 0.0]), np.array([1e308, 0.0, 0.0])),
+    ],
+    ids=["coefficient-overflows", "center-plus-swing-overflows"],
+)
+def test_overflowing_oscillations_are_named_non_finite(spec, injected):
+    # c v overflows in the first spec; x + c v (and the limit offset, the
+    # terms and the bounds built from it) in the second
+    cfg = SpaceConfig(dim=3, arity=2)
+    frame = random_frame(cfg, np.random.default_rng(5))
+    norm = _counting_norm(cfg)[0] if injected else standard_nnorm(cfg)
+    limit = np.zeros(3)
+    sel = full_selection(2, 1)
+    calls = [
+        lambda: AnalyticTraces(spec, frame, norm, limit),
+        lambda: converges_wrt(spec, frame, norm, sel, limit),
+        lambda: is_cauchy_wrt(spec, frame, norm, sel),
+        lambda: is_bounded_wrt(spec, frame, norm, sel),
+        lambda: equivalence_matrix(spec, frame, norm, limit),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="non-finite coordinates"):
+                call()
+
+
+def test_a_table_computes_its_vectors_under_one_guard(monkeypatch):
+    entered = []
+    errstate = np.errstate
+
+    def counting(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting)
+    cfg = SpaceConfig(dim=4, arity=3)
+    frame = random_frame(cfg, np.random.default_rng(2))
+    x = np.array([0.5, -0.25, 1.0, 0.125])
+    equivalence_matrix(oscillating(x, np.ones(4), coefficient=0.75), frame, standard_nnorm(cfg), x)
+    assert len(entered) == 1

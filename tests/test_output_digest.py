@@ -71,3 +71,19 @@ def test_draw_items_cover_the_frames_and_three_batches_of_each_axiom_shape(diges
     assert digests == [run() for _, run in items]  # seeded, so repeatable
     assert len(set(digests)) == len(digests)
     assert digests != [run() for _, run in digest_tool.draw_items(nk, seed=6, trials=7, frames=2)]
+
+
+def test_zero_items_cover_every_index_and_delta_of_each_axiom_shape(digest_tool):
+    import nnormkit as nk
+
+    items = digest_tool.zero_items(nk, seed=5, frames=1)
+    shapes = [(f"n={n} d={d}", n) for n in (2, 3, 4, 5) for d in (n, n + 1, n + 3)] + [("n=3 d=4 spd", 3), ("n=5 d=6 spd", 5)]
+    deltas = ("0", "1e-12", "1e-10", "1e-08", "1e-07", "1e-06", "0.001")
+    expected = [(shape, j, delta, norm) for shape, n in shapes for j in range(1, n + 1) for delta in deltas for norm in ("standard", "injected")]
+    assert [label for label, _ in items] == [f"zero flags {shape} frame#0 j={j} delta={delta} {norm}" for shape, j, delta, norm in expected]
+    flags = [run() for _, run in items]
+    assert flags == [run() for _, run in digest_tool.zero_items(nk, seed=5, frames=1)]  # seeded, so repeatable
+    # an exact member is zero at its own index, and one 1e-3 off the span is not
+    for (_, j, delta, _), flag in zip(expected, flags):
+        if delta in ("0", "0.001"):
+            assert flag[j - 1] == (delta == "0")

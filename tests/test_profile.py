@@ -265,3 +265,43 @@ def test_sampled_verdicts_agree_between_fast_and_generic_paths(n, extra, metric)
                 np.testing.assert_allclose([e.value for e in p.evidence], [e.value for e in q.evidence], rtol=0.0, atol=tol)
                 if p.bound is not None:
                     assert abs(p.bound - q.bound) <= tol
+
+
+def exact_distance_ratio(frame, cfg, u, j):
+    """dist(u, span(Y without y_j)) / |u| in the metric of cfg, at 50
+    digits: the square root of det G(u, others) / (det G(others) |u|^2)."""
+    metric = mpmath.matrix(cfg.metric_matrix().tolist())
+    rows = [u.tolist()] + [v.tolist() for v in frame.without(j)]
+    r = mpmath.matrix([[mpmath.mpf(x) for x in row] for row in rows])
+    gram = r * metric * r.T
+    others = gram[1:, 1:] if len(rows) > 1 else mpmath.matrix([[1]])
+    return mpmath.sqrt(max(mpmath.det(gram), 0) / (mpmath.det(others) * gram[0, 0]))
+
+
+@pytest.mark.parametrize("metric", [False, True], ids=["dot", "spd"])
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 3), (5, 5), (3, 5), (4, 6)])
+def test_zero_flags_are_the_distance_rule_against_mpmath(n, d, metric):
+    # the flag at j says dist(u, span(Y without y_j)) <= tol.zero |u|; the
+    # computed distance errs by about eps cond(R) of the frame factor, so
+    # outside a factor-of-10 band around the threshold both paths must agree
+    # with the 50-digit distance
+    rng = np.random.default_rng(7 * n + d)
+    cfg = SpaceConfig(dim=d, arity=n, metric=spd_metric(rng, d) if metric else None)
+    tol = cfg.tol.zero
+    norms = (standard_nnorm(cfg), generic(cfg))
+    sides = set()
+    with mpmath.workdps(50):
+        for _ in range(2):
+            frame = random_frame(cfg, rng)
+            for j in range(1, n + 1):
+                kept = np.array(frame.without(j)).reshape(n - 1, d)
+                for exponent in np.linspace(-13.0, -5.0, 9):
+                    u = kept.T @ rng.uniform(-1.0, 1.0, n - 1) + 10.0**exponent * rng.uniform(-1.0, 1.0, d)
+                    ratio = exact_distance_ratio(frame, cfg, u, j)
+                    if tol / 10 < ratio < 10 * tol:
+                        continue
+                    sides.add(bool(ratio <= tol))
+                    for norm in norms:
+                        flag = bool(quotient_profile(frame, norm, u, (j,)).zero[j - 1])
+                        assert flag == (ratio <= tol), (j, float(ratio), norm.kind)
+    assert sides == {True, False}

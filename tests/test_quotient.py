@@ -1,11 +1,12 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nnormkit.linalg import DimensionMismatch, SpaceConfig
-from nnormkit.nnorm import Axiom, standard_nnorm
+from nnormkit.nnorm import Axiom, NNorm, standard_nnorm, standard_norm
 from nnormkit.quotient import (
     ClassCollection,
     Frame,
@@ -20,6 +21,7 @@ from nnormkit.quotient import (
     random_frame,
     standard_frame,
 )
+from nnormkit.quotient import _adversarial_member, _escape_direction
 
 
 def binom(n, m):
@@ -307,3 +309,63 @@ class TestQuotientNormAxioms:
         with pytest.raises(ValueError):
             quotient_norm_axioms(frame, norm, IndexSet([1]), trials=0, seed=1)
 
+
+
+def _injected(cfg):
+    return NNorm(cfg, "injected", lambda vs: standard_norm(cfg, vs))
+
+
+def _spd(rng, d):
+    a = rng.normal(size=(d, d))
+    return a @ a.T / d + np.eye(d)
+
+
+class TestOneZeroRule:
+    """A coset is zero when u lies within tol.zero |u| of the kept span, the
+    rule the rank oracle `in_kept_span` applies; the probes are the ones
+    `quotient_norm_axioms` makes."""
+
+    @pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+    @pytest.mark.parametrize("metric", [False, True], ids=["dot", "spd"])
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 3), (5, 5), (3, 5), (4, 6)])
+    def test_zero_decisions_agree_with_the_rank_oracle(self, n, d, metric, injected):
+        rng = np.random.default_rng(100 * n + d)
+        cfg = SpaceConfig(dim=d, arity=n, metric=_spd(rng, d) if metric else None)
+        norm = _injected(cfg) if injected else standard_nnorm(cfg)
+        for _ in range(3):
+            frame = random_frame(cfg, rng)
+            for m in range(1, n + 1):
+                for s in class_collection(n, m):
+                    for delta in (0.0, 1e-6, 1e-3):
+                        u = _adversarial_member(frame, s, rng) + delta * _escape_direction(frame, s, rng)
+                        assert is_quotient_zero(frame, norm, u, s) == in_kept_span(frame, u, s), (s, delta, u)
+
+    @pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+    def test_near_member_of_an_ill_conditioned_square_frame_is_not_zero(self, injected):
+        # u lies 1e-6 along y_1 from the kept span; a rule at 1e-7 of the
+        # Hadamard scale leaves this frame's factor V_1 in the test and
+        # called the coset zero, while the rank oracle calls u independent
+        cfg = SpaceConfig(3, 3)
+        rng = np.random.default_rng(38)
+        frame = random_frame(cfg, rng)
+        s = IndexSet([1])
+        u = _adversarial_member(frame, s, rng) + 1e-6 * _escape_direction(frame, s, rng)
+        norm = _injected(cfg) if injected else standard_nnorm(cfg)
+        assert not in_kept_span(frame, u, s)
+        assert not is_quotient_zero(frame, norm, u, s)
+        reports = quotient_norm_axioms(frame, norm, s, trials=6, seed=38)
+        assert all(r.passed for r in reports), [(r.axiom, r.witness) for r in reports if not r.passed]
+
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_escape_direction_of_a_tiny_or_huge_frame_row_is_unit(self, size):
+        # a length taken through its square is 0 at 1e-200 (a division by
+        # zero) and inf at 1e200 (an escape direction of 0, which turns the
+        # forward probes into exact members)
+        cfg = SpaceConfig(3, 3)
+        frame = Frame(cfg, np.diag([size, 1.0, 1.0]))
+        s = IndexSet([1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _escape_direction(frame, s, np.random.default_rng(1)).tolist() == [1.0, 0.0, 0.0]
+            reports = quotient_norm_axioms(frame, standard_nnorm(cfg), s, 8, 1)
+        assert all(r.passed for r in reports), [(r.axiom, r.witness) for r in reports if not r.passed]

@@ -15,13 +15,19 @@ section hashes the raw bytes of what the volume gates let through, per shape
 of AXIOM_SHAPES: DRAW_FRAMES successive ``random_frame`` draws and the stacks
 of the three ``_Sampler`` batches of AXIOM_TRIALS tuples, each drawn as
 ``check_axioms`` draws it; a gate that flips shows there even where no
-verdict moves. The "contract" digest covers conclusions, methods, windows,
-limits, evidence values and bounds (as ``float.hex``), axiom pass/fail and
-CLI exit codes. The "strict" digest adds axiom witnesses (discrepancy and
-details) and the bytes of every CLI report. Run it on two checkouts, then
-``--compare`` the two output files: it prints the label of every item whose
-contract or strict digest differs (or that only one file has) and exits 1
-if there is any.
+verdict moves. A ``zeros@<seed>`` section records the quotient zero
+decisions near the kept span: per shape of AXIOM_SHAPES, ZERO_FRAMES seeded
+``random_frame`` draws, and per frame index j a member of the span of the
+other rows, perturbed along y_j at each delta of ZERO_DELTAS; each item holds
+the ``quotient_profile(...).zero`` flags of one such vector under the
+standard or an injected norm, so that ``--compare`` names every decision a
+change of the zero rule flips. The "contract" digest covers conclusions,
+methods, windows, limits, evidence values and bounds (as ``float.hex``),
+axiom pass/fail and CLI exit codes. The "strict" digest adds axiom
+witnesses (discrepancy and details) and the bytes of every CLI report. Run
+it on two checkouts, then ``--compare`` the two output files: it prints the
+label of every item whose contract or strict digest differs (or that only
+one file has) and exits 1 if there is any.
 """
 
 import glob
@@ -36,6 +42,8 @@ from enum import Enum
 AXIOM_SHAPES = [(n, d, False) for n in (2, 3, 4, 5) for d in (n, n + 1, n + 3)] + [(3, 4, True), (5, 6, True)]
 AXIOM_TRIALS = 200
 DRAW_FRAMES = 20
+ZERO_FRAMES = 3
+ZERO_DELTAS = (0.0, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6, 1e-3)
 
 
 def axiom_items(nk, seed, trials=AXIOM_TRIALS):
@@ -74,6 +82,37 @@ def draw_items(nk, seed, trials=AXIOM_TRIALS, frames=DRAW_FRAMES):
         items.append((f"random_frame {shape}", lambda cfg=cfg: frame_bytes(cfg)))
         for draw in ("boundary_batch", "dependent_batch", "equality_batch"):
             items.append((f"{draw} {shape}", lambda cfg=cfg, draw=draw: batch_bytes(cfg, draw)))
+    return items
+
+
+def zero_items(nk, seed, frames=ZERO_FRAMES):
+    """(label, thunk) per shape of AXIOM_SHAPES, frame, index j, delta and
+    norm; the thunk returns the zero flags of the profile of u = (a member of
+    the span of the frame without y_j) + delta y_j / |y_j|. The vectors are
+    built from the public API only, so the tool runs on any checkout."""
+    import numpy as np
+
+    items = []
+    for n, d, spd in AXIOM_SHAPES:
+        metric = np.diag(np.linspace(0.5, 2.0, d)) + 0.1 if spd else None
+        cfg = nk.SpaceConfig(dim=d, arity=n, metric=metric)
+        norms = [
+            ("standard", nk.standard_nnorm(cfg)),
+            ("injected", nk.NNorm(cfg, "injected", lambda vs, cfg=cfg: nk.standard_norm(cfg, vs))),
+        ]
+        shape = f"n={n} d={d}" + (" spd" if spd else "")
+        rng = np.random.default_rng(seed)
+        for f in range(frames):
+            frame = nk.random_frame(cfg, rng)
+            for j in range(1, n + 1):
+                member = np.reshape(frame.without(j), (n - 1, d)).T @ rng.uniform(-1.0, 1.0, n - 1)
+                y = frame.row(j)
+                direction = y / nk.hadamard_scale(cfg, [y])
+                for delta in ZERO_DELTAS:
+                    u = member + delta * direction
+                    for name, norm in norms:
+                        label = f"zero flags {shape} frame#{f} j={j} delta={delta:g} {name}"
+                        items.append((label, lambda frame=frame, norm=norm, u=u: nk.quotient_profile(frame, norm, u).zero.tolist()))
     return items
 
 
@@ -172,6 +211,7 @@ def main(argv):
     for seed in seeds:
         digest(f"axioms@{seed}", axiom_items(nk, seed))
         digest(f"draws@{seed}", draw_items(nk, seed))
+        digest(f"zeros@{seed}", zero_items(nk, seed))
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
 
