@@ -32,6 +32,7 @@ from .quotient import (
     Frame,
     IndexSet,
     Profile,
+    ScaleOutOfRange,
     class1_norm,
     class_collection,
     classm_norm,

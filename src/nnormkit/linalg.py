@@ -9,8 +9,9 @@ dozen).
 
 Every Gram volume sqrt(det G) in the package comes from one kernel,
 `_volumes`: one QR factor of the unit whitened rows of a tuple or of a stack
-of tuples, so no Gram matrix is formed on the way. The LU `determinant` is a
-public function with no caller inside the package.
+of tuples, so no Gram matrix is formed on the way; `_volumes` says why it
+calls numpy's dgeqrf gufunc directly. The LU `determinant` is a public
+function with no caller inside the package.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw
 
 __all__ = [
     "DimensionMismatch",
@@ -215,15 +217,23 @@ def _volumes(cfg: SpaceConfig, tuples: np.ndarray) -> tuple[list[float], list[fl
     A volume is the product of the lengths times |prod r_ii| of the QR
     factor of the unit whitened rows (no Gram matrix, whose condition number
     is the square of theirs), or 0.0 when a row is zero; no QR is taken
-    when every tuple has one. The r_ii are read off the raw Householder
-    factor, whose upper triangle is what mode="r" copies out.
+    when every tuple has one. One dgeqrf gufunc call (numpy >= 2.0) factors
+    the tuple or the whole stack in place, in a fresh copy of the transposed
+    unit rows, and the r_ii are read off that copy's diagonal: the same call
+    on the same input as `np.linalg.qr(..., mode="raw")`, so the same bits,
+    without the wrapper's per-call checks, copy and error-state set-up,
+    which outweigh the factorisation on these small shapes. No np.errstate
+    is needed around it: the gufunc clears the floating-point flags itself
+    and raises only "invalid", when LAPACK reports a failure, which dgeqrf
+    does not do on finite unit rows.
     """
     k = tuples.shape[-2]
     units, lengths = unit_rows(cfg, tuples)
     per_tuple = [lengths[i : i + k] for i in range(0, len(lengths), k)]
     if all(min(ls) == 0.0 for ls in per_tuple):
         return [0.0] * len(per_tuple), lengths
-    factor = np.linalg.qr(units.swapaxes(-1, -2), mode="raw")[0]
+    factor = units.swapaxes(-1, -2).copy()
+    _qr_r_raw(factor)
     diagonals = factor.diagonal(0, -2, -1).reshape(-1, k).tolist()
     volumes = [0.0 if min(ls) == 0.0 else math.prod(ls) * abs(math.prod(dg)) for ls, dg in zip(per_tuple, diagonals)]
     return volumes, lengths

@@ -18,6 +18,7 @@ All index sets are 1-based, here and in the JSON forms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -45,6 +46,7 @@ __all__ = [
     "Frame",
     "FrameGeometry",
     "Profile",
+    "ScaleOutOfRange",
     "class_collection",
     "class1_norm",
     "classm_norm",
@@ -64,6 +66,21 @@ __all__ = [
 #: coset is zero by `FrameGeometry`'s slope, at `tol.zero` of the frame's
 #: space.
 SPAN_DECISION_REL = 1e-7
+
+
+class ScaleOutOfRange(ValueError):
+    """A requested class-1 Hadamard scale of a finite vector exceeds the
+    double range; carries the frame index j (1-based) and log10 of that
+    scale."""
+
+    def __init__(self, index: int, log10_scale: float):
+        self.index = index
+        self.log10_scale = log10_scale
+        whole = math.floor(log10_scale)
+        super().__init__(
+            f"Hadamard scale of (u, Y without y_{index}) is about {10 ** (log10_scale - whole):.2f}e+{whole}, "
+            "beyond the double range"
+        )
 
 
 @dataclass(frozen=True, order=True)
@@ -333,7 +350,15 @@ class FrameGeometry:
 
     A vector is scaled by a power of two to a largest entry in [0.5, 1)
     before the product and scaled back after it, so values stay finite and
-    accurate wherever the true value is representable.
+    accurate wherever the true value is representable. Each P_j is kept as a
+    double times 2**shift_j, with shift_j = 0 wherever the plain product is
+    a normal double, so a frame whose P_j leaves the double range still
+    gives every representable value. A requested column whose scale is not
+    representable raises `ScaleOutOfRange`; any other such column is NaN,
+    as a column the generic path does not evaluate. Scaled values and scales
+    stay below a ceiling taken once per frame, so the exact check, which
+    also applies the shifts, runs only for a vector whose power of two could
+    carry the ceiling past the double range, or on a frame with a shift.
 
     The vector's shape is the caller's to check. Its finiteness is decided
     here, from values the profile needs anyway: an infinite entry (or a NaN
@@ -354,11 +379,21 @@ class FrameGeometry:
         self._kernel = np.vstack([volume * (r_inv @ rotate[:n]), rotate])
         self._n = n
         self._minor_volumes = volume * np.sqrt(np.sum(r_inv * r_inv, axis=1))
-        self._others = np.array([math.prod(lengths[:j] + lengths[j + 1 :]) for j in range(n)])
+        others, shifts = zip(*(_split_product(lengths[:j] + lengths[j + 1 :]) for j in range(n)))
+        self._others = np.array(others)
+        self._shifts = np.array(shifts)
         self._zero_slope = frame.space.tol.zero * self._others * self._minor_volumes
+        # a scaled vector has entries below 1, so its whitened length is below
+        # sqrt(d * trace(M)); each scaled value or scale is at most P_j times
+        # that, and the factor 4 covers the rounding of any frame whose
+        # condition number is far below 1 / eps; a frame with a shift always
+        # takes the exact path
+        bound = 4.0 * math.sqrt(cfg.dim * float(np.trace(cfg.metric_matrix())))
+        self._safe_exponent = -math.inf if any(shifts) else 1024 - math.frexp(max(others) * bound)[1]
 
-    def profile(self, u: np.ndarray) -> Profile:
-        """Values, scales and zero flags of every class-1 norm of u."""
+    def profile(self, u: np.ndarray, columns=None) -> Profile:
+        """Values, scales and zero flags of every class-1 norm of u; columns
+        (1-based, all n when None) are the ones whose range is checked."""
         coords = u.tolist()
         top = max(map(abs, coords))
         if not top < math.inf:
@@ -373,8 +408,35 @@ class FrameGeometry:
         if not length < math.inf:
             raise ValueError(NON_FINITE)
         values = self._others * np.hypot(self._minor_volumes * math.hypot(*y[2 * n :]), y[:n])
+        scales = self._others * length
         zero = values <= self._zero_slope * length
-        return Profile(np.ldexp(values, exponent), np.ldexp(self._others * length, exponent), zero)
+        if exponent > self._safe_exponent:
+            exponent = self._shifts + exponent
+            _check_range(values, scales, exponent, range(1, n + 1) if columns is None else columns)
+        return Profile(np.ldexp(values, exponent), np.ldexp(scales, exponent), zero)
+
+
+def _split_product(lengths: list[float]) -> tuple[float, int]:
+    """The product of the lengths as (p, shift) with product = p * 2**shift:
+    the plain product and 0 when that is a normal double, else the product
+    of the lengths' mantissas and the sum of their exponents."""
+    plain = math.prod(lengths)
+    if sys.float_info.min <= plain < math.inf:
+        return plain, 0
+    parts = [math.frexp(length) for length in lengths]
+    return math.prod(m for m, _ in parts), sum(e for _, e in parts)
+
+
+def _check_range(values: np.ndarray, scales: np.ndarray, shifts: np.ndarray, columns) -> None:
+    """Every value and scale times 2**shift must be a finite double, as
+    ldexp would give it: raise ScaleOutOfRange for the first requested
+    column (1-based) where one is not, and set any other such column to NaN
+    in place."""
+    for j, (value, scale, shift) in enumerate(zip(values.tolist(), scales.tolist(), shifts.tolist())):
+        if math.frexp(max(value, scale))[1] + shift > 1024:
+            if j + 1 in columns:
+                raise ScaleOutOfRange(j + 1, math.log10(scale) + shift * math.log10(2.0))
+            values[j] = scales[j] = math.nan
 
 
 def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profile:
@@ -384,7 +446,9 @@ def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profi
     1-D arrays. The scales follow the closed form's rule: the length of u,
     taken once as `unit_rows` takes it, times the frame geometry's product
     of the other rows' lengths, so both paths share one scale and neither
-    squares a length on the way. A non-finite u raises before any call.
+    squares a length on the way. A non-finite u raises before any call, and
+    a requested scale beyond the double range raises `ScaleOutOfRange`
+    before its column's call.
     """
     if not np.isfinite(u).all():
         raise ValueError(NON_FINITE)
@@ -393,10 +457,15 @@ def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profi
     rows = list(frame.vectors)
     values = np.full(frame.n, np.nan)
     scales = np.full(frame.n, np.nan)
+    zero = np.zeros(frame.n, dtype=bool)
     for j in columns:
+        other, shift = float(geometry._others[j - 1]), int(geometry._shifts[j - 1])
+        if not other * length < math.inf or math.frexp(other * length)[1] + shift > 1024:
+            raise ScaleOutOfRange(j, math.log10(other) + math.log10(length) + shift * math.log10(2.0))
+        scales[j - 1] = math.ldexp(other * length, shift)
         values[j - 1] = norm([u] + rows[: j - 1] + rows[j:])
-        scales[j - 1] = geometry._others[j - 1] * length
-    return Profile(values, scales, values <= geometry._zero_slope * length)
+        zero[j - 1] = values[j - 1] <= math.ldexp(geometry._zero_slope[j - 1] * length, shift)
+    return Profile(values, scales, zero)
 
 
 def _profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profile:
@@ -410,7 +479,7 @@ def _profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profile:
     the requested columns name.
     """
     if norm.kind == "standard":
-        return frame.geometry(norm.cfg).profile(u)
+        return frame.geometry(norm.cfg).profile(u, columns)
     return _generic_profile(frame, norm, u, columns)
 
 

@@ -3,6 +3,7 @@ per-tuple path (an injected evaluator around `standard_norm`), 50-digit
 Gram determinants in mpmath, and exact rescaling; and the sampled verdicts
 read off either path."""
 
+import math
 import warnings
 
 import mpmath
@@ -13,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 from nnormkit.linalg import SpaceConfig, hadamard_scale
 from nnormkit.nnorm import NNorm, standard_nnorm, standard_norm
 from nnormkit.quotient import (
+    Frame,
     IndexSet,
+    ScaleOutOfRange,
     class1_norm,
     class_collection,
     classm_norm,
@@ -182,6 +185,93 @@ def test_generic_path_evaluates_only_the_named_columns():
     assert len(seen) == 2
     assert np.isnan(profile.values[[0, 2]]).all()
     assert classm_norm(frame, counting, u, IndexSet([2, 4])) == profile.value(IndexSet([2, 4]))
+
+
+def test_a_scale_past_the_double_range_is_named():
+    # the scales against y_2 and y_3 are about 5e399; ldexp made them inf
+    # after an overflow warning
+    cfg = SpaceConfig(dim=3, arity=3)
+    frame = Frame(cfg, np.diag([1e200, 1.0, 1.0]))
+    u = 0.5 * frame.row(1) + 0.3 * frame.row(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScaleOutOfRange, match=r"y_2\) is about 5.00e\+399, beyond") as caught:
+            quotient_profile(frame, standard_nnorm(cfg), u)
+        with pytest.raises(ScaleOutOfRange):
+            quotient_norm_axioms(frame, standard_nnorm(cfg), IndexSet([2]), 8, 1)
+    assert caught.value.index == 2
+    assert caught.value.log10_scale == pytest.approx(399 + math.log10(5.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", [False, True], ids=["dot", "spd"])
+def test_profiles_scale_exactly_up_to_the_edge_of_the_range(metric):
+    # u times 2**k: every value and scale is the profile of u times 2**k,
+    # bit for bit, while each is a double, and ScaleOutOfRange from the first
+    # k where one is not
+    cfg = SpaceConfig(dim=3, arity=3, metric=spd_metric(np.random.default_rng(5), 3) if metric else None)
+    frame = Frame(cfg, np.diag([1e200, 1.0, 1.0]))
+    norm = standard_nnorm(cfg)
+    u = np.array([0.3, 0.7, -0.2])
+    base = quotient_profile(frame, norm, u)
+    outcomes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(300, 400):
+            with np.errstate(over="ignore"):
+                values, scales = np.ldexp(base.values, k), np.ldexp(base.scales, k)
+            representable = np.isfinite(values).all() and np.isfinite(scales).all()
+            outcomes.add(representable)
+            if representable:
+                profile = quotient_profile(frame, norm, np.ldexp(u, k))
+                assert profile.values.tobytes() == values.tobytes()
+                assert profile.scales.tobytes() == scales.tobytes()
+                assert profile.zero.tolist() == base.zero.tolist()
+            else:
+                with pytest.raises(ScaleOutOfRange):
+                    quotient_profile(frame, norm, np.ldexp(u, k))
+    assert outcomes == {True, False}
+
+
+def test_a_frame_whose_product_overflows_keeps_its_representable_columns():
+    # P_3 = 1e400 is not a double, so neither is the scale of e_1 against
+    # y_3; the columns asked for are, and come back without a warning (the
+    # product used to be inf, and inf * 0 a NaN with an "invalid" warning)
+    cfg = SpaceConfig(dim=3, arity=3)
+    frame = Frame(cfg, np.diag([1e200, 1e200, 1.0]))
+    u = np.array([1.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (standard_nnorm(cfg), generic(cfg)):
+            assert class1_norm(frame, norm, u, 1) == 1e200
+            assert classm_norm(frame, norm, u, IndexSet([1, 2])) == 1e200
+            assert is_quotient_zero(frame, norm, u, IndexSet([2]))
+            profile = quotient_profile(frame, norm, u, (1, 2))
+            assert profile.scales[:2].tolist() == [1e200, 1e200]
+            assert np.isnan(profile.values[2]) and np.isnan(profile.scales[2])
+            with pytest.raises(ScaleOutOfRange, match=r"y_3\) is about 1.00e\+400, beyond") as caught:
+                class1_norm(frame, norm, u, 3)
+            assert caught.value.index == 3
+
+
+@pytest.mark.parametrize("size", [1e200, 1e-200])
+def test_products_past_the_double_range_give_exact_values(size):
+    # P_3 = size**2 overflows to inf or underflows to 0.0 as a plain
+    # product; u is scaled so that every value and scale is a double. On a
+    # diagonal frame the value against y_j is |u_j| * P_j and the scale is
+    # |u| * P_j, taken here in mpmath; none of them is zero
+    cfg = SpaceConfig(dim=3, arity=3)
+    frame = Frame(cfg, np.diag([size, size, 1.0]))
+    u = np.array([0.3, 0.7, -0.2]) * (1e-300 if size > 1 else 1e300)
+    products = [mpmath.mpf(size), mpmath.mpf(size), mpmath.mpf(size) ** 2]
+    u_length = mpmath.sqrt(mpmath.fsum(mpmath.mpf(x) ** 2 for x in u.tolist()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for norm in (standard_nnorm(cfg), generic(cfg)):
+            profile = quotient_profile(frame, norm, u)
+            for j, product in enumerate(products):
+                assert profile.values[j] == pytest.approx(float(abs(mpmath.mpf(u[j])) * product), rel=1e-15)
+                assert profile.scales[j] == pytest.approx(float(u_length * product), rel=1e-15)
+            assert not profile.zero.any()
 
 
 @pytest.mark.parametrize("size", [1e200, 1e-200])

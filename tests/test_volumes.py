@@ -1,16 +1,19 @@
 """Every Gram volume in the package comes from `linalg._volumes`, one QR
-factor of the unit whitened rows: it equals `standard_norm` bit for bit on a
-tuple and on a stack, agrees with the cofactor oracle, decides the sampler's
-and `random_frame`'s volume gates as the LU Gram volume did, and an injected
+factor of the unit whitened rows: its one direct dgeqrf gufunc call gives
+the diagonal `np.linalg.qr(..., mode="raw")` gives, bit for bit and without
+a floating-point flag; it equals `standard_norm` bit for bit on a tuple and
+on a stack, agrees with the cofactor oracle, decides the sampler's and
+`random_frame`'s volume gates as the LU Gram volume did, and an injected
 evaluator's stack takes the row lengths without any QR."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from nnormkit import nnorm, quotient
-from nnormkit.linalg import SpaceConfig, _volumes, determinant, gram_matrix, hadamard_scale, unit_rows
+from nnormkit import linalg, nnorm, quotient
+from nnormkit.linalg import SpaceConfig, _qr_r_raw, _volumes, determinant, gram_matrix, hadamard_scale, unit_rows
 from nnormkit.nnorm import NNorm, _evaluate, _Sampler, standard_nnorm, standard_norm
 from nnormkit.quotient import random_frame
 
@@ -38,6 +41,67 @@ def _mode_r_volume(cfg, t):
     if min(lengths) == 0.0:
         return 0.0
     return math.prod(lengths) * abs(math.prod(np.diagonal(np.linalg.qr(units.T, mode="r")).tolist()))
+
+
+def _hard_stack(rng, k, d):
+    """Generic tuples, one with a zero row, one with rows 1e200 and 1e-200
+    (1e200 alone when k = 1), one of subnormal entries only, and one with a
+    subnormal entry in every row."""
+    stack = rng.uniform(-1.0, 1.0, (6, k, d))
+    stack[1, k // 2] = 0.0
+    stack[2, 0] *= 1e200
+    if k > 1:
+        stack[2, -1] *= 1e-200
+    stack[3] *= 1e-310
+    stack[4, :, 0] = 5e-324
+    return stack
+
+
+def _kernel_diagonals(cfg, tuples, monkeypatch):
+    """The volumes of `_volumes` and the r_ii it read (None when it made no
+    gufunc call), its gufunc run under np.errstate(all="raise")."""
+    factors = []
+
+    def kernel(a):
+        with np.errstate(all="raise"):
+            tau = _qr_r_raw(a)
+        factors.append(a)
+        return tau
+
+    monkeypatch.setattr(linalg, "_qr_r_raw", kernel)
+    volumes = _volumes(cfg, tuples)[0]
+    assert len(factors) <= 1
+    return volumes, np.diagonal(factors[0], 0, -2, -1) if factors else None
+
+
+def _wrapper_diagonals(cfg, tuples):
+    """The r_ii of numpy's own mode="raw" QR of the transposed unit rows."""
+    units = unit_rows(cfg, tuples)[0]
+    return np.diagonal(np.linalg.qr(units.swapaxes(-1, -2), mode="raw")[0], 0, -2, -1)
+
+
+@pytest.mark.parametrize("spd", [False, True], ids=["dot", "spd"])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_kernel_diagonal_is_the_qr_wrappers_bit_for_bit(k, spd, monkeypatch):
+    # the private gufunc is the one numpy's qr wraps; a numpy that changes it
+    # fails here, as does a floating-point flag or warning it leaves behind
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in range(k, 31):
+            cfg = SpaceConfig(dim=d, arity=k, metric=_spd(d) if spd else None)
+            stack = _hard_stack(np.random.default_rng(100 * k + d), k, d)
+            volumes, diagonals = _kernel_diagonals(cfg, stack, monkeypatch)
+            expected = [_mode_r_volume(cfg, t) for t in stack]
+            assert diagonals.tobytes() == _wrapper_diagonals(cfg, stack).tobytes()
+            assert volumes == expected
+            assert np.all(diagonals[3] != 0.0)  # subnormal rows have normal unit rows
+            for t, value in zip(stack, expected):
+                volumes, diagonal = _kernel_diagonals(cfg, t, monkeypatch)
+                assert volumes == [value]
+                if min(unit_rows(cfg, t)[1]) == 0.0:  # a zero row: no QR at all
+                    assert diagonal is None
+                else:
+                    assert diagonal.tobytes() == _wrapper_diagonals(cfg, t).tobytes()
 
 
 @pytest.mark.parametrize("spd", [False, True], ids=["dot", "spd"])
@@ -133,8 +197,7 @@ def test_qr_calls_of_injected_and_standard_stacks(spd, monkeypatch):
     cfg = SpaceConfig(dim=4, arity=3, metric=_spd(4) if spd else None)
     stack = np.random.default_rng(9).uniform(-1.0, 1.0, (8, 3, 4))
     qr_calls = []
-    qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
+    monkeypatch.setattr(linalg, "_qr_r_raw", lambda a: qr_calls.append(1) or _qr_r_raw(a))
     product = NNorm(cfg, "injected", lambda vs: math.prod(float(np.abs(v).sum()) for v in vs))
     values, scales = _evaluate(product, stack)
     assert qr_calls == []
