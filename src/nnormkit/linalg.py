@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw
@@ -217,26 +218,67 @@ def _volumes(cfg: SpaceConfig, tuples: np.ndarray) -> tuple[list[float], list[fl
     A volume is the product of the lengths times |prod r_ii| of the QR
     factor of the unit whitened rows (no Gram matrix, whose condition number
     is the square of theirs), or 0.0 when a row is zero; no QR is taken
-    when every tuple has one. One dgeqrf gufunc call (numpy >= 2.0) factors
-    the tuple or the whole stack in place, in a fresh copy of the transposed
-    unit rows, and the r_ii are read off that copy's diagonal: the same call
-    on the same input as `np.linalg.qr(..., mode="raw")`, so the same bits,
-    without the wrapper's per-call checks, copy and error-state set-up,
-    which outweigh the factorisation on these small shapes. No np.errstate
-    is needed around it: the gufunc clears the floating-point flags itself
-    and raises only "invalid", when LAPACK reports a failure, which dgeqrf
-    does not do on finite unit rows.
+    when every tuple has one. When every length lies in [2**-b, 2**b],
+    b = 1020 // k, no partial product can leave the normal range and the
+    plain product is taken; otherwise the lengths' product comes from
+    `_split_product` and the volume is rounded once from the exact product,
+    so it is inf only beyond the double range and keeps the plain product's
+    bits wherever no partial product leaves the normal range.
+
+    One dgeqrf gufunc call (numpy >= 2.0) factors the tuple or the whole
+    stack in place, in a fresh copy of the transposed unit rows, and the
+    r_ii are read off that copy's diagonal: the same call on the same input
+    as `np.linalg.qr(..., mode="raw")`, so the same bits, without the
+    wrapper's per-call checks, copy and error-state set-up, which outweigh
+    the factorisation on these small shapes. No np.errstate is needed around
+    it: the gufunc clears the floating-point flags itself and raises only
+    "invalid", when LAPACK reports a failure, which dgeqrf does not do on
+    finite unit rows.
     """
     k = tuples.shape[-2]
     units, lengths = unit_rows(cfg, tuples)
     per_tuple = [lengths[i : i + k] for i in range(0, len(lengths), k)]
-    if all(min(ls) == 0.0 for ls in per_tuple):
+    lows = [min(ls) for ls in per_tuple]
+    if not any(lows):
         return [0.0] * len(per_tuple), lengths
     factor = units.swapaxes(-1, -2).copy()
     _qr_r_raw(factor)
     diagonals = factor.diagonal(0, -2, -1).reshape(-1, k).tolist()
-    volumes = [0.0 if min(ls) == 0.0 else math.prod(ls) * abs(math.prod(dg)) for ls, dg in zip(per_tuple, diagonals)]
+    b = 1020 // k
+    lowest, below_highest = math.ldexp(1.0, -b), max(lengths) <= math.ldexp(1.0, b)
+    volumes = []
+    for ls, dg, low in zip(per_tuple, diagonals, lows):
+        if low == 0.0:
+            volumes.append(0.0)
+        elif below_highest and low >= lowest:
+            volumes.append(math.prod(ls) * abs(math.prod(dg)))
+        else:
+            p, shift = _split_product(ls)
+            try:  # the exact volume, rounded once as a float product rounds
+                volumes.append(float(Fraction(p) * Fraction(abs(math.prod(dg))) * Fraction(2) ** shift))
+            except OverflowError:
+                volumes.append(math.inf)
     return volumes, lengths
+
+
+def _split_product(factors: list[float]) -> tuple[float, int]:
+    """The product of finite nonnegative factors as (p, shift), product =
+    p * 2**shift, with shift = 0 wherever the product is a normal double or
+    zero.
+
+    p is the product of the factors' mantissas and shift the sum of their
+    exponents, folded into p when the product is normal or zero. Rounding
+    commutes with scaling by powers of two in the normal range, so p has the
+    bits of the plain product from the left wherever none of its partial
+    products leaves the normal range, and stays within one rounding per
+    factor of the true product where one does (the plain product of 1e-160,
+    1e-160 and 1e160 passes through a subnormal and loses five digits).
+    """
+    parts = [math.frexp(f) for f in factors]
+    p, shift = math.prod(m for m, _ in parts), sum(e for _, e in parts)
+    if p == 0.0 or -1021 <= math.frexp(p)[1] + shift <= 1024:
+        return math.ldexp(p, shift), 0
+    return p, shift
 
 
 def gram_matrix(cfg: SpaceConfig, vs) -> np.ndarray:

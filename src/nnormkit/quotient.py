@@ -18,7 +18,6 @@ All index sets are 1-based, here and in the JSON forms.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -32,6 +31,7 @@ from .linalg import (
     SpaceConfig,
     _metric_length,
     _perp_part,
+    _split_product,
     _volumes,
     as_vector,
     determinant,  # unused here; bench/spans.py traces this binding
@@ -351,14 +351,15 @@ class FrameGeometry:
     A vector is scaled by a power of two to a largest entry in [0.5, 1)
     before the product and scaled back after it, so values stay finite and
     accurate wherever the true value is representable. Each P_j is kept as a
-    double times 2**shift_j, with shift_j = 0 wherever the plain product is
-    a normal double, so a frame whose P_j leaves the double range still
-    gives every representable value. A requested column whose scale is not
-    representable raises `ScaleOutOfRange`; any other such column is NaN,
-    as a column the generic path does not evaluate. Scaled values and scales
-    stay below a ceiling taken once per frame, so the exact check, which
-    also applies the shifts, runs only for a vector whose power of two could
-    carry the ceiling past the double range, or on a frame with a shift.
+    double times 2**shift_j (`linalg._split_product`), with shift_j = 0
+    wherever the product is a normal double, so a frame whose P_j leaves
+    the double range still gives every representable value. A requested
+    column whose scale is not representable raises `ScaleOutOfRange`; any
+    other such column is NaN, as a column the generic path does not
+    evaluate. Scaled values and scales stay below a ceiling taken once per
+    frame, so the exact check, which also applies the shifts, runs only for
+    a vector whose power of two could carry the ceiling past the double
+    range, or on a frame with a shift.
 
     The vector's shape is the caller's to check. Its finiteness is decided
     here, from values the profile needs anyway: an infinite entry (or a NaN
@@ -414,17 +415,6 @@ class FrameGeometry:
             exponent = self._shifts + exponent
             _check_range(values, scales, exponent, range(1, n + 1) if columns is None else columns)
         return Profile(np.ldexp(values, exponent), np.ldexp(scales, exponent), zero)
-
-
-def _split_product(lengths: list[float]) -> tuple[float, int]:
-    """The product of the lengths as (p, shift) with product = p * 2**shift:
-    the plain product and 0 when that is a normal double, else the product
-    of the lengths' mantissas and the sum of their exponents."""
-    plain = math.prod(lengths)
-    if sys.float_info.min <= plain < math.inf:
-        return plain, 0
-    parts = [math.frexp(length) for length in lengths]
-    return math.prod(m for m, _ in parts), sum(e for _, e in parts)
 
 
 def _check_range(values: np.ndarray, scales: np.ndarray, shifts: np.ndarray, columns) -> None:

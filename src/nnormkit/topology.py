@@ -8,20 +8,24 @@ toward Inconclusive: a finite window can support a conclusion but never
 prove one.
 
 Every verdict reduces its subset questions to the class-1 profiles of the
-vectors involved (`quotient.Profile`), built once per distinct vector and
-read by column for each subset. Zero/nonzero classification happens once per
-frame index, so verdicts derived from the same profile can never disagree by
-rounding: the cross-class equivalences hold through the same class-1
-decomposition that makes them true. An equivalence table takes one set of
-profiles (the traces and the evidence vectors at k = 1 and 10) and reads all
-n of its class-m rows off it, through the same row builders the public
-verdicts use.
+vectors involved (`quotient.Profile`), read by column for each subset and
+built once per distinct vector and column set, per call (`_profiles`):
+repeated table entries, zero gaps and trace vectors that coincide share one
+profile, so one verdict call calls an injected evaluator once per distinct
+pair of a vector and a requested column. Zero/nonzero classification
+happens once per frame index, so verdicts derived from the same profile can
+never disagree by rounding: the cross-class equivalences hold through the
+same class-1 decomposition that makes them true. An equivalence table takes
+one set of profiles (the traces and the evidence vectors at k = 1 and 10)
+and reads all n of its class-m rows off it, through the same row builders
+the public verdicts use.
 
 Inputs are validated once, at the public boundary; a sequence's vectors
-when it is built, and its fit to a frame once per verdict. Table entries and
-the vectors a verdict computes from a checked sequence and limit go to the
-profile's private entry unchecked; one that overflowed is still named
-non-finite there. Tabulated verdicts share one trend rule (`_settles`).
+when it is built, and its fit to a frame once per verdict. Table entries,
+and the vectors a verdict computes from a checked sequence and limit (under
+one `np.errstate` guard), go to the profile's private entry unchecked; one
+that overflowed is still named non-finite there, with no numpy warning on
+the way. Tabulated verdicts share one trend rule (`_settles`).
 """
 
 from __future__ import annotations
@@ -334,6 +338,27 @@ def _check_spec(spec: SequenceSpec, frame: Frame, norm: NNorm) -> None:
     _check_compatible(frame, norm)
 
 
+def _profiles(frame: Frame, norm: NNorm, vectors, columns: tuple[int, ...], memo: dict) -> list[Profile]:
+    """Class-1 profiles of computed vectors, one `_profile` per distinct
+    vector and column set.
+
+    A profile is a pure function of (frame, norm, u, columns), so a vector
+    seen before, bit for bit, under the same columns gets the profile it got
+    then. `memo` maps (u.tobytes(), columns) to that profile; its owner, one
+    public verdict call or one `AnalyticTraces`, holds it for one frame and
+    one norm and drops it with itself. A non-finite vector raises where it
+    first occurs, as `_profile` raises.
+    """
+    out = []
+    for u in vectors:
+        key = (u.tobytes(), columns)
+        profile = memo.get(key)
+        if profile is None:
+            profile = memo[key] = _profile(frame, norm, u, columns)
+        out.append(profile)
+    return out
+
+
 class AnalyticTraces:
     """Per-subset limiting behaviour of the norm traces of a closed-form
     sequence, relative to a candidate limit (where one is involved). Zero
@@ -347,6 +372,12 @@ class AnalyticTraces:
     evidence is computed under one `np.errstate` guard, and the profiles are
     taken after it: a vector that overflowed is named non-finite there, with
     no numpy warning on the way.
+
+    The traces, the evidence and the bound profiles (taken on first use)
+    share one memo for the life of the object: each distinct vector is
+    profiled once per column set (the traces' all n, the evidence's
+    `columns`), so a constant's offsets are its traced offset and a
+    divergent sequence's x_2 - x_1 is its direction.
     """
 
     def __init__(self, spec: SequenceSpec, frame: Frame, norm: NNorm, limit=None, evidence=(), columns=None):
@@ -378,15 +409,17 @@ class AnalyticTraces:
                     traced["_l"] = self.limit
                 bounds = ()
             rows = [[(k, vector_at(spec, self.limit, k)) for k in map(int, ks) if k >= 1] for ks, vector_at in evidence]
-        for name, w in traced.items():
-            setattr(self, name, self._profile(w))
+        self._memo = {}
+        self._all = tuple(range(1, frame.n + 1))
+        for name, profile in zip(traced, self._profiles(traced.values(), self._all)):
+            setattr(self, name, profile)
         self._bound_vectors = bounds
-        columns = range(1, frame.n + 1) if columns is None else columns
-        self.evidence = [[(k, _profile(frame, norm, v, columns)) for k, v in row] for row in rows]
+        columns = self._all if columns is None else tuple(columns)
+        self.evidence = [list(zip([k for k, _ in row], self._profiles([v for _, v in row], columns))) for row in rows]
 
-    def _profile(self, w) -> Profile:
-        # w is computed from the checked spec and limit
-        return _profile(self.frame, self.norm, w, range(1, self.frame.n + 1))
+    def _profiles(self, vectors, columns: tuple[int, ...]) -> list[Profile]:
+        # every vector is computed from the checked spec and limit
+        return _profiles(self.frame, self.norm, vectors, columns, self._memo)
 
     def trace_limit_zero(self, s: IndexSet) -> bool:
         """Does classm_norm(x_k - limit, s) tend to zero?"""
@@ -410,7 +443,7 @@ class AnalyticTraces:
 
     @cached_property
     def _bound_profiles(self) -> tuple:
-        return tuple(self._profile(w) for w in self._bound_vectors)
+        return tuple(self._profiles(self._bound_vectors, self._all))
 
     def bounded_on(self, s: IndexSet) -> tuple[bool, float]:
         """Is sup_k classm_norm(x_k, s) finite, and an analytic bound for it."""
@@ -512,10 +545,14 @@ def converges_wrt(
     the covering analysis, not a defect). Custom tables get a Sampled verdict:
     Converges only when every subset trace is nonincreasing and decays to a
     quarter of its starting value (or sits at zero scale); otherwise
-    Inconclusive.
+    Inconclusive. A sampled CONVERGES is evidence from a finite window, not
+    a proof.
+
+    Each distinct vector is profiled once per call, so an injected evaluator
+    is called once per distinct (vector, requested column) pair.
     """
     _validate_selection(frame, selection)
-    columns = sorted(selection.union())
+    columns = tuple(sorted(selection.union()))
     if spec.kind is not SequenceKind.CUSTOM:
         traces = AnalyticTraces(spec, frame, norm, candidate_limit, [(evidence_ks, _offset)], columns)
         return _convergence_row(traces, traces.evidence[0], selection)
@@ -524,7 +561,9 @@ def converges_wrt(
     limit = as_vector(candidate_limit, frame.dim)
     ks = [k for k, _ in spec.table]
     window = (ks[0], ks[-1])
-    profiles = [_profile(frame, norm, v - limit, columns) for _, v in spec.table]
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = [v - limit for _, v in spec.table]
+    profiles = _profiles(frame, norm, offsets, columns, {})
     all_good = True
     evidence = []
     for s in selection.subsets:
@@ -555,9 +594,16 @@ def is_cauchy_wrt(
     vector, and absolute homogeneity gives x_b - x_a the value of x_a - x_b.
     An injected evaluator that breaks homogeneity is measured over the
     a < b pairs only.
+
+    A sampled CAUCHY is evidence, not proof: the partial sums of 1/k have
+    steps that fall like 1/k, so their tail diameters shrink across any
+    finite table, yet they diverge. Each distinct vector, the first entry
+    and the pair differences together, is profiled once per call, so an
+    injected evaluator is called once per distinct (vector, requested
+    column) pair; equal entries give one zero difference.
     """
     _validate_selection(frame, selection)
-    columns = sorted(selection.union())
+    columns = tuple(sorted(selection.union()))
     if spec.kind is not SequenceKind.CUSTOM:
         traces = AnalyticTraces(spec, frame, norm, evidence=[(evidence_ks, _doubling_gap)], columns=columns)
         return _cauchy_row(traces, traces.evidence[0], selection)
@@ -567,8 +613,12 @@ def is_cauchy_wrt(
     window = (ks[0], ks[-1])
     values = dict(spec.table)
     # every difference lies in the first tail; later tails reuse its profiles
-    gaps = {(a, b): _profile(frame, norm, values[a] - values[b], columns) for a, b in combinations(ks, 2)}
-    first = _profile(frame, norm, values[ks[0]], columns)
+    pairs = list(combinations(ks, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        differences = [values[a] - values[b] for a, b in pairs]
+    memo = {}
+    gaps = dict(zip(pairs, _profiles(frame, norm, differences, columns, memo)))
+    (first,) = _profiles(frame, norm, [values[ks[0]]], columns, memo)
     all_good = True
     evidence = []
     for s in selection.subsets:
@@ -593,9 +643,12 @@ def is_bounded_wrt(
     Finite point sets and tables are always Bounded, with witness M the exact
     maximum over points and subsets. Closed-form specs get an Analytic
     verdict from the trace formula.
+
+    Each distinct point or entry is profiled once per call, so an injected
+    evaluator is called once per distinct (vector, requested column) pair.
     """
     _validate_selection(frame, selection)
-    columns = sorted(selection.union())
+    columns = tuple(sorted(selection.union()))
     if isinstance(points_or_spec, SequenceSpec):
         spec = points_or_spec
         if spec.kind is not SequenceKind.CUSTOM:
@@ -612,8 +665,7 @@ def is_bounded_wrt(
         ks = range(1, len(points) + 1)
     best = 0.0
     evidence = []
-    for k, p in zip(ks, points):
-        profile = _profile(frame, norm, p, columns)
+    for k, profile in zip(ks, _profiles(frame, norm, points, columns, {})):
         for s in selection.subsets:
             value = profile.value(s)
             evidence.append(TracePoint(k, s, value))
@@ -815,11 +867,9 @@ def counterexample_r5(k_max: int = 100, frame: Frame | None = None) -> Counterex
     noncovering = NormSelection(n=5, subsets=(s12, s34))
     covering = NormSelection(n=5, subsets=(s12, s34, s15))
     zero = np.zeros(5)
-    rows = []
-    columns = range(1, 6)
-    for k in range(1, k_max + 1):
-        profile = _profile(frame, norm, eval_sequence(spec, k), columns)
-        rows.append((k, profile.value(s12), profile.value(s34), profile.value(s15)))
+    terms = [eval_sequence(spec, k) for k in range(1, k_max + 1)]
+    profiles = _profiles(frame, norm, terms, (1, 2, 3, 4, 5), {})
+    rows = [(k, p.value(s12), p.value(s34), p.value(s15)) for k, p in enumerate(profiles, 1)]
     return CounterexampleRecord(
         k_max=k_max,
         rows=tuple(rows),

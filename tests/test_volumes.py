@@ -6,8 +6,11 @@ on a stack, agrees with the cofactor oracle, decides the sampler's and
 `random_frame`'s volume gates as the LU Gram volume did, and an injected
 evaluator's stack takes the row lengths without any QR."""
 
+import itertools
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,3 +216,66 @@ def test_qr_calls_of_injected_and_standard_stacks(spd, monkeypatch):
     assert _volumes(cfg, stack)[0] == [0.0] * 8
     assert _volumes(cfg, stack[0])[0] == [0.0]
     assert qr_calls == []
+
+
+E = np.eye(3)
+
+
+@pytest.mark.parametrize(
+    "rows, exact",
+    [
+        ([[5e199, 0.0, 0.3], 1e200 * E[0], E[1]], 3e199),  # the lengths' product overflows
+        ([[5e199, 0.0, 0.3], 1e200 * E[0], E[2]], 0.0),  # and the rows are dependent
+        (np.diag([1e-200, 1e-200, 1e200]), 1e-200),  # the lengths' product underflows
+        (np.diag([1e-160, 1e-160, 1e160]), 1e-160),  # a partial product goes subnormal
+    ],
+    ids=["overflow", "overflow-dependent", "underflow", "subnormal-partial"],
+)
+def test_volumes_whose_length_product_leaves_the_range(rows, exact):
+    # the plain product gave inf, nan, 0.0 and 9.99989e-161 here
+    cfg = SpaceConfig(dim=3, arity=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = standard_norm(cfg, rows)
+        assert value == pytest.approx(exact, rel=4e-16, abs=0.0)
+        assert _volumes(cfg, np.array([rows, np.eye(3)]))[0] == [value, 1.0]
+
+
+def test_a_volume_past_the_double_range_is_inf():
+    cfg = SpaceConfig(dim=3, arity=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert standard_norm(cfg, np.diag([1e200, 1e200, 1e200])) == math.inf
+        assert standard_norm(cfg, np.diag([1e-200, 1e-200, 1e-200])) == 0.0
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_split_product_keeps_the_plain_products_bits(k):
+    # where no partial product leaves the normal range, the plain product
+    # bit for bit; elsewhere within k roundings of the exact product, with
+    # a shift only where that product is not a normal double
+    rng = np.random.default_rng(k)
+    limit = 2000 // k
+    seen = set()
+    for _ in range(2000):
+        factors = [math.ldexp(m, int(e)) for m, e in zip(rng.uniform(0.5, 1.0, k), rng.integers(-limit, limit, k))]
+        partials = list(itertools.accumulate(factors, lambda a, b: a * b))
+        p, shift = linalg._split_product(factors)
+        if all(sys.float_info.min <= x < math.inf for x in partials):
+            assert (p, shift) == (partials[-1], 0)
+            seen.add("plain")
+            continue
+        exact = math.prod(Fraction(f) for f in factors)
+        assert abs(Fraction(p) * Fraction(2) ** shift / exact - 1) <= k * 2.0**-52
+        assert (shift == 0) == (Fraction(sys.float_info.min) <= exact < 2**1024)
+        seen.add("shifted" if shift else "folded")
+    assert {"plain", "shifted"} <= seen  # the folded case is pinned below
+
+
+def test_split_product_serves_the_frame_geometry():
+    # P_4 of this frame is 1e-160 * 1e-160 * 1e160, whose plain product
+    # passes through a subnormal; the mantissa product folds back to 1e-160
+    cfg = SpaceConfig(dim=4, arity=4)
+    frame = quotient.Frame(cfg, np.diag([1e-160, 1e-160, 1e160, 1.0]))
+    assert linalg._split_product([1e-160, 1e-160, 1e160]) == (1e-160, 0)
+    assert quotient.class1_norm(frame, standard_nnorm(cfg), np.eye(4)[3], 4) == 1e-160
