@@ -9,13 +9,18 @@ dozen).
 
 Every Gram volume sqrt(det G) in the package comes from one kernel,
 `_volumes`: one QR factor of the unit whitened rows of a tuple or of a stack
-of tuples, so no Gram matrix is formed on the way; `_volumes` says why it
-calls numpy's dgeqrf gufunc directly. The LU `determinant` is a public
-function with no caller inside the package.
+of tuples, so no Gram matrix is formed, let alone solved, on the way;
+`_volumes` says why it calls numpy's dgeqrf gufunc directly. Every product
+of lengths and QR diagonals (a volume, a Hadamard scale, a frame's unit
+volume) comes from one helper, `_products`: inf only past the double range,
+and the plain product's bits wherever no partial product leaves the normal
+range. The LU `determinant` is a public function with no caller inside the
+package.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -171,10 +176,13 @@ def _inner(cfg: SpaceConfig, a: np.ndarray, b: np.ndarray) -> float:
 
 def _metric_length(cfg: SpaceConfig, v: np.ndarray) -> float:
     # squares before the root, so it is 0 or inf for entries beyond about
-    # 1e±154. Only draws of unit scale reach it (`random_frame` rows, the
-    # axiom sampler's draws and the quotient probes' perpendicular draws),
-    # so it keeps their bits; a length of anything else, such as a frame
-    # row, is taken as `unit_rows` takes it
+    # 1e±154. Only vectors of unit scale reach it: `random_frame` rows, the
+    # axiom sampler's draws and combinations, and `_escape_direction`'s
+    # complement parts of normal draws, which the frame's unit rows keep at
+    # unit scale however tiny or huge the frame. Taking `unit_rows`' length
+    # here would move those draws' bits, so it waits for a change of the
+    # random stream; a length of anything else, such as a frame row, is
+    # taken as `unit_rows` takes it
     return math.sqrt(max(_inner(cfg, v, v), 0.0))
 
 
@@ -184,14 +192,12 @@ def hadamard_scale(cfg: SpaceConfig, vs) -> float:
     This is the Hadamard upper bound for the Gram-volume of the tuple, and is
     the natural magnitude against which norm values and residuals are scaled.
     Each length is taken as `unit_rows` takes it (math.hypot of the whitened
-    vector), never through a squared length, so the scale is finite and
-    nonzero wherever the product itself is representable.
+    vector), never through a squared length, and their product by
+    `_products`, so the scale is inf only past the double range and nonzero
+    wherever the true product rounds to a nonzero double. The empty tuple's
+    scale is the empty product, 1.0.
     """
-    return _hadamard_scale(cfg, as_rows(vs, cfg.dim))
-
-
-def _hadamard_scale(cfg: SpaceConfig, rows) -> float:
-    return math.prod(unit_rows(cfg, np.asarray(rows))[1])
+    return _products(len(vs), unit_rows(cfg, as_rows(vs, cfg.dim))[1])[0] if len(vs) else 1.0
 
 
 def unit_rows(cfg: SpaceConfig, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
@@ -218,12 +224,11 @@ def _volumes(cfg: SpaceConfig, tuples: np.ndarray) -> tuple[list[float], list[fl
     A volume is the product of the lengths times |prod r_ii| of the QR
     factor of the unit whitened rows (no Gram matrix, whose condition number
     is the square of theirs), or 0.0 when a row is zero; no QR is taken
-    when every tuple has one. When every length lies in [2**-b, 2**b],
-    b = 1020 // k, no partial product can leave the normal range and the
-    plain product is taken; otherwise the lengths' product comes from
-    `_split_product` and the volume is rounded once from the exact product,
-    so it is inf only beyond the double range and keeps the plain product's
-    bits wherever no partial product leaves the normal range.
+    when every tuple has one. The volumes are one `_products` call on the
+    stack, the lengths' product times the |r_ii|'s product: inf only beyond
+    the double range, not lost to an r_ii product that underflows where the
+    lengths carry the volume back into range, and the plain product's bits
+    wherever no partial product leaves the normal range.
 
     One dgeqrf gufunc call (numpy >= 2.0) factors the tuple or the whole
     stack in place, in a fresh copy of the transposed unit rows, and the
@@ -237,45 +242,66 @@ def _volumes(cfg: SpaceConfig, tuples: np.ndarray) -> tuple[list[float], list[fl
     """
     k = tuples.shape[-2]
     units, lengths = unit_rows(cfg, tuples)
-    per_tuple = [lengths[i : i + k] for i in range(0, len(lengths), k)]
-    lows = [min(ls) for ls in per_tuple]
-    if not any(lows):
-        return [0.0] * len(per_tuple), lengths
+    if min(lengths) == 0.0 and not any(min(lengths[i : i + k]) for i in range(0, len(lengths), k)):
+        return [0.0] * (len(lengths) // k), lengths
     factor = units.swapaxes(-1, -2).copy()
     _qr_r_raw(factor)
-    diagonals = factor.diagonal(0, -2, -1).reshape(-1, k).tolist()
-    b = 1020 // k
-    lowest, below_highest = math.ldexp(1.0, -b), max(lengths) <= math.ldexp(1.0, b)
-    volumes = []
-    for ls, dg, low in zip(per_tuple, diagonals, lows):
-        if low == 0.0:
-            volumes.append(0.0)
-        elif below_highest and low >= lowest:
-            volumes.append(math.prod(ls) * abs(math.prod(dg)))
-        else:
-            p, shift = _split_product(ls)
-            try:  # the exact volume, rounded once as a float product rounds
-                volumes.append(float(Fraction(p) * Fraction(abs(math.prod(dg))) * Fraction(2) ** shift))
-            except OverflowError:
-                volumes.append(math.inf)
-    return volumes, lengths
+    return _products(k, lengths, np.abs(factor.diagonal(0, -2, -1)).ravel().tolist()), lengths
 
 
-def _split_product(factors: list[float]) -> tuple[float, int]:
-    """The product of finite nonnegative factors as (p, shift), product =
-    p * 2**shift, with shift = 0 wherever the product is a normal double or
-    zero.
+def _products(k: int, factors: list[float], more: list[float] | None = None) -> list[float]:
+    """Range-safe products of finite nonnegative factors: entry i is the
+    product of factors[i*k : i*k + k] from the left, times, when `more` is
+    given, the product of more[i*k : i*k + k] (a volume is its lengths'
+    product times its |r_ii|'s).
 
-    p is the product of the factors' mantissas and shift the sum of their
-    exponents, folded into p when the product is normal or zero. Rounding
-    commutes with scaling by powers of two in the normal range, so p has the
-    bits of the plain product from the left wherever none of its partial
-    products leaves the normal range, and stays within one rounding per
-    factor of the true product where one does (the plain product of 1e-160,
-    1e-160 and 1e160 passes through a subnormal and loses five digits).
+    When every nonzero factor of the stack lies in [2**-b, 2**b], b = 1020
+    // K for K factors per entry, no partial product can leave the normal
+    range (a zero factor makes its product exactly 0.0), and the plain
+    products are taken. The band is tested once per stack, so a stack in
+    range pays for no split. Otherwise each entry comes from
+    `_split_product`: the plain product's bits wherever no partial product
+    leaves the normal range, inf past the double range, and below it the
+    exact product, rounded once (the split mantissas, rounded again into
+    the subnormal range, can land a unit away from it).
     """
-    parts = [math.frexp(f) for f in factors]
-    p, shift = math.prod(m for m, _ in parts), sum(e for _, e in parts)
+    every = factors if more is None else factors + more
+    b = 1020 // (k if more is None else 2 * k)
+    low = min(every)
+    if low == 0.0:
+        low = min(filter(None, every), default=1.0)
+    starts = range(0, len(factors), k)
+    if 2.0**-b <= low and max(every) <= 2.0**b:
+        if more is None:
+            return [math.prod(factors[i : i + k]) for i in starts]
+        return [math.prod(factors[i : i + k]) * math.prod(more[i : i + k]) for i in starts]
+    products = []
+    for i in starts:
+        groups = [factors[i : i + k]] if more is None else [factors[i : i + k], more[i : i + k]]
+        p, shift = _split_product(*groups)
+        if shift < 0:
+            p = float(math.prod(map(Fraction, itertools.chain(*groups))))
+        products.append(math.inf if shift > 0 else p)
+    return products
+
+
+def _split_product(*groups: list[float]) -> tuple[float, int]:
+    """The product of the groups' products of finite nonnegative factors as
+    (p, shift), product = p * 2**shift, with shift = 0 wherever the product
+    is a normal double or zero.
+
+    p is the product of the groups' products of the factors' mantissas, and
+    shift the sum of their exponents, folded into p when the product is
+    normal or zero. Rounding commutes with scaling by powers of two in the
+    normal range, so p has the bits of the plain product in the same
+    association wherever none of its partial products leaves the normal
+    range, and stays within one rounding per factor of the true product
+    where one does (the plain product of 1e-160, 1e-160 and 1e160 passes
+    through a subnormal and loses five digits).
+    """
+    parts = [[math.frexp(f) for f in group] for group in groups]
+    p = math.prod(math.prod(m for m, _ in group) for group in parts)
+    shift = sum(e for group in parts for _, e in group)
     if p == 0.0 or -1021 <= math.frexp(p)[1] + shift <= 1024:
         return math.ldexp(p, shift), 0
     return p, shift
@@ -285,22 +311,9 @@ def gram_matrix(cfg: SpaceConfig, vs) -> np.ndarray:
     """Matrix of pairwise inner products; symmetrised to kill rounding skew."""
     if len(vs) == 0:
         raise ValueError("gram_matrix needs at least one vector")
-    return _gram_matrix(cfg, as_rows(vs, cfg.dim))
-
-
-def _gram_matrix(cfg: SpaceConfig, rows: np.ndarray) -> np.ndarray:
+    rows = as_rows(vs, cfg.dim)
     g = rows @ rows.T if cfg.metric is None else rows @ cfg.metric @ rows.T
     return 0.5 * (g + g.T)
-
-
-def _perp_part(cfg: SpaceConfig, rows, w: np.ndarray) -> np.ndarray:
-    """w minus its metric projection onto the span of the checked,
-    independent rows (w itself when there are none)."""
-    if len(rows) == 0:
-        return w
-    rows = np.asarray(rows)
-    b = np.array([_inner(cfg, r, w) for r in rows])
-    return w - rows.T @ np.linalg.solve(_gram_matrix(cfg, rows), b)
 
 
 def determinant(m) -> float:

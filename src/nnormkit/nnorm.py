@@ -25,9 +25,8 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     SpaceConfig,
-    _hadamard_scale,
     _metric_length,
-    _perp_part,
+    _products,
     _volumes,
     as_rows,
     determinant,  # unused here; bench/spans.py traces this binding
@@ -72,15 +71,16 @@ def _evaluate(norm: NNorm, stack: np.ndarray) -> tuple[list, list[float]]:
     The standard kind takes all values from one `_volumes` call on the
     stack, bit for bit what `standard_norm` gives each tuple alone; any other
     kind takes only the row lengths (no QR) and is called once per tuple, in
-    order, with the tuple as a list of rows.
+    order, with the tuple as a list of rows. The scales are one `_products`
+    call on the stack's lengths, bit for bit what `hadamard_scale` gives each
+    tuple alone.
     """
-    n = norm.cfg.arity
     if norm.kind == "standard":
         values, lengths = _volumes(norm.cfg, stack)
     else:
         lengths = unit_rows(norm.cfg, stack)[1]
         values = [norm(list(vs)) for vs in stack]
-    return values, [math.prod(lengths[i : i + n]) for i in range(0, len(lengths), n)]
+    return values, _products(norm.cfg.arity, lengths)
 
 
 @dataclass(frozen=True)
@@ -225,10 +225,12 @@ class _Sampler:
         combo = np.array(others).T @ self.rng.uniform(-0.75, 0.75, n - 1)
         if _metric_length(self.cfg, combo) > 1e-3:
             combo = self._unit(combo)
+        volume = _volumes(self.cfg, np.array(others))[0][0]
         for _ in range(200):
             w = self._unit(self.rng.normal(size=self.cfg.dim))
-            perp = _perp_part(self.cfg, others, w)
-            if _metric_length(self.cfg, perp) >= self.MIN_PERP:
+            # the distance of w from the others' span is the ratio of the
+            # volumes with and without it
+            if _volumes(self.cfg, np.array(others + [w]))[0][0] >= self.MIN_PERP * volume:
                 break
         tup, _ = self._insert(others, combo + delta * w)
         return tup
@@ -447,9 +449,9 @@ def shift_invariance_check(norm: NNorm, vs, alphas) -> tuple[bool, float]:
     if alphas.ndim != 1 or alphas.shape[0] != cfg.arity - 1:
         raise DimensionMismatch("shift coefficient count", cfg.arity - 1, alphas.shape)
     vectors = list(as_rows(vs, cfg.dim))
-    shifted_first = vectors[0] + sum(a * v for a, v in zip(alphas, vectors[1:]))
+    moved = [vectors[0] + sum(a * v for a, v in zip(alphas, vectors[1:]))] + vectors[1:]
     base = norm(vectors)
-    shifted = norm([shifted_first] + vectors[1:])
-    scale = max(_hadamard_scale(cfg, vectors), _hadamard_scale(cfg, [shifted_first] + vectors[1:]))
+    shifted = norm(moved)
+    scale = max(_products(cfg.arity, unit_rows(cfg, np.array(vectors + moved))[1]))
     gap = _rel_gap(base, shifted, scale, _zero_band(cfg))
     return gap <= cfg.tol.rel, gap

@@ -30,7 +30,7 @@ from .linalg import (
     DimensionMismatch,
     SpaceConfig,
     _metric_length,
-    _perp_part,
+    _products,
     _split_product,
     _volumes,
     as_vector,
@@ -348,18 +348,24 @@ class FrameGeometry:
     it), is value_j <= slope_j * |L^T u| with slope_j = tol.zero * P_j * V_j,
     taken once here and read by the generic path too.
 
+    The part of u off the frame's span, u - sum_i c_i y_i / l_i in u's own
+    coordinates, is one more matrix product (`_complement`), which gives
+    `_escape_direction` its directions without a Gram solve, from unit rows
+    however tiny or huge the frame rows are.
+
     A vector is scaled by a power of two to a largest entry in [0.5, 1)
     before the product and scaled back after it, so values stay finite and
-    accurate wherever the true value is representable. Each P_j is kept as a
-    double times 2**shift_j (`linalg._split_product`), with shift_j = 0
-    wherever the product is a normal double, so a frame whose P_j leaves
-    the double range still gives every representable value. A requested
-    column whose scale is not representable raises `ScaleOutOfRange`; any
-    other such column is NaN, as a column the generic path does not
-    evaluate. Scaled values and scales stay below a ceiling taken once per
-    frame, so the exact check, which also applies the shifts, runs only for
-    a vector whose power of two could carry the ceiling past the double
-    range, or on a frame with a shift.
+    accurate wherever the true value is representable. V is the
+    `linalg._products` of the |r_ii|. Each P_j is kept as a double times
+    2**shift_j (`linalg._split_product`, the split that `_products`
+    rounds), with shift_j = 0 wherever the product is a normal double, so a
+    frame whose P_j leaves the double range still gives every representable
+    value. A requested column whose scale is not representable raises
+    `ScaleOutOfRange`; any other such column is NaN, as a column the
+    generic path does not evaluate. Scaled values and scales stay below a
+    ceiling taken once per frame, so the exact check, which also applies
+    the shifts, runs only for a vector whose power of two could carry the
+    ceiling past the double range, or on a frame with a shift.
 
     The vector's shape is the caller's to check. Its finiteness is decided
     here, from values the profile needs anyway: an infinite entry (or a NaN
@@ -374,10 +380,12 @@ class FrameGeometry:
         units, lengths = unit_rows(cfg, frame.vectors)
         q, r = np.linalg.qr(units.T, mode="complete")
         r_inv = np.linalg.inv(r[:n])
-        volume = abs(math.prod(np.diagonal(r).tolist()))
+        volume = _products(n, np.abs(np.diagonal(r)).tolist())[0]
         rotate = q.T if cfg.whitening is None else q.T @ cfg.whitening
+        coordinates = r_inv @ rotate[:n]  # u -> c
         # one product gives V * c (first n rows) and Q^T L^T u (last d rows)
-        self._kernel = np.vstack([volume * (r_inv @ rotate[:n]), rotate])
+        self._kernel = np.vstack([volume * coordinates, rotate])
+        self._complement = np.eye(cfg.dim) - (frame.vectors / np.array(lengths)[:, None]).T @ coordinates
         self._n = n
         self._minor_volumes = volume * np.sqrt(np.sum(r_inv * r_inv, axis=1))
         others, shifts = zip(*(_split_product(lengths[:j] + lengths[j + 1 :]) for j in range(n)))
@@ -559,12 +567,13 @@ def _adversarial_member(frame: Frame, s: IndexSet, rng: np.random.Generator) -> 
 
 def _escape_direction(frame: Frame, s: IndexSet, rng: np.random.Generator) -> np.ndarray:
     """A unit vector whose quotient norm is guaranteed at frame-volume scale:
-    orthogonal to the whole frame span when the dimension allows, otherwise
-    along a removed frame vector."""
+    orthogonal to the whole frame span when the dimension allows (the frame
+    geometry's complement part of a normal draw), otherwise along a removed
+    frame vector."""
     cfg = frame.space
     if frame.dim > frame.n:
         for _ in range(200):
-            perp = _perp_part(cfg, frame.vectors, rng.normal(size=frame.dim))
+            perp = frame.geometry(cfg)._complement @ rng.normal(size=frame.dim)
             length = _metric_length(cfg, perp)
             if length >= 0.1:
                 return perp / length

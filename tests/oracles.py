@@ -1,13 +1,16 @@
 """Independent oracles the test suite checks the package against.
 
 Everything here is deliberately brute force (cofactor expansion, exhaustive
-family enumeration) and shares no code with the implementation under test.
+family enumeration, a Gram-matrix solve) and shares no code with the
+implementation under test.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+
+import numpy as np
 
 
 def cofactor_det(m) -> float:
@@ -54,3 +57,13 @@ def hadamard_bound(m) -> float:
     for row in m:
         bound *= math.sqrt(sum(float(x) ** 2 for x in row))
     return bound
+
+
+def gram_perp_part(metric, rows, w):
+    """w minus its metric projection onto the span of the independent rows,
+    by solving with their Gram matrix: the reference for the package's
+    projections, which form no Gram matrix."""
+    rows, w = np.asarray(rows, dtype=float), np.asarray(w, dtype=float)
+    metric = np.eye(len(w)) if metric is None else np.asarray(metric, dtype=float)
+    gram = rows @ metric @ rows.T
+    return w - rows.T @ np.linalg.solve(0.5 * (gram + gram.T), rows @ metric @ w)

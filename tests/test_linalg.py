@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nnormkit.linalg import (
     inner,
     rank,
 )
+from nnormkit.nnorm import NNorm, _evaluate, standard_nnorm
 
 from oracles import cofactor_det, hadamard_bound
 
@@ -247,3 +249,13 @@ def test_as_vector_validates():
 def test_hadamard_scale():
     cfg = SpaceConfig(dim=2, arity=2)
     assert hadamard_scale(cfg, [[3, 4], [1, 0]]) == pytest.approx(5.0)
+    # the plain product of 1e-160, 1e-160 and 1e160 passes through a
+    # subnormal and gave 9.99989e-161, alone and in a stack
+    cfg = SpaceConfig(dim=3, arity=3)
+    rows = np.diag([1e-160, 1e-160, 1e160])
+    injected = NNorm(cfg, "injected", lambda vs: 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hadamard_scale(cfg, rows) == 1e-160
+        for norm in (standard_nnorm(cfg), injected):
+            assert _evaluate(norm, np.array([rows, np.eye(3)]))[1] == [1e-160, 1.0]

@@ -11,6 +11,7 @@ from nnormkit.quotient import (
     ClassCollection,
     Frame,
     IndexSet,
+    ScaleOutOfRange,
     class1_norm,
     class_collection,
     classm_norm,
@@ -369,3 +370,19 @@ class TestOneZeroRule:
             assert _escape_direction(frame, s, np.random.default_rng(1)).tolist() == [1.0, 0.0, 0.0]
             reports = quotient_norm_axioms(frame, standard_nnorm(cfg), s, 8, 1)
         assert all(r.passed for r in reports), [(r.axiom, r.witness) for r in reports if not r.passed]
+        # with d > n the escape direction is the frame's orthogonal
+        # complement; taken through the Gram matrix of the rows it was a
+        # singular solve at 1e-200 and overflowed at 1e200. At 1e200 a member
+        # of a kept span holding y_1 has a scale beyond the double range
+        wide = SpaceConfig(5, 3)
+        frame = Frame(wide, np.eye(5)[:3] * np.array([[size], [1.0], [1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (1, 2, 3):
+                for s in class_collection(3, m):
+                    if size > 1.0 and 1 not in s:
+                        with pytest.raises(ScaleOutOfRange):
+                            quotient_norm_axioms(frame, standard_nnorm(wide), s, 8, 1)
+                        continue
+                    reports = quotient_norm_axioms(frame, standard_nnorm(wide), s, 8, 1)
+                    assert all(r.passed for r in reports), (s, [(r.axiom, r.witness) for r in reports if not r.passed])

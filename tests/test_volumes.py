@@ -2,9 +2,12 @@
 factor of the unit whitened rows: its one direct dgeqrf gufunc call gives
 the diagonal `np.linalg.qr(..., mode="raw")` gives, bit for bit and without
 a floating-point flag; it equals `standard_norm` bit for bit on a tuple and
-on a stack, agrees with the cofactor oracle, decides the sampler's and
-`random_frame`'s volume gates as the LU Gram volume did, and an injected
-evaluator's stack takes the row lengths without any QR."""
+on a stack, agrees with the cofactor oracle and, where a product leaves the
+normal range, with mpmath, decides the sampler's and `random_frame`'s volume
+gates as the LU Gram volume did, and an injected evaluator's stack takes the
+row lengths without any QR. The projections that replaced a Gram solve
+(`near_dependent`'s gate, `_escape_direction`) agree with the Gram-solve
+oracle."""
 
 import itertools
 import math
@@ -12,15 +15,16 @@ import sys
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from nnormkit import linalg, nnorm, quotient
 from nnormkit.linalg import SpaceConfig, _qr_r_raw, _volumes, determinant, gram_matrix, hadamard_scale, unit_rows
 from nnormkit.nnorm import NNorm, _evaluate, _Sampler, standard_nnorm, standard_norm
-from nnormkit.quotient import random_frame
+from nnormkit.quotient import IndexSet, _escape_direction, random_frame
 
-from oracles import cofactor_det
+from oracles import cofactor_det, gram_perp_part
 
 
 def _spd(d):
@@ -188,6 +192,53 @@ def test_volume_gates_decide_as_the_lu_gram_volume(n, d, metric, monkeypatch):
     assert all(ours == lu for _, ours, lu in decisions)
 
 
+def _metric_length(cfg, v):
+    return math.sqrt(v @ cfg.metric_matrix() @ v)
+
+
+@pytest.mark.parametrize("n, d, metric", GATE_SHAPES)
+def test_near_dependent_gate_decides_as_the_gram_solve_projection(n, d, metric, monkeypatch):
+    # each volume of n rows the sampler takes is a near_dependent gate on
+    # its last row w, and each run of them is one call's loop, which stops
+    # at the first w it accepts: the gate rejected all others of the run
+    cfg = SpaceConfig(dim=d, arity=n, metric=_spd(d) if metric else None)
+    decisions = []
+    for seed in (1, 2, 3):
+        log = []
+        _recording(monkeypatch, nnorm, log)
+        sampler = _Sampler(cfg, np.random.default_rng(seed))
+        sampler.boundary_batch(40)
+        sampler.equality_batch(40)
+        runs = [list(run) for wide, run in itertools.groupby(log, lambda entry: len(entry[0]) == n) if wide]
+        for run in runs:
+            assert len(run) < 200  # every loop accepted a draw
+            for t, (rows, _) in enumerate(run):
+                oracle = _metric_length(cfg, gram_perp_part(cfg.metric, rows[:-1], rows[-1])) >= _Sampler.MIN_PERP
+                decisions.append((t == len(run) - 1, oracle))
+    assert decisions
+    assert all(ours == oracle for ours, oracle in decisions)
+    if d == n:  # a square shape rejects draws as well
+        assert {ours for ours, _ in decisions} == {True, False}
+
+
+@pytest.mark.parametrize("n, d, metric", [shape for shape in GATE_SHAPES if shape[1] > shape[0]])
+def test_escape_direction_is_the_gram_solve_complement(n, d, metric):
+    # the first normal draw whose complement part is at least 0.1 long,
+    # scaled to unit length, as the oracle's Gram solve gives it
+    cfg = SpaceConfig(dim=d, arity=n, metric=_spd(d) if metric else None)
+    rng = np.random.default_rng(100 * n + d)
+    for seed in range(5):
+        frame = random_frame(cfg, rng)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        direction = _escape_direction(frame, IndexSet([1]), ours)
+        while True:
+            perp = gram_perp_part(cfg.metric, frame.vectors, theirs.normal(size=d))
+            if _metric_length(cfg, perp) >= 0.1:
+                break
+        assert np.max(np.abs(direction - perp / _metric_length(cfg, perp))) <= 1e-12
+        assert ours.normal() == theirs.normal()  # both took the same draws
+
+
 def test_every_gate_both_accepts_and_rejects_draws(monkeypatch):
     # so the agreement above covers rejections as well as acceptances
     decisions = _gate_decisions(SpaceConfig(dim=5, arity=5), monkeypatch)
@@ -219,6 +270,16 @@ def test_qr_calls_of_injected_and_standard_stacks(spd, monkeypatch):
 
 
 E = np.eye(3)
+#: rows of length about 1e50 whose unit rows have r_22 and r_33 near 1e-160,
+#: so prod r_ii is near 1e-320
+SUBNORMAL_R = [1e50 * E[0], [1e50, 1e-110, 0.0], [1e50, 0.0, 1e-110]]
+
+
+def _mp_volume(rows):
+    """|det| of a square matrix of doubles, in mpmath at enough digits for
+    entries 1e160 apart."""
+    with mpmath.workdps(800):
+        return abs(mpmath.det(mpmath.matrix(np.asarray(rows).tolist())))
 
 
 @pytest.mark.parametrize(
@@ -228,11 +289,14 @@ E = np.eye(3)
         ([[5e199, 0.0, 0.3], 1e200 * E[0], E[2]], 0.0),  # and the rows are dependent
         (np.diag([1e-200, 1e-200, 1e200]), 1e-200),  # the lengths' product underflows
         (np.diag([1e-160, 1e-160, 1e160]), 1e-160),  # a partial product goes subnormal
+        ([1e200 * E[0], [1e200, 1.0, 0.0], [1e200, 0.0, 1.0]], 1e200),  # prod r_ii underflows
+        (SUBNORMAL_R, float(_mp_volume(SUBNORMAL_R))),  # lengths in band, prod r_ii subnormal
     ],
-    ids=["overflow", "overflow-dependent", "underflow", "subnormal-partial"],
+    ids=["overflow", "overflow-dependent", "underflow", "subnormal-partial", "r-underflow", "r-subnormal"],
 )
 def test_volumes_whose_length_product_leaves_the_range(rows, exact):
-    # the plain product gave inf, nan, 0.0 and 9.99989e-161 here
+    # the plain product gave inf, nan, 0.0, 9.99989e-161, 0.0 and
+    # 9.99989e-171 here
     cfg = SpaceConfig(dim=3, arity=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
