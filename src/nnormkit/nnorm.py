@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import (
+    NON_FINITE,
     DimensionMismatch,
     SpaceConfig,
     _metric_length,
@@ -322,6 +323,18 @@ def _rel_gap(a: float, b: float, scale: float, band: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), scale, _TINY)
 
 
+def _excess(lhs: float, rhs: float, scale: float, band: float) -> float:
+    """Relative amount by which lhs exceeds rhs, for an inequality lhs <= rhs
+    between norm values of comparable scale.
+
+    A left side inside the zero band has no excess: it is zero up to
+    rounding, and a zero left side cannot violate the inequality.
+    """
+    if lhs <= band * scale:
+        return 0.0
+    return (lhs - rhs) / max(scale, _TINY)
+
+
 def _check_permutation(norm, batch, rng):
     cfg = norm.cfg
     n = cfg.arity
@@ -372,10 +385,7 @@ def _check_triangle(norm, batch, rng):
     for t, (vs, first_alt) in enumerate(zip(batch.tuples, first_alts)):
         lhs = values[t]
         rhs = bases[t] + values[count + t]
-        scale = max(scales[t], base_scales[t], scales[count + t])
-        if lhs <= band * scale:
-            continue  # zero-class left side cannot violate the inequality
-        violation = (lhs - rhs) / max(scale, _TINY)
+        violation = _excess(lhs, rhs, max(scales[t], base_scales[t], scales[count + t]), band)
         if violation > cfg.tol.rel and (worst is None or violation > worst.discrepancy):
             worst = Witness(tuple(vs), {"added": first_alt, "lhs": lhs, "rhs": rhs}, violation)
     return worst
@@ -441,15 +451,25 @@ def check_axioms(norm: NNorm, trials: int, seed: int) -> list[AxiomReport]:
 
 def shift_invariance_check(norm: NNorm, vs, alphas) -> tuple[bool, float]:
     """Check that adding multiples of the later arguments to the first one
-    leaves the norm unchanged. Returns (passed, relative discrepancy)."""
+    leaves the norm unchanged. Returns (passed, relative discrepancy).
+
+    The coefficients must be finite; a shifted first vector that overflows
+    raises the ValueError a non-finite vector raises.
+    """
     cfg = norm.cfg
     if len(vs) != cfg.arity:
         raise DimensionMismatch("vector count", cfg.arity, len(vs))
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.shape[0] != cfg.arity - 1:
         raise DimensionMismatch("shift coefficient count", cfg.arity - 1, alphas.shape)
+    if not np.isfinite(alphas).all():
+        raise ValueError(f"shift coefficients must be finite, got {alphas.tolist()}")
     vectors = list(as_rows(vs, cfg.dim))
-    moved = [vectors[0] + sum(a * v for a, v in zip(alphas, vectors[1:]))] + vectors[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = vectors[0] + sum(a * v for a, v in zip(alphas, vectors[1:]))
+    if not np.isfinite(first).all():
+        raise ValueError(NON_FINITE)
+    moved = [first] + vectors[1:]
     base = norm(vectors)
     shifted = norm(moved)
     scale = max(_products(cfg.arity, unit_rows(cfg, np.array(vectors + moved))[1]))

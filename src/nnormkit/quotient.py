@@ -38,7 +38,7 @@ from .linalg import (
     rank,
     unit_rows,
 )
-from .nnorm import Axiom, AxiomReport, NNorm, Witness
+from .nnorm import _TINY, Axiom, AxiomReport, NNorm, Witness, _excess, _rel_gap, _zero_band
 
 __all__ = [
     "IndexSet",
@@ -315,6 +315,11 @@ class Profile:
             total += scales[j - 1]
         return total
 
+    def terms(self, s: IndexSet) -> list[tuple[float, float]]:
+        """(value, scale) of each class-1 term over s, in index order."""
+        values, scales = self._value_list, self._scale_list
+        return [(values[j - 1], scales[j - 1]) for j in s.indices]
+
     def floor(self, s: IndexSet) -> float:
         """Tolerance of the sampled trend rule; not a zero rule."""
         return SPAN_DECISION_REL * self.scale(s)
@@ -536,9 +541,12 @@ def coset_invariance_check(frame: Frame, norm: NNorm, u, s: IndexSet, coeffs: Ma
     """Well-definedness on cosets: shifting u by any combination of the KEPT
     frame vectors must not change the quotient norm.
 
-    coeffs must be keyed by exactly the complement of s (1-based). Returns
-    (passed, discrepancy) where the discrepancy is relative to the scale of
-    the evaluated tuples.
+    coeffs must be keyed by exactly the complement of s (1-based) and be
+    finite; a shifted u that overflows raises the ValueError a non-finite
+    vector raises. Returns (passed, discrepancy): each class-1 term over s
+    is compared as `check_axioms` compares values (`nnorm._rel_gap` against
+    the larger of the term's two Hadamard scales, in the zero band of the
+    frame's space), and the discrepancy is the worst term's.
     """
     _check_compatible(frame, norm)
     s.validate_for(frame.n)
@@ -546,14 +554,20 @@ def coset_invariance_check(frame: Frame, norm: NNorm, u, s: IndexSet, coeffs: Ma
     complement = s.complement(frame.n)
     if set(coeffs.keys()) != set(complement):
         raise ValueError(f"coefficients must be indexed by {complement}, got {sorted(coeffs.keys())}")
+    coefficients = {i: float(coeffs[i]) for i in complement}
+    if not all(map(math.isfinite, coefficients.values())):
+        raise ValueError(f"coset coefficients must be finite, got {coefficients}")
     shifted = u.copy()
-    for i in complement:
-        shifted = shifted + float(coeffs[i]) * frame.row(i)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, c in coefficients.items():
+            shifted = shifted + c * frame.row(i)
     here = _profile(frame, norm, u, s)
     moved = _profile(frame, norm, shifted, s)
-    base, value = here.value(s), moved.value(s)
-    scale = max(here.scale(s), moved.scale(s))
-    gap = abs(base - value) / max(base, value, scale, 1e-300)
+    band = _zero_band(frame.space)
+    gap = max(
+        _rel_gap(base, value, max(here_scale, moved_scale), band)
+        for (base, here_scale), (value, moved_scale) in zip(here.terms(s), moved.terms(s))
+    )
     return gap <= frame.space.tol.rel, gap
 
 
@@ -594,15 +608,26 @@ def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, se
     conditioned frame (see random_frame's volume floor). The zero decision
     is `Profile.is_zero`, at the tol.zero of the frame's space.
 
+    Homogeneity and the triangle inequality compare values as `check_axioms`
+    does, one class-1 term at a time: for each j in s, `nnorm._rel_gap` (or
+    `nnorm._excess` for the triangle) of the term's values against the
+    term's own Hadamard scale, in the zero band sqrt(tol.zero) of the
+    frame's space. The discrepancy is the worst term's; the witness details
+    carry the class-m sums.
+
     An injected evaluator built as the square root of the LU `determinant`
     of `gram_matrix` carries noise near sqrt(eps) of the scale on members of
-    the kept span. Over 1,264 reports per setting (shapes (2,2), (3,3),
-    (3,5), (5,5) and (5,6), 4 random frames each, every s, 6 trials) it
-    failed definiteness_backward in 274 at the default tol.zero = 1e-9, in
-    242 at 1e-8, and at 1e-7 only definiteness_forward, once. The QR-based
-    evaluators (the standard norm, and `standard_norm` injected) failed none
-    of 5,056 at 1e-9 and 1e-8, and the same one forward report each at 1e-7.
-    So a Gram-determinant evaluator should run with tol.zero of about 1e-7.
+    the kept span. Over 632 reports per axiom and setting (shapes (2,2),
+    (3,3), (3,5), (5,5) and (5,6), frames drawn from seeds 1-8 with the
+    sampler's seed, every s, 6 trials) it fails definiteness_backward in 532
+    at the default tol.zero = 1e-9, in 460 at 1e-8, and at 1e-7 only
+    definiteness_forward, in 11. The QR-based evaluators (the standard norm,
+    and `standard_norm` injected) fail none at 1e-9 and 1e-8, and
+    definiteness_forward in 12 at 1e-7. Compared as class-m sums with no
+    zero band, the LU evaluator also failed absolute_homogeneity in 223 at
+    every tol.zero: the first sample is then often parallel to y_1, so a
+    sum holds rounding noise next to a large term. So a Gram-determinant
+    evaluator should run with tol.zero of about 1e-7.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -610,6 +635,7 @@ def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, se
     s.validate_for(frame.n)
     cfg = frame.space
     tol = cfg.tol
+    band = _zero_band(cfg)
     rng = np.random.default_rng(seed)
     reports = []
 
@@ -620,13 +646,13 @@ def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, se
     for _ in range(trials):
         u = rng.uniform(-1.0, 1.0, frame.dim)
         alpha = float(rng.uniform(-10.0, 10.0))
-        here = profile(u)
-        base = here.value(s)
-        value = profile(alpha * u).value(s)
-        scale = abs(alpha) * here.scale(s)
-        gap = abs(value - abs(alpha) * base) / max(abs(alpha) * base, scale, 1e-300)
+        here, moved = profile(u), profile(alpha * u)
+        gap = max(
+            _rel_gap(value, abs(alpha) * base, abs(alpha) * scale, band)
+            for (value, _), (base, scale) in zip(moved.terms(s), here.terms(s))
+        )
         if gap > tol.rel and (worst is None or gap > worst.discrepancy):
-            worst = Witness((u,), {"alpha": alpha, "value": value, "base": base}, gap)
+            worst = Witness((u,), {"alpha": alpha, "value": moved.value(s), "base": here.value(s)}, gap)
     reports.append(AxiomReport(Axiom.ABSOLUTE_HOMOGENEITY, worst is None, trials, worst))
 
     worst = None
@@ -634,12 +660,14 @@ def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, se
         u = rng.uniform(-1.0, 1.0, frame.dim)
         v = rng.uniform(-1.0, 1.0, frame.dim)
         pu, pv, psum = profile(u), profile(v), profile(u + v)
-        lhs = psum.value(s)
-        rhs = pu.value(s) + pv.value(s)
-        scale = max(pu.scale(s), pv.scale(s), psum.scale(s))
-        violation = (lhs - rhs) / max(scale, 1e-300)
+        violation = max(
+            _excess(lhs, u_value + v_value, max(u_scale, v_scale, sum_scale), band)
+            for (u_value, u_scale), (v_value, v_scale), (lhs, sum_scale) in zip(
+                pu.terms(s), pv.terms(s), psum.terms(s)
+            )
+        )
         if violation > tol.rel and (worst is None or violation > worst.discrepancy):
-            worst = Witness((u, v), {"lhs": lhs, "rhs": rhs}, violation)
+            worst = Witness((u, v), {"lhs": psum.value(s), "rhs": pu.value(s) + pv.value(s)}, violation)
     reports.append(AxiomReport(Axiom.TRIANGLE_INEQUALITY, worst is None, trials, worst))
 
     # norm ~ 0 must imply membership of the kept span
@@ -662,7 +690,7 @@ def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, se
         here = profile(u)
         if not here.is_zero(s):
             value = here.value(s)
-            gap = value / max(here.scale(s), 1e-300)
+            gap = value / max(here.scale(s), _TINY)
             if worst is None or gap > worst.discrepancy:
                 worst = Witness((u,), {"value": value}, gap)
     reports.append(AxiomReport(Axiom.DEFINITENESS_BACKWARD, worst is None, trials, worst))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,23 @@ class TestShiftInvariance:
         vs = list(np.zeros((3, 4)))
         with pytest.raises(DimensionMismatch):
             shift_invariance_check(norm, vs, [1.0])
+
+    @pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [(math.nan, "shift coefficients"), (math.inf, "shift coefficients"), (1e308, "non-finite coordinates")],
+    )
+    def test_non_finite_coefficients_and_overflowing_shifts_are_named(self, alpha, message, injected):
+        # a NaN or infinite coefficient is named as such, not as a non-finite
+        # vector, and a shift that overflows (1e308 times the entry 4) raises
+        # the non-finite error with no numpy warning
+        cfg = cfg_of(3, 3)
+        norm = NNorm(cfg, "injected", lambda vs: standard_norm(cfg, vs)) if injected else standard_nnorm(cfg)
+        vs = [np.array([1.0, 2.0, 3.0]), np.array([4.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                shift_invariance_check(norm, vs, [alpha, 0.0])
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nnormkit.linalg import DimensionMismatch, SpaceConfig
+from nnormkit.linalg import DimensionMismatch, SpaceConfig, Tolerance, determinant, gram_matrix, hadamard_scale
 from nnormkit.nnorm import Axiom, NNorm, standard_nnorm, standard_norm
 from nnormkit.quotient import (
     ClassCollection,
@@ -249,6 +249,23 @@ class TestCosetInvariance:
         with pytest.raises(ValueError):
             coset_invariance_check(frame, norm, np.zeros(4), s, {1: 1.0, 2: 0.0})
 
+    @pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+    @pytest.mark.parametrize(
+        "c, message",
+        [(math.nan, "coset coefficients"), (math.inf, "coset coefficients"), (1e308, "non-finite coordinates")],
+    )
+    def test_non_finite_coefficients_and_overflowing_shifts_are_named(self, c, message, injected):
+        # a NaN or infinite coefficient is named as such, not as a non-finite
+        # vector, and a shift that overflows (1e308 times the entry 4) raises
+        # the non-finite error with no numpy warning
+        cfg = SpaceConfig(3, 3)
+        frame = Frame(cfg, np.diag([4.0, 1.0, 1.0]))
+        norm = _injected(cfg) if injected else standard_nnorm(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                coset_invariance_check(frame, norm, np.array([1.0, 2.0, 3.0]), IndexSet([2]), {1: c, 3: 0.0})
+
 
 class TestDefiniteness:
     def test_quotient_zero_iff_kept_span_membership(self):
@@ -386,3 +403,77 @@ class TestOneZeroRule:
                         continue
                     reports = quotient_norm_axioms(frame, standard_nnorm(wide), s, 8, 1)
                     assert all(r.passed for r in reports), (s, [(r.axiom, r.witness) for r in reports if not r.passed])
+
+
+def _lu_gram(cfg):
+    # the square root of an LU Gram determinant: noise near sqrt(eps) of the
+    # scale on (near-)dependent tuples
+    return NNorm(cfg, "lu", lambda vs: math.sqrt(max(determinant(gram_matrix(cfg, vs)), 0.0)))
+
+
+#: broken evaluators, each with the checks that must catch it
+_MUTANTS = {
+    "squared": (
+        lambda cfg, vs: standard_norm(cfg, vs) ** 2,
+        {Axiom.ABSOLUTE_HOMOGENEITY, Axiom.TRIANGLE_INEQUALITY},
+    ),
+    "sign-skewed": (
+        lambda cfg, vs: standard_norm(cfg, vs) * (1.0 + 1e-6 * (vs[0][0] > 0.0)),
+        {Axiom.ABSOLUTE_HOMOGENEITY, "coset_invariance"},
+    ),
+    "square-root": (
+        lambda cfg, vs: math.sqrt(standard_norm(cfg, vs)),
+        {Axiom.ABSOLUTE_HOMOGENEITY},
+    ),
+    "coordinate-leak": (
+        lambda cfg, vs: standard_norm(cfg, vs) + 1e-6 * abs(vs[0][0]) * hadamard_scale(cfg, vs[1:]),
+        {"coset_invariance"},
+    ),
+}
+
+
+class TestOneComparisonRule:
+    """The quotient checks compare each class-1 term over s as `check_axioms`
+    compares values: the relative gap or the triangle excess of `nnorm`, at
+    the term's own Hadamard scale, in the zero band of the frame's space."""
+
+    @pytest.mark.parametrize("zero", [1e-9, 1e-7])
+    def test_lu_gram_evaluator_passes_homogeneity_and_triangle(self, zero):
+        # the frame and the axiom sampler start from the same seed, so the
+        # first sample is parallel to y_1 and the class-1 terms holding y_1
+        # are rounding noise, which a comparison of class-m sums with no zero
+        # band reports as a homogeneity failure at every tol.zero
+        for n, d in [(2, 2), (3, 3)]:
+            cfg = SpaceConfig(dim=d, arity=n, tol=Tolerance(zero=zero))
+            norm = _lu_gram(cfg)
+            for seed in range(1, 5):
+                frame = random_frame(cfg, np.random.default_rng(seed))
+                for m in range(1, n + 1):
+                    for s in class_collection(n, m):
+                        reports = quotient_norm_axioms(frame, norm, s, 6, seed)
+                        failed = [
+                            (r.axiom, r.witness.discrepancy)
+                            for r in reports
+                            if r.axiom in (Axiom.ABSOLUTE_HOMOGENEITY, Axiom.TRIANGLE_INEQUALITY) and not r.passed
+                        ]
+                        assert not failed, (n, d, seed, s, failed)
+
+    @pytest.mark.parametrize("mutant", sorted(_MUTANTS))
+    def test_broken_evaluators_are_caught(self, mutant):
+        evaluate, expected = _MUTANTS[mutant]
+        cfg = SpaceConfig(dim=5, arity=3)
+        norm = NNorm(cfg, mutant, lambda vs: evaluate(cfg, vs))
+        rng = np.random.default_rng(7)
+        frame = random_frame(cfg, rng)
+        for s in [IndexSet([1]), IndexSet([2]), IndexSet([1, 3]), IndexSet([2, 3])]:
+            caught = {
+                r.axiom
+                for r in quotient_norm_axioms(frame, norm, s, 20, 7)
+                if r.axiom in (Axiom.ABSOLUTE_HOMOGENEITY, Axiom.TRIANGLE_INEQUALITY) and not r.passed
+            }
+            for _ in range(20):
+                u = rng.uniform(-1.0, 1.0, cfg.dim)
+                coeffs = {i: float(rng.uniform(-5.0, 5.0)) for i in s.complement(frame.n)}
+                if not coset_invariance_check(frame, norm, u, s, coeffs)[0]:
+                    caught.add("coset_invariance")
+            assert caught == expected, (s, caught)
