@@ -25,7 +25,10 @@ when it is built, and its fit to a frame once per verdict. Table entries,
 and the vectors a verdict computes from a checked sequence and limit (under
 one `np.errstate` guard), go to the profile's private entry unchecked; one
 that overflowed is still named non-finite there, with no numpy warning on
-the way. Tabulated verdicts share one trend rule (`_settles`).
+the way. Tabulated verdicts share one trend rule (`_settles`). Cauchy and
+boundedness read a table through its L - 1 successive gaps, so a tabulated
+linear sequence, whose gaps stay level, is neither Cauchy nor Bounded: a
+finite table alone never passes as bounded.
 """
 
 from __future__ import annotations
@@ -516,11 +519,35 @@ def _cauchy_row(traces: AnalyticTraces, profiles, selection: NormSelection) -> V
 def _settles(series: list[float], floor: float) -> bool:
     """Sampled trend rule: every sample is at zero scale (at most `floor`),
     or there are at least three, nonincreasing up to `floor`, and the last
-    is at zero scale or a quarter of the first."""
+    is at zero scale or a quarter of the first.
+
+    The floor is a tolerance on the samples, taken from the vectors the
+    series is measured against, never from the series itself: for Cauchy,
+    `SPAN_DECISION_REL` of x_1's summed scale over s; for boundedness, the
+    largest such floor of the table's entries. A table whose entries differ
+    by one ulp has gaps at zero scale against its entries, but a floor
+    taken from the gaps' own scales would hold them to their own rounding
+    and call the table unsettled.
+    """
     if series and all(v <= floor for v in series):
         return True
     nonincreasing = all(a >= b - floor for a, b in zip(series, series[1:]))
     return nonincreasing and len(series) >= 3 and (series[-1] <= 0.25 * series[0] or series[-1] <= floor)
+
+
+def _rises(series: list[float], floor: float) -> bool:
+    """Does the later half of a trace exceed the earlier half's maximum by
+    more than `floor`? A table of one entry has no later half."""
+    half = (len(series) + 1) // 2
+    return max(series[half:], default=-math.inf) > max(series[:half]) + floor
+
+
+def _steps(vectors: list[np.ndarray]) -> list[np.ndarray]:
+    """The successive gaps x_{k_{i+1}} - x_{k_i} of a table's entries, under
+    one guard: a gap that overflowed is named non-finite where it is
+    profiled, with no numpy warning on the way."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [b - a for a, b in zip(vectors, vectors[1:])]
 
 
 def _validate_selection(frame: Frame, selection: NormSelection) -> None:
@@ -586,21 +613,18 @@ def is_cauchy_wrt(
 
     Evidence rows sample the doubled-index differences x_{2k} - x_k, which
     expose both decay and linear growth. For custom tables the verdict is
-    Sampled: Cauchy when the tail diameters shrink, otherwise Inconclusive.
-
-    A tail's diameter is the largest quotient norm of x_a - x_b over its
-    index pairs a < b, one profile per unordered pair. That is the diameter
-    over all ordered pairs for any n-norm: a diagonal pair is the zero
-    vector, and absolute homogeneity gives x_b - x_a the value of x_a - x_b.
-    An injected evaluator that breaks homogeneity is measured over the
-    a < b pairs only.
+    Sampled: Cauchy when the successive gaps x_{k_{i+1}} - x_{k_i} settle
+    (`_settles`, at the floor of x_1), otherwise Inconclusive. The evidence
+    holds one point (k_i, s, gap value) per gap and subset: L - 1 per
+    subset for a table of L entries. A table whose gaps stay level, as a
+    tabulated linear sequence's do, is Inconclusive.
 
     A sampled CAUCHY is evidence, not proof: the partial sums of 1/k have
-    steps that fall like 1/k, so their tail diameters shrink across any
-    finite table, yet they diverge. Each distinct vector, the first entry
-    and the pair differences together, is profiled once per call, so an
-    injected evaluator is called once per distinct (vector, requested
-    column) pair; equal entries give one zero difference.
+    gaps 1/k, which settle on any table of eight or more terms from k = 1,
+    yet the sums diverge. Each distinct vector, x_1 and the gaps together, is
+    profiled once per call, so an injected evaluator is called once per
+    distinct (vector, requested column) pair; equal successive entries
+    give one zero gap.
     """
     _validate_selection(frame, selection)
     columns = tuple(sorted(selection.union()))
@@ -611,21 +635,14 @@ def is_cauchy_wrt(
     _check_spec(spec, frame, norm)
     ks = [k for k, _ in spec.table]
     window = (ks[0], ks[-1])
-    values = dict(spec.table)
-    # every difference lies in the first tail; later tails reuse its profiles
-    pairs = list(combinations(ks, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        differences = [values[a] - values[b] for a, b in pairs]
-    memo = {}
-    gaps = dict(zip(pairs, _profiles(frame, norm, differences, columns, memo)))
-    (first,) = _profiles(frame, norm, [values[ks[0]]], columns, memo)
+    vectors = [v for _, v in spec.table]
+    first, *gaps = _profiles(frame, norm, vectors[:1] + _steps(vectors), columns, {})
     all_good = True
     evidence = []
     for s in selection.subsets:
-        # only tails with at least two points say anything about a diameter
-        diameters = [max(gaps[pair].value(s) for pair in combinations(ks[t:], 2)) for t in range(len(ks) - 1)]
-        evidence.extend(TracePoint(k, s, d) for k, d in zip(ks, diameters))
-        all_good = _settles(diameters, first.floor(s)) and all_good
+        series = [p.value(s) for p in gaps]
+        evidence.extend(TracePoint(k, s, v) for k, v in zip(ks, series))
+        all_good = _settles(series, first.floor(s)) and all_good
     if all_good:
         return Verdict(Conclusion.CAUCHY, Method.SAMPLED, evidence=tuple(evidence), window=window)
     return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, evidence=tuple(evidence), window=window)
@@ -640,16 +657,26 @@ def is_bounded_wrt(
 ) -> Verdict:
     """Boundedness verdict for a finite point set or a sequence spec.
 
-    Finite point sets and tables are always Bounded, with witness M the exact
-    maximum over points and subsets. Closed-form specs get an Analytic
-    verdict from the trace formula.
+    A finite point set is Bounded, with witness M the exact maximum over
+    points and subsets. Closed-form specs get an Analytic verdict from the
+    trace formula. A custom table is a finite window on a sequence, so it
+    gets a Sampled verdict: Bounded, with M as for a point set, when no
+    subset's trace rises (the later half of the trace stays within the
+    largest entry floor of the earlier half's maximum), or when the
+    successive gaps of every trace that rises settle (`_settles`, at the
+    same floor); otherwise Inconclusive, with no bound. The evidence holds
+    the entries' values, k outer and s inner. A sampled BOUNDED on a table
+    is evidence, not proof: the partial sums of 1/k pass, as they pass as
+    Cauchy.
 
-    Each distinct point or entry is profiled once per call, so an injected
-    evaluator is called once per distinct (vector, requested column) pair.
+    Each distinct point, entry or gap is profiled once per call, so an
+    injected evaluator is called once per distinct (vector, requested
+    column) pair; the gaps are profiled only when a trace rises.
     """
     _validate_selection(frame, selection)
     columns = tuple(sorted(selection.union()))
-    if isinstance(points_or_spec, SequenceSpec):
+    table = isinstance(points_or_spec, SequenceSpec)
+    if table:
         spec = points_or_spec
         if spec.kind is not SequenceKind.CUSTOM:
             traces = AnalyticTraces(spec, frame, norm, evidence=[(evidence_ks, _term)], columns=columns)
@@ -663,14 +690,22 @@ def is_bounded_wrt(
             raise ValueError("boundedness needs a nonempty point set")
         _check_compatible(frame, norm)
         ks = range(1, len(points) + 1)
-    best = 0.0
-    evidence = []
-    for k, profile in zip(ks, _profiles(frame, norm, points, columns, {})):
+    window = (ks[0], ks[-1])
+    memo = {}
+    profiles = _profiles(frame, norm, points, columns, memo)
+    evidence = tuple(TracePoint(k, s, p.value(s)) for k, p in zip(ks, profiles) for s in selection.subsets)
+    if table:
+        rising = []
         for s in selection.subsets:
-            value = profile.value(s)
-            evidence.append(TracePoint(k, s, value))
-            best = max(best, value)
-    return Verdict(Conclusion.BOUNDED, Method.SAMPLED, bound=best, evidence=tuple(evidence), window=(ks[0], ks[-1]))
+            floor = max(p.floor(s) for p in profiles)
+            if _rises([p.value(s) for p in profiles], floor):
+                rising.append((s, floor))
+        if rising:
+            gaps = _profiles(frame, norm, _steps(points), columns, memo)
+            if not all(_settles([g.value(s) for g in gaps], floor) for s, floor in rising):
+                return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, evidence=evidence, window=window)
+    bound = max([0.0] + [p.value for p in evidence])
+    return Verdict(Conclusion.BOUNDED, Method.SAMPLED, bound=bound, evidence=evidence, window=window)
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,10 @@ def _bits(verdict: Verdict) -> tuple:
 
 #: distinct vectors the convergence, Cauchy and boundedness verdicts profile
 #: on a 6-term table: a constant table has one offset, one gap (zero) besides
-#: its first term, and one term; an oscillating one has two offsets, three
-#: gaps (zero, x_1 - x_2 and x_2 - x_1) besides its first term, and two terms
-DISTINCT = {"constant": (1, 2, 1), "oscillating": (2, 4, 2)}
+#: its first term, and one term; an oscillating one has two offsets, two
+#: gaps (x_2 - x_1 and x_3 - x_2) besides its first term, and two terms
+#: (its trace does not rise, so boundedness profiles no gap)
+DISTINCT = {"constant": (1, 2, 1), "oscillating": (2, 3, 2)}
 
 
 @pytest.mark.parametrize("selection", SELECTIONS, ids=SELECTION_IDS)
@@ -185,8 +186,8 @@ def test_an_overflowing_table_vector_raises_where_it_first_occurs(injected):
     norm, calls = _counting_norm(cfg) if injected else (standard_nnorm(cfg), [])
     x = rng.uniform(-1.0, 1.0, 5)
     big = np.array([1e308, 0.0, 0.0, 0.0, 0.0])
-    # gaps in pair order: 0, x - big, x + big, then x - big and x + big
-    # again, then big - (-big), which overflows
+    # x_1 is profiled first, then the gaps in step order: 0, big - x, then
+    # -big - big, which overflows
     table = custom_sequence([(1, x), (2, x), (3, big), (4, -big)])
     selection = full_selection(4, 1)
     with warnings.catch_warnings():

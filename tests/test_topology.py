@@ -432,10 +432,13 @@ class TestSampledPath:
         assert verdict.conclusion is Conclusion.INCONCLUSIVE
 
     def test_custom_table_bounded(self):
+        # a linear table rises with level gaps: a finite table alone is not
+        # evidence of boundedness
         cfg, frame, norm = space(2, 2)
         table = [(k, np.array([float(k), 0.5])) for k in range(1, 6)]
         verdict = is_bounded_wrt(custom_sequence(table), frame, norm, full_selection(2, 1))
-        assert verdict.conclusion is Conclusion.BOUNDED
+        assert verdict.conclusion is Conclusion.INCONCLUSIVE
+        assert verdict.bound is None
         assert verdict.window == (1, 5)
 
 
