@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, SpaceConfig, Tolerance
+from .linalg import DEFAULT_TOL, SpaceConfig, Tolerance, _tolerance, gram_matrix
 from .nnorm import check_axioms, standard_nnorm, standard_norm
 from .quotient import (
     Frame,
@@ -84,12 +84,7 @@ class RunConfig:
             space_raw = raw.get("space", {})
             dim = int(space_raw.get("dim", fallback_dim if fallback_dim is not None else 3))
             arity = int(space_raw.get("arity", fallback_arity if fallback_arity is not None else min(2, dim)))
-            tol_raw = raw.get("tolerances", {})
-            tol = Tolerance(
-                zero=float(tol_raw.get("zero", DEFAULT_TOL.zero)),
-                rel=float(tol_raw.get("rel", DEFAULT_TOL.rel)),
-                sym=float(tol_raw.get("sym", DEFAULT_TOL.sym)),
-            )
+            tol = _tolerance(raw.get("tolerances", {}))
             space = SpaceConfig(dim=dim, arity=arity, metric=space_raw.get("metric"), tol=tol)
             frame_raw = raw.get("frame", "standard-basis")
             if frame_raw == "standard-basis":
@@ -98,8 +93,6 @@ class RunConfig:
                 frame = Frame(space=space, vectors=np.array(frame_raw, dtype=float))
             seed = int(raw.get("seed", 0))
             trials = int(raw.get("trials", 200))
-        except UsageError:
-            raise
         except (ValueError, TypeError, KeyError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
         return cls(space=space, frame=frame, seed=seed, trials=trials, raw=raw)
@@ -174,13 +167,8 @@ def cmd_norm(args) -> int:
         raise UsageError(f"vectors have mixed lengths {sorted(dims)}")
     config = RunConfig.from_file(args.config, fallback_dim=len(vectors[0]), fallback_arity=len(vectors))
     cfg = config.space
-    try:
-        value = standard_norm(cfg, vectors)
-        from .linalg import gram_matrix
-
-        gram = gram_matrix(cfg, vectors)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    value = standard_norm(cfg, vectors)
+    gram = gram_matrix(cfg, vectors)
     print(f"standard {cfg.arity}-norm = {fmt(value, cfg.tol)}")
     print("gram matrix:")
     for row in gram:
@@ -201,10 +189,7 @@ def cmd_quotient(args) -> int:
     if len(u) != cfg.dim:
         raise UsageError(f"vector length {len(u)} does not match dimension {cfg.dim}")
     s = _parse_indices(args.indices)
-    try:
-        s.validate_for(frame.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    s.validate_for(frame.n)
     norm = standard_nnorm(cfg)
     per_class1 = {j: class1_norm(frame, norm, u, j) for j in s}
     total = classm_norm(frame, norm, u, s)

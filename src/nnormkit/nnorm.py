@@ -118,7 +118,8 @@ class Axiom(Enum):
 @dataclass(frozen=True)
 class Witness:
     """A concrete failing input: the tuple, any extra parameters, and the
-    measured discrepancy that exceeded the tolerance."""
+    measured discrepancy that exceeded the tolerance (NaN when the check
+    could not measure one)."""
 
     vectors: tuple
     detail: dict
@@ -193,39 +194,35 @@ class _Sampler:
                 return rows
         return rows  # pathological metric; keep the last draw
 
-    def _insert(self, rows: list[np.ndarray], special: np.ndarray) -> tuple[list[np.ndarray], int]:
+    def _insert(self, rows: list[np.ndarray], special: np.ndarray) -> list[np.ndarray]:
         slot = int(self.rng.integers(0, len(rows) + 1))
-        out = rows[:slot] + [special] + rows[slot:]
-        return out, slot
+        return rows[:slot] + [special] + rows[slot:]
+
+    def _combination(self, others: list[np.ndarray]) -> np.ndarray:
+        """A random combination of the rows, made unit unless it is tiny."""
+        combo = np.array(others).T @ self.rng.uniform(-0.75, 0.75, len(others))
+        if _metric_length(self.cfg, combo) > 1e-3:
+            combo = self._unit(combo)
+        return combo
 
     def dependent(self) -> list[np.ndarray]:
         n = self.cfg.arity
         kind = int(self.rng.integers(0, 3))
-        if kind == 0 and n >= 2:  # exact combination of the others
-            others = self._conditioned_units(n - 1)
-            combo = np.array(others).T @ self.rng.uniform(-0.75, 0.75, n - 1)
-            if _metric_length(self.cfg, combo) > 1e-3:
-                combo = self._unit(combo)
-            tup, _ = self._insert(others, combo)
-            return tup
-        if kind == 1 and n >= 2:  # duplicated vector
-            others = self._conditioned_units(n - 1)
-            dup = others[int(self.rng.integers(0, n - 1))].copy()
-            tup, _ = self._insert(others, dup)
-            return tup
-        # zero vector
         others = self._conditioned_units(n - 1)
-        tup, _ = self._insert(others, np.zeros(self.cfg.dim))
-        return tup
+        if kind == 0 and n >= 2:  # exact combination of the others
+            special = self._combination(others)
+        elif kind == 1 and n >= 2:  # duplicated vector
+            special = others[int(self.rng.integers(0, n - 1))].copy()
+        else:  # zero vector
+            special = np.zeros(self.cfg.dim)
+        return self._insert(others, special)
 
     def near_dependent(self, delta: float) -> list[np.ndarray]:
         n = self.cfg.arity
         if n == 1:
             return [delta * self._conditioned_units(1)[0]]
         others = self._conditioned_units(n - 1)
-        combo = np.array(others).T @ self.rng.uniform(-0.75, 0.75, n - 1)
-        if _metric_length(self.cfg, combo) > 1e-3:
-            combo = self._unit(combo)
+        combo = self._combination(others)
         volume = _volumes(self.cfg, np.array(others))[0][0]
         for _ in range(200):
             w = self._unit(self.rng.normal(size=self.cfg.dim))
@@ -233,8 +230,7 @@ class _Sampler:
             # volumes with and without it
             if _volumes(self.cfg, np.array(others + [w]))[0][0] >= self.MIN_PERP * volume:
                 break
-        tup, _ = self._insert(others, combo + delta * w)
-        return tup
+        return self._insert(others, combo + delta * w)
 
     def equality_batch(self, trials: int) -> _Batch:
         """Tuples for value-comparison checks: generic plus mild perturbation."""
@@ -268,39 +264,45 @@ class _Sampler:
         return _Batch(tuples, labels)
 
 
+def _worst(witnesses) -> Witness | None:
+    """The first witness with the largest discrepancy, a NaN discrepancy
+    ranking as inf; None when there are no witnesses. Every check of
+    `check_axioms` and of `quotient.quotient_norm_axioms` selects its
+    witness here, from the witnesses of its failing decisions in order."""
+    return max(witnesses, key=lambda w: _severity(w.discrepancy), default=None)
+
+
+def _severity(gap: float) -> float:
+    """A gap's rank among discrepancies: NaN ranks as inf."""
+    return math.inf if math.isnan(gap) else gap
+
+
 def _check_nonnegativity(norm, batch, rng):
-    worst = None
-    for vs, label, value in zip(batch.tuples, batch.labels, batch.base(norm)[0]):
-        if not (math.isfinite(value) and value >= -norm.cfg.tol.zero):
-            gap = -value if math.isfinite(value) else math.inf
-            if worst is None or gap > worst.discrepancy:
-                worst = Witness(tuple(vs), {"construction": label, "value": value}, gap)
-    return worst
+    return _worst(
+        Witness(tuple(vs), {"construction": label, "value": value}, -value if math.isfinite(value) else math.inf)
+        for vs, label, value in zip(batch.tuples, batch.labels, batch.base(norm)[0])
+        if not (math.isfinite(value) and value >= -norm.cfg.tol.zero)
+    )
 
 
 def _check_definiteness_forward(norm, batch, rng):
     # whenever the value collapses to zero scale, the tuple must be dependent
     cfg = norm.cfg
-    worst = None
-    for vs, label, value, scale in zip(batch.tuples, batch.labels, *batch.base(norm)):
-        if value <= cfg.tol.zero * scale:
-            if rank(vs, cfg.tol) == cfg.arity:
-                witness = Witness(tuple(vs), {"construction": label, "value": value}, math.inf)
-                worst = witness
-    return worst
+    return _worst(
+        Witness(tuple(vs), {"construction": label, "value": value}, math.inf)
+        for vs, label, value, scale in zip(batch.tuples, batch.labels, *batch.base(norm))
+        if value <= cfg.tol.zero * scale and rank(vs, cfg.tol) == cfg.arity
+    )
 
 
 def _check_definiteness_backward(norm, batch, rng):
     # dependent tuples must evaluate to zero, inside the zero band
     band = _zero_band(norm.cfg)
-    worst = None
-    for vs, label, value, scale in zip(batch.tuples, batch.labels, *batch.base(norm)):
-        allowed = band * scale
-        if value > allowed:
-            gap = value - allowed
-            if worst is None or gap > worst.discrepancy:
-                worst = Witness(tuple(vs), {"construction": label, "value": value}, gap)
-    return worst
+    return _worst(
+        Witness(tuple(vs), {"construction": label, "value": value}, value - band * scale)
+        for vs, label, value, scale in zip(batch.tuples, batch.labels, *batch.base(norm))
+        if not value <= band * scale
+    )
 
 
 def _zero_band(cfg: SpaceConfig) -> float:
@@ -312,20 +314,21 @@ def _zero_band(cfg: SpaceConfig) -> float:
 
 
 def _rel_gap(a: float, b: float, scale: float, band: float) -> float:
-    """Relative discrepancy of two norm values of comparable scale.
+    """Relative discrepancy of two norm values of comparable scale; NaN when
+    either value is NaN.
 
     Values inside the zero band compare equal: on (near-)dependent tuples the
     computed norm is pure rounding noise, and the definiteness axiom says
     both sides vanish there anyway.
     """
-    if max(abs(a), abs(b)) <= band * scale:
+    if abs(a) <= band * scale and abs(b) <= band * scale:
         return 0.0
     return abs(a - b) / max(abs(a), abs(b), scale, _TINY)
 
 
 def _excess(lhs: float, rhs: float, scale: float, band: float) -> float:
     """Relative amount by which lhs exceeds rhs, for an inequality lhs <= rhs
-    between norm values of comparable scale.
+    between norm values of comparable scale; NaN when either side is NaN.
 
     A left side inside the zero band has no excess: it is zero up to
     rounding, and a zero left side cannot violate the inequality.
@@ -346,13 +349,12 @@ def _check_permutation(norm, batch, rng):
         perms = [[tuple(rng.permutation(n)) for _ in range(8)] for _ in batch.tuples]
     rows = np.arange(len(perms))[:, None, None]
     values = iter(_evaluate(norm, batch.stack[rows, np.array(perms)].reshape(-1, n, cfg.dim))[0])
-    worst = None
-    for vs, base, scale, tuple_perms in zip(batch.tuples, bases, scales, perms):
-        for perm, value in zip(tuple_perms, values):
-            gap = _rel_gap(value, base, scale, band)
-            if gap > cfg.tol.rel and (worst is None or gap > worst.discrepancy):
-                worst = Witness(tuple(vs), {"permutation": perm, "value": value, "base": base}, gap)
-    return worst
+    return _worst(
+        Witness(tuple(vs), {"permutation": perm, "value": value, "base": base}, gap)
+        for vs, base, scale, tuple_perms in zip(batch.tuples, bases, scales, perms)
+        for perm, value in zip(tuple_perms, values)
+        if not (gap := _rel_gap(value, base, scale, band)) <= cfg.tol.rel
+    )
 
 
 def _check_homogeneity(norm, batch, rng):
@@ -362,12 +364,11 @@ def _check_homogeneity(norm, batch, rng):
     alphas = [float(rng.uniform(-10.0, 10.0)) for _ in batch.tuples]
     scaled = batch.stack.copy()
     scaled[:, 0] *= np.array(alphas)[:, None]
-    worst = None
-    for vs, alpha, value, base, scale in zip(batch.tuples, alphas, _evaluate(norm, scaled)[0], bases, scales):
-        gap = _rel_gap(value, abs(alpha) * base, abs(alpha) * scale, band)
-        if gap > cfg.tol.rel and (worst is None or gap > worst.discrepancy):
-            worst = Witness(tuple(vs), {"alpha": alpha, "value": value, "base": base}, gap)
-    return worst
+    return _worst(
+        Witness(tuple(vs), {"alpha": alpha, "value": value, "base": base}, gap)
+        for vs, alpha, value, base, scale in zip(batch.tuples, alphas, _evaluate(norm, scaled)[0], bases, scales)
+        if not (gap := _rel_gap(value, abs(alpha) * base, abs(alpha) * scale, band)) <= cfg.tol.rel
+    )
 
 
 def _check_triangle(norm, batch, rng):
@@ -381,25 +382,19 @@ def _check_triangle(norm, batch, rng):
     # summed tuples first, then the alternatives, in one stack
     values, scales = _evaluate(norm, np.concatenate([summed, alt]))
     count = len(first_alts)
-    worst = None
-    for t, (vs, first_alt) in enumerate(zip(batch.tuples, first_alts)):
-        lhs = values[t]
-        rhs = bases[t] + values[count + t]
-        violation = _excess(lhs, rhs, max(scales[t], base_scales[t], scales[count + t]), band)
-        if violation > cfg.tol.rel and (worst is None or violation > worst.discrepancy):
-            worst = Witness(tuple(vs), {"added": first_alt, "lhs": lhs, "rhs": rhs}, violation)
-    return worst
+    sums = [bases[t] + values[count + t] for t in range(count)]
+    bounds = [max(scales[t], base_scales[t], scales[count + t]) for t in range(count)]
+    return _worst(
+        Witness(tuple(vs), {"added": first_alt, "lhs": lhs, "rhs": rhs}, violation)
+        for vs, first_alt, lhs, rhs, scale in zip(batch.tuples, first_alts, values, sums, bounds)
+        if not (violation := _excess(lhs, rhs, scale, band)) <= cfg.tol.rel
+    )
 
 
 def _check_shift(norm, batch, rng):
-    cfg = norm.cfg
-    worst = None
-    for vs in batch.tuples:
-        alphas = rng.uniform(-5.0, 5.0, cfg.arity - 1) if cfg.arity > 1 else np.zeros(0)
-        passed, gap = shift_invariance_check(norm, vs, alphas)
-        if not passed and (worst is None or gap > worst.discrepancy):
-            worst = Witness(tuple(vs), {"alphas": alphas}, gap)
-    return worst
+    alphas = [rng.uniform(-5.0, 5.0, norm.cfg.arity - 1) for _ in batch.tuples]
+    checked = ((vs, a, shift_invariance_check(norm, vs, a)) for vs, a in zip(batch.tuples, alphas))
+    return _worst(Witness(tuple(vs), {"alphas": a}, gap) for vs, a, (passed, gap) in checked if not passed)
 
 
 #: each check with the `_Sampler` method that draws its batch
@@ -430,10 +425,17 @@ def check_axioms(norm: NNorm, trials: int, seed: int) -> list[AxiomReport]:
     the batch's values: the boundary batch's serve nonnegativity and forward
     definiteness, the equality batch's base values and scales serve
     permutation, homogeneity and triangle. Every permuted, scaled, summed or
-    alternative tuple of a check is evaluated in one stack, and the worst
-    witness is picked afterwards in batch order. The standard kind evaluates
-    each stack with one QR; an injected evaluator is called once per tuple,
-    in batch order. Shift invariance calls `shift_invariance_check` per tuple.
+    alternative tuple of a check is evaluated in one stack. The standard kind
+    evaluates each stack with one QR; an injected evaluator is called once
+    per tuple, in batch order. Shift invariance calls `shift_invariance_check`
+    per tuple.
+
+    A decision that compares a gap with its threshold fails unless gap <=
+    threshold, so a NaN value or gap fails. Each check hands the witnesses
+    of its failing decisions, in batch order, to `_worst`, which reports the
+    first with the largest discrepancy, NaN ranking as inf. Forward
+    definiteness gives each failing tuple the discrepancy inf, so it reports
+    the first failing tuple.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -18,7 +18,7 @@ All index sets are 1-based, here and in the JSON forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Mapping
@@ -31,14 +31,16 @@ from .linalg import (
     SpaceConfig,
     _metric_length,
     _products,
+    _index,
     _split_product,
+    _tolerance,
     _volumes,
     as_vector,
     determinant,  # unused here; bench/spans.py traces this binding
     rank,
     unit_rows,
 )
-from .nnorm import _TINY, Axiom, AxiomReport, NNorm, Witness, _excess, _rel_gap, _zero_band
+from .nnorm import _TINY, Axiom, AxiomReport, NNorm, Witness, _excess, _rel_gap, _severity, _worst, _zero_band
 
 __all__ = [
     "IndexSet",
@@ -90,7 +92,7 @@ class IndexSet:
     indices: tuple[int, ...]
 
     def __init__(self, indices):
-        idx = tuple(int(i) for i in indices)
+        idx = tuple(_index(i) for i in indices)
         if len(idx) == 0:
             raise ValueError("index set must be nonempty")
         if any(i < 1 for i in idx):
@@ -227,6 +229,7 @@ class Frame:
             "dim": self.space.dim,
             "arity": self.space.arity,
             "vectors": self.vectors.tolist(),
+            "tolerances": asdict(self.space.tol),
         }
         if self.space.metric is not None:
             out["metric"] = self.space.metric.tolist()
@@ -234,7 +237,8 @@ class Frame:
 
     @classmethod
     def from_json(cls, obj) -> "Frame":
-        cfg = SpaceConfig(dim=int(obj["dim"]), arity=int(obj["arity"]), metric=obj.get("metric"))
+        tol = _tolerance(obj.get("tolerances", {}))
+        cfg = SpaceConfig(dim=int(obj["dim"]), arity=int(obj["arity"]), metric=obj.get("metric"), tol=tol)
         return cls(space=cfg, vectors=np.array(obj["vectors"], dtype=float))
 
 
@@ -532,8 +536,6 @@ def in_kept_span(frame: Frame, u, s: IndexSet) -> bool:
     s.validate_for(frame.n)
     u = as_vector(u, frame.dim)
     kept = frame.kept_vectors(s)
-    if not kept:
-        return rank([u], frame.space.tol) == 0
     return rank(kept + [u], frame.space.tol) == len(kept)
 
 
@@ -546,7 +548,8 @@ def coset_invariance_check(frame: Frame, norm: NNorm, u, s: IndexSet, coeffs: Ma
     vector raises. Returns (passed, discrepancy): each class-1 term over s
     is compared as `check_axioms` compares values (`nnorm._rel_gap` against
     the larger of the term's two Hadamard scales, in the zero band of the
-    frame's space), and the discrepancy is the worst term's.
+    frame's space), and the discrepancy is the worst term's, a NaN term
+    ranking worst (`nnorm._severity`), so that it fails wherever it sits.
     """
     _check_compatible(frame, norm)
     s.validate_for(frame.n)
@@ -564,10 +567,11 @@ def coset_invariance_check(frame: Frame, norm: NNorm, u, s: IndexSet, coeffs: Ma
     here = _profile(frame, norm, u, s)
     moved = _profile(frame, norm, shifted, s)
     band = _zero_band(frame.space)
-    gap = max(
+    gaps = [
         _rel_gap(base, value, max(here_scale, moved_scale), band)
         for (base, here_scale), (value, moved_scale) in zip(here.terms(s), moved.terms(s))
-    )
+    ]
+    gap = max(gaps, key=_severity)
     return gap <= frame.space.tol.rel, gap
 
 
@@ -612,8 +616,16 @@ def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, se
     does, one class-1 term at a time: for each j in s, `nnorm._rel_gap` (or
     `nnorm._excess` for the triangle) of the term's values against the
     term's own Hadamard scale, in the zero band sqrt(tol.zero) of the
-    frame's space. The discrepancy is the worst term's; the witness details
+    frame's space. Each term's comparison is one decision, and it fails
+    unless gap <= tol.rel, so a NaN value or gap fails. The witness details
     carry the class-m sums.
+
+    Witnesses are selected as in `check_axioms`: each check hands those of
+    its failing decisions, in draw order, to `nnorm._worst`, which reports
+    the first with the largest discrepancy, NaN ranking as inf. So a failing
+    report carries the worst term's discrepancy, and forward definiteness,
+    whose witnesses all carry inf, reports its first failing sample. The
+    four checks draw from one generator, in the order of the reports.
 
     An injected evaluator built as the square root of the LU `determinant`
     of `gram_matrix` carries noise near sqrt(eps) of the scale on members of
@@ -633,66 +645,61 @@ def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, se
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_compatible(frame, norm)
     s.validate_for(frame.n)
-    cfg = frame.space
-    tol = cfg.tol
-    band = _zero_band(cfg)
+    tol = frame.space.tol
+    band = _zero_band(frame.space)
     rng = np.random.default_rng(seed)
-    reports = []
 
     def profile(u):
         return _profile(frame, norm, u, s)
 
-    worst = None
-    for _ in range(trials):
-        u = rng.uniform(-1.0, 1.0, frame.dim)
-        alpha = float(rng.uniform(-10.0, 10.0))
-        here, moved = profile(u), profile(alpha * u)
-        gap = max(
-            _rel_gap(value, abs(alpha) * base, abs(alpha) * scale, band)
-            for (value, _), (base, scale) in zip(moved.terms(s), here.terms(s))
-        )
-        if gap > tol.rel and (worst is None or gap > worst.discrepancy):
-            worst = Witness((u,), {"alpha": alpha, "value": moved.value(s), "base": here.value(s)}, gap)
-    reports.append(AxiomReport(Axiom.ABSOLUTE_HOMOGENEITY, worst is None, trials, worst))
+    def homogeneity():
+        for _ in range(trials):
+            u = rng.uniform(-1.0, 1.0, frame.dim)
+            alpha = float(rng.uniform(-10.0, 10.0))
+            here, moved = profile(u), profile(alpha * u)
+            for (value, _), (base, scale) in zip(moved.terms(s), here.terms(s)):
+                gap = _rel_gap(value, abs(alpha) * base, abs(alpha) * scale, band)
+                if not gap <= tol.rel:
+                    yield Witness((u,), {"alpha": alpha, "value": moved.value(s), "base": here.value(s)}, gap)
 
-    worst = None
-    for _ in range(trials):
-        u = rng.uniform(-1.0, 1.0, frame.dim)
-        v = rng.uniform(-1.0, 1.0, frame.dim)
-        pu, pv, psum = profile(u), profile(v), profile(u + v)
-        violation = max(
-            _excess(lhs, u_value + v_value, max(u_scale, v_scale, sum_scale), band)
-            for (u_value, u_scale), (v_value, v_scale), (lhs, sum_scale) in zip(
-                pu.terms(s), pv.terms(s), psum.terms(s)
-            )
-        )
-        if violation > tol.rel and (worst is None or violation > worst.discrepancy):
-            worst = Witness((u, v), {"lhs": psum.value(s), "rhs": pu.value(s) + pv.value(s)}, violation)
-    reports.append(AxiomReport(Axiom.TRIANGLE_INEQUALITY, worst is None, trials, worst))
+    def triangle():
+        for _ in range(trials):
+            u = rng.uniform(-1.0, 1.0, frame.dim)
+            v = rng.uniform(-1.0, 1.0, frame.dim)
+            pu, pv, psum = profile(u), profile(v), profile(u + v)
+            terms = zip(pu.terms(s), pv.terms(s), psum.terms(s))
+            for (u_value, u_scale), (v_value, v_scale), (lhs, sum_scale) in terms:
+                violation = _excess(lhs, u_value + v_value, max(u_scale, v_scale, sum_scale), band)
+                if not violation <= tol.rel:
+                    yield Witness((u, v), {"lhs": psum.value(s), "rhs": pu.value(s) + pv.value(s)}, violation)
 
-    # norm ~ 0 must imply membership of the kept span
-    worst = None
-    for t in range(trials):
-        if t % 2 == 0:
+    def forward():
+        # norm ~ 0 must imply membership of the kept span
+        for t in range(trials):
+            if t % 2 == 0:
+                u = _adversarial_member(frame, s, rng)
+            else:
+                delta = 1e-6 if t % 4 == 1 else 1e-3
+                u = _adversarial_member(frame, s, rng) + delta * _escape_direction(frame, s, rng)
+            here = profile(u)
+            if here.is_zero(s) and not in_kept_span(frame, u, s):
+                yield Witness((u,), {"value": here.value(s)}, math.inf)
+
+    def backward():
+        # members of the kept span must evaluate to zero
+        for _ in range(trials):
             u = _adversarial_member(frame, s, rng)
-        else:
-            delta = 1e-6 if t % 4 == 1 else 1e-3
-            u = _adversarial_member(frame, s, rng) + delta * _escape_direction(frame, s, rng)
-        here = profile(u)
-        if here.is_zero(s) and not in_kept_span(frame, u, s):
-            worst = Witness((u,), {"value": here.value(s)}, math.inf)
-    reports.append(AxiomReport(Axiom.DEFINITENESS_FORWARD, worst is None, trials, worst))
+            here = profile(u)
+            if not here.is_zero(s):
+                yield Witness((u,), {"value": here.value(s)}, here.value(s) / max(here.scale(s), _TINY))
 
-    # members of the kept span must evaluate to zero
-    worst = None
-    for _ in range(trials):
-        u = _adversarial_member(frame, s, rng)
-        here = profile(u)
-        if not here.is_zero(s):
-            value = here.value(s)
-            gap = value / max(here.scale(s), _TINY)
-            if worst is None or gap > worst.discrepancy:
-                worst = Witness((u,), {"value": value}, gap)
-    reports.append(AxiomReport(Axiom.DEFINITENESS_BACKWARD, worst is None, trials, worst))
-
+    reports = []
+    for axiom, failing in [
+        (Axiom.ABSOLUTE_HOMOGENEITY, homogeneity()),
+        (Axiom.TRIANGLE_INEQUALITY, triangle()),
+        (Axiom.DEFINITENESS_FORWARD, forward()),
+        (Axiom.DEFINITENESS_BACKWARD, backward()),
+    ]:
+        witness = _worst(failing)
+        reports.append(AxiomReport(axiom, witness is None, trials, witness))
     return reports

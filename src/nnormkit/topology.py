@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import DimensionMismatch, SpaceConfig, as_vector
+from .linalg import DimensionMismatch, SpaceConfig, _index, as_vector
 from .nnorm import NNorm, standard_nnorm
 from .quotient import (
     Frame,
@@ -118,11 +118,11 @@ class SequenceSpec:
         if self.kind is SequenceKind.CUSTOM:
             if not self.table:
                 raise ValueError("custom sequence needs a nonempty table")
-            ks = [k for k, _ in self.table]
+            ks = [_index(k) for k, _ in self.table]
             if any(k < 1 for k in ks) or any(a >= b for a, b in zip(ks, ks[1:])):
                 raise ValueError("table indices must be strictly increasing and >= 1")
             dim = len(as_vector(self.table[0][1]))
-            frozen = tuple((int(k), as_vector(v, dim)) for k, v in self.table)
+            frozen = tuple((k, as_vector(v, dim)) for k, (_, v) in zip(ks, self.table))
             object.__setattr__(self, "table", frozen)
             return
         if self.base is None and self.kind is not SequenceKind.DIVERGENT_LINEAR:
@@ -165,7 +165,7 @@ class SequenceSpec:
     def from_json(cls, obj) -> "SequenceSpec":
         kind = SequenceKind(obj["kind"])
         if kind is SequenceKind.CUSTOM:
-            return custom_sequence([(int(k), np.array(v, dtype=float)) for k, v in obj["table"]])
+            return custom_sequence([(k, np.array(v, dtype=float)) for k, v in obj["table"]])
         return cls(
             kind=kind,
             base=None if obj.get("base") is None else np.array(obj["base"], dtype=float),
@@ -201,7 +201,7 @@ def constant(point) -> SequenceSpec:
 
 
 def custom_sequence(table) -> SequenceSpec:
-    return SequenceSpec(kind=SequenceKind.CUSTOM, table=tuple((int(k), v) for k, v in table))
+    return SequenceSpec(kind=SequenceKind.CUSTOM, table=tuple(table))
 
 
 def eval_sequence(spec: SequenceSpec, k: int):
@@ -837,7 +837,7 @@ def closed_set_probe(
     proof of closedness.
     """
     entries = []
-    ks = tuple(int(k) for k in sample_ks)
+    ks = tuple(_index(k) for k in sample_ks)
     for spec in specs:
         limit = natural_limit(spec)
         if limit is None:

@@ -44,9 +44,10 @@ class TestNormCommand:
     def test_mixed_lengths_exit_2(self):
         assert main(["norm", "1,0", "1,0,0"]) == 2
 
-    def test_arity_mismatch_with_config(self, tmp_path):
+    def test_arity_mismatch_with_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 3}})
         assert main(["norm", "--config", cfg, "1,0,0", "0,1,0"]) == 2
+        assert capsys.readouterr().err == "error: vector count: expected 3, got 2\n"
 
     def test_json_report_written(self, tmp_path):
         out = tmp_path / "report.json"
@@ -81,6 +82,12 @@ class TestQuotientCommand:
         cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 3}})
         assert main(["quotient", "--config", cfg, "-u", "1,2,3", "-s", "4"]) == 2
         assert main(["quotient", "--config", cfg, "-u", "1,2,3", "-s", "2,1"]) == 2
+
+    def test_bad_index_set_message(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 3}})
+        assert main(["quotient", "--config", cfg, "-u", "1,2,3", "-s", "1,4"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: index set (1, 4) exceeds arity 3\n")
 
 
 class TestCoverCommand:

@@ -204,6 +204,67 @@ class TestCheckAxioms:
             AxiomReport(axiom=Axiom.NONNEGATIVITY, passed=False, trials=1, witness=None)
 
 
+def _nan_on_large(cfg):
+    # NaN whenever the first vector has an entry above 1.5
+    return NNorm(cfg, "nan-on-large", lambda vs: math.nan if max(vs[0]) > 1.5 else standard_norm(cfg, vs))
+
+
+def _nan_on_dependent(cfg):
+    return NNorm(cfg, "nan-on-dependent", lambda vs: math.nan if rank(vs, cfg.tol) < cfg.arity else standard_norm(cfg, vs))
+
+
+class TestWitnessRule:
+    """Every check hands the witnesses of its failing decisions to
+    `nnorm._worst`, and a gap decision fails unless gap <= threshold."""
+
+    def test_worst_is_the_first_largest_with_nan_as_inf(self):
+        def w(gap, tag):
+            return Witness((), {"tag": tag}, gap)
+
+        assert nnorm._worst([]) is None
+        assert nnorm._worst(iter([])) is None
+        assert nnorm._worst([w(1.0, "a"), w(3.0, "b"), w(3.0, "c"), w(2.0, "d")]).detail["tag"] == "b"
+        assert nnorm._worst([w(1.0, "a"), w(math.nan, "b"), w(5.0, "c")]).detail["tag"] == "b"
+        assert nnorm._worst([w(math.inf, "a"), w(math.nan, "b")]).detail["tag"] == "a"
+        assert nnorm._worst([w(math.nan, "a"), w(math.inf, "b")]).detail["tag"] == "a"
+
+    @pytest.mark.parametrize("n, d", [(2, 3), (3, 4), (5, 6)])
+    def test_a_nan_on_large_evaluator_fails_homogeneity_triangle_and_shift(self, n, d):
+        reports = {r.axiom: r for r in check_axioms(_nan_on_large(cfg_of(n, d)), trials=40, seed=4)}
+        for axiom in (Axiom.ABSOLUTE_HOMOGENEITY, Axiom.TRIANGLE_INEQUALITY, Axiom.SHIFT_INVARIANCE):
+            assert not reports[axiom].passed, axiom
+            assert math.isnan(reports[axiom].witness.discrepancy)
+            assert max(reports[axiom].witness.vectors[0]) <= 1.0  # the drawn tuple; a moved one was NaN
+
+    @pytest.mark.parametrize("n, d", [(2, 3), (3, 4), (5, 6)])
+    def test_a_nan_on_dependent_evaluator_fails_definiteness_backward(self, n, d):
+        cfg = cfg_of(n, d)
+        backward = {r.axiom: r for r in check_axioms(_nan_on_dependent(cfg), trials=20, seed=4)}[Axiom.DEFINITENESS_BACKWARD]
+        assert not backward.passed
+        assert math.isnan(backward.witness.discrepancy)
+        # the first dependent tuple, since every one of them is NaN
+        first = nnorm._Sampler(cfg, np.random.default_rng(4)).dependent_batch(20).tuples[0]
+        assert np.array_equal(np.array(backward.witness.vectors), np.array(first))
+
+    @pytest.mark.parametrize("n, d", [(2, 3), (3, 4), (4, 5)])
+    def test_forward_definiteness_reports_the_first_failing_tuple(self, n, d):
+        # the squared norm of a tuple perturbed at 1e-6 falls under the zero
+        # threshold while the rank oracle calls the tuple independent
+        cfg = cfg_of(n, d)
+        squared = NNorm(cfg, "squared", lambda vs: standard_norm(cfg, vs) ** 2)
+        forward = {r.axiom: r for r in check_axioms(squared, trials=60, seed=11)}[Axiom.DEFINITENESS_FORWARD]
+        batch = nnorm._Sampler(cfg, np.random.default_rng(11)).boundary_batch(60)
+        failing = [
+            vs
+            for vs in batch.tuples
+            if squared(vs) <= cfg.tol.zero * hadamard_scale(cfg, vs) and rank(vs, cfg.tol) == n
+        ]
+        assert len(failing) >= 2
+        assert not forward.passed
+        assert forward.witness.discrepancy == math.inf
+        assert np.array_equal(np.array(forward.witness.vectors), np.array(failing[0]))
+
+
 class TestPermutationInvariance:
     def test_all_orders_small_arity(self):
         rng = np.random.default_rng(8)

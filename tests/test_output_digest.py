@@ -87,3 +87,27 @@ def test_zero_items_cover_every_index_and_delta_of_each_axiom_shape(digest_tool)
     for (_, j, delta, _), flag in zip(expected, flags):
         if delta in ("0", "0.001"):
             assert flag[j - 1] == (delta == "0")
+
+
+def test_broken_items_run_both_engines_on_each_broken_evaluator(digest_tool):
+    import math
+
+    import nnormkit as nk
+
+    items = digest_tool.broken_items(nk, seed=5, trials=8)
+    shapes = [(f"n={n} d={d}", n) for n in (2, 3, 4, 5) for d in (n, n + 1, n + 3)] + [("n=3 d=4 spd", 3), ("n=5 d=6 spd", 5)]
+    expected = []
+    for shape, n in shapes:
+        for name in ("squared", "weighted", "nan-on-large"):
+            expected.append(f"check_axioms {name} {shape}")
+            full = "{" + ",".join(str(j) for j in range(1, n + 1)) + "}"
+            expected += [f"quotient_norm_axioms {name} {shape} s={{1}}", f"quotient_norm_axioms {name} {shape} s={full}"]
+    assert [label for label, _ in items] == expected
+    reports = {label: run() for label, run in items}
+    assert [len(r) for r in reports.values()] == [7, 4, 4] * (len(items) // 3)
+    # every evaluator fails a check in each engine, so witnesses are digested
+    for label, rs in reports.items():
+        assert not all(r.passed for r in rs), label
+    # and the NaN evaluator fails homogeneity with a NaN discrepancy
+    homogeneity = reports["check_axioms nan-on-large n=3 d=4"][4]
+    assert homogeneity.axiom is nk.Axiom.ABSOLUTE_HOMOGENEITY and math.isnan(homogeneity.witness.discrepancy)

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from nnormkit.linalg import DimensionMismatch, SpaceConfig, Tolerance, determinant, gram_matrix, hadamard_scale
+from nnormkit import quotient
+from nnormkit.linalg import DimensionMismatch, SpaceConfig, Tolerance, determinant, gram_matrix, hadamard_scale, rank
 from nnormkit.nnorm import Axiom, NNorm, standard_nnorm, standard_norm
 from nnormkit.quotient import (
     ClassCollection,
@@ -57,6 +58,15 @@ class TestIndexSet:
     def test_validate_for_arity(self):
         with pytest.raises(ValueError):
             IndexSet([1, 6]).validate_for(5)
+
+    @pytest.mark.parametrize("bad", [1.7, 2.5, math.nan, math.inf, np.float64(1.2), np.float32(3.5)])
+    def test_a_non_integral_index_is_named_not_truncated(self, bad):
+        with pytest.raises(ValueError, match=f"index {bad} is not an integer"):
+            IndexSet([bad])
+
+    def test_whole_floats_and_numpy_integers_are_indices(self):
+        assert IndexSet([1.0, np.float64(3.0), np.int64(4)]).indices == (1, 3, 4)
+        assert all(type(i) is int for i in IndexSet([1.0, np.int64(4)]).indices)
 
     def test_json_round_trip(self):
         s = IndexSet([2, 5])
@@ -126,6 +136,27 @@ class TestFrame:
         again = Frame.from_json(json.loads(json.dumps(frame.to_json())))
         assert np.array_equal(again.vectors, frame.vectors)
         assert np.array_equal(again.space.metric, frame.space.metric)
+
+    def test_json_round_trip_keeps_the_tolerances(self):
+        # at tol.zero = 1e-5, u = (1, 1e-6, 0) lies in the span of y_1; a
+        # frame rebuilt at the default 1e-9 called it off the span
+        cfg = SpaceConfig(dim=3, arity=2, tol=Tolerance(zero=1e-5, rel=1e-8, sym=1e-11))
+        frame = standard_frame(cfg)
+        doc = json.loads(json.dumps(frame.to_json()))
+        assert doc["tolerances"] == {"zero": 1e-5, "rel": 1e-8, "sym": 1e-11}
+        again = Frame.from_json(doc)
+        assert again.space.tol == cfg.tol
+        s, u = IndexSet([2]), [1.0, 1e-6, 0.0]
+        for f in (frame, again):
+            assert in_kept_span(f, u, s)
+            assert is_quotient_zero(f, standard_nnorm(f.space), u, s)
+
+    def test_json_without_tolerances_takes_the_defaults(self):
+        doc = {"dim": 3, "arity": 2, "vectors": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+        assert Frame.from_json(doc).space.tol == Tolerance()
+        assert Frame.from_json({**doc, "tolerances": {"rel": 1e-6}}).space.tol == Tolerance(rel=1e-6)
+        with pytest.raises(ValueError, match="tolerances must be a mapping"):
+            Frame.from_json({**doc, "tolerances": [1e-5]})
 
 
 class TestClass1Norm:
@@ -477,3 +508,68 @@ class TestOneComparisonRule:
                 if not coset_invariance_check(frame, norm, u, s, coeffs)[0]:
                     caught.add("coset_invariance")
             assert caught == expected, (s, caught)
+
+
+def _nan_on_large(cfg):
+    # NaN whenever the first vector has an entry above 1.5
+    return NNorm(cfg, "nan-on-large", lambda vs: math.nan if max(vs[0]) > 1.5 else standard_norm(cfg, vs))
+
+
+class TestWitnessRule:
+    """The quotient checks select witnesses with `nnorm._worst`, and each
+    class-1 term's gap decision fails unless gap <= tol.rel."""
+
+    @pytest.mark.parametrize("s", [[1], [2], [1, 3], [1, 2, 3]])
+    def test_a_nan_on_large_evaluator_fails_homogeneity_and_triangle(self, s):
+        cfg = SpaceConfig(dim=5, arity=3)
+        frame = random_frame(cfg, np.random.default_rng(7))
+        reports = {r.axiom: r for r in quotient_norm_axioms(frame, _nan_on_large(cfg), IndexSet(s), 20, 7)}
+        for axiom in (Axiom.ABSOLUTE_HOMOGENEITY, Axiom.TRIANGLE_INEQUALITY):
+            assert not reports[axiom].passed, axiom
+            assert math.isnan(reports[axiom].witness.discrepancy)
+
+    def test_a_nan_on_dependent_evaluator_fails_definiteness_backward(self):
+        cfg = SpaceConfig(dim=5, arity=3)
+        norm = NNorm(cfg, "nan-on-dependent", lambda vs: math.nan if rank(vs, cfg.tol) < 3 else standard_norm(cfg, vs))
+        frame = random_frame(cfg, np.random.default_rng(7))
+        for s in ([1], [1, 3]):
+            backward = quotient_norm_axioms(frame, norm, IndexSet(s), 10, 7)[3]
+            assert backward.axiom is Axiom.DEFINITENESS_BACKWARD
+            assert not backward.passed
+            assert math.isnan(backward.witness.discrepancy)
+
+    @pytest.mark.parametrize("s", [[1], [2, 3]])
+    def test_forward_definiteness_reports_the_first_failing_sample(self, s, monkeypatch):
+        # the squared norm of a member perturbed at 1e-6 falls under the zero
+        # threshold while the rank oracle calls it off the kept span; the
+        # forward check consults the oracle only on a zero decision
+        cfg = SpaceConfig(dim=5, arity=3)
+        norm = NNorm(cfg, "squared", lambda vs: standard_norm(cfg, vs) ** 2)
+        frame = random_frame(cfg, np.random.default_rng(3))
+        off_span = []
+
+        def recording(frame, u, s):
+            inside = in_kept_span(frame, u, s)
+            if not inside:
+                off_span.append(u)
+            return inside
+
+        monkeypatch.setattr(quotient, "in_kept_span", recording)
+        forward = quotient_norm_axioms(frame, norm, IndexSet(s), 20, 3)[2]
+        assert forward.axiom is Axiom.DEFINITENESS_FORWARD
+        assert len(off_span) >= 2
+        assert not forward.passed
+        assert forward.witness.discrepancy == math.inf
+        assert forward.witness.vectors[0] is off_span[0]
+
+    def test_coset_invariance_fails_a_nan_term_wherever_it_sits(self):
+        # NaN on the tuples holding y_1 right after u: the term j = 2 of
+        # s = {1, 2}, the second one, which a plain max over terms dropped
+        cfg = SpaceConfig(dim=3, arity=3)
+        frame = standard_frame(cfg)
+        norm = NNorm(cfg, "nan-on-y1", lambda vs: math.nan if np.array_equal(vs[1], frame.row(1)) else standard_norm(cfg, vs))
+        u = np.array([0.3, -0.4, 0.5])
+        assert math.isnan(class1_norm(frame, norm, u, 2)) and not math.isnan(class1_norm(frame, norm, u, 1))
+        passed, gap = coset_invariance_check(frame, norm, u, IndexSet([1, 2]), {3: 0.5})
+        assert not passed
+        assert math.isnan(gap)

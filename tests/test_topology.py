@@ -88,6 +88,19 @@ class TestSequenceSpec:
         with pytest.raises(ValueError):
             custom_sequence([(2, np.zeros(2)), (2, np.ones(2))])
 
+    def test_a_non_integral_table_index_is_named_not_truncated(self):
+        v, w = np.zeros(2), np.ones(2)
+        with pytest.raises(ValueError, match="index 1.5 is not an integer"):
+            custom_sequence([(1.5, v), (2.5, w)])
+        # strictly increasing as floats, both k = 1 once truncated
+        with pytest.raises(ValueError, match="index 1.2 is not an integer"):
+            SequenceSpec(kind=SequenceKind.CUSTOM, table=((1.2, v), (1.7, w)))
+        with pytest.raises(ValueError, match="index 2.5 is not an integer"):
+            SequenceSpec.from_json({"kind": "custom", "table": [[1, [0.0, 0.0]], [2.5, [1.0, 1.0]]]})
+        spec = custom_sequence([(1.0, v), (np.int64(3), w)])
+        assert [k for k, _ in spec.table] == [1, 3]
+        assert all(type(k) is int for k, _ in spec.table)
+
     def test_natural_limits(self):
         x = np.array([1.0, 2.0])
         assert np.array_equal(natural_limit(constant(x)), x)
@@ -132,6 +145,10 @@ class TestNormSelection:
     def test_json_round_trip(self):
         sel = NormSelection(n=5, subsets=(IndexSet([1, 2]), IndexSet([3, 4])))
         assert NormSelection.from_json(json.loads(json.dumps(sel.to_json()))) == sel
+
+    def test_non_integral_indices_in_json_are_rejected(self):
+        with pytest.raises(ValueError, match="index 1.9 is not an integer"):
+            NormSelection.from_json({"n": 3, "subsets": [[1.9], [2.2]]})
 
 
 class TestConvergesWrt:
@@ -472,6 +489,10 @@ class TestClosedSetProbe:
     def test_divergent_spec_rejected(self):
         with pytest.raises(ValueError):
             closed_set_probe([divergent_linear(np.ones(2))], lambda v: True)
+
+    def test_non_integral_sample_index_rejected(self):
+        with pytest.raises(ValueError, match="index 2.5 is not an integer"):
+            closed_set_probe([constant(np.zeros(2))], lambda v: True, sample_ks=(1, 2.5))
 
     def test_sampled_term_outside_rejected(self):
         spec = constant(np.array([5.0, 0.0]))

@@ -10,7 +10,11 @@ it returned. An ``axioms@<seed>`` section adds ``check_axioms`` calls of
 AXIOM_TRIALS tuples per shape of AXIOM_SHAPES (the criterion-1 grid and two
 shapes with an SPD metric): one at the default tolerances, and one at
 rel = 1e-300, where every rounding gap fails, so that each equality check
-reports a witness whose values the strict digest covers. A ``draws@<seed>``
+reports a witness whose values the strict digest covers. The same section
+runs ``check_axioms`` and ``quotient_norm_axioms`` (on a seeded
+``random_frame``, s = {1} and s = {1..n}) per shape on each broken
+evaluator of BROKEN_NORMS, whose failing checks show how each selects its
+witness. A ``draws@<seed>``
 section hashes the raw bytes of what the volume gates let through, per shape
 of AXIOM_SHAPES: DRAW_FRAMES successive ``random_frame`` draws and the stacks
 of the three ``_Sampler`` batches of AXIOM_TRIALS tuples, each drawn as
@@ -33,6 +37,7 @@ one file has) and exits 1 if there is any.
 import glob
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -44,6 +49,15 @@ AXIOM_TRIALS = 200
 DRAW_FRAMES = 20
 ZERO_FRAMES = 3
 ZERO_DELTAS = (0.0, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6, 1e-3)
+#: broken evaluators of the axioms section, each from the standard value of
+#: a tuple and the tuple: the squared norm, the norm weighted by (1 + |first
+#: coordinate|), and the norm that is NaN when its first vector has an entry
+#: above 1.5
+BROKEN_NORMS = {
+    "squared": lambda value, vs: value**2,
+    "weighted": lambda value, vs: value * (1.0 + abs(vs[0][0])),
+    "nan-on-large": lambda value, vs: math.nan if max(vs[0]) > 1.5 else value,
+}
 
 
 def axiom_items(nk, seed, trials=AXIOM_TRIALS):
@@ -58,6 +72,28 @@ def axiom_items(nk, seed, trials=AXIOM_TRIALS):
             norm = nk.standard_nnorm(nk.SpaceConfig(dim=d, arity=n, metric=metric, tol=tol))
             label = f"check_axioms n={n} d={d}" + (" spd" if spd else "") + suffix
             items.append((label, lambda norm=norm: nk.check_axioms(norm, trials, seed)))
+    return items
+
+
+def broken_items(nk, seed, trials=AXIOM_TRIALS):
+    """(label, thunk) per shape of AXIOM_SHAPES and broken evaluator of
+    BROKEN_NORMS: check_axioms, and quotient_norm_axioms on a seeded
+    random_frame for s = {1} and s = {1..n}. The evaluators fail checks, so
+    these items digest how each check selects its witness."""
+    import numpy as np
+
+    items = []
+    for n, d, spd in AXIOM_SHAPES:
+        metric = np.diag(np.linspace(0.5, 2.0, d)) + 0.1 if spd else None
+        cfg = nk.SpaceConfig(dim=d, arity=n, metric=metric)
+        frame = nk.random_frame(cfg, np.random.default_rng(seed))
+        shape = f"n={n} d={d}" + (" spd" if spd else "")
+        for name, evaluate in BROKEN_NORMS.items():
+            norm = nk.NNorm(cfg, name, lambda vs, cfg=cfg, evaluate=evaluate: evaluate(nk.standard_norm(cfg, vs), vs))
+            items.append((f"check_axioms {name} {shape}", lambda norm=norm: nk.check_axioms(norm, trials, seed)))
+            for s in (nk.IndexSet([1]), nk.IndexSet(range(1, n + 1))):
+                label = f"quotient_norm_axioms {name} {shape} s={s}"
+                items.append((label, lambda norm=norm, frame=frame, s=s: nk.quotient_norm_axioms(frame, norm, s, trials, seed)))
     return items
 
 
@@ -209,7 +245,7 @@ def main(argv):
                 workload = build(seed, tmp)
                 digest(f"{name}@{seed}", [(item.label, item.run) for item in workload.items + workload.probe], tmp)
     for seed in seeds:
-        digest(f"axioms@{seed}", axiom_items(nk, seed))
+        digest(f"axioms@{seed}", axiom_items(nk, seed) + broken_items(nk, seed))
         digest(f"draws@{seed}", draw_items(nk, seed))
         digest(f"zeros@{seed}", zero_items(nk, seed))
     with open(out_path, "w", encoding="utf-8") as fh:
