@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, SpaceConfig, Tolerance, _tolerance, gram_matrix
+from .linalg import DEFAULT_TOL, SpaceConfig, Tolerance, _index, _mapping, _tolerance, gram_matrix
 from .nnorm import check_axioms, standard_nnorm, standard_norm
 from .quotient import (
     Frame,
@@ -81,9 +81,10 @@ class RunConfig:
             except json.JSONDecodeError as exc:
                 raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
         try:
-            space_raw = raw.get("space", {})
-            dim = int(space_raw.get("dim", fallback_dim if fallback_dim is not None else 3))
-            arity = int(space_raw.get("arity", fallback_arity if fallback_arity is not None else min(2, dim)))
+            _mapping(raw, "config")
+            space_raw = _mapping(raw.get("space", {}), "space")
+            dim = _index(space_raw.get("dim", fallback_dim if fallback_dim is not None else 3), "dim")
+            arity = _index(space_raw.get("arity", fallback_arity if fallback_arity is not None else min(2, dim)), "arity")
             tol = _tolerance(raw.get("tolerances", {}))
             space = SpaceConfig(dim=dim, arity=arity, metric=space_raw.get("metric"), tol=tol)
             frame_raw = raw.get("frame", "standard-basis")
@@ -91,8 +92,8 @@ class RunConfig:
                 frame = standard_frame(space)
             else:
                 frame = Frame(space=space, vectors=np.array(frame_raw, dtype=float))
-            seed = int(raw.get("seed", 0))
-            trials = int(raw.get("trials", 200))
+            seed = _index(raw.get("seed", 0), "seed")
+            trials = _index(raw.get("trials", 200), "trials")
         except (ValueError, TypeError, KeyError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
         return cls(space=space, frame=frame, seed=seed, trials=trials, raw=raw)

@@ -78,20 +78,26 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def _mapping(raw, what: str) -> dict:
+    """raw, when it is a JSON object; a ValueError naming `what` otherwise."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a mapping, got {raw!r}")
+    return raw
+
+
 def _tolerance(raw) -> Tolerance:
     """The Tolerance a JSON mapping gives by the keys zero, rel and sym; an
     absent key keeps its default, and any other key is ignored."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"tolerances must be a mapping, got {raw!r}")
+    _mapping(raw, "tolerances")
     return Tolerance(**{name: float(raw[name]) for name in ("zero", "rel", "sym") if name in raw})
 
 
-def _index(i) -> int:
-    """i as an int, for a 1-based index: a float that is not a whole number
-    (NaN and inf included) raises a ValueError naming it instead of being
-    truncated."""
+def _index(i, what: str = "index") -> int:
+    """i as an int, for a 1-based index or a size: a float that is not a
+    whole number (NaN and inf included) raises a ValueError naming it, as
+    `what`, instead of being truncated."""
     if isinstance(i, (float, np.floating)) and not float(i).is_integer():
-        raise ValueError(f"index {i} is not an integer")
+        raise ValueError(f"{what} {i} is not an integer")
     return int(i)
 
 

@@ -148,7 +148,7 @@ class ClassCollection:
 
     @classmethod
     def from_json(cls, obj) -> "ClassCollection":
-        built = class_collection(int(obj["n"]), int(obj["m"]))
+        built = class_collection(_index(obj["n"], "n"), _index(obj["m"], "m"))
         members = tuple(IndexSet.from_json(s) for s in obj["members"])
         if members != built.members:
             raise ValueError("members do not enumerate the class collection")
@@ -238,7 +238,7 @@ class Frame:
     @classmethod
     def from_json(cls, obj) -> "Frame":
         tol = _tolerance(obj.get("tolerances", {}))
-        cfg = SpaceConfig(dim=int(obj["dim"]), arity=int(obj["arity"]), metric=obj.get("metric"), tol=tol)
+        cfg = SpaceConfig(dim=_index(obj["dim"], "dim"), arity=_index(obj["arity"], "arity"), metric=obj.get("metric"), tol=tol)
         return cls(space=cfg, vectors=np.array(obj["vectors"], dtype=float))
 
 
@@ -288,7 +288,7 @@ class Profile:
     vanishes exactly when each does, so `is_zero(s)` needs every flag over s.
 
     Sums over s add Python floats, taken from the arrays once per profile,
-    in index order from 0.0.
+    in index order from 0.0; the zero flags are read the same way.
     """
 
     values: np.ndarray
@@ -328,10 +328,17 @@ class Profile:
         """Tolerance of the sampled trend rule; not a zero rule."""
         return SPAN_DECISION_REL * self.scale(s)
 
+    @cached_property
+    def _zero_list(self) -> list[bool]:
+        return self.zero.tolist()
+
     def is_zero(self, s: IndexSet) -> bool:
         """Is every class-1 term over s classified as zero on its own?"""
-        zero = self.zero
-        return all(zero[j - 1] for j in s)
+        zero = self._zero_list
+        for j in s.indices:
+            if not zero[j - 1]:
+                return False
+        return True
 
 
 class FrameGeometry:

@@ -18,7 +18,8 @@ never disagree by rounding: the cross-class equivalences hold through the
 same class-1 decomposition that makes them true. An equivalence table takes
 one set of profiles (the traces and the evidence vectors at k = 1 and 10)
 and reads all n of its class-m rows off it, through the same row builders
-the public verdicts use.
+the public verdicts use. A verdict keeps the profiles it sampled and builds
+its trace points from them on the first read of `evidence` (`Verdict`).
 
 Inputs are validated once, at the public boundary; a sequence's vectors
 when it is built, and its fit to a frame once per verdict. Table entries,
@@ -36,7 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, lru_cache
 from enum import Enum
 from itertools import combinations
@@ -205,9 +206,17 @@ def custom_sequence(table) -> SequenceSpec:
 
 
 def eval_sequence(spec: SequenceSpec, k: int):
-    """Exact value of the k-th term, k >= 1."""
+    """Exact value of the k-th term, k >= 1; a k that is not a whole number
+    raises a ValueError naming it."""
+    k = _index(k, "k")
     if k < 1:
         raise ValueError(f"sequences are indexed from k = 1, got {k}")
+    return _eval(spec, k)
+
+
+def _eval(spec: SequenceSpec, k: int):
+    """`eval_sequence` for an int k >= 1, unchecked: the evidence rows call
+    it once per sampled index."""
     if spec.kind is SequenceKind.CONVERGENT_POWER:
         return spec.base + spec.coefficient * float(k) ** (-spec.exponent) * spec.direction
     if spec.kind is SequenceKind.DIVERGENT_LINEAR:
@@ -270,7 +279,7 @@ class NormSelection:
 
     @classmethod
     def from_json(cls, obj) -> "NormSelection":
-        return cls(n=int(obj["n"]), subsets=tuple(IndexSet.from_json(s) for s in obj["subsets"]))
+        return cls(n=_index(obj["n"], "n"), subsets=tuple(IndexSet.from_json(s) for s in obj["subsets"]))
 
 
 @lru_cache
@@ -301,18 +310,58 @@ class TracePoint(NamedTuple):
     value: float
 
 
+class _DeferredEvidence:
+    """`Verdict.evidence` of a verdict built from its evidence source: the
+    first read builds the tuple (`_trace_points`) and stores it in the
+    instance dict. This is a non-data descriptor, so the stored tuple
+    shadows it and every later read is a plain attribute read."""
+
+    def __get__(self, verdict, owner=None):
+        if verdict is None:
+            return ()  # the field's default
+        state = verdict.__dict__
+        source = state.get("_pending")
+        if source is None:  # another thread built it after this lookup began
+            return state["evidence"]
+        # setdefault, so that readers racing on the first read share one tuple
+        evidence = state.setdefault("evidence", _trace_points(*source))
+        state.pop("_pending", None)
+        return evidence
+
+
 @dataclass(frozen=True)
 class Verdict:
+    """A conclusion, how it was reached, and the trace points behind it.
+
+    `evidence` holds one trace point (k, s, classm_norm(x, s)) per sampled
+    index k and subset s. The verdict functions pass its source instead, as
+    `_source=(pairs, selection)` with `pairs` the (k, profile) list of the
+    sampled vectors: `evidence` is then built from it, subset by subset, on
+    first read and cached, so a reader pays what an eager build cost and a
+    caller that reads only the conclusion pays nothing. Equality, `repr`,
+    `dataclasses.replace` and `asdict` read `evidence`, and a copy or a
+    pickle carries the built tuple, so they see what a verdict given the
+    same tuple as `evidence=` gives.
+    """
+
     conclusion: Conclusion
     method: Method
     limit: np.ndarray | None = None
     bound: float | None = None
-    evidence: tuple[TracePoint, ...] = ()
+    evidence: tuple[TracePoint, ...] = _DeferredEvidence()
     window: tuple[int, int] | None = None
+    _source: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _source):
         if self.method is Method.SAMPLED and self.window is None:
             raise ValueError("sampled verdicts must carry their window")
+        if _source is not None:
+            del self.__dict__["evidence"]
+            self.__dict__["_pending"] = _source
+
+    def __getstate__(self):
+        self.evidence  # builds a deferred tuple, so a copy or a pickle holds no profile
+        return self.__dict__
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +420,7 @@ class AnalyticTraces:
     (ks, vector_at), and `columns` the sorted frame indices an injected
     evaluator is called on there (all n when None); `self.evidence` holds
     one list of (k, profile) per row, for the k >= 1 of its ks (sequences
-    start at k = 1). Every vector of the traces, their bounds and the
+    start at k = 1; a k that is not a whole number raises). Every vector of the traces, their bounds and the
     evidence is computed under one `np.errstate` guard, and the profiles are
     taken after it: a vector that overflowed is named non-finite there, with
     no numpy warning on the way.
@@ -391,6 +440,7 @@ class AnalyticTraces:
         self.frame = frame
         self.norm = norm
         self.limit = None if limit is None else as_vector(limit, frame.dim)
+        evidence = [([_index(k, "k") for k in ks], vector_at) for ks, vector_at in evidence]
         kind = spec.kind
         traced = {}
         with np.errstate(over="ignore", invalid="ignore"):
@@ -411,7 +461,7 @@ class AnalyticTraces:
                 if self.limit is not None:
                     traced["_l"] = self.limit
                 bounds = ()
-            rows = [[(k, vector_at(spec, self.limit, k)) for k in map(int, ks) if k >= 1] for ks, vector_at in evidence]
+            rows = [[(k, vector_at(spec, self.limit, k)) for k in ks if k >= 1] for ks, vector_at in evidence]
         self._memo = {}
         self._all = tuple(range(1, frame.n + 1))
         for name, profile in zip(traced, self._profiles(traced.values(), self._all)):
@@ -472,48 +522,51 @@ class AnalyticTraces:
 
 def _offset(spec: SequenceSpec, limit, k: int):
     """x_k - limit, for convergence."""
-    return eval_sequence(spec, k) - limit
+    return _eval(spec, k) - limit
 
 
 def _term(spec: SequenceSpec, limit, k: int):
     """x_k, for boundedness."""
-    return eval_sequence(spec, k)
+    return _eval(spec, k)
 
 
 def _doubling_gap(spec: SequenceSpec, limit, k: int):
     """x_{2k} - x_k, for Cauchy: it exposes both decay and linear growth."""
-    return eval_sequence(spec, 2 * k) - eval_sequence(spec, k)
+    return _eval(spec, 2 * k) - _eval(spec, k)
 
 
 def _trace_points(profiles, selection: NormSelection) -> tuple[TracePoint, ...]:
-    """Trace points (k, s, classm_norm(x, s)), subset by subset."""
+    """Trace points (k, s, classm_norm(x, s)) of (k, profile) pairs,
+    subset by subset: the one evidence builder, which a verdict calls on the
+    first read of its `evidence`."""
     return tuple(TracePoint(k, s, p.value(s)) for s in selection.subsets for k, p in profiles)
 
 
 # Each analytic verdict is built from the sequence's traces and the evidence
-# profiles of its row, for one selection. The public verdicts and every row
-# of equivalence_matrix go through these three.
+# profiles of its row, for one selection, which it keeps as the source of
+# its evidence. The public verdicts and every row of equivalence_matrix go
+# through these three.
 
 
 def _convergence_row(traces: AnalyticTraces, profiles, selection: NormSelection) -> Verdict:
-    evidence = _trace_points(profiles, selection)
+    source = (profiles, selection)
     if all(traces.trace_limit_zero(s) for s in selection.subsets):
-        return Verdict(Conclusion.CONVERGES, Method.ANALYTIC, limit=traces.limit, evidence=evidence)
-    return Verdict(Conclusion.DIVERGES, Method.ANALYTIC, evidence=evidence)
+        return Verdict(Conclusion.CONVERGES, Method.ANALYTIC, limit=traces.limit, _source=source)
+    return Verdict(Conclusion.DIVERGES, Method.ANALYTIC, _source=source)
 
 
 def _boundedness_row(traces: AnalyticTraces, profiles, selection: NormSelection) -> Verdict:
     bounds = [traces.bounded_on(s) for s in selection.subsets]
-    evidence = _trace_points(profiles, selection)
+    source = (profiles, selection)
     if not all(ok for ok, _ in bounds):
-        return Verdict(Conclusion.UNBOUNDED, Method.ANALYTIC, evidence=evidence)
-    return Verdict(Conclusion.BOUNDED, Method.ANALYTIC, bound=max(b for _, b in bounds), evidence=evidence)
+        return Verdict(Conclusion.UNBOUNDED, Method.ANALYTIC, _source=source)
+    return Verdict(Conclusion.BOUNDED, Method.ANALYTIC, bound=max(b for _, b in bounds), _source=source)
 
 
 def _cauchy_row(traces: AnalyticTraces, profiles, selection: NormSelection) -> Verdict:
     ok = all(traces.cauchy_on(s) for s in selection.subsets)
     conclusion = Conclusion.CAUCHY if ok else Conclusion.NOT_CAUCHY
-    return Verdict(conclusion, Method.ANALYTIC, evidence=_trace_points(profiles, selection))
+    return Verdict(conclusion, Method.ANALYTIC, _source=(profiles, selection))
 
 
 def _settles(series: list[float], floor: float) -> bool:
@@ -591,15 +644,10 @@ def converges_wrt(
     with np.errstate(over="ignore", invalid="ignore"):
         offsets = [v - limit for _, v in spec.table]
     profiles = _profiles(frame, norm, offsets, columns, {})
-    all_good = True
-    evidence = []
-    for s in selection.subsets:
-        values = [p.value(s) for p in profiles]
-        evidence.extend(TracePoint(k, s, v) for k, v in zip(ks, values))
-        all_good = _settles(values, max(p.floor(s) for p in profiles)) and all_good
-    if all_good:
-        return Verdict(Conclusion.CONVERGES, Method.SAMPLED, limit=limit, evidence=tuple(evidence), window=window)
-    return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, evidence=tuple(evidence), window=window)
+    source = (list(zip(ks, profiles)), selection)
+    if all(_settles([p.value(s) for p in profiles], max(p.floor(s) for p in profiles)) for s in selection.subsets):
+        return Verdict(Conclusion.CONVERGES, Method.SAMPLED, limit=limit, window=window, _source=source)
+    return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, window=window, _source=source)
 
 
 def is_cauchy_wrt(
@@ -637,15 +685,10 @@ def is_cauchy_wrt(
     window = (ks[0], ks[-1])
     vectors = [v for _, v in spec.table]
     first, *gaps = _profiles(frame, norm, vectors[:1] + _steps(vectors), columns, {})
-    all_good = True
-    evidence = []
-    for s in selection.subsets:
-        series = [p.value(s) for p in gaps]
-        evidence.extend(TracePoint(k, s, v) for k, v in zip(ks, series))
-        all_good = _settles(series, first.floor(s)) and all_good
-    if all_good:
-        return Verdict(Conclusion.CAUCHY, Method.SAMPLED, evidence=tuple(evidence), window=window)
-    return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, evidence=tuple(evidence), window=window)
+    source = (list(zip(ks, gaps)), selection)
+    if all(_settles([g.value(s) for g in gaps], first.floor(s)) for s in selection.subsets):
+        return Verdict(Conclusion.CAUCHY, Method.SAMPLED, window=window, _source=source)
+    return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, window=window, _source=source)
 
 
 def is_bounded_wrt(
@@ -739,6 +782,9 @@ def equivalence_matrix(spec: SequenceSpec, frame: Frame, norm: NNorm, candidate_
     full_selection(n, m) with evidence_ks=(1, 10). Every row reads the same
     traces and the same evidence profiles, taken once per table: a class-m
     norm is a sum of class-1 norms, so the rows differ only in the sums.
+    Each verdict keeps its row's profiles and builds its trace points on
+    the first read of its `evidence`, so a caller that reads only the
+    conclusions builds none.
     """
     if spec.kind is SequenceKind.CUSTOM:
         raise ValueError("equivalence matrix needs a closed-form sequence")
@@ -902,7 +948,7 @@ def counterexample_r5(k_max: int = 100, frame: Frame | None = None) -> Counterex
     noncovering = NormSelection(n=5, subsets=(s12, s34))
     covering = NormSelection(n=5, subsets=(s12, s34, s15))
     zero = np.zeros(5)
-    terms = [eval_sequence(spec, k) for k in range(1, k_max + 1)]
+    terms = [_eval(spec, k) for k in range(1, k_max + 1)]
     profiles = _profiles(frame, norm, terms, (1, 2, 3, 4, 5), {})
     rows = [(k, p.value(s12), p.value(s34), p.value(s15)) for k, p in enumerate(profiles, 1)]
     return CounterexampleRecord(

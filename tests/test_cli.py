@@ -154,6 +154,26 @@ class TestVerifyCommand:
         assert main(["verify", "all", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "config must be a mapping, got [1, 2]"),
+            ({"space": [3, 2]}, "space must be a mapping, got [3, 2]"),
+            ({"space": {"dim": 3.7, "arity": 2}}, "dim 3.7 is not an integer"),
+            ({"space": {"dim": 3, "arity": 2.5}}, "arity 2.5 is not an integer"),
+            ({"space": {"dim": 3, "arity": 2}, "trials": 10.5}, "trials 10.5 is not an integer"),
+            ({"space": {"dim": 3, "arity": 2}, "seed": 1.5}, "seed 1.5 is not an integer"),
+        ],
+        ids=["list", "space-list", "dim", "arity", "trials", "seed"],
+    )
+    def test_bad_config_is_a_usage_error(self, tmp_path, capsys, doc, message):
+        # a list raised AttributeError, and sizes were truncated (dim 3.7 ran as d = 3)
+        cfg = write_config(tmp_path, doc)
+        assert main(["verify", "axioms", "--config", cfg]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: bad config: {message}\n"
+
     def test_bad_trials_exit_2(self):
         assert main(["verify", "axioms", "--trials", "0"]) == 2
 

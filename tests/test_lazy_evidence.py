@@ -1,0 +1,234 @@
+"""A verdict builds its evidence on first read: the trace points equal, as
+float.hex, the class-m norms of the sampled vectors; none is built until a
+caller reads `evidence`; the tuple is built once; and equality, repr,
+pickle, copy, replace and asdict see what a verdict given the same tuple
+gives."""
+
+import copy
+import dataclasses
+import pickle
+
+import numpy as np
+import pytest
+
+from nnormkit import topology
+from nnormkit.linalg import SpaceConfig
+from nnormkit.nnorm import NNorm, standard_nnorm, standard_norm
+from nnormkit.quotient import quotient_profile, random_frame
+from nnormkit.topology import (
+    Conclusion,
+    Method,
+    TracePoint,
+    Verdict,
+    constant,
+    convergent_power,
+    converges_wrt,
+    custom_sequence,
+    divergent_linear,
+    equivalence_matrix,
+    eval_sequence,
+    full_selection,
+    is_cauchy_wrt,
+    oscillating,
+)
+
+SHAPES = [(2, 4), (3, 5), (5, 7)]
+KINDS = ["constant", "convergent_power", "oscillating", "divergent_linear"]
+
+
+def _setup(n, d, injected, seed=0):
+    rng = np.random.default_rng(seed + 100 * n + d)
+    cfg = SpaceConfig(dim=d, arity=n)
+    frame = random_frame(cfg, rng)
+    norm = NNorm(cfg, "injected", lambda vs: standard_norm(cfg, vs)) if injected else standard_nnorm(cfg)
+    return rng, frame, norm
+
+
+def _spec(kind, rng, d):
+    """(spec, candidate limit) of a kind; the limit is the base point, and
+    the origin for a divergent sequence."""
+    x, v = rng.uniform(-1.0, 1.0, (2, d))
+    return {
+        "constant": (constant(x), x),
+        "convergent_power": (convergent_power(x, v, coefficient=1.5, exponent=0.7), x),
+        "oscillating": (oscillating(x, v, coefficient=0.75), x),
+        "divergent_linear": (divergent_linear(v), np.zeros(d)),
+    }[kind]
+
+
+def _hex(points) -> list:
+    return [(p.k, p.subset.indices, float(p.value).hex()) for p in points]
+
+
+def _oracle(frame, norm, vector_at, selection, ks=(1, 10)) -> list:
+    """Trace points (k, s, value) from a fresh profile of each vector,
+    subset by subset."""
+    values = {k: quotient_profile(frame, norm, vector_at(k)) for k in ks}
+    return [(k, s.indices, values[k].value(s).hex()) for s in selection.subsets for k in ks]
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n, d", SHAPES)
+def test_every_row_equals_the_profile_oracle(n, d, kind, injected):
+    rng, frame, norm = _setup(n, d, injected)
+    spec, limit = _spec(kind, rng, d)
+    table = equivalence_matrix(spec, frame, norm, limit)
+
+    def gap(k):
+        return eval_sequence(spec, 2 * k) - eval_sequence(spec, k)
+
+    for row in table.rows:
+        sel = full_selection(n, row.m)
+        assert _hex(row.convergence.evidence) == _oracle(frame, norm, lambda k: eval_sequence(spec, k) - limit, sel)
+        assert _hex(row.boundedness.evidence) == _oracle(frame, norm, lambda k: eval_sequence(spec, k), sel)
+        assert _hex(row.cauchy.evidence) == _oracle(frame, norm, gap, sel)
+
+
+def _counting_trace_points(monkeypatch) -> list:
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return TracePoint(*fields)
+
+    monkeypatch.setattr(topology, "TracePoint", counted)
+    return built
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_table_builds_no_trace_point_until_its_evidence_is_read(monkeypatch, kind):
+    n, d = 5, 7
+    rng, frame, norm = _setup(n, d, injected=False)
+    spec, limit = _spec(kind, rng, d)
+    built = _counting_trace_points(monkeypatch)
+    table = equivalence_matrix(spec, frame, norm, limit)
+    # what the benchmark's check reads: the conclusions only
+    table.agrees()
+    assert built == []
+    total = 0
+    for row in table.rows:
+        for verdict in (row.convergence, row.boundedness, row.cauchy):
+            total += len(verdict.evidence)
+            assert len(built) == total
+    # 2 ks and 3 verdicts per subset of every class: 3 * 2 * (2**5 - 1)
+    assert total == 186
+
+
+def test_the_tuple_is_built_once(monkeypatch):
+    rng, frame, norm = _setup(3, 5, injected=False)
+    spec, limit = _spec("convergent_power", rng, 5)
+    verdict = equivalence_matrix(spec, frame, norm, limit).rows[1].cauchy
+    assert "evidence" not in vars(verdict)
+    calls = []
+    build = topology._trace_points
+    monkeypatch.setattr(topology, "_trace_points", lambda *a: calls.append(a) or build(*a))
+    first = verdict.evidence
+    # stored on the instance, so later reads are plain attribute reads
+    assert vars(verdict)["evidence"] is first
+    assert "_pending" not in vars(verdict)
+    assert verdict.evidence is first
+    assert verdict.evidence is first
+    assert len(calls) == 1
+
+
+def _pairs(kind="convergent_power"):
+    """(deferred, explicit): the same verdict with unread deferred evidence
+    and with that evidence given as a tuple."""
+    rng, frame, norm = _setup(3, 5, injected=False)
+    spec, limit = _spec(kind, rng, 5)
+    out = []
+    for index in range(3):
+        deferred_row = equivalence_matrix(spec, frame, norm, limit).rows[index]
+        read_row = equivalence_matrix(spec, frame, norm, limit).rows[index]
+        for which in ("convergence", "boundedness", "cauchy"):
+            deferred, read = getattr(deferred_row, which), getattr(read_row, which)
+            explicit = Verdict(
+                deferred.conclusion,
+                deferred.method,
+                limit=deferred.limit,
+                bound=deferred.bound,
+                evidence=tuple(read.evidence),
+                window=deferred.window,
+            )
+            out.append((deferred, explicit))
+    return out
+
+
+def _bits(verdict) -> tuple:
+    return (
+        verdict.conclusion,
+        verdict.method,
+        verdict.window,
+        None if verdict.limit is None else verdict.limit.tobytes(),
+        None if verdict.bound is None else float(verdict.bound).hex(),
+        tuple(_hex(verdict.evidence)),
+    )
+
+
+def test_equality_and_repr_match_an_explicit_tuple():
+    for deferred, explicit in _pairs():
+        assert deferred == explicit
+    for deferred, explicit in _pairs():
+        assert repr(deferred) == repr(explicit)
+    for deferred, explicit in _pairs():
+        assert explicit == deferred
+
+
+def test_pickle_carries_the_built_tuple_and_no_profile():
+    for deferred, explicit in _pairs():
+        blob = pickle.dumps(deferred)
+        assert b"Profile" not in blob
+        again = pickle.loads(blob)
+        assert "_pending" not in vars(again)
+        assert _bits(again) == _bits(explicit)
+        assert repr(again) == repr(explicit)
+
+
+def test_copy_replace_and_asdict_match_an_explicit_tuple():
+    for deferred, explicit in _pairs():
+        shallow = copy.copy(deferred)
+        assert "_pending" not in vars(shallow)
+        assert shallow == explicit
+    for deferred, explicit in _pairs():
+        assert dataclasses.replace(deferred) == dataclasses.replace(explicit)
+        assert dataclasses.replace(deferred, bound=2.5) == dataclasses.replace(explicit, bound=2.5)
+    for deferred, explicit in _pairs():
+        # an evidence tuple given to replace wins over the source
+        assert dataclasses.replace(deferred, evidence=()).evidence == ()
+    for deferred, explicit in _pairs():
+        assert repr(dataclasses.asdict(deferred)) == repr(dataclasses.asdict(explicit))
+
+
+def test_an_explicit_tuple_and_the_default_still_work():
+    point = TracePoint(1, full_selection(2, 1).subsets[0], 0.5)
+    assert Verdict(Conclusion.CAUCHY, Method.ANALYTIC, evidence=(point,)).evidence == (point,)
+    assert Verdict(Conclusion.CAUCHY, Method.ANALYTIC).evidence == ()
+    assert [f.default for f in dataclasses.fields(Verdict) if f.name == "evidence"] == [()]
+
+
+def _table(rng, d, kind):
+    """A tabulated sequence of six terms and a candidate limit."""
+    spec, limit = _spec(kind, rng, d)
+    return custom_sequence([(k, eval_sequence(spec, k)) for k in (1, 2, 3, 5, 8, 13)]), limit
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_sampled_evidence_matches_the_eager_build(kind, injected):
+    # per subset s, per table entry (or gap) in order: (k, s, classm_norm
+    # of the entry's offset or of the gap), from a fresh profile
+    n, d = 3, 5
+    rng, frame, norm = _setup(n, d, injected)
+    table, limit = _table(rng, d, kind)
+    ks = [k for k, _ in table.table]
+    vectors = [v for _, v in table.table]
+    for m in (1, 2):
+        sel = full_selection(n, m)
+        columns = sorted(sel.union())
+        offsets = [quotient_profile(frame, norm, v - limit, columns) for v in vectors]
+        expected = [(k, s.indices, p.value(s).hex()) for s in sel.subsets for k, p in zip(ks, offsets)]
+        assert _hex(converges_wrt(table, frame, norm, sel, limit).evidence) == expected
+        gaps = [quotient_profile(frame, norm, b - a, columns) for a, b in zip(vectors, vectors[1:])]
+        expected = [(k, s.indices, p.value(s).hex()) for s in sel.subsets for k, p in zip(ks, gaps)]
+        assert _hex(is_cauchy_wrt(table, frame, norm, sel).evidence) == expected

@@ -105,6 +105,14 @@ class TestClassCollection:
         again = ClassCollection.from_json(json.loads(json.dumps(coll.to_json())))
         assert again == coll
 
+    def test_non_integral_sizes_in_json_are_rejected(self):
+        doc = class_collection(3, 1).to_json()
+        with pytest.raises(ValueError, match="n 3.5 is not an integer"):
+            ClassCollection.from_json({**doc, "n": 3.5})
+        with pytest.raises(ValueError, match="m 1.5 is not an integer"):
+            ClassCollection.from_json({**doc, "m": 1.5})
+        assert ClassCollection.from_json({**doc, "n": 3.0, "m": 1.0}) == class_collection(3, 1)
+
 
 class TestFrame:
     def test_rejects_dependent_vectors(self):
@@ -157,6 +165,16 @@ class TestFrame:
         assert Frame.from_json({**doc, "tolerances": {"rel": 1e-6}}).space.tol == Tolerance(rel=1e-6)
         with pytest.raises(ValueError, match="tolerances must be a mapping"):
             Frame.from_json({**doc, "tolerances": [1e-5]})
+
+    def test_non_integral_sizes_in_json_are_rejected(self):
+        # truncated, dim 3.7 and arity 2.9 built a (3, 2) space
+        doc = {"dim": 3, "arity": 2, "vectors": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+        with pytest.raises(ValueError, match="dim 3.7 is not an integer"):
+            Frame.from_json({**doc, "dim": 3.7})
+        with pytest.raises(ValueError, match="arity 2.9 is not an integer"):
+            Frame.from_json({**doc, "arity": 2.9})
+        space = Frame.from_json({**doc, "dim": 3.0, "arity": 2.0}).space
+        assert (space.dim, space.arity) == (3, 2)
 
 
 class TestClass1Norm:

@@ -101,6 +101,15 @@ class TestSequenceSpec:
         assert [k for k, _ in spec.table] == [1, 3]
         assert all(type(k) is int for k, _ in spec.table)
 
+    def test_a_non_integral_k_is_named_not_truncated(self):
+        # eval_sequence took k = 1.5 and returned the term there
+        x, v = np.zeros(2), np.ones(2)
+        specs = [convergent_power(x, v), divergent_linear(v), oscillating(x, v), constant(x), custom_sequence([(1, x), (2, v)])]
+        for spec in specs:
+            with pytest.raises(ValueError, match="k 1.5 is not an integer"):
+                eval_sequence(spec, 1.5)
+            assert np.array_equal(eval_sequence(spec, 2.0), eval_sequence(spec, 2))
+
     def test_natural_limits(self):
         x = np.array([1.0, 2.0])
         assert np.array_equal(natural_limit(constant(x)), x)
@@ -149,6 +158,11 @@ class TestNormSelection:
     def test_non_integral_indices_in_json_are_rejected(self):
         with pytest.raises(ValueError, match="index 1.9 is not an integer"):
             NormSelection.from_json({"n": 3, "subsets": [[1.9], [2.2]]})
+
+    def test_a_non_integral_arity_in_json_is_rejected(self):
+        with pytest.raises(ValueError, match="n 3.5 is not an integer"):
+            NormSelection.from_json({"n": 3.5, "subsets": [[1], [2]]})
+        assert NormSelection.from_json({"n": 3.0, "subsets": [[1], [2]]}).n == 3
 
 
 class TestConvergesWrt:
@@ -244,6 +258,22 @@ def test_evidence_skips_indices_below_one():
     ]
     for verdict in verdicts:
         assert [p.k for p in verdict.evidence] == [1, 10] * len(selection.subsets)
+
+
+def test_a_non_integral_evidence_index_is_named_not_truncated():
+    # truncated, k = 1.5 gave evidence at k = 1
+    cfg, frame, norm = space(3, 4)
+    spec = convergent_power(np.ones(4), np.eye(4)[3], coefficient=2.0)
+    selection = full_selection(3, 2)
+    verdicts = [
+        lambda ks: converges_wrt(spec, frame, norm, selection, np.ones(4), evidence_ks=ks),
+        lambda ks: is_cauchy_wrt(spec, frame, norm, selection, evidence_ks=ks),
+        lambda ks: is_bounded_wrt(spec, frame, norm, selection, evidence_ks=ks),
+    ]
+    for verdict in verdicts:
+        with pytest.raises(ValueError, match="k 1.5 is not an integer"):
+            verdict((1.5, 10))
+        assert [p.k for p in verdict((1.0, 10.0)).evidence] == [1, 10] * len(selection.subsets)
 
 
 class TestBoundedWrt:
