@@ -5,10 +5,13 @@ A value of the standard norm is sqrt(det(Gram)), the volume of the
 parallelepiped the vectors span; it is taken from a QR factor of the unit
 whitened vectors (`linalg._volumes`), so the Gram matrix is never formed.
 
-The checker evaluates each batch of tuples at once. For the standard kind,
-one stacked QR over the batch gives every value, bit for bit the value
-`standard_norm` gives the tuple alone; any other evaluator is called once
-per tuple, in batch order. The sampler's volume gate reads the same kernel.
+The checker evaluates each batch of tuples at once, and every tuple a check
+derives from it (permuted, scaled, summed, alternative or shifted) in one
+more stack, all through `_evaluate`. For the standard kind, one stacked QR
+gives every value, bit for bit the value `standard_norm` gives the tuple
+alone; any other evaluator is called once per tuple, in stack order. The
+public `shift_invariance_check` runs the checker's shift code on a
+one-tuple batch. The sampler's volume gate reads the same kernel.
 """
 
 from __future__ import annotations
@@ -362,11 +365,10 @@ def _check_homogeneity(norm, batch, rng):
     band = _zero_band(cfg)
     bases, scales = batch.base(norm)
     alphas = [float(rng.uniform(-10.0, 10.0)) for _ in batch.tuples]
-    scaled = batch.stack.copy()
-    scaled[:, 0] *= np.array(alphas)[:, None]
+    values = _first_rows(norm, batch, batch.stack[:, 0] * np.array(alphas)[:, None])[0]
     return _worst(
         Witness(tuple(vs), {"alpha": alpha, "value": value, "base": base}, gap)
-        for vs, alpha, value, base, scale in zip(batch.tuples, alphas, _evaluate(norm, scaled)[0], bases, scales)
+        for vs, alpha, value, base, scale in zip(batch.tuples, alphas, values, bases, scales)
         if not (gap := _rel_gap(value, abs(alpha) * base, abs(alpha) * scale, band)) <= cfg.tol.rel
     )
 
@@ -376,11 +378,8 @@ def _check_triangle(norm, batch, rng):
     band = _zero_band(cfg)
     bases, base_scales = batch.base(norm)
     first_alts = [rng.uniform(-1.0, 1.0, cfg.dim) for _ in batch.tuples]
-    summed, alt = batch.stack.copy(), batch.stack.copy()
-    summed[:, 0] += first_alts
-    alt[:, 0] = first_alts
     # summed tuples first, then the alternatives, in one stack
-    values, scales = _evaluate(norm, np.concatenate([summed, alt]))
+    values, scales = _first_rows(norm, batch, batch.stack[:, 0] + first_alts, np.array(first_alts))
     count = len(first_alts)
     sums = [bases[t] + values[count + t] for t in range(count)]
     bounds = [max(scales[t], base_scales[t], scales[count + t]) for t in range(count)]
@@ -393,8 +392,31 @@ def _check_triangle(norm, batch, rng):
 
 def _check_shift(norm, batch, rng):
     alphas = [rng.uniform(-5.0, 5.0, norm.cfg.arity - 1) for _ in batch.tuples]
-    checked = ((vs, a, shift_invariance_check(norm, vs, a)) for vs, a in zip(batch.tuples, alphas))
-    return _worst(Witness(tuple(vs), {"alphas": a}, gap) for vs, a, (passed, gap) in checked if not passed)
+    checked = zip(batch.tuples, alphas, _shift_gaps(norm, batch, alphas))
+    return _worst(Witness(tuple(vs), {"alphas": a}, gap) for vs, a, gap in checked if not gap <= norm.cfg.tol.rel)
+
+
+def _first_rows(norm: NNorm, batch: _Batch, *firsts: np.ndarray) -> tuple[list, list[float]]:
+    """Values and scales of the batch's tuples with new first rows: each
+    (B, d) array of `firsts` in turn replaces the first rows, and every
+    variant is evaluated in one `_evaluate` stack, in that order. A
+    non-finite new row raises the ValueError a non-finite vector raises."""
+    stack = np.concatenate([batch.stack] * len(firsts))
+    stack[:, 0] = np.concatenate(firsts)
+    if not np.isfinite(stack[:, 0]).all():
+        raise ValueError(NON_FINITE)
+    return _evaluate(norm, stack)
+
+
+def _shift_gaps(norm: NNorm, batch: _Batch, alphas) -> list[float]:
+    """Per tuple, the relative gap between its base value and the value once
+    its first row gains its coefficients' combination of the later rows,
+    against the larger of the two Hadamard scales."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        firsts = np.array([rows[0] + sum(a * v for a, v in zip(a_t, rows[1:])) for rows, a_t in zip(batch.stack, alphas)])
+    values, scales = _first_rows(norm, batch, firsts)
+    band = _zero_band(norm.cfg)
+    return [_rel_gap(b, v, max(b_s, v_s), band) for b, b_s, v, v_s in zip(*batch.base(norm), values, scales)]
 
 
 #: each check with the `_Sampler` method that draws its batch
@@ -424,11 +446,11 @@ def check_axioms(norm: NNorm, trials: int, seed: int) -> list[AxiomReport]:
     reading it draws on from its own copy of that generator. The checks share
     the batch's values: the boundary batch's serve nonnegativity and forward
     definiteness, the equality batch's base values and scales serve
-    permutation, homogeneity and triangle. Every permuted, scaled, summed or
-    alternative tuple of a check is evaluated in one stack. The standard kind
-    evaluates each stack with one QR; an injected evaluator is called once
-    per tuple, in batch order. Shift invariance calls `shift_invariance_check`
-    per tuple.
+    permutation, homogeneity, triangle and shift invariance. Every permuted,
+    scaled, summed, alternative or shifted tuple of a check is evaluated in
+    one stack; `_first_rows` builds the stacks of the three checks that
+    change only the first row. The standard kind evaluates each stack with
+    one QR; an injected evaluator is called once per tuple, in batch order.
 
     A decision that compares a gap with its threshold fails unless gap <=
     threshold, so a NaN value or gap fails. Each check hands the witnesses
@@ -466,14 +488,5 @@ def shift_invariance_check(norm: NNorm, vs, alphas) -> tuple[bool, float]:
         raise DimensionMismatch("shift coefficient count", cfg.arity - 1, alphas.shape)
     if not np.isfinite(alphas).all():
         raise ValueError(f"shift coefficients must be finite, got {alphas.tolist()}")
-    vectors = list(as_rows(vs, cfg.dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        first = vectors[0] + sum(a * v for a, v in zip(alphas, vectors[1:]))
-    if not np.isfinite(first).all():
-        raise ValueError(NON_FINITE)
-    moved = [first] + vectors[1:]
-    base = norm(vectors)
-    shifted = norm(moved)
-    scale = max(_products(cfg.arity, unit_rows(cfg, np.array(vectors + moved))[1]))
-    gap = _rel_gap(base, shifted, scale, _zero_band(cfg))
+    gap = _shift_gaps(norm, _Batch([as_rows(vs, cfg.dim)]), [alphas])[0]
     return gap <= cfg.tol.rel, gap

@@ -32,6 +32,7 @@ from .linalg import (
     _metric_length,
     _products,
     _index,
+    _mapping,
     _split_product,
     _tolerance,
     _volumes,
@@ -148,6 +149,7 @@ class ClassCollection:
 
     @classmethod
     def from_json(cls, obj) -> "ClassCollection":
+        _mapping(obj, "class collection")
         built = class_collection(_index(obj["n"], "n"), _index(obj["m"], "m"))
         members = tuple(IndexSet.from_json(s) for s in obj["members"])
         if members != built.members:
@@ -237,6 +239,7 @@ class Frame:
 
     @classmethod
     def from_json(cls, obj) -> "Frame":
+        _mapping(obj, "frame")
         tol = _tolerance(obj.get("tolerances", {}))
         cfg = SpaceConfig(dim=_index(obj["dim"], "dim"), arity=_index(obj["arity"], "arity"), metric=obj.get("metric"), tol=tol)
         return cls(space=cfg, vectors=np.array(obj["vectors"], dtype=float))

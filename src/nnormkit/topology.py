@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import DimensionMismatch, SpaceConfig, _index, as_vector
+from .linalg import DimensionMismatch, SpaceConfig, _index, _mapping, as_vector
 from .nnorm import NNorm, standard_nnorm
 from .quotient import (
     Frame,
@@ -164,6 +164,7 @@ class SequenceSpec:
 
     @classmethod
     def from_json(cls, obj) -> "SequenceSpec":
+        _mapping(obj, "sequence spec")
         kind = SequenceKind(obj["kind"])
         if kind is SequenceKind.CUSTOM:
             return custom_sequence([(k, np.array(v, dtype=float)) for k, v in obj["table"]])
@@ -279,6 +280,7 @@ class NormSelection:
 
     @classmethod
     def from_json(cls, obj) -> "NormSelection":
+        _mapping(obj, "norm selection")
         return cls(n=_index(obj["n"], "n"), subsets=tuple(IndexSet.from_json(s) for s in obj["subsets"]))
 
 

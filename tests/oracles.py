@@ -1,8 +1,9 @@
 """Independent oracles the test suite checks the package against.
 
 Everything here is deliberately brute force (cofactor expansion, exhaustive
-family enumeration, a Gram-matrix solve) and shares no code with the
-implementation under test.
+family enumeration, a Gram-matrix solve, one evaluator call per tuple) and
+shares no code with the implementation under test, except where a reference
+names the `linalg` kernel it reuses to match the package bit for bit.
 """
 
 from __future__ import annotations
@@ -67,3 +68,26 @@ def gram_perp_part(metric, rows, w):
     metric = np.eye(len(w)) if metric is None else np.asarray(metric, dtype=float)
     gram = rows @ metric @ rows.T
     return w - rows.T @ np.linalg.solve(0.5 * (gram + gram.T), rows @ metric @ w)
+
+
+def per_tuple_shift_gap(norm, vs, alphas) -> float:
+    """The relative gap of the shift identity on one tuple, by two direct
+    evaluator calls: on the tuple, and on the tuple whose first vector gains
+    sum(alphas[i] * vs[i + 1]). The scale is the larger Hadamard scale of
+    the two tuples, from one `linalg._products` call over both tuples'
+    `linalg.unit_rows` lengths; values inside the zero band sqrt(tol.zero)
+    times that scale compare equal. This was the package's per-tuple rule
+    before its batched shift check, which must match it bit for bit."""
+    from nnormkit.linalg import _products, unit_rows
+
+    cfg = norm.cfg
+    vectors = list(np.asarray(vs, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = vectors[0] + sum(a * v for a, v in zip(alphas, vectors[1:]))
+    moved = [first] + vectors[1:]
+    base, shifted = norm(vectors), norm(moved)
+    scale = max(_products(cfg.arity, unit_rows(cfg, np.array(vectors + moved))[1]))
+    band = math.sqrt(cfg.tol.zero)
+    if abs(base) <= band * scale and abs(shifted) <= band * scale:
+        return 0.0
+    return abs(base - shifted) / max(abs(base), abs(shifted), scale, 1e-300)

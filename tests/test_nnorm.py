@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nnormkit import nnorm
+from nnormkit import linalg, nnorm
 from nnormkit.linalg import DimensionMismatch, SpaceConfig, Tolerance, hadamard_scale, rank
 from nnormkit.nnorm import (
     Axiom,
@@ -20,7 +20,7 @@ from nnormkit.nnorm import (
     standard_norm,
 )
 
-from oracles import cofactor_det
+from oracles import cofactor_det, per_tuple_shift_gap
 
 
 def cfg_of(n, d, metric=None):
@@ -183,21 +183,23 @@ class TestCheckAxioms:
     @pytest.mark.parametrize("n, d, perms", [(1, 2, 1), (2, 3, 2), (3, 3, 6), (4, 5, 24), (5, 6, 8)])
     def test_injected_evaluator_calls_per_trial(self, n, d, perms):
         # per tuple: one shared boundary value, one dependent value, one
-        # shared equality base value, the permutations, one scaled tuple, a
-        # summed and an alternative tuple, and the two shift values
+        # shared equality base value (which shift invariance reads too), the
+        # permutations, one scaled tuple, a summed and an alternative tuple,
+        # and one shifted tuple
         cfg = cfg_of(n, d)
         calls = []
         norm = NNorm(cfg, "injected", lambda vs: calls.append(1) or standard_norm(cfg, vs))
         check_axioms(norm, trials=7, seed=3)
-        assert len(calls) == 7 * (perms + 8)
+        assert len(calls) == 7 * (perms + 7)
 
     @pytest.mark.parametrize("n, d", [(1, 2), (3, 4), (5, 6)])
-    def test_standard_kind_calls_standard_norm_only_for_shift(self, n, d, monkeypatch):
+    def test_standard_kind_makes_no_per_tuple_standard_norm_calls(self, n, d, monkeypatch):
+        # every check, shift invariance included, evaluates stacks
         calls = []
         original = nnorm.standard_norm
         monkeypatch.setattr(nnorm, "standard_norm", lambda cfg, vs: calls.append(1) or original(cfg, vs))
         check_axioms(standard_nnorm(cfg_of(n, d)), trials=7, seed=3)
-        assert len(calls) == 2 * 7
+        assert calls == []
 
     def test_report_requires_witness_on_failure(self):
         with pytest.raises(ValueError):
@@ -352,6 +354,44 @@ class TestShiftInvariance:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 shift_invariance_check(norm, vs, [alpha, 0.0])
+
+    @pytest.mark.parametrize(
+        "n, d, spd",
+        [(n, d, False) for n in (2, 3, 4, 5) for d in (n, n + 1, n + 3)] + [(3, 4, True), (5, 6, True)],
+    )
+    def test_batched_and_public_gaps_equal_the_per_tuple_oracle(self, n, d, spd, monkeypatch):
+        # at rel = 1e-300 every nonzero gap fails, so with `_worst` replaced
+        # by `list` the check reports the gap of every such tuple, in order.
+        # Rows at 1e+-150 send the standard values, and the scales of
+        # n >= 3, through the split path of `_products`; values and scales
+        # of n >= 3 leave the double range there
+        metric = np.diag(np.linspace(0.5, 2.0, d)) + 0.1 if spd else None
+        cfg = SpaceConfig(dim=d, arity=n, metric=metric, tol=Tolerance(rel=1e-300))
+        norms = [
+            standard_nnorm(cfg),
+            NNorm(cfg, "injected", lambda vs: standard_norm(cfg, vs)),
+            # Python floats, so that a value past the double range is inf
+            NNorm(cfg, "weighted", lambda vs: standard_norm(cfg, vs) * (1.0 + abs(float(vs[0][0])))),
+            _nan_on_large(cfg),
+        ]
+        splits = []
+        split_product = linalg._split_product
+        monkeypatch.setattr(linalg, "_split_product", lambda *groups: splits.append(1) or split_product(*groups))
+        monkeypatch.setattr(nnorm, "_worst", list)
+        drawn = nnorm._Sampler(cfg, np.random.default_rng(n * 10 + d)).equality_batch(14)
+        for size in (1.0, 1e150, 1e-150):
+            batch = nnorm._Batch([[v * size for v in vs] for vs in drawn.tuples])
+            for norm in norms:
+                rng = np.random.default_rng(3)
+                alphas = [rng.uniform(-5.0, 5.0, n - 1) for _ in batch.tuples]
+                expected = [per_tuple_shift_gap(norm, vs, a) for vs, a in zip(batch.tuples, alphas)]
+                public = [shift_invariance_check(norm, vs, a)[1] for vs, a in zip(batch.tuples, alphas)]
+                assert [float(g).hex() for g in public] == [g.hex() for g in expected], (size, norm.kind)
+                witnesses = nnorm._check_shift(norm, batch, np.random.default_rng(3))
+                reported = [(id(w.vectors[0]), w.detail["alphas"].tolist(), float(w.discrepancy).hex()) for w in witnesses]
+                failing = [(id(vs[0]), a.tolist(), g.hex()) for vs, a, g in zip(batch.tuples, alphas, expected) if not g <= 1e-300]
+                assert reported == failing, (size, norm.kind)
+        assert splits
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -111,3 +111,30 @@ def test_broken_items_run_both_engines_on_each_broken_evaluator(digest_tool):
     # and the NaN evaluator fails homogeneity with a NaN discrepancy
     homogeneity = reports["check_axioms nan-on-large n=3 d=4"][4]
     assert homogeneity.axiom is nk.Axiom.ABSOLUTE_HOMOGENEITY and math.isnan(homogeneity.witness.discrepancy)
+
+
+def test_shift_items_cover_each_axiom_shape_size_and_norm(digest_tool):
+    import math
+
+    import nnormkit as nk
+
+    items = digest_tool.shift_items(nk, seed=5, trials=3)
+    shapes = [f"n={n} d={d}" for n in (2, 3, 4, 5) for d in (n, n + 1, n + 3)] + ["n=3 d=4 spd", "n=5 d=6 spd"]
+    sizes = ("1", "1e+150", "1e-150")
+    norms = ("standard", "injected", "nan-on-large")
+    assert [label for label, _ in items] == [f"shift {shape} size={size} {norm}" for shape in shapes for size in sizes for norm in norms]
+    def hexed(items):
+        return [[(passed, float(gap).hex()) for passed, gap in run()] for _, run in items]
+
+    checked = [run() for _, run in items]
+    assert hexed(items) == hexed(digest_tool.shift_items(nk, seed=5, trials=3))  # seeded, so repeatable
+    assert hexed(items) != hexed(digest_tool.shift_items(nk, seed=6, trials=3))
+    assert all(len(c) == 3 and all(isinstance(passed, bool) for passed, _ in c) for c in checked)
+    # the standard norm passes at every size; the nan-on-large evaluator is
+    # NaN on some tuples with rows at 1e+150, and on none at 1e-150
+    results = dict(zip((label for label, _ in items), checked))
+    for shape in shapes:
+        for size in sizes:
+            assert all(passed for passed, _ in results[f"shift {shape} size={size} standard"]), (shape, size)
+    assert any(math.isnan(gap) for shape in shapes for _, gap in results[f"shift {shape} size=1e+150 nan-on-large"])
+    assert not any(math.isnan(gap) for shape in shapes for _, gap in results[f"shift {shape} size=1e-150 nan-on-large"])

@@ -113,6 +113,10 @@ class TestClassCollection:
             ClassCollection.from_json({**doc, "m": 1.5})
         assert ClassCollection.from_json({**doc, "n": 3.0, "m": 1.0}) == class_collection(3, 1)
 
+    def test_a_json_non_object_is_named(self):
+        with pytest.raises(ValueError, match=r"class collection must be a mapping, got \[1\]"):
+            ClassCollection.from_json([1])
+
 
 class TestFrame:
     def test_rejects_dependent_vectors(self):
@@ -175,6 +179,10 @@ class TestFrame:
             Frame.from_json({**doc, "arity": 2.9})
         space = Frame.from_json({**doc, "dim": 3.0, "arity": 2.0}).space
         assert (space.dim, space.arity) == (3, 2)
+
+    def test_a_json_non_object_is_named(self):
+        with pytest.raises(ValueError, match=r"frame must be a mapping, got \[3, 2\]"):
+            Frame.from_json([3, 2])
 
 
 class TestClass1Norm:

@@ -138,6 +138,10 @@ class TestSequenceSpec:
                     continue
                 assert np.array_equal(eval_sequence(again, k), expected)
 
+    def test_a_json_non_object_is_named(self):
+        with pytest.raises(ValueError, match=r"sequence spec must be a mapping, got \[1\]"):
+            SequenceSpec.from_json([1])
+
 
 class TestNormSelection:
     def test_mixed_sizes_rejected(self):
@@ -163,6 +167,10 @@ class TestNormSelection:
         with pytest.raises(ValueError, match="n 3.5 is not an integer"):
             NormSelection.from_json({"n": 3.5, "subsets": [[1], [2]]})
         assert NormSelection.from_json({"n": 3.0, "subsets": [[1], [2]]}).n == 3
+
+    def test_a_json_non_object_is_named(self):
+        with pytest.raises(ValueError, match=r"norm selection must be a mapping, got \[1\]"):
+            NormSelection.from_json([1])
 
 
 class TestConvergesWrt:

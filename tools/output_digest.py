@@ -25,7 +25,11 @@ decisions near the kept span: per shape of AXIOM_SHAPES, ZERO_FRAMES seeded
 other rows, perturbed along y_j at each delta of ZERO_DELTAS; each item holds
 the ``quotient_profile(...).zero`` flags of one such vector under the
 standard or an injected norm, so that ``--compare`` names every decision a
-change of the zero rule flips. The "contract" digest covers conclusions,
+change of the zero rule flips. A ``shift@<seed>`` section covers the public
+``shift_invariance_check``: per shape of AXIOM_SHAPES, row size of
+SHIFT_SIZES and norm (the standard norm, an injected one and the
+nan-on-large evaluator of BROKEN_NORMS), each item holds the (passed, gap)
+of SHIFT_TRIALS seeded tuples and coefficients. The "contract" digest covers conclusions,
 methods, windows, limits, evidence values and bounds (as ``float.hex``),
 axiom pass/fail and CLI exit codes. The "strict" digest adds axiom
 witnesses (discrepancy and details) and the bytes of every CLI report. Run
@@ -49,6 +53,10 @@ AXIOM_TRIALS = 200
 DRAW_FRAMES = 20
 ZERO_FRAMES = 3
 ZERO_DELTAS = (0.0, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6, 1e-3)
+SHIFT_TRIALS = 20
+#: row sizes of the shift section: at 1e+-150 products of lengths leave the
+#: range where `_products` takes them plainly
+SHIFT_SIZES = (1.0, 1e150, 1e-150)
 #: broken evaluators of the axioms section, each from the standard value of
 #: a tuple and the tuple: the squared norm, the norm weighted by (1 + |first
 #: coordinate|), and the norm that is NaN when its first vector has an entry
@@ -152,6 +160,37 @@ def zero_items(nk, seed, frames=ZERO_FRAMES):
     return items
 
 
+def shift_items(nk, seed, trials=SHIFT_TRIALS):
+    """(label, thunk) per shape of AXIOM_SHAPES, row size of SHIFT_SIZES and
+    norm; the thunk returns (passed, gap) of shift_invariance_check on each
+    of `trials` seeded tuples, scaled to the size, with seeded coefficients.
+    Built from the public API only, so the tool runs on any checkout."""
+    import numpy as np
+
+    broken = BROKEN_NORMS["nan-on-large"]
+    items = []
+    for n, d, spd in AXIOM_SHAPES:
+        metric = np.diag(np.linspace(0.5, 2.0, d)) + 0.1 if spd else None
+        cfg = nk.SpaceConfig(dim=d, arity=n, metric=metric)
+        norms = [
+            ("standard", nk.standard_nnorm(cfg)),
+            ("injected", nk.NNorm(cfg, "injected", lambda vs, cfg=cfg: nk.standard_norm(cfg, vs))),
+            ("nan-on-large", nk.NNorm(cfg, "nan-on-large", lambda vs, cfg=cfg: broken(nk.standard_norm(cfg, vs), vs))),
+        ]
+        shape = f"n={n} d={d}" + (" spd" if spd else "")
+        rng = np.random.default_rng(seed)
+        drawn = [(rng.uniform(-1.0, 1.0, (n, d)), rng.uniform(-5.0, 5.0, n - 1)) for _ in range(trials)]
+        for size in SHIFT_SIZES:
+            for name, norm in norms:
+
+                def run(norm=norm, size=size, drawn=drawn):
+                    checked = (nk.shift_invariance_check(norm, list(rows * size), alphas) for rows, alphas in drawn)
+                    return [(bool(passed), gap) for passed, gap in checked]
+
+                items.append((f"shift {shape} size={size:g} {name}", run))
+    return items
+
+
 def compare(path_a, path_b) -> int:
     """Print each item (and each workload) whose digests differ between two
     output files; the exit status is 1 when any does."""
@@ -248,6 +287,7 @@ def main(argv):
         digest(f"axioms@{seed}", axiom_items(nk, seed) + broken_items(nk, seed))
         digest(f"draws@{seed}", draw_items(nk, seed))
         digest(f"zeros@{seed}", zero_items(nk, seed))
+        digest(f"shift@{seed}", shift_items(nk, seed))
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
 
