@@ -146,7 +146,12 @@ class _Batch:
     construction labels, and the tuples stacked as one (B, n, d) array.
 
     `base(norm)` evaluates the batch once per norm, so every check that
-    reads the batch shares its values and scales.
+    reads the batch shares its values and scales. The standard kind takes
+    them from the stacked kernel rather than from its evaluator, so `base`
+    also calls the evaluator on the first tuple, and raises a ValueError
+    unless it gives that tuple's stacked value bit for bit: a norm labelled
+    standard whose evaluator is another function is refused, not checked
+    through a kernel it does not use.
     """
 
     def __init__(self, tuples: list[list[np.ndarray]], labels: list[str] | None = None):
@@ -157,7 +162,10 @@ class _Batch:
 
     def base(self, norm: NNorm) -> tuple[list, list[float]]:
         if self._base is None or self._base[0] is not norm:
-            self._base = (norm, _evaluate(norm, self.stack))
+            values, scales = _evaluate(norm, self.stack)
+            if norm.kind == "standard" and float(norm(self.tuples[0])).hex() != float(values[0]).hex():
+                raise ValueError("an NNorm of the standard kind must evaluate as standard_norm")
+            self._base = (norm, (values, scales))
         return self._base[1]
 
 
@@ -237,13 +245,7 @@ class _Sampler:
 
     def equality_batch(self, trials: int) -> _Batch:
         """Tuples for value-comparison checks: generic plus mild perturbation."""
-        out = []
-        for t in range(trials):
-            if t % 7 == 6:
-                out.append(self.near_dependent(self.MILD_DELTA))
-            else:
-                out.append(self.generic())
-        return _Batch(out)
+        return _Batch([self.near_dependent(self.MILD_DELTA) if t % 7 == 6 else self.generic() for t in range(trials)])
 
     def dependent_batch(self, trials: int) -> _Batch:
         """Exactly dependent tuples, for the zero-value check."""

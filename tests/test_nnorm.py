@@ -194,12 +194,26 @@ class TestCheckAxioms:
 
     @pytest.mark.parametrize("n, d", [(1, 2), (3, 4), (5, 6)])
     def test_standard_kind_makes_no_per_tuple_standard_norm_calls(self, n, d, monkeypatch):
-        # every check, shift invariance included, evaluates stacks
+        # every check, shift invariance included, evaluates stacks; the
+        # evaluator is called once per drawn batch (boundary, dependent,
+        # equality), on its first tuple, however many tuples it holds
         calls = []
         original = nnorm.standard_norm
         monkeypatch.setattr(nnorm, "standard_norm", lambda cfg, vs: calls.append(1) or original(cfg, vs))
-        check_axioms(standard_nnorm(cfg_of(n, d)), trials=7, seed=3)
-        assert calls == []
+        for trials in (7, 21):
+            calls.clear()
+            check_axioms(standard_nnorm(cfg_of(n, d)), trials=trials, seed=3)
+            assert len(calls) == 3
+
+    def test_standard_kind_with_another_evaluator_is_refused(self):
+        # the stacked kernel stands in for a standard evaluator, so one that
+        # is not `standard_norm` would go unchecked; it is refused instead
+        cfg = cfg_of(3, 4)
+        doubled = NNorm(cfg, "standard", lambda vs: 2.0 * standard_norm(cfg, vs))
+        with pytest.raises(ValueError, match="standard kind"):
+            check_axioms(doubled, trials=5, seed=1)
+        with pytest.raises(ValueError, match="standard kind"):
+            shift_invariance_check(doubled, np.eye(3, 4), [0.5, -1.0])
 
     def test_report_requires_witness_on_failure(self):
         with pytest.raises(ValueError):
