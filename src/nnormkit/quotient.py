@@ -275,6 +275,16 @@ def _check_compatible(frame: Frame, norm: NNorm) -> None:
         )
 
 
+def _subset_sum(terms: list[float], s: IndexSet) -> float:
+    """Sum of the class-1 terms named by s, added as Python floats in index
+    order from 0.0: the one rule by which a class-m value or scale is read
+    off a profile, or off the value list a verdict keeps in its place."""
+    total = 0.0
+    for j in s.indices:
+        total += terms[j - 1]
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class Profile:
     """The class-1 quotient norms of one vector u against a frame.
@@ -291,7 +301,8 @@ class Profile:
     vanishes exactly when each does, so `is_zero(s)` needs every flag over s.
 
     Sums over s add Python floats, taken from the arrays once per profile,
-    in index order from 0.0; the zero flags are read the same way.
+    in index order from 0.0 (`_subset_sum`); the zero flags are read the
+    same way.
     """
 
     values: np.ndarray
@@ -308,19 +319,11 @@ class Profile:
 
     def value(self, s: IndexSet) -> float:
         """classm_norm(u, s): the sum of the class-1 values over s."""
-        values = self._value_list
-        total = 0.0
-        for j in s.indices:
-            total += values[j - 1]
-        return total
+        return _subset_sum(self._value_list, s)
 
     def scale(self, s: IndexSet) -> float:
         """Sum of the Hadamard scales over s; bounds value(s) from above."""
-        scales = self._scale_list
-        total = 0.0
-        for j in s.indices:
-            total += scales[j - 1]
-        return total
+        return _subset_sum(self._scale_list, s)
 
     def terms(self, s: IndexSet) -> list[tuple[float, float]]:
         """(value, scale) of each class-1 term over s, in index order."""

@@ -11,15 +11,19 @@ Every verdict reduces its subset questions to the class-1 profiles of the
 vectors involved (`quotient.Profile`), read by column for each subset and
 built once per distinct vector and column set, per call (`_profiles`):
 repeated table entries, zero gaps and trace vectors that coincide share one
-profile, so one verdict call calls an injected evaluator once per distinct
-pair of a vector and a requested column. Zero/nonzero classification
-happens once per frame index, so verdicts derived from the same profile can
-never disagree by rounding: the cross-class equivalences hold through the
-same class-1 decomposition that makes them true. An equivalence table takes
-one set of profiles (the traces and the evidence vectors at k = 1 and 10)
-and reads all n of its class-m rows off it, through the same row builders
-the public verdicts use. A verdict keeps the profiles it sampled and builds
-its trace points from them on the first read of `evidence` (`Verdict`).
+profile, so one verdict call, its evidence read included, calls an injected
+evaluator once per distinct pair of a vector and a requested column.
+Zero/nonzero classification happens once per frame index, so verdicts
+derived from the same profile can never disagree by rounding: the
+cross-class equivalences hold through the same class-1 decomposition that
+makes them true. An equivalence table takes one set of trace profiles and
+reads all n of its class-m rows off it, through the same row builders the
+public verdicts use. A verdict keeps the class-1 values of the vectors it
+sampled and builds its trace points from them on the first read of
+`evidence` (`Verdict`). An analytic verdict's conclusion reads only the
+traces and the bounds, so an evidence vector that is neither is profiled
+only on that first read (`_PendingProfiles`): a caller that reads only the
+conclusions never profiles it.
 
 Inputs are validated once, at the public boundary; a sequence's vectors
 when it is built, and its fit to a frame once per verdict. Table entries,
@@ -45,7 +49,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import DimensionMismatch, SpaceConfig, _index, _mapping, as_vector
+from .linalg import NON_FINITE, DimensionMismatch, SpaceConfig, _index, _mapping, as_vector
 from .nnorm import NNorm, standard_nnorm
 from .quotient import (
     Frame,
@@ -53,6 +57,7 @@ from .quotient import (
     Profile,
     _check_compatible,
     _profile,
+    _subset_sum,
     class_collection,
     quotient_profile,
     standard_frame,
@@ -337,13 +342,17 @@ class Verdict:
 
     `evidence` holds one trace point (k, s, classm_norm(x, s)) per sampled
     index k and subset s. The verdict functions pass its source instead, as
-    `_source=(pairs, selection)` with `pairs` the (k, profile) list of the
-    sampled vectors: `evidence` is then built from it, subset by subset, on
-    first read and cached, so a reader pays what an eager build cost and a
-    caller that reads only the conclusion pays nothing. Equality, `repr`,
-    `dataclasses.replace` and `asdict` read `evidence`, and a copy or a
-    pickle carries the built tuple, so they see what a verdict given the
-    same tuple as `evidence=` gives.
+    `_source` (the arguments of `_trace_points`): the sampled vectors' (k,
+    class-1 value list) pairs and the selection, or for an analytic verdict
+    (k, u.tobytes()) pairs, the selection and the call's `_PendingProfiles`.
+    `evidence` is then built from it, subset by subset, on first read and
+    cached, so a reader pays what an eager build cost and a caller that
+    reads only the conclusion pays nothing. That first read profiles any
+    evidence vector of an analytic verdict that the call did not, so it may
+    call an injected evaluator or raise what such a profile raises, such as
+    `ScaleOutOfRange`. Equality, `repr`, `dataclasses.replace` and `asdict`
+    read `evidence`, and a copy or a pickle carries the built tuple, so they
+    see what a verdict given the same tuple as `evidence=` gives.
     """
 
     conclusion: Conclusion
@@ -362,7 +371,7 @@ class Verdict:
             self.__dict__["_pending"] = _source
 
     def __getstate__(self):
-        self.evidence  # builds a deferred tuple, so a copy or a pickle holds no profile
+        self.evidence  # builds a deferred tuple, so a copy or a pickle holds no source
         return self.__dict__
 
 
@@ -400,8 +409,8 @@ def _profiles(frame: Frame, norm: NNorm, vectors, columns: tuple[int, ...], memo
     seen before, bit for bit, under the same columns gets the profile it got
     then. `memo` maps (u.tobytes(), columns) to that profile; its owner, one
     public verdict call or one `AnalyticTraces`, holds it for one frame and
-    one norm and drops it with itself. A non-finite vector raises where it
-    first occurs, as `_profile` raises.
+    one norm and drops it with itself; no verdict keeps it. A non-finite
+    vector raises where it first occurs, as `_profile` raises.
     """
     out = []
     for u in vectors:
@@ -413,6 +422,60 @@ def _profiles(frame: Frame, norm: NNorm, vectors, columns: tuple[int, ...], memo
     return out
 
 
+class _PendingProfiles:
+    """The evidence vectors of one analytic call, under its one column set
+    `columns`, by their bytes (u.tobytes()), each with its class-1 value
+    list once profiled and None while pending. Every verdict of the call
+    keeps this one map, so a vector that several rows sample is profiled
+    once, on the first read of any of them, and keeps nothing of the call's
+    traces or memo: a pending vector is rebuilt from its bytes. An evidence
+    row, a list of (k, bytes) pairs that the n verdicts of one kind in a
+    table share, is resolved in place to (k, class-1 value list) pairs on
+    its first read (`resolve`)."""
+
+    __slots__ = ("frame", "norm", "columns", "values")
+
+    def __init__(self, frame: Frame, norm: NNorm, columns: tuple[int, ...]):
+        self.frame = frame
+        self.norm = norm
+        self.columns = columns
+        self.values: dict[bytes, list[float] | None] = {}
+
+    def add(self, u: np.ndarray) -> bytes:
+        """The key of an evidence vector, pending. It must be finite, so one
+        that overflowed is named non-finite by the call, as a profile would
+        name it."""
+        key = u.tobytes()
+        if key not in self.values:
+            if not all(map(math.isfinite, u.tolist())):
+                raise ValueError(NON_FINITE)
+            self.values[key] = None
+        return key
+
+    def settle(self, memo: dict) -> None:
+        """Take the values of every pending vector whose profile under
+        `columns` the call's memo holds."""
+        for key, values in self.values.items():
+            if values is None:
+                profile = memo.get((key, self.columns))
+                if profile is not None:
+                    self.values[key] = profile._value_list
+
+    def resolve(self, row: list) -> None:
+        """Put the class-1 values of each key of `row` in its place,
+        profiling a pending vector first. Keys are resolved in order, so a
+        row whose last entry holds values is resolved."""
+        if not row or type(row[-1][1]) is not bytes:
+            return
+        for i, (k, key) in enumerate(row):
+            if type(key) is bytes:
+                values = self.values[key]
+                if values is None:
+                    u = np.frombuffer(bytearray(key))
+                    values = self.values[key] = _profile(self.frame, self.norm, u, self.columns)._value_list
+                row[i] = (k, values)
+
+
 class AnalyticTraces:
     """Per-subset limiting behaviour of the norm traces of a closed-form
     sequence, relative to a candidate limit (where one is involved). Zero
@@ -421,17 +484,20 @@ class AnalyticTraces:
     `evidence` names the rows a verdict or table samples, each as
     (ks, vector_at), and `columns` the sorted frame indices an injected
     evaluator is called on there (all n when None); `self.evidence` holds
-    one list of (k, profile) per row, for the k >= 1 of its ks (sequences
-    start at k = 1; a k that is not a whole number raises). Every vector of the traces, their bounds and the
-    evidence is computed under one `np.errstate` guard, and the profiles are
-    taken after it: a vector that overflowed is named non-finite there, with
-    no numpy warning on the way.
+    one list of (k, u.tobytes()) per row, for the k >= 1 of its ks
+    (sequences start at k = 1; a k that is not a whole number raises), with
+    the keys of the call's `_PendingProfiles`. Every vector of the traces,
+    their bounds and the evidence is computed under one `np.errstate`
+    guard, and the profiles are taken after it: a vector that overflowed is
+    named non-finite there, with no numpy warning on the way.
 
-    The traces, the evidence and the bound profiles (taken on first use)
-    share one memo for the life of the object: each distinct vector is
-    profiled once per column set (the traces' all n, the evidence's
-    `columns`), so a constant's offsets are its traced offset and a
-    divergent sequence's x_2 - x_1 is its direction.
+    The traces and the bound profiles (taken on first use) share one memo
+    for the life of the object: each distinct vector is profiled once per
+    column set. An evidence vector that the memo holds under the evidence's
+    `columns` takes that profile, so a constant's offsets are its traced
+    offset and a divergent sequence's x_2 - x_1 is its direction; any other
+    is profiled on the first read of a verdict's `evidence`, unless a bound
+    profile taken later in the call is its profile (an oscillating term).
     """
 
     def __init__(self, spec: SequenceSpec, frame: Frame, norm: NNorm, limit=None, evidence=(), columns=None):
@@ -470,7 +536,9 @@ class AnalyticTraces:
             setattr(self, name, profile)
         self._bound_vectors = bounds
         columns = self._all if columns is None else tuple(columns)
-        self.evidence = [list(zip([k for k, _ in row], self._profiles([v for _, v in row], columns))) for row in rows]
+        self._pending = _PendingProfiles(frame, norm, columns)
+        self.evidence = [[(k, self._pending.add(u)) for k, u in row] for row in rows]
+        self._pending.settle(self._memo)
 
     def _profiles(self, vectors, columns: tuple[int, ...]) -> list[Profile]:
         # every vector is computed from the checked spec and limit
@@ -497,8 +565,12 @@ class AnalyticTraces:
         return self._v.is_zero(s)
 
     @cached_property
-    def _bound_profiles(self) -> tuple:
-        return tuple(self._profiles(self._bound_vectors, self._all))
+    def _bound_values(self) -> tuple:
+        """Class-1 value lists of the bound's terms; an evidence vector that
+        is one of them takes its values too."""
+        profiles = self._profiles(self._bound_vectors, self._all)
+        self._pending.settle(self._memo)
+        return tuple(p._value_list for p in profiles)
 
     def bounded_on(self, s: IndexSet) -> tuple[bool, float]:
         """Is sup_k classm_norm(x_k, s) finite, and an analytic bound for it."""
@@ -508,15 +580,15 @@ class AnalyticTraces:
                 # kv stays in the kept span, so every coset is the zero coset
                 return True, 0.0
             return False, math.inf
-        profiles = self._bound_profiles
+        values = self._bound_values
         if kind is SequenceKind.CONSTANT:
-            return True, profiles[0].value(s)
+            return True, _subset_sum(values[0], s)
         if kind is SequenceKind.CONVERGENT_POWER:
             # k >= 1 so |c| k**-p <= |c|
-            base, direction = profiles
-            return True, base.value(s) + abs(self.spec.coefficient) * direction.value(s)
-        plus, minus = profiles
-        return True, max(plus.value(s), minus.value(s))
+            base, direction = values
+            return True, _subset_sum(base, s) + abs(self.spec.coefficient) * _subset_sum(direction, s)
+        plus, minus = values
+        return True, max(_subset_sum(plus, s), _subset_sum(minus, s))
 
 
 # What the evidence rows of each verdict sample at index k.
@@ -537,38 +609,42 @@ def _doubling_gap(spec: SequenceSpec, limit, k: int):
     return _eval(spec, 2 * k) - _eval(spec, k)
 
 
-def _trace_points(profiles, selection: NormSelection) -> tuple[TracePoint, ...]:
-    """Trace points (k, s, classm_norm(x, s)) of (k, profile) pairs,
-    subset by subset: the one evidence builder, which a verdict calls on the
-    first read of its `evidence`."""
-    return tuple(TracePoint(k, s, p.value(s)) for s in selection.subsets for k, p in profiles)
+def _trace_points(pairs, selection: NormSelection, pending: _PendingProfiles | None = None) -> tuple[TracePoint, ...]:
+    """Trace points (k, s, classm_norm(x, s)) of (k, class-1 value list)
+    pairs, subset by subset, once `pending` (if given) has resolved the
+    pairs' vector bytes: the one evidence builder, which a verdict calls on the
+    first read of its `evidence`. Each value is summed as `Profile.value`
+    sums it."""
+    if pending is not None:
+        pending.resolve(pairs)
+    return tuple(TracePoint(k, s, _subset_sum(values, s)) for s in selection.subsets for k, values in pairs)
 
 
-# Each analytic verdict is built from the sequence's traces and the evidence
-# profiles of its row, for one selection, which it keeps as the source of
-# its evidence. The public verdicts and every row of equivalence_matrix go
-# through these three.
+# Each analytic verdict is built from the sequence's traces and the (k, bytes)
+# pairs of its evidence row, for one selection, which it keeps with the
+# traces' pending map as the source of its evidence. The public verdicts and
+# every row of equivalence_matrix go through these three.
 
 
-def _convergence_row(traces: AnalyticTraces, profiles, selection: NormSelection) -> Verdict:
-    source = (profiles, selection)
+def _convergence_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verdict:
+    source = (pairs, selection, traces._pending)
     if all(traces.trace_limit_zero(s) for s in selection.subsets):
         return Verdict(Conclusion.CONVERGES, Method.ANALYTIC, limit=traces.limit, _source=source)
     return Verdict(Conclusion.DIVERGES, Method.ANALYTIC, _source=source)
 
 
-def _boundedness_row(traces: AnalyticTraces, profiles, selection: NormSelection) -> Verdict:
+def _boundedness_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verdict:
     bounds = [traces.bounded_on(s) for s in selection.subsets]
-    source = (profiles, selection)
+    source = (pairs, selection, traces._pending)
     if not all(ok for ok, _ in bounds):
         return Verdict(Conclusion.UNBOUNDED, Method.ANALYTIC, _source=source)
     return Verdict(Conclusion.BOUNDED, Method.ANALYTIC, bound=max(b for _, b in bounds), _source=source)
 
 
-def _cauchy_row(traces: AnalyticTraces, profiles, selection: NormSelection) -> Verdict:
+def _cauchy_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verdict:
     ok = all(traces.cauchy_on(s) for s in selection.subsets)
     conclusion = Conclusion.CAUCHY if ok else Conclusion.NOT_CAUCHY
-    return Verdict(conclusion, Method.ANALYTIC, _source=(profiles, selection))
+    return Verdict(conclusion, Method.ANALYTIC, _source=(pairs, selection, traces._pending))
 
 
 def _settles(series: list[float], floor: float) -> bool:
@@ -631,7 +707,13 @@ def converges_wrt(
     a proof.
 
     Each distinct vector is profiled once per call, so an injected evaluator
-    is called once per distinct (vector, requested column) pair.
+    is called once per distinct (vector, requested column) pair, over the
+    call and the read of its evidence together. For a closed form the call
+    profiles the traces, and an evidence vector only where a trace is that
+    vector under the requested columns; the others are profiled on the
+    first read of `evidence`, where their evaluator calls and errors (such
+    as `ScaleOutOfRange`) then fall. An evidence vector that overflowed is
+    named non-finite by the call.
     """
     _validate_selection(frame, selection)
     columns = tuple(sorted(selection.union()))
@@ -646,7 +728,7 @@ def converges_wrt(
     with np.errstate(over="ignore", invalid="ignore"):
         offsets = [v - limit for _, v in spec.table]
     profiles = _profiles(frame, norm, offsets, columns, {})
-    source = (list(zip(ks, profiles)), selection)
+    source = (list(zip(ks, [p._value_list for p in profiles])), selection)
     if all(_settles([p.value(s) for p in profiles], max(p.floor(s) for p in profiles)) for s in selection.subsets):
         return Verdict(Conclusion.CONVERGES, Method.SAMPLED, limit=limit, window=window, _source=source)
     return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, window=window, _source=source)
@@ -674,7 +756,9 @@ def is_cauchy_wrt(
     yet the sums diverge. Each distinct vector, x_1 and the gaps together, is
     profiled once per call, so an injected evaluator is called once per
     distinct (vector, requested column) pair; equal successive entries
-    give one zero gap.
+    give one zero gap. For a closed form the doubling gaps are profiled as
+    `converges_wrt` profiles its offsets: on the first read of `evidence`,
+    unless a trace is the gap (a divergent sequence's x_2 - x_1).
     """
     _validate_selection(frame, selection)
     columns = tuple(sorted(selection.union()))
@@ -687,7 +771,7 @@ def is_cauchy_wrt(
     window = (ks[0], ks[-1])
     vectors = [v for _, v in spec.table]
     first, *gaps = _profiles(frame, norm, vectors[:1] + _steps(vectors), columns, {})
-    source = (list(zip(ks, gaps)), selection)
+    source = (list(zip(ks, [g._value_list for g in gaps])), selection)
     if all(_settles([g.value(s) for g in gaps], first.floor(s)) for s in selection.subsets):
         return Verdict(Conclusion.CAUCHY, Method.SAMPLED, window=window, _source=source)
     return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, window=window, _source=source)
@@ -716,7 +800,11 @@ def is_bounded_wrt(
 
     Each distinct point, entry or gap is profiled once per call, so an
     injected evaluator is called once per distinct (vector, requested
-    column) pair; the gaps are profiled only when a trace rises.
+    column) pair; the gaps are profiled only when a trace rises. For a
+    closed form the terms are profiled as `converges_wrt` profiles its
+    offsets: on the first read of `evidence`, unless a trace or a bound's
+    term is the term under the requested columns (a constant's x, an
+    oscillation's x +- c v).
     """
     _validate_selection(frame, selection)
     columns = tuple(sorted(selection.union()))
@@ -784,9 +872,13 @@ def equivalence_matrix(spec: SequenceSpec, frame: Frame, norm: NNorm, candidate_
     full_selection(n, m) with evidence_ks=(1, 10). Every row reads the same
     traces and the same evidence profiles, taken once per table: a class-m
     norm is a sum of class-1 norms, so the rows differ only in the sums.
-    Each verdict keeps its row's profiles and builds its trace points on
-    the first read of its `evidence`, so a caller that reads only the
-    conclusions builds none.
+    The table profiles only its traces and bounds. Every verdict keeps the
+    keys of its row's evidence vectors and the table's one
+    `_PendingProfiles`; the first read of any verdict's `evidence` profiles
+    the vectors it samples that no trace, bound or earlier read profiled,
+    and builds its trace points. So a caller that reads only the
+    conclusions profiles no other vector and builds no trace point, and one
+    that reads every row makes the evaluator calls an eager build made.
     """
     if spec.kind is SequenceKind.CUSTOM:
         raise ValueError("equivalence matrix needs a closed-form sequence")
@@ -815,11 +907,18 @@ def covering_check(selection: NormSelection) -> bool:
     return selection.union() >= set(range(1, selection.n + 1))
 
 
-def minimal_cover_size(n: int, m: int) -> int:
-    """Least number of size-m subsets whose union can cover {1..n}."""
+def _cover_shape(n, m) -> tuple[int, int, int]:
+    """(n, m, least cover size) for whole numbers 1 <= m <= n; a size that
+    is not a whole number raises a ValueError naming it."""
+    n, m = _index(n, "n"), _index(m, "m")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    return -(-n // m)
+    return n, m, -(-n // m)
+
+
+def minimal_cover_size(n: int, m: int) -> int:
+    """Least number of size-m subsets whose union can cover {1..n}."""
+    return _cover_shape(n, m)[2]
 
 
 ENUMERATION_LIMIT = 7
@@ -829,11 +928,9 @@ def enumerate_minimal_covers(n: int, m: int) -> list[NormSelection]:
     """All families of exactly minimal_cover_size(n, m) size-m subsets whose
     union covers {1..n}, deduplicated up to family order. Guarded to n <= 7:
     beyond that the family space explodes."""
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    n, m, size = _cover_shape(n, m)
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration is guarded to n <= {ENUMERATION_LIMIT}, got n={n}")
-    size = minimal_cover_size(n, m)
     members = class_collection(n, m).members
     out = []
     for family in combinations(members, size):
@@ -933,7 +1030,9 @@ class CounterexampleRecord:
 
 def counterexample_r5(k_max: int = 100, frame: Frame | None = None) -> CounterexampleRecord:
     """Reproduce the R^5 demonstration: x_k = (0,0,0,0,k) against the
-    standard basis frame, identity metric."""
+    standard basis frame, identity metric. A k_max that is not a whole
+    number raises a ValueError naming it."""
+    k_max = _index(k_max, "k_max")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     if frame is None:

@@ -87,6 +87,12 @@ def test_rows_equal_the_public_verdicts(n, extra, metric, injected):
 #: x_2 - x_1, and the zero gap x_20 - x_10; divergent linear, v (also x_1
 #: and x_2 - x_1), 10 v (also x_20 - x_10), the limit and the two offsets
 DISTINCT_PROFILES = {"constant": 2, "convergent_power": 9, "oscillating": 6, "divergent_linear": 5}
+#: of those, the ones the conclusions read, so the call profiles them: the
+#: traces and the bound's terms (constant, the zero offset and x; convergent
+#: power, the zero offset and the bound's two terms; oscillating, +-c v and
+#: x +- c v; divergent linear, v and the limit). The rest are profiled on
+#: the first read of the evidence.
+CALL_TIME_PROFILES = {"constant": 2, "convergent_power": 3, "oscillating": 4, "divergent_linear": 2}
 
 
 def _spec(kind, rng, d):
@@ -113,7 +119,11 @@ def test_a_table_calls_the_evaluator_once_per_profile_column(n, kind):
     frame = random_frame(cfg, rng)
     norm, calls = _counting_norm(cfg)
     spec, limit = _spec(kind, rng, n + 1)
-    equivalence_matrix(spec, frame, norm, limit)
+    table = equivalence_matrix(spec, frame, norm, limit)
+    assert len(calls) == n * CALL_TIME_PROFILES[kind]
+    for row in table.rows:
+        for verdict in (row.convergence, row.boundedness, row.cauchy):
+            verdict.evidence
     assert len(calls) == n * DISTINCT_PROFILES[kind]
     assert set(calls) == {n}
 

@@ -1,8 +1,9 @@
 """A verdict builds its evidence on first read: the trace points equal, as
 float.hex, the class-m norms of the sampled vectors; none is built until a
-caller reads `evidence`; the tuple is built once; and equality, repr,
-pickle, copy, replace and asdict see what a verdict given the same tuple
-gives."""
+caller reads `evidence`; an analytic evidence vector that no conclusion
+reads is profiled only then, once per call; the tuple is built once; and
+equality, repr, pickle, copy, replace and asdict see what a verdict given
+the same tuple gives."""
 
 import copy
 import dataclasses
@@ -14,7 +15,7 @@ import pytest
 from nnormkit import topology
 from nnormkit.linalg import SpaceConfig
 from nnormkit.nnorm import NNorm, standard_nnorm, standard_norm
-from nnormkit.quotient import quotient_profile, random_frame
+from nnormkit.quotient import Frame, ScaleOutOfRange, quotient_profile, random_frame
 from nnormkit.topology import (
     Conclusion,
     Method,
@@ -31,6 +32,8 @@ from nnormkit.topology import (
     is_cauchy_wrt,
     oscillating,
 )
+from test_equivalence import CALL_TIME_PROFILES, DISTINCT_PROFILES, _counting_norm
+from test_equivalence import _spec as _exact_spec
 
 SHAPES = [(2, 4), (3, 5), (5, 7)]
 KINDS = ["constant", "convergent_power", "oscillating", "divergent_linear"]
@@ -232,3 +235,76 @@ def test_sampled_evidence_matches_the_eager_build(kind, injected):
         gaps = [quotient_profile(frame, norm, b - a, columns) for a, b in zip(vectors, vectors[1:])]
         expected = [(k, s.indices, p.value(s).hex()) for s in sel.subsets for k, p in zip(ks, gaps)]
         assert _hex(is_cauchy_wrt(table, frame, norm, sel).evidence) == expected
+
+
+def _verdicts(table) -> list:
+    return [v for row in table.rows for v in (row.convergence, row.boundedness, row.cauchy)]
+
+
+@pytest.mark.parametrize("kind", sorted(DISTINCT_PROFILES))
+def test_pending_evidence_is_profiled_once_on_first_read(monkeypatch, kind):
+    n = 3
+    rng = np.random.default_rng(n)
+    cfg = SpaceConfig(dim=n + 1, arity=n)
+    frame = random_frame(cfg, rng)
+    norm, calls = _counting_norm(cfg)
+    spec, limit = _exact_spec(kind, rng, n + 1)
+    profiled = []
+    profile = topology._profile
+
+    def counted(frame, norm, u, columns):
+        profiled.append((u.tobytes(), tuple(columns)))
+        return profile(frame, norm, u, columns)
+
+    monkeypatch.setattr(topology, "_profile", counted)
+    verdicts = _verdicts(equivalence_matrix(spec, frame, norm, limit))
+    # every row of the table keeps one pending map
+    pending = vars(verdicts[0])["_pending"][2]
+    assert all(vars(v)["_pending"][2] is pending for v in verdicts)
+    waiting = {(key, pending.columns) for key, values in pending.values.items() if values is None}
+    assert len(profiled) == CALL_TIME_PROFILES[kind]
+    assert len(waiting) == DISTINCT_PROFILES[kind] - CALL_TIME_PROFILES[kind]
+    assert not waiting & set(profiled)
+    assert len(calls) == n * CALL_TIME_PROFILES[kind]
+    for verdict in verdicts:
+        verdict.evidence
+    # each pending vector once, and the evaluator as often as an eager build
+    assert sorted(profiled[CALL_TIME_PROFILES[kind] :]) == sorted(waiting)
+    assert len(calls) == n * DISTINCT_PROFILES[kind]
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+def test_an_out_of_range_evidence_scale_raises_on_first_read(injected):
+    # the traced direction v has scale 5e307; x_10 = 10 v and x_20 - x_10
+    # are finite, but their scales, 5e308, are not, and only the evidence
+    # samples them
+    cfg = SpaceConfig(dim=3, arity=2)
+    frame = Frame(space=cfg, vectors=10.0 * np.eye(3)[:2])
+    norm = _counting_norm(cfg)[0] if injected else standard_nnorm(cfg)
+    table = equivalence_matrix(divergent_linear(5e306 * np.eye(3)[2]), frame, norm, np.zeros(3))
+    assert table.conclusions("convergence") == [Conclusion.DIVERGES] * 2
+    assert table.conclusions("boundedness") == [Conclusion.UNBOUNDED] * 2
+    assert table.conclusions("cauchy") == [Conclusion.NOT_CAUCHY] * 2
+    for verdict in _verdicts(table):
+        with pytest.raises(ScaleOutOfRange):
+            verdict.evidence
+        # nothing is stored, so a second read raises again
+        assert "evidence" not in vars(verdict)
+        with pytest.raises(ScaleOutOfRange):
+            verdict.evidence
+
+
+def test_a_pickled_unread_verdict_holds_no_frame_norm_or_key():
+    rng, frame, norm = _setup(3, 5, injected=False)
+    spec, limit = _spec("convergent_power", rng, 5)
+    verdicts = _verdicts(equivalence_matrix(spec, frame, norm, limit))
+    # every evidence vector of a convergent power is pending: pickling the
+    # first verdict of each kind profiles it
+    pending = vars(verdicts[0])["_pending"][2]
+    keys = list(pending.values)
+    assert len(keys) == 6 and not any(pending.values.values())
+    for verdict in verdicts:
+        blob = pickle.dumps(verdict)
+        assert b"Frame" not in blob and b"NNorm" not in blob and b"Pending" not in blob
+        assert not any(key in blob for key in keys)
+        assert _bits(pickle.loads(blob)) == _bits(verdict)

@@ -138,3 +138,34 @@ def test_shift_items_cover_each_axiom_shape_size_and_norm(digest_tool):
             assert all(passed for passed, _ in results[f"shift {shape} size={size} standard"]), (shape, size)
     assert any(math.isnan(gap) for shape in shapes for _, gap in results[f"shift {shape} size=1e+150 nan-on-large"])
     assert not any(math.isnan(gap) for shape in shapes for _, gap in results[f"shift {shape} size=1e-150 nan-on-large"])
+
+
+def test_analytic_items_cover_each_case_shape_and_norm(digest_tool):
+    import nnormkit as nk
+
+    shapes = [(2, 3, False), (3, 4, True)]
+    items = digest_tool.analytic_items(nk, seed=5, shapes=shapes)
+    cases = digest_tool.ANALYTIC_CASES
+    assert len(cases) == 8
+    expected = [f"analytic {shape} {case} {norm}" for shape in ("n=2 d=3", "n=3 d=4 spd") for norm in ("standard", "injected") for case in cases]
+    assert [label for label, _ in items] == expected
+
+    def hexed(items):
+        out = []
+        for _, run in items:
+            *verdicts, table = run()
+            verdicts += [v for row in table.rows for v in (row.convergence, row.boundedness, row.cauchy)]
+            out.append([(v.conclusion, v.method, None if v.bound is None else v.bound.hex(), [(p.k, p.subset.indices, p.value.hex()) for p in v.evidence]) for v in verdicts])
+        return out
+
+    first = hexed(items)
+    assert first == hexed(digest_tool.analytic_items(nk, seed=5, shapes=shapes))  # seeded, so repeatable
+    assert first != hexed(digest_tool.analytic_items(nk, seed=6, shapes=shapes))
+    # every item is analytic, and both norms give the same conclusions
+    results = dict(zip(expected, first))
+    for label, verdicts in results.items():
+        assert len(verdicts) == 6 + 3 * int(label.split()[1][2:])
+        assert all(method is nk.Method.ANALYTIC and evidence for _, method, _, evidence in verdicts), label
+        if label.endswith("standard"):
+            twin = results[label[: -len("standard")] + "injected"]
+            assert [v[0] for v in verdicts] == [v[0] for v in twin], label

@@ -105,12 +105,19 @@ def test_repeated_points_are_evaluated_once(selection):
 
 def _unmemoised(monkeypatch):
     """Make every verdict take one `_profile` per vector, as if no two were
-    equal."""
+    equal: the memo stays empty, and each entry of an evidence row is
+    profiled on its own when the row is read."""
 
     def profiles(frame, norm, vectors, columns, memo):
         return [_profile(frame, norm, u, columns) for u in vectors]
 
+    def resolve(pending, row):
+        for i, (k, key) in enumerate(row):
+            if type(key) is bytes:
+                row[i] = (k, _profile(pending.frame, pending.norm, np.frombuffer(key), pending.columns)._value_list)
+
     monkeypatch.setattr(topology, "_profiles", profiles)
+    monkeypatch.setattr(topology._PendingProfiles, "resolve", resolve)
 
 
 def _outputs(specs, frame, norm, limits) -> list:
@@ -172,11 +179,14 @@ def test_one_vector_under_two_column_sets_gets_two_profiles():
 
 def test_traces_and_evidence_under_other_columns_are_apart():
     # a constant's offset from the limit is traced under all four columns
-    # and sampled as evidence under the selection's two: 4 + 2 calls
+    # by the call, and sampled as evidence under the selection's two on the
+    # first read of the evidence: 4, then 4 + 2 calls
     cfg, frame, rng = _frame()
     norm, calls = _counting_norm(cfg)
     x, limit = rng.uniform(-1.0, 1.0, (2, 5))
-    converges_wrt(constant(x), frame, norm, NormSelection(4, (IndexSet([1, 3]),)), limit)
+    verdict = converges_wrt(constant(x), frame, norm, NormSelection(4, (IndexSet([1, 3]),)), limit)
+    assert len(calls) == 4
+    verdict.evidence
     assert len(calls) == 4 + 2
 
 

@@ -399,6 +399,17 @@ class TestCovering:
         with pytest.raises(ValueError):
             minimal_cover_size(3, 4)
 
+    def test_minimal_cover_size_takes_whole_numbers_only(self):
+        # a whole float is its int; 4.5 is named, not floored into a float size
+        assert minimal_cover_size(4.0, 2.0) == 2 and type(minimal_cover_size(4.0, 2.0)) is int
+        with pytest.raises(ValueError, match="n 4.5 is not an integer"):
+            minimal_cover_size(4.5, 2)
+
+    def test_enumerate_minimal_covers_takes_whole_numbers_only(self):
+        assert enumerate_minimal_covers(4.0, 2) == enumerate_minimal_covers(4, 2)
+        with pytest.raises(ValueError, match="m 1.5 is not an integer"):
+            enumerate_minimal_covers(4, 1.5)
+
     def test_enumerate_minimal_covers_n3_m2(self):
         families = enumerate_minimal_covers(3, 2)
         got = {frozenset(s.indices for s in f.subsets) for f in families}
@@ -560,6 +571,11 @@ class TestCounterexampleR5:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             counterexample_r5(k_max=0)
+
+    def test_k_max_must_be_a_whole_number(self):
+        assert counterexample_r5(k_max=3.0).rows == counterexample_r5(k_max=3).rows
+        with pytest.raises(ValueError, match="k_max 2.5 is not an integer"):
+            counterexample_r5(k_max=2.5)
 
     def test_wrong_space_rejected(self):
         bad = standard_frame(SpaceConfig(dim=4, arity=4))

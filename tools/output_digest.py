@@ -29,7 +29,14 @@ change of the zero rule flips. A ``shift@<seed>`` section covers the public
 ``shift_invariance_check``: per shape of AXIOM_SHAPES, row size of
 SHIFT_SIZES and norm (the standard norm, an injected one and the
 nan-on-large evaluator of BROKEN_NORMS), each item holds the (passed, gap)
-of SHIFT_TRIALS seeded tuples and coefficients. The "contract" digest covers conclusions,
+of SHIFT_TRIALS seeded tuples and coefficients. An ``analytic@<seed>``
+section covers the closed-form verdicts under the standard and an injected
+norm: per shape of ANALYTIC_SHAPES, norm and case of ANALYTIC_CASES (each
+closed-form kind, with a right and a wrong candidate limit, and directions
+in and off the frame's span), each item holds ``converges_wrt``,
+``is_cauchy_wrt`` and ``is_bounded_wrt`` at their default evidence ks on
+the full class-1 selection and on {1}, and the ``equivalence_matrix``
+table, every evidence tuple read. The "contract" digest covers conclusions,
 methods, windows, limits, evidence values and bounds (as ``float.hex``),
 axiom pass/fail and CLI exit codes. The "strict" digest adds axiom
 witnesses (discrepancy and details) and the bytes of every CLI report. Run
@@ -54,6 +61,20 @@ DRAW_FRAMES = 20
 ZERO_FRAMES = 3
 ZERO_DELTAS = (0.0, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6, 1e-3)
 SHIFT_TRIALS = 20
+#: (n, d, SPD metric or not) per frame of the analytic section
+ANALYTIC_SHAPES = [(2, 3, False), (3, 3, False), (3, 5, False), (4, 6, False), (5, 7, False), (3, 4, True)]
+#: cases of the analytic section, each a closed-form sequence and a
+#: candidate limit built from a seeded point x, direction v and frame
+ANALYTIC_CASES = (
+    "convergent_power",
+    "convergent_power wrong-limit",
+    "divergent_linear",
+    "divergent_linear in-span",
+    "oscillating",
+    "oscillating in-span",
+    "constant",
+    "constant wrong-limit",
+)
 #: row sizes of the shift section: at 1e+-150 products of lengths leave the
 #: range where `_products` takes them plainly
 SHIFT_SIZES = (1.0, 1e150, 1e-150)
@@ -191,6 +212,58 @@ def shift_items(nk, seed, trials=SHIFT_TRIALS):
     return items
 
 
+def analytic_items(nk, seed, shapes=ANALYTIC_SHAPES):
+    """(label, thunk) per shape, norm (the standard one and an injected
+    one) and case of ANALYTIC_CASES; the thunk returns the three public
+    verdicts on two selections and the equivalence table, with every
+    evidence tuple read (the digest reads it). Built from the public API
+    only, so the tool runs on any checkout."""
+    import numpy as np
+
+    items = []
+    for n, d, spd in shapes:
+        metric = np.diag(np.linspace(0.5, 2.0, d)) + 0.1 if spd else None
+        cfg = nk.SpaceConfig(dim=d, arity=n, metric=metric)
+        rng = np.random.default_rng(seed)
+        frame = nk.random_frame(cfg, rng)
+        x, v = rng.uniform(-1.0, 1.0, (2, d))
+        in_span = frame.vectors.T @ rng.uniform(0.25, 1.0, n)
+        cases = dict(
+            zip(
+                ANALYTIC_CASES,
+                [
+                    (nk.convergent_power(x, v, coefficient=1.5, exponent=0.7), x),
+                    (nk.convergent_power(x, v, coefficient=-0.5, exponent=2.0), x + v),
+                    (nk.divergent_linear(v), np.zeros(d)),
+                    (nk.divergent_linear(in_span), np.zeros(d)),
+                    (nk.oscillating(x, v, coefficient=0.75), x),
+                    (nk.oscillating(x, in_span, coefficient=1.25), x),
+                    (nk.constant(x), x),
+                    (nk.constant(x), x + v),
+                ],
+            )
+        )
+        selections = [nk.full_selection(n, 1), nk.NormSelection(n, (nk.IndexSet([1]),))]
+        norms = [
+            ("standard", nk.standard_nnorm(cfg)),
+            ("injected", nk.NNorm(cfg, "injected", lambda vs, cfg=cfg: nk.standard_norm(cfg, vs))),
+        ]
+        shape = f"n={n} d={d}" + (" spd" if spd else "")
+        for name, norm in norms:
+            for case, (spec, limit) in cases.items():
+
+                def run(spec=spec, limit=limit, frame=frame, norm=norm, selections=selections):
+                    out = []
+                    for sel in selections:
+                        out.append(nk.converges_wrt(spec, frame, norm, sel, limit))
+                        out.append(nk.is_cauchy_wrt(spec, frame, norm, sel))
+                        out.append(nk.is_bounded_wrt(spec, frame, norm, sel))
+                    return out + [nk.equivalence_matrix(spec, frame, norm, limit)]
+
+                items.append((f"analytic {shape} {case} {name}", run))
+    return items
+
+
 def compare(path_a, path_b) -> int:
     """Print each item (and each workload) whose digests differ between two
     output files; the exit status is 1 when any does."""
@@ -288,6 +361,7 @@ def main(argv):
         digest(f"draws@{seed}", draw_items(nk, seed))
         digest(f"zeros@{seed}", zero_items(nk, seed))
         digest(f"shift@{seed}", shift_items(nk, seed))
+        digest(f"analytic@{seed}", analytic_items(nk, seed))
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
 
