@@ -7,6 +7,16 @@ package built or checked already. The kernels assume clean inputs and are
 written for the desk-scale sizes this package targets (dimensions up to a few
 dozen).
 
+The one exception is finiteness, which `_row_lengths` (and so `unit_rows`
+and `_volumes`) decides from the hypot lengths it takes anyway, so a caller
+that has the shape right, such as `standard_norm` on a well-formed tuple,
+does not scan its rows first. A non-finite entry makes its row's length inf
+or NaN. Only when the lengths' sum is not below inf does one exact
+`np.isfinite` check run: it raises ValueError(NON_FINITE) for a non-finite
+entry, and a finite row whose length overflows goes on. Under a metric the
+check runs before the rows are whitened, because inf * 0 in that product
+would warn.
+
 Every Gram volume sqrt(det G) in the package comes from one kernel,
 `_volumes`: one QR factor of the unit whitened rows of a tuple or of a stack
 of tuples, so no Gram matrix is formed, let alone solved, on the way;
@@ -221,29 +231,50 @@ def hadamard_scale(cfg: SpaceConfig, vs) -> float:
     wherever the true product rounds to a nonzero double. The empty tuple's
     scale is the empty product, 1.0.
     """
-    return _products(len(vs), unit_rows(cfg, as_rows(vs, cfg.dim))[1])[0] if len(vs) else 1.0
+    return _products(len(vs), _row_lengths(cfg, as_rows(vs, cfg.dim))[1])[0] if len(vs) else 1.0
 
 
 def unit_rows(cfg: SpaceConfig, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """Whitened rows L^T v of a checked (..., n, d) array scaled to unit
-    length, and their metric lengths in row-major order.
+    """Whitened rows L^T v of a (..., n, d) array scaled to unit length, and
+    their metric lengths in row-major order, as `_row_lengths` takes them.
 
-    Lengths are taken as math.hypot takes them, so no row overflows or
-    underflows on the way to unit length. Zero rows stay zero. A stack of
+    No row overflows or underflows on the way to unit length. Zero rows stay
+    zero, and a finite row whose length overflows divides by inf. A stack of
     tuples comes out bit for bit as each tuple would alone.
     """
+    flat, lengths = _row_lengths(cfg, rows)
+    # a zero row divides by 1.0, and so does a NaN length (a metric's product
+    # can overflow on finite rows); lengths in range divide as they are
+    divisors = lengths if sum(lengths) < math.inf and 0.0 not in lengths else [x if x > 0.0 else 1.0 for x in lengths]
+    units = flat / np.array(divisors)[:, None]
+    return (units if rows.ndim == 2 else units.reshape(rows.shape)), lengths
+
+
+def _row_lengths(cfg: SpaceConfig, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """The whitened rows L^T v of a (..., n, d) array as one (N, d) array,
+    and their metric lengths in row-major order, each as math.hypot takes
+    it: never through a squared length.
+
+    The shape is the caller's to check; finiteness is decided here, from
+    the lengths (see the module docstring): a non-finite entry raises
+    ValueError(NON_FINITE), under a metric before the whitening product.
+    """
     if cfg.whitening is not None:
+        if not np.isfinite(rows).all():
+            raise ValueError(NON_FINITE)
         rows = rows @ cfg.whitening.T
-    flat = rows.reshape(-1, rows.shape[-1])
+    flat = rows if rows.ndim == 2 else rows.reshape(-1, rows.shape[-1])
     lengths = [math.hypot(*row) for row in flat.tolist()]
-    units = flat / np.array([x if x > 0.0 else 1.0 for x in lengths])[:, None]
-    return units.reshape(rows.shape), lengths
+    if not sum(lengths) < math.inf and cfg.whitening is None and not np.isfinite(flat).all():
+        raise ValueError(NON_FINITE)
+    return flat, lengths
 
 
 def _volumes(cfg: SpaceConfig, tuples: np.ndarray) -> tuple[list[float], list[float]]:
-    """Gram volumes sqrt(det G) of a checked (k, d) tuple (a list of one)
-    or of each tuple of a checked (B, k, d) stack, and the rows' metric
-    lengths as `unit_rows` gives them.
+    """Gram volumes sqrt(det G) of a (k, d) tuple (a list of one) or of
+    each tuple of a (B, k, d) stack, and the rows' metric lengths as
+    `unit_rows` gives them; the shape is the caller's to check, and a
+    non-finite entry raises from `_row_lengths`.
 
     A volume is the product of the lengths times |prod r_ii| of the QR
     factor of the unit whitened rows (no Gram matrix, whose condition number
@@ -270,7 +301,7 @@ def _volumes(cfg: SpaceConfig, tuples: np.ndarray) -> tuple[list[float], list[fl
         return [0.0] * (len(lengths) // k), lengths
     factor = units.swapaxes(-1, -2).copy()
     _qr_r_raw(factor)
-    return _products(k, lengths, np.abs(factor.diagonal(0, -2, -1)).ravel().tolist()), lengths
+    return _products(k, lengths, [abs(r) for r in factor.diagonal(0, -2, -1).ravel().tolist()]), lengths
 
 
 def _products(k: int, factors: list[float], more: list[float] | None = None) -> list[float]:
@@ -296,6 +327,8 @@ def _products(k: int, factors: list[float], more: list[float] | None = None) -> 
         low = min(filter(None, every), default=1.0)
     starts = range(0, len(factors), k)
     if 2.0**-b <= low and max(every) <= 2.0**b:
+        if len(factors) == k:  # one entry, taken without slices
+            return [math.prod(factors)] if more is None else [math.prod(factors) * math.prod(more)]
         if more is None:
             return [math.prod(factors[i : i + k]) for i in starts]
         return [math.prod(factors[i : i + k]) * math.prod(more[i : i + k]) for i in starts]

@@ -26,16 +26,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import (
-    NON_FINITE,
     DimensionMismatch,
     SpaceConfig,
     _metric_length,
     _products,
+    _row_lengths,
     _volumes,
     as_rows,
     determinant,  # unused here; bench/spans.py traces this binding
     rank,
-    unit_rows,
 )
 
 __all__ = [
@@ -61,11 +60,20 @@ def standard_norm(cfg: SpaceConfig, vs) -> float:
 
     The value is `linalg._volumes` of the checked tuple: the product of the
     metric lengths times |prod r_ii| of one QR factor of the unit whitened
-    vectors, 0.0 when a vector is zero.
+    vectors, 0.0 when a vector is zero. A tuple that converts to an (n, d)
+    array goes to the kernel as it is, and `linalg._row_lengths` decides its
+    finiteness from the lengths it takes anyway; any other tuple goes
+    through `as_rows`, whose error names the first bad vector.
     """
     if len(vs) != cfg.arity:
         raise DimensionMismatch("vector count", cfg.arity, len(vs))
-    return _volumes(cfg, as_rows(vs, cfg.dim))[0][0]
+    try:
+        rows = np.asarray(vs, dtype=float)
+    except ValueError:  # ragged; named by as_rows
+        rows = None
+    if rows is None or rows.shape != (cfg.arity, cfg.dim):
+        rows = as_rows(vs, cfg.dim)
+    return _volumes(cfg, rows)[0][0]
 
 
 def _evaluate(norm: NNorm, stack: np.ndarray) -> tuple[list, list[float]]:
@@ -82,7 +90,7 @@ def _evaluate(norm: NNorm, stack: np.ndarray) -> tuple[list, list[float]]:
     if norm.kind == "standard":
         values, lengths = _volumes(norm.cfg, stack)
     else:
-        lengths = unit_rows(norm.cfg, stack)[1]
+        lengths = _row_lengths(norm.cfg, stack)[1]
         values = [norm(list(vs)) for vs in stack]
     return values, _products(norm.cfg.arity, lengths)
 
@@ -402,11 +410,10 @@ def _first_rows(norm: NNorm, batch: _Batch, *firsts: np.ndarray) -> tuple[list, 
     """Values and scales of the batch's tuples with new first rows: each
     (B, d) array of `firsts` in turn replaces the first rows, and every
     variant is evaluated in one `_evaluate` stack, in that order. A
-    non-finite new row raises the ValueError a non-finite vector raises."""
+    non-finite new row raises the ValueError a non-finite vector raises,
+    from `linalg._row_lengths`, before any evaluator call."""
     stack = np.concatenate([batch.stack] * len(firsts))
     stack[:, 0] = np.concatenate(firsts)
-    if not np.isfinite(stack[:, 0]).all():
-        raise ValueError(NON_FINITE)
     return _evaluate(norm, stack)
 
 

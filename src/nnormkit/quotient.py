@@ -33,6 +33,7 @@ from .linalg import (
     _products,
     _index,
     _mapping,
+    _row_lengths,
     _split_product,
     _tolerance,
     _volumes,
@@ -414,6 +415,10 @@ class FrameGeometry:
         self._others = np.array(others)
         self._shifts = np.array(shifts)
         self._zero_slope = frame.space.tol.zero * self._others * self._minor_volumes
+        # the generic path reads these per column, as Python floats and ints
+        self._other_list, self._shift_list = list(others), list(shifts)
+        self._slope_list = self._zero_slope.tolist()
+        self._rows = list(frame.vectors)
         # a scaled vector has entries below 1, so its whitened length is below
         # sqrt(d * trace(M)); each scaled value or scale is at most P_j times
         # that, and the factor 4 covers the rounding of any frame whose
@@ -464,28 +469,34 @@ def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profi
 
     The evaluator receives (u, the frame rows without y_j) as a list of
     1-D arrays. The scales follow the closed form's rule: the length of u,
-    taken once as `unit_rows` takes it, times the frame geometry's product
-    of the other rows' lengths, so both paths share one scale and neither
-    squares a length on the way. A non-finite u raises before any call, and
-    a requested scale beyond the double range raises `ScaleOutOfRange`
-    before its column's call.
+    taken once as `unit_rows` takes it (`linalg._row_lengths`), times the
+    frame geometry's product of the other rows' lengths, so both paths
+    share one scale and neither squares a length on the way. That length
+    also decides u's finiteness (under a metric, a check before u is
+    whitened), so a non-finite u raises before any call. Each requested
+    column takes, in order, its range check (a scale beyond the double
+    range raises `ScaleOutOfRange` before the column's call), its scale,
+    the evaluator call and its zero flag, on Python floats read off lists
+    the frame geometry holds; the profile's arrays are built once at the
+    end.
     """
-    if not np.isfinite(u).all():
-        raise ValueError(NON_FINITE)
     geometry = frame.geometry(norm.cfg)
-    length = unit_rows(norm.cfg, u[None, :])[1][0]
-    rows = list(frame.vectors)
-    values = np.full(frame.n, np.nan)
-    scales = np.full(frame.n, np.nan)
-    zero = np.zeros(frame.n, dtype=bool)
+    length = _row_lengths(norm.cfg, u[None, :])[1][0]
+    others, shifts, slopes, rows = geometry._other_list, geometry._shift_list, geometry._slope_list, geometry._rows
+    values, scales, zero = [math.nan] * frame.n, [math.nan] * frame.n, [False] * frame.n
     for j in columns:
-        other, shift = float(geometry._others[j - 1]), int(geometry._shifts[j - 1])
-        if not other * length < math.inf or math.frexp(other * length)[1] + shift > 1024:
-            raise ScaleOutOfRange(j, math.log10(other) + math.log10(length) + shift * math.log10(2.0))
-        scales[j - 1] = math.ldexp(other * length, shift)
-        values[j - 1] = norm([u] + rows[: j - 1] + rows[j:])
-        zero[j - 1] = values[j - 1] <= math.ldexp(geometry._zero_slope[j - 1] * length, shift)
-    return Profile(values, scales, zero)
+        scale, shift = others[j - 1] * length, shifts[j - 1]
+        if not scale < math.inf or math.frexp(scale)[1] + shift > 1024:
+            raise ScaleOutOfRange(j, math.log10(others[j - 1]) + math.log10(length) + shift * math.log10(2.0))
+        scales[j - 1] = math.ldexp(scale, shift)
+        value = norm([u] + rows[: j - 1] + rows[j:])
+        if type(value) is not float:  # converted as a float64 array entry converts it
+            cell = np.empty(1)
+            cell[0] = value
+            value = cell[0]
+        values[j - 1] = value
+        zero[j - 1] = value <= math.ldexp(slopes[j - 1] * length, shift)
+    return Profile(np.array(values), np.array(scales), np.array(zero))
 
 
 def _profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profile:
@@ -612,7 +623,7 @@ def _escape_direction(frame: Frame, s: IndexSet, rng: np.random.Generator) -> np
     y = frame.row(j)
     # a frame row may be tiny or huge: its length is taken as `unit_rows`
     # takes it, never through its square
-    return y / unit_rows(cfg, y[None, :])[1][0]
+    return y / _row_lengths(cfg, y[None, :])[1][0]
 
 
 def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, seed: int) -> list[AxiomReport]:

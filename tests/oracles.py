@@ -91,3 +91,33 @@ def per_tuple_shift_gap(norm, vs, alphas) -> float:
     if abs(base) <= band * scale and abs(shifted) <= band * scale:
         return 0.0
     return abs(base - shifted) / max(abs(base), abs(shifted), scale, 1e-300)
+
+
+def generic_profile(frame, norm, u, columns):
+    """The injected-norm class-1 profile, one evaluator call per requested
+    column, as the package took it on float64 arrays: an exact
+    `np.isfinite` check of u, u's length from `linalg.unit_rows`, and per
+    column the range check, scale, evaluator call and zero flag, each
+    written into its array entry (NaN and False where no column asked).
+    Returns (values, scales, zero). It reads the frame geometry's products
+    of lengths, shifts and zero slopes, so that the package's per-column
+    work on Python floats must match it bit for bit."""
+    from nnormkit.linalg import NON_FINITE, unit_rows
+    from nnormkit.quotient import ScaleOutOfRange
+
+    if not np.isfinite(u).all():
+        raise ValueError(NON_FINITE)
+    geometry = frame.geometry(norm.cfg)
+    length = unit_rows(norm.cfg, u[None, :])[1][0]
+    rows = list(frame.vectors)
+    values = np.full(frame.n, np.nan)
+    scales = np.full(frame.n, np.nan)
+    zero = np.zeros(frame.n, dtype=bool)
+    for j in columns:
+        other, shift = float(geometry._others[j - 1]), int(geometry._shifts[j - 1])
+        if not other * length < math.inf or math.frexp(other * length)[1] + shift > 1024:
+            raise ScaleOutOfRange(j, math.log10(other) + math.log10(length) + shift * math.log10(2.0))
+        scales[j - 1] = math.ldexp(other * length, shift)
+        values[j - 1] = norm([u] + rows[: j - 1] + rows[j:])
+        zero[j - 1] = values[j - 1] <= math.ldexp(geometry._zero_slope[j - 1] * length, shift)
+    return values, scales, zero

@@ -169,3 +169,45 @@ def test_analytic_items_cover_each_case_shape_and_norm(digest_tool):
         if label.endswith("standard"):
             twin = results[label[: -len("standard")] + "injected"]
             assert [v[0] for v in verdicts] == [v[0] for v in twin], label
+
+
+def test_generic_items_cover_each_axiom_shape_size_vector_and_column_set(digest_tool):
+    import nnormkit as nk
+
+    items = digest_tool.generic_items(nk, seed=5)
+    shapes = [(f"n={n} d={d}", n) for n in (2, 3, 4, 5) for d in (n, n + 1, n + 3)] + [("n=3 d=4 spd", 3), ("n=5 d=6 spd", 5)]
+    expected = [
+        (shape, size, vector, columns)
+        for shape, n in shapes
+        for size in ("1", "1e+150", "1e-150")
+        for vector in ("zero", "seeded")
+        for columns in ([1], [n], list(range(1, n + 1)))
+    ]
+    assert [label for label, _ in items] == [f"generic {shape} size={size} {vector} columns={columns}" for shape, size, vector, columns in expected]
+
+    def hexed(items):
+        out = []
+        for _, run in items:
+            result = run()
+            if isinstance(result[0], str):  # exception class, column, calls
+                out.append(result)
+            else:
+                values, scales, zero, calls = result
+                out.append([[float(x).hex() for x in values], [float(x).hex() for x in scales], zero, calls])
+        return out
+
+    first = hexed(items)
+    assert first == hexed(digest_tool.generic_items(nk, seed=5))  # seeded, so repeatable
+    assert first != hexed(digest_tool.generic_items(nk, seed=6))
+    for (shape, size, vector, columns), result in zip(expected, first):
+        if isinstance(result[0], str):
+            # a scale out of range raises before its column's call
+            assert result[0] in ("ScaleOutOfRange", "ValueError") and result[2] < len(columns), (shape, size, vector)
+            continue
+        values, scales, zero, calls = result
+        assert calls == len(columns)  # one evaluator call per requested column
+        assert [v != "nan" for v in values] == [j in columns for j in range(1, len(values) + 1)]
+        if vector == "zero":
+            assert all(zero[j - 1] for j in columns)
+    # at row size 1 every profile is representable
+    assert all(not isinstance(r[0], str) for (_, size, _, _), r in zip(expected, first) if size == "1")

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import generic_profile
 
 from nnormkit.linalg import SpaceConfig, hadamard_scale
 from nnormkit.nnorm import NNorm, standard_nnorm, standard_norm
@@ -185,6 +186,79 @@ def test_generic_path_evaluates_only_the_named_columns():
     assert len(seen) == 2
     assert np.isnan(profile.values[[0, 2]]).all()
     assert classm_norm(frame, counting, u, IndexSet([2, 4])) == profile.value(IndexSet([2, 4]))
+
+
+def _generic_frames(seed):
+    """(label, frame) per shape of the generic comparison: four
+    dot-product shapes, one with an SPD metric, and two (3, 4) frames whose
+    products of other rows' lengths leave the double range (rows 1e+-200),
+    so that P_j carries a shift."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for n, d, metric in [(3, 3, False), (3, 5, False), (5, 5, False), (5, 6, False), (4, 5, True)]:
+        cfg = SpaceConfig(dim=d, arity=n, metric=spd_metric(rng, d) if metric else None)
+        frames.append((f"n={n} d={d}" + (" spd" if metric else ""), random_frame(cfg, rng)))
+    cfg = SpaceConfig(dim=4, arity=3)
+    for sizes in ([1e200, 1e200, 1e-200], [1e-200, 1e-200, 1e200]):
+        rows = random_frame(cfg, rng).vectors * np.array(sizes)[:, None]
+        frames.append((f"n=3 d=4 rows={sizes}", Frame(cfg, rows)))
+    return frames
+
+
+def _recorded(profile_of, frame, evaluate, u, columns):
+    """What one generic profile gives: its values, scales and zero flags as
+    float.hex and bools, or the exception's type, message and column; and
+    each evaluator call's tuple, as the type and bytes of each vector."""
+    calls = []
+
+    def evaluator(vs):
+        calls.append([(type(v), v.tobytes()) for v in vs])
+        return evaluate(frame.space, vs)
+
+    norm = NNorm(frame.space, "injected", evaluator)
+    try:
+        values, scales, zero = profile_of(frame, norm, u, columns)
+    except ValueError as err:
+        return (type(err).__name__, str(err), getattr(err, "index", None)), calls
+    return ([float(x).hex() for x in values], [float(x).hex() for x in scales], zero.tolist()), calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generic_profile_matches_its_array_reference(seed):
+    # the per-column work on Python floats against the reference on float64
+    # arrays: every bit, every evaluator call, and where a scale leaves the
+    # range, the same ScaleOutOfRange at the same column after the same
+    # calls; an evaluator returning float32 or None is stored as a float64
+    # array entry stores it
+    def package(frame, norm, u, columns):
+        profile = quotient_profile(frame, norm, u, columns)
+        return profile.values, profile.scales, profile.zero
+
+    def float32(cfg, vs):
+        with np.errstate(over="ignore"):  # 1e150 rows pass the float32 range
+            return np.float32(standard_norm(cfg, vs))
+
+    evaluators = {"float": standard_norm, "float32": float32, "none": lambda cfg, vs: None}
+    rng = np.random.default_rng(100 + seed)
+    outcomes = set()
+    for label, frame in _generic_frames(seed):
+        n, d = frame.n, frame.dim
+        direction = rng.uniform(-1.0, 1.0, d)
+        vectors = [np.zeros(d)] + [direction * size for size in (1.0, 1e150, 1e-150)]
+        vectors += [np.where(np.arange(d) == d - 1, bad, direction) for bad in (np.nan, np.inf)]
+        for u in vectors:
+            for columns in ([1], [n], list(range(1, n + 1))):
+                for name, evaluate in evaluators.items():
+                    got, calls = _recorded(package, frame, evaluate, u, columns)
+                    assert (got, calls) == _recorded(generic_profile, frame, evaluate, u, columns), (label, u.tolist(), columns, name)
+                    if isinstance(got[0], str):
+                        outcomes.add(got[0] + (" after a call" if calls else ""))
+                        continue
+                    outcomes.add("profile")
+                    values, scales, zero = got
+                    for j in set(range(1, n + 1)) - set(columns):
+                        assert values[j - 1] == scales[j - 1] == "nan" and not zero[j - 1]
+    assert outcomes >= {"profile", "ScaleOutOfRange", "ScaleOutOfRange after a call", "ValueError"}
 
 
 def test_a_scale_past_the_double_range_is_named():

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from nnormkit import linalg, nnorm, quotient
-from nnormkit.linalg import SpaceConfig, _qr_r_raw, _volumes, determinant, gram_matrix, hadamard_scale, unit_rows
+from nnormkit.linalg import DimensionMismatch, SpaceConfig, _qr_r_raw, _row_lengths, _volumes, as_rows, determinant, gram_matrix, hadamard_scale, unit_rows
 from nnormkit.nnorm import NNorm, _evaluate, _Sampler, standard_nnorm, standard_norm
 from nnormkit.quotient import IndexSet, _escape_direction, random_frame
 
@@ -129,6 +129,37 @@ def test_volumes_equal_standard_norm_bit_for_bit(k, d, spd):
     units = unit_rows(cfg, stack)[0]
     for t, u in zip(stack, units):
         assert np.array_equal(unit_rows(cfg, t)[0], u)
+
+
+@pytest.mark.parametrize("spd", [False, True], ids=["dot", "spd"])
+@pytest.mark.parametrize("k, d", [(2, 3), (5, 6)])
+def test_standard_norm_decides_finiteness_from_the_lengths(k, d, spd):
+    # a well-formed tuple reaches the kernel unscanned: a NaN or an infinity
+    # at any entry is named by the lengths (under a metric, by the check
+    # before the whitening product, where inf * 0 would warn), and a finite
+    # row whose length overflows goes on as through as_rows
+    cfg = SpaceConfig(dim=d, arity=k, metric=_spd(d) if spd else None)
+    rows = np.random.default_rng(k + d).uniform(-1.0, 1.0, (k, d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (math.nan, math.inf, -math.inf):
+            for i, j in itertools.product(range(k), range(d)):
+                tuple_ = rows.copy()
+                tuple_[i, j] = bad
+                for vs in (list(tuple_), tuple_.tolist()):
+                    with pytest.raises(ValueError, match="non-finite coordinates") as err:
+                        standard_norm(cfg, vs)
+                    assert not isinstance(err.value, DimensionMismatch)
+        overflowed = False
+        for i in range(k):
+            tuple_ = rows.copy()
+            tuple_[i] = 1e308
+            overflowed |= not sum(_row_lengths(cfg, tuple_)[1]) < math.inf
+            expected = _volumes(cfg, as_rows(list(tuple_), d))[0][0]
+            assert standard_norm(cfg, list(tuple_)).hex() == expected.hex()
+    # the exact check ran: a row of 1e308 entries has a length past the
+    # double range at d = 6, and so does its whitened row at both sizes
+    assert overflowed == (d == 6 or spd)
 
 
 @pytest.mark.parametrize("spd", [False, True], ids=["dot", "spd"])

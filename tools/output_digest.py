@@ -36,7 +36,13 @@ closed-form kind, with a right and a wrong candidate limit, and directions
 in and off the frame's span), each item holds ``converges_wrt``,
 ``is_cauchy_wrt`` and ``is_bounded_wrt`` at their default evidence ks on
 the full class-1 selection and on {1}, and the ``equivalence_matrix``
-table, every evidence tuple read. The "contract" digest covers conclusions,
+table, every evidence tuple read. A ``generic@<seed>`` section covers the
+injected-norm class-1 profile: per shape of AXIOM_SHAPES, row size of
+SHIFT_SIZES (frame rows and vectors alike, so that at 1e+-150 the products
+of lengths leave the double range), vector (zero, or seeded) and column
+set ({1}, {n} and all), each item holds the ``quotient_profile`` values,
+scales and zero flags, or the exception's class and column, and the number
+of evaluator calls. The "contract" digest covers conclusions,
 methods, windows, limits, evidence values and bounds (as ``float.hex``),
 axiom pass/fail and CLI exit codes. The "strict" digest adds axiom
 witnesses (discrepancy and details) and the bytes of every CLI report. Run
@@ -264,6 +270,43 @@ def analytic_items(nk, seed, shapes=ANALYTIC_SHAPES):
     return items
 
 
+def generic_items(nk, seed):
+    """(label, thunk) per shape of AXIOM_SHAPES, row size of SHIFT_SIZES,
+    vector and column set; the thunk returns the injected-norm profile of
+    the vector against a seeded random_frame scaled to the size (or the
+    exception's class and column) and the evaluator's call count. Built
+    from the public API only, so the tool runs on any checkout."""
+    import numpy as np
+
+    items = []
+    for n, d, spd in AXIOM_SHAPES:
+        metric = np.diag(np.linspace(0.5, 2.0, d)) + 0.1 if spd else None
+        cfg = nk.SpaceConfig(dim=d, arity=n, metric=metric)
+        shape = f"n={n} d={d}" + (" spd" if spd else "")
+        rng = np.random.default_rng(seed)
+        rows, direction = nk.random_frame(cfg, rng).vectors, rng.uniform(-1.0, 1.0, d)
+        for size in SHIFT_SIZES:
+            frame = nk.Frame(cfg, rows * size)
+            for name, u in (("zero", np.zeros(d)), ("seeded", direction * size)):
+                for columns in ([1], [n], list(range(1, n + 1))):
+
+                    def run(frame=frame, u=u, columns=columns, cfg=cfg):
+                        calls = []
+
+                        def evaluate(vs):
+                            calls.append(len(vs))
+                            return nk.standard_norm(cfg, vs)
+
+                        try:
+                            profile = nk.quotient_profile(frame, nk.NNorm(cfg, "injected", evaluate), u, columns)
+                        except ValueError as err:
+                            return [type(err).__name__, getattr(err, "index", None), len(calls)]
+                        return [profile.values, profile.scales, profile.zero.tolist(), len(calls)]
+
+                    items.append((f"generic {shape} size={size:g} {name} columns={columns}", run))
+    return items
+
+
 def compare(path_a, path_b) -> int:
     """Print each item (and each workload) whose digests differ between two
     output files; the exit status is 1 when any does."""
@@ -362,6 +405,7 @@ def main(argv):
         digest(f"zeros@{seed}", zero_items(nk, seed))
         digest(f"shift@{seed}", shift_items(nk, seed))
         digest(f"analytic@{seed}", analytic_items(nk, seed))
+        digest(f"generic@{seed}", generic_items(nk, seed))
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
 
