@@ -24,10 +24,9 @@ from .nnorm import check_axioms, standard_nnorm, standard_norm
 from .quotient import (
     Frame,
     IndexSet,
-    class1_norm,
-    classm_norm,
     coset_invariance_check,
     quotient_norm_axioms,
+    quotient_profile,
     random_frame,
     standard_frame,
 )
@@ -106,7 +105,7 @@ def _resolve_seed(args, config: RunConfig) -> int:
             return int(env)
         except ValueError as exc:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     return config.seed
 
@@ -128,7 +127,7 @@ def report_json(command: str, inputs: dict, results, failures) -> str:
 
 
 def _write_output(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
 
@@ -191,9 +190,9 @@ def cmd_quotient(args) -> int:
         raise UsageError(f"vector length {len(u)} does not match dimension {cfg.dim}")
     s = _parse_indices(args.indices)
     s.validate_for(frame.n)
-    norm = standard_nnorm(cfg)
-    per_class1 = {j: class1_norm(frame, norm, u, j) for j in s}
-    total = classm_norm(frame, norm, u, s)
+    profile = quotient_profile(frame, standard_nnorm(cfg), u, s)
+    per_class1 = {j: float(profile.values[j - 1]) for j in s}
+    total = profile.value(s)
     residual = total - sum(per_class1.values())
     print(f"quotient norm, removed {s} = {fmt(total, cfg.tol)}")
     for j, v in per_class1.items():
@@ -351,10 +350,7 @@ def _suite_covering(config: RunConfig, seed: int) -> list[dict]:
             expected = -(-n // m)
             if minimal_cover_size(n, m) != expected:
                 failures.append(_failure_entry("covering:minimal_size", f"n={n} m={m}"))
-            try:
-                families = enumerate_minimal_covers(n, m)
-            except ValueError:
-                continue
+            families = enumerate_minimal_covers(n, m)
             if not families:
                 failures.append(_failure_entry("covering:no_minimal_family", f"n={n} m={m}"))
             if any(not covering_check(f) for f in families):
@@ -433,41 +429,46 @@ def build_parser() -> argparse.ArgumentParser:
     `main` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="nnormkit", description=__doc__.splitlines()[0])
 
-    def add_common(p, with_trials=False):
-        p.add_argument("--config", help="JSON config with space/frame/tolerances/seed/trials")
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
-        if with_trials:
-            p.add_argument("--trials", type=int, default=None, help="samples per randomized check")
-        p.add_argument("--output", help="write the report to this path")
-        p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
+    # each subcommand takes only the flags it reads
+    flags = {
+        "--config": {"help": "JSON config with space/frame/tolerances/seed/trials"},
+        "--seed": {"type": int, "default": None, "help": "seed for randomized checks"},
+        "--trials": {"type": int, "default": None, "help": "samples per randomized check"},
+        "--output": {"help": "write the report to this path"},
+        "--format": {"choices": ("json", "csv"), "default": "json", "help": "report format"},
+    }
+
+    def add_flags(p, *names):
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_norm = sub.add_parser("norm", help="standard n-norm of the given vectors")
     p_norm.add_argument("vector", nargs="+", help="comma-separated coordinates, e.g. 2,0,0")
-    add_common(p_norm)
+    add_flags(p_norm, "--config", "--output", "--format")
 
     p_quot = sub.add_parser("quotient", help="quotient norm of a vector for a removed index set")
     p_quot.add_argument("--vector", "-u", required=True, help="comma-separated coordinates")
     p_quot.add_argument("--indices", "-s", required=True, help="removed indices, e.g. 1,2 (1-based)")
-    add_common(p_quot)
+    add_flags(p_quot, "--config", "--output", "--format")
 
     p_cover = sub.add_parser("cover", help="covering condition and minimal cover families")
     p_cover.add_argument("--n", type=int, required=True)
     p_cover.add_argument("--m", type=int, required=True)
     p_cover.add_argument("--selection", help="semicolon-separated index sets, e.g. 1,2;3,4")
     p_cover.add_argument("--enumerate", action="store_true", help="list all minimal covering families")
-    add_common(p_cover)
+    add_flags(p_cover, "--output")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=VERIFY_SUITES)
-    add_common(p_verify, with_trials=True)
+    add_flags(p_verify, "--config", "--seed", "--trials", "--output")
 
     p_demo = sub.add_parser("demo", help="reproduce bundled demonstrations")
     demo_sub = p_demo.add_subparsers(dest="demo_command", required=True)
     p_cex = demo_sub.add_parser("counterexample", help="the R^5 divergent sequence the covering condition catches")
     p_cex.add_argument("--k", type=int, default=10, help="trace the sequence for k = 1..K")
-    add_common(p_cex)
+    add_flags(p_cex, "--output", "--format")
 
     return parser
 

@@ -64,7 +64,7 @@ __all__ = [
     "SPAN_DECISION_REL",
 ]
 
-#: floor of the sampled trend rule (`Profile.floor`, `topology._settles`),
+#: floor of the sampled trend rule (`Profile.floor`, `topology._decays`),
 #: relative to the Hadamard scale of the evaluated tuples, and the floor the
 #: benchmark's value oracle measures errors against. It is no zero rule: a
 #: coset is zero by `FrameGeometry`'s slope, at `tol.zero` of the frame's
@@ -475,7 +475,8 @@ def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profi
     also decides u's finiteness (under a metric, a check before u is
     whitened), so a non-finite u raises before any call. Each requested
     column takes, in order, its range check (a scale beyond the double
-    range raises `ScaleOutOfRange` before the column's call), its scale,
+    range raises `ScaleOutOfRange` before the column's call; the zero
+    vector's scale, 0, is in range whatever the shift), its scale,
     the evaluator call and its zero flag, on Python floats read off lists
     the frame geometry holds; the profile's arrays are built once at the
     end.
@@ -486,7 +487,7 @@ def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profi
     values, scales, zero = [math.nan] * frame.n, [math.nan] * frame.n, [False] * frame.n
     for j in columns:
         scale, shift = others[j - 1] * length, shifts[j - 1]
-        if not scale < math.inf or math.frexp(scale)[1] + shift > 1024:
+        if not scale < math.inf or (scale and math.frexp(scale)[1] + shift > 1024):
             raise ScaleOutOfRange(j, math.log10(others[j - 1]) + math.log10(length) + shift * math.log10(2.0))
         scales[j - 1] = math.ldexp(scale, shift)
         value = norm([u] + rows[: j - 1] + rows[j:])
@@ -519,14 +520,15 @@ def quotient_profile(frame: Frame, norm: NNorm, u, columns=None) -> Profile:
 
     The standard norm reads all n columns off the frame's geometry. Other
     evaluators are called once per index in `columns` (1-based; all n when
-    None), and the other entries are NaN.
+    None), and the other entries are NaN. An index that is not a whole
+    number raises a ValueError naming it; 2.0 means 2.
     """
     _check_compatible(frame, norm)
     u = as_vector(u, frame.dim)
     if columns is None:
         columns = range(1, frame.n + 1)
     else:
-        columns = sorted(set(columns))
+        columns = sorted({_index(j, "frame index") for j in columns})
         if columns and not 1 <= columns[0] <= columns[-1] <= frame.n:
             raise ValueError(f"frame indices must be in 1..{frame.n}, got {columns}")
     return _profile(frame, norm, u, columns)
@@ -534,7 +536,9 @@ def quotient_profile(frame: Frame, norm: NNorm, u, columns=None) -> Profile:
 
 def class1_norm(frame: Frame, norm: NNorm, u, j: int) -> float:
     """Quotient norm of the coset of u after removing y_j: the n-norm of
-    (u, y_1, ..., y_{j-1}, y_{j+1}, ..., y_n)."""
+    (u, y_1, ..., y_{j-1}, y_{j+1}, ..., y_n). A j that is not a whole
+    number raises a ValueError naming it."""
+    j = _index(j, "frame index")
     return float(quotient_profile(frame, norm, u, (j,)).values[j - 1])
 
 

@@ -21,16 +21,18 @@ reads all n of its class-m rows off it, through the same row builders the
 public verdicts use. A verdict keeps the class-1 values of the vectors it
 sampled and builds its trace points from them on the first read of
 `evidence` (`Verdict`). An analytic verdict's conclusion reads only the
-traces and the bounds, so an evidence vector that is neither is profiled
-only on that first read (`_PendingProfiles`): a caller that reads only the
-conclusions never profiles it.
+traces and the bounds, so it keeps its evidence vectors as bytes and reads
+their class-1 values, on that first read, through the call's one map from
+(vector bytes, columns) to value list (`_Class1Values`), which profiles a
+vector on its first request: a caller that reads only the conclusions never
+profiles a vector that is neither a trace nor a bound's term.
 
 Inputs are validated once, at the public boundary; a sequence's vectors
 when it is built, and its fit to a frame once per verdict. Table entries,
 and the vectors a verdict computes from a checked sequence and limit (under
 one `np.errstate` guard), go to the profile's private entry unchecked; one
 that overflowed is still named non-finite there, with no numpy warning on
-the way. Tabulated verdicts share one trend rule (`_settles`). Cauchy and
+the way. Tabulated verdicts share one trend rule (`_decays`). Cauchy and
 boundedness read a table through its L - 1 successive gaps, so a tabulated
 linear sequence, whose gaps stay level, is neither Cauchy nor Bounded: a
 finite table alone never passes as bounded.
@@ -344,15 +346,17 @@ class Verdict:
     index k and subset s. The verdict functions pass its source instead, as
     `_source` (the arguments of `_trace_points`): the sampled vectors' (k,
     class-1 value list) pairs and the selection, or for an analytic verdict
-    (k, u.tobytes()) pairs, the selection and the call's `_PendingProfiles`.
-    `evidence` is then built from it, subset by subset, on first read and
-    cached, so a reader pays what an eager build cost and a caller that
-    reads only the conclusion pays nothing. That first read profiles any
-    evidence vector of an analytic verdict that the call did not, so it may
-    call an injected evaluator or raise what such a profile raises, such as
-    `ScaleOutOfRange`. Equality, `repr`, `dataclasses.replace` and `asdict`
-    read `evidence`, and a copy or a pickle carries the built tuple, so they
-    see what a verdict given the same tuple as `evidence=` gives.
+    (k, u.tobytes()) pairs, the selection, the call's value map and its
+    column set. No source holds a `quotient.Profile`. `evidence` is then
+    built from it, subset by subset, on first read and cached, so a reader
+    pays what an eager build cost and a caller that reads only the
+    conclusion pays nothing. That first read profiles, through the map, any
+    evidence vector of an analytic verdict that no trace, bound or earlier
+    read profiled, so it may call an injected evaluator or raise what such a
+    profile raises, such as `ScaleOutOfRange`. Equality, `repr`,
+    `dataclasses.replace` and `asdict` read `evidence`, and a copy or a
+    pickle carries the built tuple, so they see what a verdict given the
+    same tuple as `evidence=` gives.
     """
 
     conclusion: Conclusion
@@ -408,9 +412,9 @@ def _profiles(frame: Frame, norm: NNorm, vectors, columns: tuple[int, ...], memo
     A profile is a pure function of (frame, norm, u, columns), so a vector
     seen before, bit for bit, under the same columns gets the profile it got
     then. `memo` maps (u.tobytes(), columns) to that profile; its owner, one
-    public verdict call or one `AnalyticTraces`, holds it for one frame and
-    one norm and drops it with itself; no verdict keeps it. A non-finite
-    vector raises where it first occurs, as `_profile` raises.
+    public verdict call or the traces of one `AnalyticTraces`, holds it for
+    one frame and one norm and drops it with itself; no verdict keeps it. A
+    non-finite vector raises where it first occurs, as `_profile` raises.
     """
     out = []
     for u in vectors:
@@ -422,58 +426,26 @@ def _profiles(frame: Frame, norm: NNorm, vectors, columns: tuple[int, ...], memo
     return out
 
 
-class _PendingProfiles:
-    """The evidence vectors of one analytic call, under its one column set
-    `columns`, by their bytes (u.tobytes()), each with its class-1 value
-    list once profiled and None while pending. Every verdict of the call
-    keeps this one map, so a vector that several rows sample is profiled
-    once, on the first read of any of them, and keeps nothing of the call's
-    traces or memo: a pending vector is rebuilt from its bytes. An evidence
-    row, a list of (k, bytes) pairs that the n verdicts of one kind in a
-    table share, is resolved in place to (k, class-1 value list) pairs on
-    its first read (`resolve`)."""
+class _Class1Values(dict):
+    """The class-1 value lists of one analytic call, by (u.tobytes(),
+    columns), against the call's frame and norm. A vector is profiled on
+    its first request, rebuilt from its bytes, so the map holds no vector,
+    trace or `Profile` of the call, only lists of n floats. The call seeds
+    it with the lists of the trace profiles that an evidence row or a bound
+    asks for; the bounds and every verdict's evidence read through it, so a
+    vector that several rows sample is profiled once, on the first read of
+    any of them."""
 
-    __slots__ = ("frame", "norm", "columns", "values")
+    __slots__ = ("frame", "norm")
 
-    def __init__(self, frame: Frame, norm: NNorm, columns: tuple[int, ...]):
+    def __init__(self, frame: Frame, norm: NNorm):
         self.frame = frame
         self.norm = norm
-        self.columns = columns
-        self.values: dict[bytes, list[float] | None] = {}
 
-    def add(self, u: np.ndarray) -> bytes:
-        """The key of an evidence vector, pending. It must be finite, so one
-        that overflowed is named non-finite by the call, as a profile would
-        name it."""
-        key = u.tobytes()
-        if key not in self.values:
-            if not all(map(math.isfinite, u.tolist())):
-                raise ValueError(NON_FINITE)
-            self.values[key] = None
-        return key
-
-    def settle(self, memo: dict) -> None:
-        """Take the values of every pending vector whose profile under
-        `columns` the call's memo holds."""
-        for key, values in self.values.items():
-            if values is None:
-                profile = memo.get((key, self.columns))
-                if profile is not None:
-                    self.values[key] = profile._value_list
-
-    def resolve(self, row: list) -> None:
-        """Put the class-1 values of each key of `row` in its place,
-        profiling a pending vector first. Keys are resolved in order, so a
-        row whose last entry holds values is resolved."""
-        if not row or type(row[-1][1]) is not bytes:
-            return
-        for i, (k, key) in enumerate(row):
-            if type(key) is bytes:
-                values = self.values[key]
-                if values is None:
-                    u = np.frombuffer(bytearray(key))
-                    values = self.values[key] = _profile(self.frame, self.norm, u, self.columns)._value_list
-                row[i] = (k, values)
+    def __missing__(self, key: tuple[bytes, tuple[int, ...]]) -> list[float]:
+        u, columns = key
+        values = self[key] = _profile(self.frame, self.norm, np.frombuffer(bytearray(u)), columns)._value_list
+        return values
 
 
 class AnalyticTraces:
@@ -485,19 +457,20 @@ class AnalyticTraces:
     (ks, vector_at), and `columns` the sorted frame indices an injected
     evaluator is called on there (all n when None); `self.evidence` holds
     one list of (k, u.tobytes()) per row, for the k >= 1 of its ks
-    (sequences start at k = 1; a k that is not a whole number raises), with
-    the keys of the call's `_PendingProfiles`. Every vector of the traces,
-    their bounds and the evidence is computed under one `np.errstate`
-    guard, and the profiles are taken after it: a vector that overflowed is
-    named non-finite there, with no numpy warning on the way.
+    (sequences start at k = 1; a k that is not a whole number raises). Every
+    vector of the traces, their bounds and the evidence is computed under
+    one `np.errstate` guard, and the profiles are taken after it: a vector
+    that overflowed is named non-finite there, by the call even when it is
+    an evidence vector, with no numpy warning on the way.
 
-    The traces and the bound profiles (taken on first use) share one memo
-    for the life of the object: each distinct vector is profiled once per
-    column set. An evidence vector that the memo holds under the evidence's
-    `columns` takes that profile, so a constant's offsets are its traced
-    offset and a divergent sequence's x_2 - x_1 is its direction; any other
-    is profiled on the first read of a verdict's `evidence`, unless a bound
-    profile taken later in the call is its profile (an oscillating term).
+    The traces are profiled at once, each distinct vector once. Everything
+    else goes through one `_Class1Values` map for the call, which the
+    verdicts keep: it starts with the trace values that an evidence row or a
+    bound asks for under its columns, so a constant's offsets are its traced
+    offset and a divergent sequence's x_2 - x_1 is its direction. The bound's
+    terms are read through it on first use, and an oscillating term then
+    finds its bound's values there; any other evidence vector is profiled
+    on the first read of a verdict's `evidence`.
     """
 
     def __init__(self, spec: SequenceSpec, frame: Frame, norm: NNorm, limit=None, evidence=(), columns=None):
@@ -530,19 +503,17 @@ class AnalyticTraces:
                     traced["_l"] = self.limit
                 bounds = ()
             rows = [[(k, vector_at(spec, self.limit, k)) for k in ks if k >= 1] for ks, vector_at in evidence]
-        self._memo = {}
-        self._all = tuple(range(1, frame.n + 1))
-        for name, profile in zip(traced, self._profiles(traced.values(), self._all)):
+        every, memo = tuple(range(1, frame.n + 1)), {}
+        for name, profile in zip(traced, _profiles(frame, norm, traced.values(), every, memo)):
             setattr(self, name, profile)
-        self._bound_vectors = bounds
-        columns = self._all if columns is None else tuple(columns)
-        self._pending = _PendingProfiles(frame, norm, columns)
-        self.evidence = [[(k, self._pending.add(u)) for k, u in row] for row in rows]
-        self._pending.settle(self._memo)
-
-    def _profiles(self, vectors, columns: tuple[int, ...]) -> list[Profile]:
-        # every vector is computed from the checked spec and limit
-        return _profiles(self.frame, self.norm, vectors, columns, self._memo)
+        if not all(map(math.isfinite, [x for row in rows for _, u in row for x in u.tolist()])):
+            raise ValueError(NON_FINITE)
+        self._columns = every if columns is None else tuple(columns)
+        self.evidence = [[(k, u.tobytes()) for k, u in row] for row in rows]
+        self._bound_keys = [(b.tobytes(), every) for b in bounds]
+        held = {(key, self._columns) for row in self.evidence for _, key in row}.union(self._bound_keys)
+        self._values = _Class1Values(frame, norm)
+        self._values.update((key, p._value_list) for key, p in memo.items() if key in held)
 
     def trace_limit_zero(self, s: IndexSet) -> bool:
         """Does classm_norm(x_k - limit, s) tend to zero?"""
@@ -566,11 +537,9 @@ class AnalyticTraces:
 
     @cached_property
     def _bound_values(self) -> tuple:
-        """Class-1 value lists of the bound's terms; an evidence vector that
-        is one of them takes its values too."""
-        profiles = self._profiles(self._bound_vectors, self._all)
-        self._pending.settle(self._memo)
-        return tuple(p._value_list for p in profiles)
+        """Class-1 value lists of the bound's terms, read through the call's
+        map, where an evidence vector that is one of them finds them too."""
+        return tuple(self._values[key] for key in self._bound_keys)
 
     def bounded_on(self, s: IndexSet) -> tuple[bool, float]:
         """Is sup_k classm_norm(x_k, s) finite, and an analytic bound for it."""
@@ -609,25 +578,25 @@ def _doubling_gap(spec: SequenceSpec, limit, k: int):
     return _eval(spec, 2 * k) - _eval(spec, k)
 
 
-def _trace_points(pairs, selection: NormSelection, pending: _PendingProfiles | None = None) -> tuple[TracePoint, ...]:
+def _trace_points(pairs, selection: NormSelection, values=None, columns=None) -> tuple[TracePoint, ...]:
     """Trace points (k, s, classm_norm(x, s)) of (k, class-1 value list)
-    pairs, subset by subset, once `pending` (if given) has resolved the
-    pairs' vector bytes: the one evidence builder, which a verdict calls on the
-    first read of its `evidence`. Each value is summed as `Profile.value`
-    sums it."""
-    if pending is not None:
-        pending.resolve(pairs)
-    return tuple(TracePoint(k, s, _subset_sum(values, s)) for s in selection.subsets for k, values in pairs)
+    pairs, or of (k, u.tobytes()) pairs read through an analytic call's
+    `values` under its `columns`, subset by subset: the one evidence
+    builder, which a verdict calls on the first read of its `evidence`.
+    Each value is summed as `Profile.value` sums it."""
+    if values is not None:
+        pairs = [(k, values[key, columns]) for k, key in pairs]
+    return tuple(TracePoint(k, s, _subset_sum(terms, s)) for s in selection.subsets for k, terms in pairs)
 
 
 # Each analytic verdict is built from the sequence's traces and the (k, bytes)
 # pairs of its evidence row, for one selection, which it keeps with the
-# traces' pending map as the source of its evidence. The public verdicts and
-# every row of equivalence_matrix go through these three.
+# call's value map and column set as the source of its evidence. The public
+# verdicts and every row of equivalence_matrix go through these three.
 
 
 def _convergence_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verdict:
-    source = (pairs, selection, traces._pending)
+    source = (pairs, selection, traces._values, traces._columns)
     if all(traces.trace_limit_zero(s) for s in selection.subsets):
         return Verdict(Conclusion.CONVERGES, Method.ANALYTIC, limit=traces.limit, _source=source)
     return Verdict(Conclusion.DIVERGES, Method.ANALYTIC, _source=source)
@@ -635,7 +604,7 @@ def _convergence_row(traces: AnalyticTraces, pairs, selection: NormSelection) ->
 
 def _boundedness_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verdict:
     bounds = [traces.bounded_on(s) for s in selection.subsets]
-    source = (pairs, selection, traces._pending)
+    source = (pairs, selection, traces._values, traces._columns)
     if not all(ok for ok, _ in bounds):
         return Verdict(Conclusion.UNBOUNDED, Method.ANALYTIC, _source=source)
     return Verdict(Conclusion.BOUNDED, Method.ANALYTIC, bound=max(b for _, b in bounds), _source=source)
@@ -644,10 +613,10 @@ def _boundedness_row(traces: AnalyticTraces, pairs, selection: NormSelection) ->
 def _cauchy_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verdict:
     ok = all(traces.cauchy_on(s) for s in selection.subsets)
     conclusion = Conclusion.CAUCHY if ok else Conclusion.NOT_CAUCHY
-    return Verdict(conclusion, Method.ANALYTIC, _source=(pairs, selection, traces._pending))
+    return Verdict(conclusion, Method.ANALYTIC, _source=(pairs, selection, traces._values, traces._columns))
 
 
-def _settles(series: list[float], floor: float) -> bool:
+def _decays(series: list[float], floor: float) -> bool:
     """Sampled trend rule: every sample is at zero scale (at most `floor`),
     or there are at least three, nonincreasing up to `floor`, and the last
     is at zero scale or a quarter of the first.
@@ -658,7 +627,7 @@ def _settles(series: list[float], floor: float) -> bool:
     largest such floor of the table's entries. A table whose entries differ
     by one ulp has gaps at zero scale against its entries, but a floor
     taken from the gaps' own scales would hold them to their own rounding
-    and call the table unsettled.
+    and find them not decaying.
     """
     if series and all(v <= floor for v in series):
         return True
@@ -709,11 +678,12 @@ def converges_wrt(
     Each distinct vector is profiled once per call, so an injected evaluator
     is called once per distinct (vector, requested column) pair, over the
     call and the read of its evidence together. For a closed form the call
-    profiles the traces, and an evidence vector only where a trace is that
-    vector under the requested columns; the others are profiled on the
-    first read of `evidence`, where their evaluator calls and errors (such
-    as `ScaleOutOfRange`) then fall. An evidence vector that overflowed is
-    named non-finite by the call.
+    profiles the traces, and the verdict keeps its evidence vectors as
+    bytes with the call's value map: a vector that a trace is under the
+    requested columns takes the trace's values, and the others are profiled
+    through the map on the first read of `evidence`, where their evaluator
+    calls and errors (such as `ScaleOutOfRange`) then fall. An evidence
+    vector that overflowed is named non-finite by the call.
     """
     _validate_selection(frame, selection)
     columns = tuple(sorted(selection.union()))
@@ -729,7 +699,7 @@ def converges_wrt(
         offsets = [v - limit for _, v in spec.table]
     profiles = _profiles(frame, norm, offsets, columns, {})
     source = (list(zip(ks, [p._value_list for p in profiles])), selection)
-    if all(_settles([p.value(s) for p in profiles], max(p.floor(s) for p in profiles)) for s in selection.subsets):
+    if all(_decays([p.value(s) for p in profiles], max(p.floor(s) for p in profiles)) for s in selection.subsets):
         return Verdict(Conclusion.CONVERGES, Method.SAMPLED, limit=limit, window=window, _source=source)
     return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, window=window, _source=source)
 
@@ -745,20 +715,21 @@ def is_cauchy_wrt(
 
     Evidence rows sample the doubled-index differences x_{2k} - x_k, which
     expose both decay and linear growth. For custom tables the verdict is
-    Sampled: Cauchy when the successive gaps x_{k_{i+1}} - x_{k_i} settle
-    (`_settles`, at the floor of x_1), otherwise Inconclusive. The evidence
+    Sampled: Cauchy when the successive gaps x_{k_{i+1}} - x_{k_i} decay
+    (`_decays`, at the floor of x_1), otherwise Inconclusive. The evidence
     holds one point (k_i, s, gap value) per gap and subset: L - 1 per
     subset for a table of L entries. A table whose gaps stay level, as a
     tabulated linear sequence's do, is Inconclusive.
 
     A sampled CAUCHY is evidence, not proof: the partial sums of 1/k have
-    gaps 1/k, which settle on any table of eight or more terms from k = 1,
-    yet the sums diverge. Each distinct vector, x_1 and the gaps together, is
-    profiled once per call, so an injected evaluator is called once per
-    distinct (vector, requested column) pair; equal successive entries
-    give one zero gap. For a closed form the doubling gaps are profiled as
-    `converges_wrt` profiles its offsets: on the first read of `evidence`,
-    unless a trace is the gap (a divergent sequence's x_2 - x_1).
+    gaps 1/k, which pass that rule on any table of eight or more terms from
+    k = 1, yet the sums diverge. Each distinct vector, x_1 and the gaps
+    together, is profiled once per call, so an injected evaluator is called
+    once per distinct (vector, requested column) pair; equal successive
+    entries give one zero gap. For a closed form the doubling gaps are profiled as
+    `converges_wrt` profiles its offsets: through the call's value map on
+    the first read of `evidence`, unless a trace is the gap (a divergent
+    sequence's x_2 - x_1).
     """
     _validate_selection(frame, selection)
     columns = tuple(sorted(selection.union()))
@@ -772,7 +743,7 @@ def is_cauchy_wrt(
     vectors = [v for _, v in spec.table]
     first, *gaps = _profiles(frame, norm, vectors[:1] + _steps(vectors), columns, {})
     source = (list(zip(ks, [g._value_list for g in gaps])), selection)
-    if all(_settles([g.value(s) for g in gaps], first.floor(s)) for s in selection.subsets):
+    if all(_decays([g.value(s) for g in gaps], first.floor(s)) for s in selection.subsets):
         return Verdict(Conclusion.CAUCHY, Method.SAMPLED, window=window, _source=source)
     return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, window=window, _source=source)
 
@@ -792,7 +763,7 @@ def is_bounded_wrt(
     gets a Sampled verdict: Bounded, with M as for a point set, when no
     subset's trace rises (the later half of the trace stays within the
     largest entry floor of the earlier half's maximum), or when the
-    successive gaps of every trace that rises settle (`_settles`, at the
+    successive gaps of every trace that rises decay (`_decays`, at the
     same floor); otherwise Inconclusive, with no bound. The evidence holds
     the entries' values, k outer and s inner. A sampled BOUNDED on a table
     is evidence, not proof: the partial sums of 1/k pass, as they pass as
@@ -802,9 +773,9 @@ def is_bounded_wrt(
     injected evaluator is called once per distinct (vector, requested
     column) pair; the gaps are profiled only when a trace rises. For a
     closed form the terms are profiled as `converges_wrt` profiles its
-    offsets: on the first read of `evidence`, unless a trace or a bound's
-    term is the term under the requested columns (a constant's x, an
-    oscillation's x +- c v).
+    offsets: through the call's value map on the first read of `evidence`,
+    unless a trace or a bound's term is the term under the requested
+    columns (a constant's x, an oscillation's x +- c v).
     """
     _validate_selection(frame, selection)
     columns = tuple(sorted(selection.union()))
@@ -835,7 +806,7 @@ def is_bounded_wrt(
                 rising.append((s, floor))
         if rising:
             gaps = _profiles(frame, norm, _steps(points), columns, memo)
-            if not all(_settles([g.value(s) for g in gaps], floor) for s, floor in rising):
+            if not all(_decays([g.value(s) for g in gaps], floor) for s, floor in rising):
                 return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, evidence=evidence, window=window)
     bound = max([0.0] + [p.value for p in evidence])
     return Verdict(Conclusion.BOUNDED, Method.SAMPLED, bound=bound, evidence=evidence, window=window)
@@ -873,12 +844,12 @@ def equivalence_matrix(spec: SequenceSpec, frame: Frame, norm: NNorm, candidate_
     traces and the same evidence profiles, taken once per table: a class-m
     norm is a sum of class-1 norms, so the rows differ only in the sums.
     The table profiles only its traces and bounds. Every verdict keeps the
-    keys of its row's evidence vectors and the table's one
-    `_PendingProfiles`; the first read of any verdict's `evidence` profiles
-    the vectors it samples that no trace, bound or earlier read profiled,
-    and builds its trace points. So a caller that reads only the
-    conclusions profiles no other vector and builds no trace point, and one
-    that reads every row makes the evaluator calls an eager build made.
+    bytes of its row's evidence vectors and the table's one value map; the
+    first read of any verdict's `evidence` profiles, through the map, the
+    vectors it samples that no trace, bound or earlier read profiled, and
+    builds its trace points. So a caller that reads only the conclusions
+    profiles no other vector and builds no trace point, and one that reads
+    every row makes the evaluator calls an eager build made.
     """
     if spec.kind is SequenceKind.CUSTOM:
         raise ValueError("equivalence matrix needs a closed-form sequence")

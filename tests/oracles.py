@@ -115,7 +115,7 @@ def generic_profile(frame, norm, u, columns):
     zero = np.zeros(frame.n, dtype=bool)
     for j in columns:
         other, shift = float(geometry._others[j - 1]), int(geometry._shifts[j - 1])
-        if not other * length < math.inf or math.frexp(other * length)[1] + shift > 1024:
+        if not other * length < math.inf or (other * length and math.frexp(other * length)[1] + shift > 1024):
             raise ScaleOutOfRange(j, math.log10(other) + math.log10(length) + shift * math.log10(2.0))
         scales[j - 1] = math.ldexp(other * length, shift)
         values[j - 1] = norm([u] + rows[: j - 1] + rows[j:])

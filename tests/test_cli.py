@@ -90,6 +90,28 @@ class TestQuotientCommand:
         assert (captured.out, captured.err) == ("", "error: index set (1, 4) exceeds arity 3\n")
 
 
+#: each subcommand with a flag it does not read; cover and verify write JSON
+#: only, so a csv request is refused rather than ignored
+UNREAD_FLAGS = [
+    ["norm", "2,0,0", "0,3,0", "--seed", "1"],
+    ["quotient", "-u", "1,0,0", "-s", "1", "--seed", "1"],
+    ["cover", "--n", "5", "--m", "2", "--seed", "1"],
+    ["demo", "counterexample", "--seed", "1"],
+    ["cover", "--n", "5", "--m", "2", "--config", "cfg.json"],
+    ["demo", "counterexample", "--config", "cfg.json"],
+    ["cover", "--n", "5", "--m", "2", "--format", "csv"],
+    ["verify", "covering", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=[f"{a[0]}{a[-2]}" for a in UNREAD_FLAGS])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "report"
+    assert main(argv + ["--output", str(out)]) == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestCoverCommand:
     def test_minimal_size_5_2(self, capsys):
         assert main(["cover", "--n", "5", "--m", "2"]) == 0

@@ -7,7 +7,9 @@ the same tuple gives."""
 
 import copy
 import dataclasses
+import gc
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from nnormkit import topology
 from nnormkit.linalg import SpaceConfig
 from nnormkit.nnorm import NNorm, standard_nnorm, standard_norm
-from nnormkit.quotient import Frame, ScaleOutOfRange, quotient_profile, random_frame
+from nnormkit.quotient import Frame, IndexSet, Profile, ScaleOutOfRange, quotient_profile, random_frame
 from nnormkit.topology import (
     Conclusion,
     Method,
@@ -29,6 +31,7 @@ from nnormkit.topology import (
     equivalence_matrix,
     eval_sequence,
     full_selection,
+    is_bounded_wrt,
     is_cauchy_wrt,
     oscillating,
 )
@@ -241,14 +244,8 @@ def _verdicts(table) -> list:
     return [v for row in table.rows for v in (row.convergence, row.boundedness, row.cauchy)]
 
 
-@pytest.mark.parametrize("kind", sorted(DISTINCT_PROFILES))
-def test_pending_evidence_is_profiled_once_on_first_read(monkeypatch, kind):
-    n = 3
-    rng = np.random.default_rng(n)
-    cfg = SpaceConfig(dim=n + 1, arity=n)
-    frame = random_frame(cfg, rng)
-    norm, calls = _counting_norm(cfg)
-    spec, limit = _exact_spec(kind, rng, n + 1)
+def _counting_profiles(monkeypatch) -> list:
+    """(u.tobytes(), columns) of every `_profile` a verdict takes, in order."""
     profiled = []
     profile = topology._profile
 
@@ -257,18 +254,37 @@ def test_pending_evidence_is_profiled_once_on_first_read(monkeypatch, kind):
         return profile(frame, norm, u, columns)
 
     monkeypatch.setattr(topology, "_profile", counted)
+    return profiled
+
+
+def _evidence_keys(spec, limit, n, ks=(1, 10)) -> set:
+    """(u.tobytes(), all n columns) of every vector a table's evidence
+    samples: x_k - limit, x_k and x_{2k} - x_k."""
+    vectors = []
+    for k in ks:
+        x = eval_sequence(spec, k)
+        vectors += [x - limit, x, eval_sequence(spec, 2 * k) - x]
+    return {(u.tobytes(), tuple(range(1, n + 1))) for u in vectors}
+
+
+@pytest.mark.parametrize("kind", sorted(DISTINCT_PROFILES))
+def test_pending_evidence_is_profiled_once_on_first_read(monkeypatch, kind):
+    n = 3
+    rng = np.random.default_rng(n)
+    cfg = SpaceConfig(dim=n + 1, arity=n)
+    frame = random_frame(cfg, rng)
+    norm, calls = _counting_norm(cfg)
+    spec, limit = _exact_spec(kind, rng, n + 1)
+    profiled = _counting_profiles(monkeypatch)
     verdicts = _verdicts(equivalence_matrix(spec, frame, norm, limit))
-    # every row of the table keeps one pending map
-    pending = vars(verdicts[0])["_pending"][2]
-    assert all(vars(v)["_pending"][2] is pending for v in verdicts)
-    waiting = {(key, pending.columns) for key, values in pending.values.items() if values is None}
     assert len(profiled) == CALL_TIME_PROFILES[kind]
-    assert len(waiting) == DISTINCT_PROFILES[kind] - CALL_TIME_PROFILES[kind]
-    assert not waiting & set(profiled)
     assert len(calls) == n * CALL_TIME_PROFILES[kind]
+    waiting = _evidence_keys(spec, limit, n) - set(profiled)
+    assert len(waiting) == DISTINCT_PROFILES[kind] - CALL_TIME_PROFILES[kind]
     for verdict in verdicts:
         verdict.evidence
-    # each pending vector once, and the evaluator as often as an eager build
+    # each sampled vector the call did not profile, once however many
+    # verdicts sample it, and the evaluator as often as an eager build
     assert sorted(profiled[CALL_TIME_PROFILES[kind] :]) == sorted(waiting)
     assert len(calls) == n * DISTINCT_PROFILES[kind]
 
@@ -294,17 +310,56 @@ def test_an_out_of_range_evidence_scale_raises_on_first_read(injected):
             verdict.evidence
 
 
-def test_a_pickled_unread_verdict_holds_no_frame_norm_or_key():
+def test_a_pickled_unread_verdict_holds_no_frame_norm_or_key(monkeypatch):
     rng, frame, norm = _setup(3, 5, injected=False)
     spec, limit = _spec("convergent_power", rng, 5)
+    profiled = _counting_profiles(monkeypatch)
     verdicts = _verdicts(equivalence_matrix(spec, frame, norm, limit))
     # every evidence vector of a convergent power is pending: pickling the
     # first verdict of each kind profiles it
-    pending = vars(verdicts[0])["_pending"][2]
-    keys = list(pending.values)
-    assert len(keys) == 6 and not any(pending.values.values())
+    keys = _evidence_keys(spec, limit, 3)
+    assert len(keys) == 6 and not keys & set(profiled)
     for verdict in verdicts:
         blob = pickle.dumps(verdict)
-        assert b"Frame" not in blob and b"NNorm" not in blob and b"Pending" not in blob
-        assert not any(key in blob for key in keys)
+        assert b"Frame" not in blob and b"NNorm" not in blob and b"Class1Values" not in blob
+        assert not any(key in blob for key, _ in keys)
         assert _bits(pickle.loads(blob)) == _bits(verdict)
+    assert keys <= set(profiled)
+
+
+def _reaches(root, kind) -> bool:
+    """Does an instance of `kind` lie among the objects `root` refers to,
+    directly or through others? Classes, modules and functions end the
+    walk, so it stays among the instances a verdict holds."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, kind):
+            return True
+        stack.extend(gc.get_referents(obj))
+    return False
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_unread_verdict_reaches_no_profile(kind, injected):
+    n, d = 3, 5
+    rng, frame, norm = _setup(n, d, injected)
+    spec, limit = _spec(kind, rng, d)
+    sel = full_selection(n, 2)
+    table, _ = _table(rng, d, kind)
+    verdicts = _verdicts(equivalence_matrix(spec, frame, norm, limit)) + [
+        converges_wrt(spec, frame, norm, sel, limit),
+        is_cauchy_wrt(spec, frame, norm, sel),
+        is_bounded_wrt(spec, frame, norm, sel),
+        converges_wrt(table, frame, norm, sel, limit),
+        is_cauchy_wrt(table, frame, norm, sel),
+    ]
+    for verdict in verdicts:
+        assert "evidence" not in vars(verdict)
+        assert not _reaches(vars(verdict), (Profile, topology.AnalyticTraces))
+        # the walk finds what a verdict does hold
+        assert _reaches(vars(verdict), IndexSet)

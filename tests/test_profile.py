@@ -261,6 +261,18 @@ def test_generic_profile_matches_its_array_reference(seed):
     assert outcomes >= {"profile", "ScaleOutOfRange", "ScaleOutOfRange after a call", "ValueError"}
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_generic_profile_of_zero_is_the_closed_form(seed):
+    # a zero scale is in range whatever the shift of the frame's product of
+    # other lengths, so the zero vector gets zero values, scales and flags
+    for label, frame in _generic_frames(seed):
+        cfg, u = frame.space, np.zeros(frame.dim)
+        fast, slow = quotient_profile(frame, standard_nnorm(cfg), u), quotient_profile(frame, generic(cfg), u)
+        for got, want in [(slow.values, fast.values), (slow.scales, fast.scales), (slow.zero, fast.zero)]:
+            assert got.tobytes() == want.tobytes(), label
+        assert not fast.values.any() and fast.zero.all()
+
+
 def test_a_scale_past_the_double_range_is_named():
     # the scales against y_2 and y_3 are about 5e399; ldexp made them inf
     # after an overflow warning

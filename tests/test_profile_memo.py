@@ -105,19 +105,18 @@ def test_repeated_points_are_evaluated_once(selection):
 
 def _unmemoised(monkeypatch):
     """Make every verdict take one `_profile` per vector, as if no two were
-    equal: the memo stays empty, and each entry of an evidence row is
+    equal: `_profiles` keeps no memo, and an analytic call's value map
+    profiles a vector on every request, so each entry of an evidence row is
     profiled on its own when the row is read."""
 
     def profiles(frame, norm, vectors, columns, memo):
         return [_profile(frame, norm, u, columns) for u in vectors]
 
-    def resolve(pending, row):
-        for i, (k, key) in enumerate(row):
-            if type(key) is bytes:
-                row[i] = (k, _profile(pending.frame, pending.norm, np.frombuffer(key), pending.columns)._value_list)
+    def request(values, key):
+        return _profile(values.frame, values.norm, np.frombuffer(key[0]), key[1])._value_list
 
     monkeypatch.setattr(topology, "_profiles", profiles)
-    monkeypatch.setattr(topology._PendingProfiles, "resolve", resolve)
+    monkeypatch.setattr(topology._Class1Values, "__getitem__", request)
 
 
 def _outputs(specs, frame, norm, limits) -> list:

@@ -207,6 +207,25 @@ class TestClass1Norm:
             class1_norm(frame, norm, np.zeros(5), 6)
 
 
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+def test_frame_indices_are_whole_numbers(injected):
+    # 2.0 means 2 for both norms; 1.5 is named, not truncated, accepted by
+    # the closed form or refused by an evaluator as a list index
+    cfg = SpaceConfig(dim=4, arity=3)
+    rng = np.random.default_rng(5)
+    frame = random_frame(cfg, rng)
+    norm = NNorm(cfg, "injected", lambda vs: standard_norm(cfg, vs)) if injected else standard_nnorm(cfg)
+    u = rng.uniform(-1.0, 1.0, 4)
+    assert class1_norm(frame, norm, u, 2.0) == class1_norm(frame, norm, u, np.float64(2.0)) == class1_norm(frame, norm, u, 2)
+    by_float = quotient.quotient_profile(frame, norm, u, [3.0, 1.0])
+    by_int = quotient.quotient_profile(frame, norm, u, [1, 3])
+    assert by_float.values.tobytes() == by_int.values.tobytes()
+    assert by_float.scales.tobytes() == by_int.scales.tobytes()
+    for call in (lambda: class1_norm(frame, norm, u, 1.5), lambda: quotient.quotient_profile(frame, norm, u, [1, 1.5])):
+        with pytest.raises(ValueError, match="frame index 1.5 is not an integer"):
+            call()
+
+
 class TestClassmNorm:
     def test_full_removal_of_first_basis_vector(self, ortho5):
         frame, norm = ortho5
