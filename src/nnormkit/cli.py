@@ -228,10 +228,7 @@ def cmd_cover(args) -> int:
         results["selection"] = selection.to_json()
         results["covers"] = covers
     if args.enumerate:
-        try:
-            families = enumerate_minimal_covers(n, m)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        families = enumerate_minimal_covers(n, m)
         print(f"minimal covering families: {len(families)}")
         for fam in families:
             print("  " + " ".join(str(s) for s in fam.subsets))
@@ -447,11 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("norm", help="standard n-norm of the given vectors")
     p_norm.add_argument("vector", nargs="+", help="comma-separated coordinates, e.g. 2,0,0")
     add_flags(p_norm, "--config", "--output", "--format")
+    p_norm.set_defaults(run=cmd_norm)
 
     p_quot = sub.add_parser("quotient", help="quotient norm of a vector for a removed index set")
     p_quot.add_argument("--vector", "-u", required=True, help="comma-separated coordinates")
     p_quot.add_argument("--indices", "-s", required=True, help="removed indices, e.g. 1,2 (1-based)")
     add_flags(p_quot, "--config", "--output", "--format")
+    p_quot.set_defaults(run=cmd_quotient)
 
     p_cover = sub.add_parser("cover", help="covering condition and minimal cover families")
     p_cover.add_argument("--n", type=int, required=True)
@@ -459,16 +458,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_cover.add_argument("--selection", help="semicolon-separated index sets, e.g. 1,2;3,4")
     p_cover.add_argument("--enumerate", action="store_true", help="list all minimal covering families")
     add_flags(p_cover, "--output")
+    p_cover.set_defaults(run=cmd_cover)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=VERIFY_SUITES)
     add_flags(p_verify, "--config", "--seed", "--trials", "--output")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_demo = sub.add_parser("demo", help="reproduce bundled demonstrations")
     demo_sub = p_demo.add_subparsers(dest="demo_command", required=True)
     p_cex = demo_sub.add_parser("counterexample", help="the R^5 divergent sequence the covering condition catches")
     p_cex.add_argument("--k", type=int, default=10, help="trace the sequence for k = 1..K")
     add_flags(p_cex, "--output", "--format")
+    p_cex.set_defaults(run=cmd_demo_counterexample)
 
     return parser
 
@@ -480,21 +482,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
     try:
-        if args.command == "norm":
-            return cmd_norm(args)
-        if args.command == "quotient":
-            return cmd_quotient(args)
-        if args.command == "cover":
-            return cmd_cover(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "demo":
-            return cmd_demo_counterexample(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+        return args.run(args)
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,11 @@ gives every value, bit for bit the value `standard_norm` gives the tuple
 alone; any other evaluator is called once per tuple, in stack order. The
 public `shift_invariance_check` runs the checker's shift code on a
 one-tuple batch. The sampler's volume gate reads the same kernel.
+
+`NNorm` is the one boundary between an evaluator and every engine, here and
+in `quotient`: a standard-kind norm is checked against `standard_norm` once,
+when it is made, so no engine calls its evaluator, and every call of any
+other evaluator converts its value to a float in `NNorm.__call__`.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = [
 ]
 
 _TINY = 1e-300  # guards denominators; never meaningful as a norm value
+_NOT_STANDARD = "an NNorm of the standard kind must evaluate as standard_norm"
 
 
 def standard_norm(cfg: SpaceConfig, vs) -> float:
@@ -102,14 +108,47 @@ class NNorm:
     Only the standard (Gram determinant) evaluator ships built in; custom
     evaluators can be injected so the axiom checker is reusable against
     deliberately broken or exotic norms.
+
+    The kind "standard" is a guarantee: `check_axioms` and the quotient
+    layer take such a norm's values from their stacked and closed-form
+    kernels, never from its evaluator. So making one calls the evaluator
+    once, on a fixed full-rank probe tuple whose volume is not 1, and raises
+    a ValueError unless it gives the probe's `linalg._volumes` value (the
+    value `standard_norm` gives) bit for bit. The probe's first row is 2**600
+    times the rest, so its Gram matrix overflows where its volume does not:
+    an evaluator that goes through the Gram determinant is refused at every
+    shape, even at n = 1, where it otherwise matches the volume bit for bit.
+    An evaluator that raises on the probe is refused too, with the ValueError
+    raised from its error.
+
+    A call returns what the evaluator returns when that is a Python float,
+    and otherwise converts it as a float64 array entry converts it (an
+    np.float32 widened, None to NaN), so every engine reads the same value.
     """
 
     cfg: SpaceConfig
     kind: str
     evaluator: Callable[[Sequence[np.ndarray]], float]
 
+    def __post_init__(self):
+        if self.kind == "standard":
+            n, d = self.cfg.arity, self.cfg.dim
+            probe = np.eye(n, d) + 1.0 / (np.add.outer(np.arange(n), np.arange(d)) + 2.0)
+            probe[0] *= 2.0**600  # its Gram matrix overflows, its volume does not
+            try:
+                value = self(list(probe))
+            except Exception as exc:  # standard_norm raises nothing on the probe
+                raise ValueError(_NOT_STANDARD) from exc
+            if value != _volumes(self.cfg, probe)[0][0]:
+                raise ValueError(_NOT_STANDARD)
+
     def __call__(self, vs) -> float:
-        return self.evaluator(vs)
+        value = self.evaluator(vs)
+        if type(value) is not float:
+            cell = np.empty(1)
+            cell[0] = value
+            value = cell[0]
+        return value
 
 
 def standard_nnorm(cfg: SpaceConfig) -> NNorm:
@@ -155,11 +194,8 @@ class _Batch:
 
     `base(norm)` evaluates the batch once per norm, so every check that
     reads the batch shares its values and scales. The standard kind takes
-    them from the stacked kernel rather than from its evaluator, so `base`
-    also calls the evaluator on the first tuple, and raises a ValueError
-    unless it gives that tuple's stacked value bit for bit: a norm labelled
-    standard whose evaluator is another function is refused, not checked
-    through a kernel it does not use.
+    them from the stacked kernel, which `NNorm` guarantees its evaluator
+    matches.
     """
 
     def __init__(self, tuples: list[list[np.ndarray]], labels: list[str] | None = None):
@@ -170,10 +206,7 @@ class _Batch:
 
     def base(self, norm: NNorm) -> tuple[list, list[float]]:
         if self._base is None or self._base[0] is not norm:
-            values, scales = _evaluate(norm, self.stack)
-            if norm.kind == "standard" and float(norm(self.tuples[0])).hex() != float(values[0]).hex():
-                raise ValueError("an NNorm of the standard kind must evaluate as standard_norm")
-            self._base = (norm, (values, scales))
+            self._base = (norm, _evaluate(norm, self.stack))
         return self._base[1]
 
 
@@ -459,7 +492,10 @@ def check_axioms(norm: NNorm, trials: int, seed: int) -> list[AxiomReport]:
     scaled, summed, alternative or shifted tuple of a check is evaluated in
     one stack; `_first_rows` builds the stacks of the three checks that
     change only the first row. The standard kind evaluates each stack with
-    one QR; an injected evaluator is called once per tuple, in batch order.
+    one QR and never calls its evaluator (`NNorm` checked it when the norm
+    was made); an injected evaluator is called once per tuple, in batch
+    order, through `NNorm.__call__`, so a value that is not a float (None,
+    say) is converted, and a NaN fails its checks rather than raising.
 
     A decision that compares a gap with its threshold fails unless gap <=
     threshold, so a NaN value or gap fails. Each check hands the witnesses

@@ -477,9 +477,9 @@ def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profi
     column takes, in order, its range check (a scale beyond the double
     range raises `ScaleOutOfRange` before the column's call; the zero
     vector's scale, 0, is in range whatever the shift), its scale,
-    the evaluator call and its zero flag, on Python floats read off lists
-    the frame geometry holds; the profile's arrays are built once at the
-    end.
+    the evaluator call (whose value `NNorm.__call__` has converted to a
+    float) and its zero flag, on Python floats read off lists the frame
+    geometry holds; the profile's arrays are built once at the end.
     """
     geometry = frame.geometry(norm.cfg)
     length = _row_lengths(norm.cfg, u[None, :])[1][0]
@@ -490,12 +490,7 @@ def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profi
         if not scale < math.inf or (scale and math.frexp(scale)[1] + shift > 1024):
             raise ScaleOutOfRange(j, math.log10(others[j - 1]) + math.log10(length) + shift * math.log10(2.0))
         scales[j - 1] = math.ldexp(scale, shift)
-        value = norm([u] + rows[: j - 1] + rows[j:])
-        if type(value) is not float:  # converted as a float64 array entry converts it
-            cell = np.empty(1)
-            cell[0] = value
-            value = cell[0]
-        values[j - 1] = value
+        values[j - 1] = value = norm([u] + rows[: j - 1] + rows[j:])
         zero[j - 1] = value <= math.ldexp(slopes[j - 1] * length, shift)
     return Profile(np.array(values), np.array(scales), np.array(zero))
 
@@ -507,8 +502,9 @@ def _profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profile:
     inputs that were checked already: the shapes, the norm's compatibility
     with the frame and `columns` (sorted 1-based indices) are the caller's
     to check; a non-finite u still raises. The closed form holds for the
-    standard norm only; any other evaluator is called on exactly the tuples
-    the requested columns name.
+    standard norm only, which a standard-kind `NNorm` is by construction;
+    any other evaluator is called on exactly the tuples the requested
+    columns name.
     """
     if norm.kind == "standard":
         return frame.geometry(norm.cfg).profile(u, columns)

@@ -121,3 +121,19 @@ def generic_profile(frame, norm, u, columns):
         values[j - 1] = norm([u] + rows[: j - 1] + rows[j:])
         zero[j - 1] = values[j - 1] <= math.ldexp(geometry._zero_slope[j - 1] * length, shift)
     return values, scales, zero
+
+
+def gunawan_norm(cfg, vs, p) -> float:
+    """Gunawan's l^p n-norm of the tuple (H. Gunawan, Bull. Austral. Math.
+    Soc. 64, 2001): the l^p sum of the absolute n x n minors of the whitened
+    rows, over every set of n coordinates (the max for p = inf). At p = 2,
+    Cauchy-Binet makes it sqrt(det Gram), the standard norm; at any p >= 1
+    it is an n-norm that no Gram matrix gives. Each minor is one
+    `np.linalg.det` call."""
+    rows = np.asarray(vs, dtype=float)
+    if cfg.whitening is not None:
+        rows = rows @ cfg.whitening.T
+    minors = [abs(float(np.linalg.det(rows[:, list(c)]))) for c in combinations(range(cfg.dim), cfg.arity)]
+    if p == math.inf:
+        return max(minors)
+    return math.fsum(m**p for m in minors) ** (1.0 / p)

@@ -195,29 +195,80 @@ class TestCheckAxioms:
     @pytest.mark.parametrize("n, d", [(1, 2), (3, 4), (5, 6)])
     def test_standard_kind_makes_no_per_tuple_standard_norm_calls(self, n, d, monkeypatch):
         # every check, shift invariance included, evaluates stacks; the
-        # evaluator is called once per drawn batch (boundary, dependent,
-        # equality), on its first tuple, however many tuples it holds
+        # evaluator is called once, on its probe, when the norm is made
         calls = []
         original = nnorm.standard_norm
         monkeypatch.setattr(nnorm, "standard_norm", lambda cfg, vs: calls.append(1) or original(cfg, vs))
+        norm = standard_nnorm(cfg_of(n, d))
+        assert len(calls) == 1
         for trials in (7, 21):
             calls.clear()
-            check_axioms(standard_nnorm(cfg_of(n, d)), trials=trials, seed=3)
-            assert len(calls) == 3
+            check_axioms(norm, trials=trials, seed=3)
+            assert len(calls) == 0
+        shift_invariance_check(norm, np.eye(n, d), np.full(n - 1, 0.5))
+        assert len(calls) == 0
 
     def test_standard_kind_with_another_evaluator_is_refused(self):
         # the stacked kernel stands in for a standard evaluator, so one that
-        # is not `standard_norm` would go unchecked; it is refused instead
+        # is not `standard_norm` would go unchecked; it cannot be made
         cfg = cfg_of(3, 4)
-        doubled = NNorm(cfg, "standard", lambda vs: 2.0 * standard_norm(cfg, vs))
         with pytest.raises(ValueError, match="standard kind"):
-            check_axioms(doubled, trials=5, seed=1)
-        with pytest.raises(ValueError, match="standard kind"):
-            shift_invariance_check(doubled, np.eye(3, 4), [0.5, -1.0])
+            NNorm(cfg, "standard", lambda vs: 2.0 * standard_norm(cfg, vs))
 
     def test_report_requires_witness_on_failure(self):
         with pytest.raises(ValueError):
             AxiomReport(axiom=Axiom.NONNEGATIVITY, passed=False, trials=1, witness=None)
+
+
+def _not_standard(cfg):
+    """Evaluators that are not `standard_norm` under cfg, by name."""
+    other = SpaceConfig(dim=cfg.dim, arity=cfg.arity, metric=np.diag(np.linspace(0.5, 2.0, cfg.dim)) + 0.1)
+    return {
+        "doubled": lambda vs: 2.0 * standard_norm(cfg, vs),
+        "squared": lambda vs: standard_norm(cfg, vs) ** 2,
+        "weighted": lambda vs: standard_norm(cfg, vs) * (1.0 + abs(vs[0][0])),
+        "lu-gram": lambda vs: math.sqrt(linalg.determinant(linalg.gram_matrix(cfg, vs))),
+        "other-metric": lambda vs: standard_norm(other, vs),
+    }
+
+
+class TestNNormBoundary:
+    """A standard label is checked once, when the norm is made, and every
+    evaluator value is converted once, in `NNorm.__call__`."""
+
+    @pytest.mark.parametrize("spd", [False, True], ids=["dot", "spd"])
+    @pytest.mark.parametrize("n, d", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 4), (5, 5), (5, 6), (7, 8)])
+    def test_a_standard_kind_that_is_not_standard_norm_cannot_be_made(self, n, d, spd):
+        cfg = cfg_of(n, d, np.diag(np.linspace(1.0, 3.0, d)) + 0.2 if spd else None)
+        assert standard_nnorm(cfg).kind == "standard"
+        for name, evaluator in _not_standard(cfg).items():
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match="standard kind"):
+                NNorm(cfg, "standard", evaluator)
+            NNorm(cfg, name, evaluator)  # any other kind is taken as given
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 3), (3, 5)])
+    def test_an_evaluator_that_returns_none_fails_with_nan_or_inf(self, n, d):
+        # None converts to NaN, as in a float64 array, so the checks fail
+        # with NaN or inf discrepancies rather than raise a TypeError; NaN
+        # never collapses to zero, so forward definiteness passes
+        reports = check_axioms(NNorm(cfg_of(n, d), "none", lambda vs: None), trials=10, seed=2)
+        failing = {r.axiom for r in reports if not r.passed}
+        assert failing == set(Axiom) - {Axiom.DEFINITENESS_FORWARD}
+        for report in reports:
+            assert report.passed or not math.isfinite(report.witness.discrepancy)
+
+    def test_float32_values_are_float64_in_both_engines(self):
+        from nnormkit.quotient import IndexSet, quotient_norm_axioms, random_frame
+
+        cfg = cfg_of(2, 3)
+        norm = NNorm(cfg, "float32", lambda vs: np.float32(standard_norm(cfg, vs)))
+        assert type(norm(np.eye(2, 3))) is np.float64
+        frame = random_frame(cfg, np.random.default_rng(1))
+        for reports in (check_axioms(norm, trials=20, seed=3), quotient_norm_axioms(frame, norm, IndexSet([1, 2]), 6, 3)):
+            # float32 rounding fails homogeneity at tol.rel = 1e-9
+            values = [r.witness.detail[key] for r in reports if not r.passed for key in ("value", "base")]
+            assert values
+            assert all(np.asarray(v).dtype == np.float64 for v in values)
 
 
 def _nan_on_large(cfg):

@@ -281,6 +281,7 @@ def test_every_gate_both_accepts_and_rejects_draws(monkeypatch):
 def test_qr_calls_of_injected_and_standard_stacks(spd, monkeypatch):
     cfg = SpaceConfig(dim=4, arity=3, metric=_spd(4) if spd else None)
     stack = np.random.default_rng(9).uniform(-1.0, 1.0, (8, 3, 4))
+    standard = standard_nnorm(cfg)  # its probe's QR is taken before counting
     qr_calls = []
     monkeypatch.setattr(linalg, "_qr_r_raw", lambda a: qr_calls.append(1) or _qr_r_raw(a))
     product = NNorm(cfg, "injected", lambda vs: math.prod(float(np.abs(v).sum()) for v in vs))
@@ -289,7 +290,7 @@ def test_qr_calls_of_injected_and_standard_stacks(spd, monkeypatch):
     assert values == [product(list(t)) for t in stack]
     assert scales == [hadamard_scale(cfg, t) for t in stack]
     # the standard kind takes one QR for the whole stack
-    values, _ = _evaluate(standard_nnorm(cfg), stack)
+    values, _ = _evaluate(standard, stack)
     assert len(qr_calls) == 1
     assert values == [standard_norm(cfg, t) for t in stack]
     # and none when every tuple has a zero row
