@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, SpaceConfig, Tolerance, _index, _mapping, _tolerance, gram_matrix
-from .nnorm import check_axioms, standard_nnorm, standard_norm
+from .nnorm import _trials, check_axioms, standard_nnorm, standard_norm
 from .quotient import (
     Frame,
     IndexSet,
@@ -82,8 +82,11 @@ class RunConfig:
         try:
             _mapping(raw, "config")
             space_raw = _mapping(raw.get("space", {}), "space")
-            dim = _index(space_raw.get("dim", fallback_dim if fallback_dim is not None else 3), "dim")
-            arity = _index(space_raw.get("arity", fallback_arity if fallback_arity is not None else min(2, dim)), "arity")
+            dim = space_raw.get("dim", fallback_dim if fallback_dim is not None else 3)
+            # min(2, dim) by an equality test, which any JSON value passes
+            # until SpaceConfig checks dim
+            default_arity = fallback_arity if fallback_arity is not None else 1 if dim == 1 else 2
+            arity = space_raw.get("arity", default_arity)
             tol = _tolerance(raw.get("tolerances", {}))
             space = SpaceConfig(dim=dim, arity=arity, metric=space_raw.get("metric"), tol=tol)
             frame_raw = raw.get("frame", "standard-basis")
@@ -160,11 +163,6 @@ def _kv_csv(rows: list[tuple[str, object]]) -> str:
 
 def cmd_norm(args) -> int:
     vectors = [_parse_vector(v) for v in args.vector]
-    if not vectors:
-        raise UsageError("norm needs at least one vector")
-    dims = {len(v) for v in vectors}
-    if len(dims) != 1:
-        raise UsageError(f"vectors have mixed lengths {sorted(dims)}")
     config = RunConfig.from_file(args.config, fallback_dim=len(vectors[0]), fallback_arity=len(vectors))
     cfg = config.space
     value = standard_norm(cfg, vectors)
@@ -186,8 +184,6 @@ def cmd_quotient(args) -> int:
     config = RunConfig.from_file(args.config)
     frame, cfg = config.frame, config.space
     u = _parse_vector(args.vector)
-    if len(u) != cfg.dim:
-        raise UsageError(f"vector length {len(u)} does not match dimension {cfg.dim}")
     s = _parse_indices(args.indices)
     s.validate_for(frame.n)
     profile = quotient_profile(frame, standard_nnorm(cfg), u, s)
@@ -214,8 +210,6 @@ def cmd_quotient(args) -> int:
 
 def cmd_cover(args) -> int:
     n, m = args.n, args.m
-    if not 1 <= m <= n:
-        raise UsageError(f"need 1 <= m <= n, got n={n}, m={m}")
     size = minimal_cover_size(n, m)
     print(f"least number of class-{m} norms for n={n}: {size}")
     results: dict = {"n": n, "m": m, "minimal_cover_size": size}
@@ -363,9 +357,7 @@ def _suite_covering(config: RunConfig, seed: int) -> list[dict]:
 def cmd_verify(args) -> int:
     config = RunConfig.from_file(args.config)
     seed = _resolve_seed(args, config)
-    trials = args.trials if args.trials is not None else config.trials
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
+    trials = _trials(args.trials if args.trials is not None else config.trials)
     suite = args.suite
     failures: list[dict] = []
     ran: list[str] = []

@@ -162,9 +162,11 @@ def as_square_matrix(x, dim: int | None = None) -> np.ndarray:
 class SpaceConfig:
     """Ambient space: dimension d, norm arity n <= d, and an SPD metric.
 
-    metric=None means the standard dot product (identity metric).
-    `whitening` is L^T for the Cholesky factor metric = L L^T (None for the
-    dot product), so that inner(a, b) = (L^T a) . (L^T b).
+    dim and arity are whole numbers: 3.0 means 3, and 3.5 raises a
+    ValueError naming it. metric=None means the standard dot product
+    (identity metric). `whitening` is L^T for the Cholesky factor metric =
+    L L^T (None for the dot product), so that inner(a, b) = (L^T a) .
+    (L^T b).
     """
 
     dim: int
@@ -175,6 +177,8 @@ class SpaceConfig:
     whitening: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _index(self.dim, "dim"))
+        object.__setattr__(self, "arity", _index(self.arity, "arity"))
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if not 1 <= self.arity <= self.dim:

@@ -33,6 +33,7 @@ import numpy as np
 from .linalg import (
     DimensionMismatch,
     SpaceConfig,
+    _index,
     _metric_length,
     _products,
     _row_lengths,
@@ -461,6 +462,15 @@ def _shift_gaps(norm: NNorm, batch: _Batch, alphas) -> list[float]:
     return [_rel_gap(b, v, max(b_s, v_s), band) for b, b_s, v, v_s in zip(*batch.base(norm), values, scales)]
 
 
+def _trials(trials) -> int:
+    """trials as an int >= 1, for the axiom checkers; a value that is not a
+    whole number raises a ValueError naming it."""
+    trials = _index(trials, "trials")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return trials
+
+
 #: each check with the `_Sampler` method that draws its batch
 _CHECKS = [
     (Axiom.NONNEGATIVITY, "boundary_batch", _check_nonnegativity),
@@ -475,6 +485,8 @@ _CHECKS = [
 
 def check_axioms(norm: NNorm, trials: int, seed: int) -> list[AxiomReport]:
     """Run all seven axiom/identity checks on `trials` seeded tuples each.
+    trials is a whole number >= 1: 2.0 means 2, and 2.5 raises a ValueError
+    naming it.
 
     Equality-style checks (permutation, homogeneity, triangle, shift) compare
     values at tol.rel, measured against the tuple's Hadamard scale so that
@@ -504,8 +516,7 @@ def check_axioms(norm: NNorm, trials: int, seed: int) -> list[AxiomReport]:
     definiteness gives each failing tuple the discrepancy inf, so it reports
     the first failing tuple.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _trials(trials)
     drawn = {}
     reports = []
     for axiom, draw, fn in _CHECKS:

@@ -42,7 +42,7 @@ from .linalg import (
     rank,
     unit_rows,
 )
-from .nnorm import _TINY, Axiom, AxiomReport, NNorm, Witness, _excess, _rel_gap, _severity, _worst, _zero_band
+from .nnorm import _TINY, Axiom, AxiomReport, NNorm, Witness, _excess, _rel_gap, _severity, _trials, _worst, _zero_band
 
 __all__ = [
     "IndexSet",
@@ -151,21 +151,39 @@ class ClassCollection:
     @classmethod
     def from_json(cls, obj) -> "ClassCollection":
         _mapping(obj, "class collection")
-        built = class_collection(_index(obj["n"], "n"), _index(obj["m"], "m"))
+        built = class_collection(obj["n"], obj["m"])
         members = tuple(IndexSet.from_json(s) for s in obj["members"])
         if members != built.members:
             raise ValueError("members do not enumerate the class collection")
         return built
 
 
-@lru_cache
-def class_collection(n: int, m: int) -> ClassCollection:
-    """The class-m collection for arity n; built once per (n, m) and shared,
-    which is safe because it is frozen."""
+def _class_shape(n, m) -> tuple[int, int]:
+    """(n, m) as ints, for whole numbers 1 <= m <= n; a size that is not a
+    whole number raises a ValueError naming it."""
+    n, m = _index(n, "n"), _index(m, "m")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    return n, m
+
+
+@lru_cache
+def class_collection(n: int, m: int) -> ClassCollection:
+    """The class-m collection for arity n, whole numbers 1 <= m <= n (3.0
+    means 3, and 1.5 raises a ValueError naming it); built once per (n, m)
+    and shared, which is safe because it is frozen."""
+    n, m = _class_shape(n, m)
     members = tuple(IndexSet(c) for c in combinations(range(1, n + 1), m))
     return ClassCollection(n=n, m=m, members=members)
+
+
+def _frame_index(j, n: int) -> int:
+    """j as an int in 1..n, for a frame index; a j that is not a whole
+    number raises a ValueError naming it."""
+    j = _index(j, "frame index")
+    if not 1 <= j <= n:
+        raise ValueError(f"frame index must be in 1..{n}, got {j}")
+    return j
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,14 +221,11 @@ class Frame:
 
     def row(self, j: int) -> np.ndarray:
         """Frame vector y_j, 1-based."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"frame index must be in 1..{self.n}, got {j}")
-        return self.vectors[j - 1]
+        return self.vectors[_frame_index(j, self.n) - 1]
 
     def without(self, j: int) -> list[np.ndarray]:
         """All frame vectors except y_j, in ascending index order."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"frame index must be in 1..{self.n}, got {j}")
+        j = _frame_index(j, self.n)
         return [self.vectors[i] for i in range(self.n) if i != j - 1]
 
     def kept_vectors(self, s: IndexSet) -> list[np.ndarray]:
@@ -242,7 +257,7 @@ class Frame:
     def from_json(cls, obj) -> "Frame":
         _mapping(obj, "frame")
         tol = _tolerance(obj.get("tolerances", {}))
-        cfg = SpaceConfig(dim=_index(obj["dim"], "dim"), arity=_index(obj["arity"], "arity"), metric=obj.get("metric"), tol=tol)
+        cfg = SpaceConfig(dim=obj["dim"], arity=obj["arity"], metric=obj.get("metric"), tol=tol)
         return cls(space=cfg, vectors=np.array(obj["vectors"], dtype=float))
 
 
@@ -251,14 +266,18 @@ def standard_frame(cfg: SpaceConfig) -> Frame:
     return Frame(space=cfg, vectors=np.eye(cfg.dim)[: cfg.arity])
 
 
-def random_frame(cfg: SpaceConfig, rng: np.random.Generator, min_volume: float = 0.05, max_tries: int = 500) -> Frame:
+#: draws `random_frame` makes before it gives up
+_FRAME_TRIES = 500
+
+
+def random_frame(cfg: SpaceConfig, rng: np.random.Generator, min_volume: float = 0.05) -> Frame:
     """A random unit-row frame whose spanning volume is bounded away from 0.
 
     The volume floor keeps quotient-norm values of generic vectors well
     separated from rounding noise; the volume is `linalg._volumes` of the
     unit rows.
     """
-    for _ in range(max_tries):
+    for _ in range(_FRAME_TRIES):
         rows = rng.uniform(-1.0, 1.0, (cfg.arity, cfg.dim))
         lengths = np.array([_metric_length(cfg, r) for r in rows])
         if np.any(lengths == 0.0):
@@ -266,7 +285,7 @@ def random_frame(cfg: SpaceConfig, rng: np.random.Generator, min_volume: float =
         rows = rows / lengths[:, None]
         if _volumes(cfg, rows)[0][0] >= min_volume:
             return Frame(space=cfg, vectors=rows)
-    raise ValueError(f"could not draw a frame with volume >= {min_volume} in {max_tries} tries")
+    raise ValueError(f"could not draw a frame with volume >= {min_volume} in {_FRAME_TRIES} tries")
 
 
 def _check_compatible(frame: Frame, norm: NNorm) -> None:
@@ -524,9 +543,7 @@ def quotient_profile(frame: Frame, norm: NNorm, u, columns=None) -> Profile:
     if columns is None:
         columns = range(1, frame.n + 1)
     else:
-        columns = sorted({_index(j, "frame index") for j in columns})
-        if columns and not 1 <= columns[0] <= columns[-1] <= frame.n:
-            raise ValueError(f"frame indices must be in 1..{frame.n}, got {columns}")
+        columns = sorted({_frame_index(j, frame.n) for j in columns})
     return _profile(frame, norm, u, columns)
 
 
@@ -629,7 +646,8 @@ def _escape_direction(frame: Frame, s: IndexSet, rng: np.random.Generator) -> np
 def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, seed: int) -> list[AxiomReport]:
     """Verify that u -> classm_norm(u, s) is a norm on the quotient:
     homogeneity, the triangle inequality, and definiteness in both
-    directions against the rank membership oracle.
+    directions against the rank membership oracle, on `trials` samples each
+    (a whole number >= 1, as for `check_axioms`).
 
     Definiteness probes mix exact members of the kept span with perturbed
     ones at 1e-3 and 1e-6; resolving those reliably needs a reasonably
@@ -665,8 +683,7 @@ def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, se
     sum holds rounding noise next to a large term. So a Gram-determinant
     evaluator should run with tol.zero of about 1e-7.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _trials(trials)
     _check_compatible(frame, norm)
     s.validate_for(frame.n)
     tol = frame.space.tol

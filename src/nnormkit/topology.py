@@ -58,6 +58,7 @@ from .quotient import (
     IndexSet,
     Profile,
     _check_compatible,
+    _class_shape,
     _profile,
     _subset_sum,
     class_collection,
@@ -113,7 +114,8 @@ class SequenceKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class SequenceSpec:
-    """A parametric sequence family in R^d with exact per-k evaluation."""
+    """A parametric sequence family in R^d with exact per-k evaluation; a
+    kind with a direction needs a finite coefficient."""
 
     kind: SequenceKind
     base: np.ndarray | None = None
@@ -145,6 +147,8 @@ class SequenceSpec:
         if not np.any(direction != 0.0):
             raise ValueError("direction vector must be nonzero")
         object.__setattr__(self, "direction", direction)
+        if not math.isfinite(self.coefficient):
+            raise ValueError(f"coefficient must be finite, got {self.coefficient}")
         if self.kind is SequenceKind.CONVERGENT_POWER and not self.exponent > 0.0:
             raise ValueError(f"exponent must be > 0, got {self.exponent}")
 
@@ -254,12 +258,14 @@ def natural_limit(spec: SequenceSpec):
 
 @dataclass(frozen=True)
 class NormSelection:
-    """A chosen family of same-size index sets out of a class collection."""
+    """A chosen family of same-size index sets out of a class collection;
+    the arity n is a whole number (3.0 means 3)."""
 
     n: int
     subsets: tuple[IndexSet, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _index(self.n, "n"))
         if not self.subsets:
             raise ValueError("selection needs at least one index set")
         subsets = tuple(self.subsets)
@@ -288,7 +294,7 @@ class NormSelection:
     @classmethod
     def from_json(cls, obj) -> "NormSelection":
         _mapping(obj, "norm selection")
-        return cls(n=_index(obj["n"], "n"), subsets=tuple(IndexSet.from_json(s) for s in obj["subsets"]))
+        return cls(n=obj["n"], subsets=tuple(IndexSet.from_json(s) for s in obj["subsets"]))
 
 
 @lru_cache
@@ -881,9 +887,7 @@ def covering_check(selection: NormSelection) -> bool:
 def _cover_shape(n, m) -> tuple[int, int, int]:
     """(n, m, least cover size) for whole numbers 1 <= m <= n; a size that
     is not a whole number raises a ValueError naming it."""
-    n, m = _index(n, "n"), _index(m, "m")
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    n, m = _class_shape(n, m)
     return n, m, -(-n // m)
 
 
@@ -999,21 +1003,15 @@ class CounterexampleRecord:
         return tuple(points)
 
 
-def counterexample_r5(k_max: int = 100, frame: Frame | None = None) -> CounterexampleRecord:
-    """Reproduce the R^5 demonstration: x_k = (0,0,0,0,k) against the
-    standard basis frame, identity metric. A k_max that is not a whole
-    number raises a ValueError naming it."""
+def counterexample_r5(k_max: int = 100) -> CounterexampleRecord:
+    """Reproduce the R^5 demonstration: x_k = (0,0,0,0,k) for k = 1..k_max
+    against the standard basis frame of R^5, identity metric, the only
+    frame it runs on. A k_max that is not a whole number raises a
+    ValueError naming it."""
     k_max = _index(k_max, "k_max")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if frame is None:
-        frame = standard_frame(SpaceConfig(dim=5, arity=5))
-    if frame.n != 5 or frame.dim != 5:
-        raise DimensionMismatch("counterexample space", (5, 5), (frame.n, frame.dim))
-    if frame.space.metric is not None:
-        raise ValueError("counterexample needs the identity metric")
-    if not np.array_equal(frame.vectors, np.eye(5)):
-        raise ValueError("counterexample needs the standard basis frame")
+    frame = standard_frame(SpaceConfig(dim=5, arity=5))
     norm = standard_nnorm(frame.space)
     spec = divergent_linear(np.eye(5)[4])
     s12, s34, s15 = IndexSet((1, 2)), IndexSet((3, 4)), IndexSet((1, 5))

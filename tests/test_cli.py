@@ -44,6 +44,11 @@ class TestNormCommand:
     def test_mixed_lengths_exit_2(self):
         assert main(["norm", "1,0", "1,0,0"]) == 2
 
+    def test_mixed_lengths_message(self, capsys):
+        # the library names the first vector whose length is not the first's
+        assert main(["norm", "1,0,0", "0,1"]) == 2
+        assert capsys.readouterr().err == "error: vector length: expected 3, got 2\n"
+
     def test_arity_mismatch_with_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 3}})
         assert main(["norm", "--config", cfg, "1,0,0", "0,1,0"]) == 2
@@ -82,6 +87,10 @@ class TestQuotientCommand:
         cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 3}})
         assert main(["quotient", "--config", cfg, "-u", "1,2,3", "-s", "4"]) == 2
         assert main(["quotient", "--config", cfg, "-u", "1,2,3", "-s", "2,1"]) == 2
+
+    def test_vector_length_message(self, capsys):
+        assert main(["quotient", "-u", "1,0", "-s", "1"]) == 2
+        assert capsys.readouterr().err == "error: vector length: expected 3, got 2\n"
 
     def test_bad_index_set_message(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 3}})
@@ -130,6 +139,10 @@ class TestCoverCommand:
 
     def test_bad_range_exit_2(self):
         assert main(["cover", "--n", "3", "--m", "4"]) == 2
+
+    def test_bad_range_message(self, capsys):
+        assert main(["cover", "--n", "5", "--m", "7"]) == 2
+        assert capsys.readouterr().err == "error: need 1 <= m <= n, got m=7, n=5\n"
 
 
 class TestVerifyCommand:

@@ -55,6 +55,18 @@ class TestSpaceConfig:
         with pytest.raises(ValueError):
             SpaceConfig(dim=2, arity=3)
 
+    def test_sizes_are_whole_numbers(self):
+        # dim 3.5 was kept, and a later length check expected 3.5 coordinates
+        cfg = SpaceConfig(dim=3.0, arity=np.float64(2.0))
+        assert cfg == SpaceConfig(dim=3, arity=2)
+        assert type(cfg.dim) is int and type(cfg.arity) is int
+        vs = [[1.0, 2.0, 0.5], [0.0, 1.0, -1.0]]
+        assert standard_nnorm(SpaceConfig(dim=3, arity=2.0))(vs) == standard_nnorm(SpaceConfig(dim=3, arity=2))(vs)
+        with pytest.raises(ValueError, match="dim 3.5 is not an integer"):
+            SpaceConfig(dim=3.5, arity=2)
+        with pytest.raises(ValueError, match="arity 1.5 is not an integer"):
+            SpaceConfig(dim=3, arity=1.5)
+
     def test_rejects_asymmetric_metric(self):
         with pytest.raises(ValueError):
             SpaceConfig(dim=2, arity=2, metric=[[1.0, 0.5], [0.0, 1.0]])

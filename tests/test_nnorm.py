@@ -125,6 +125,10 @@ class TestCheckAxioms:
         norm = standard_nnorm(cfg_of(2, 3))
         with pytest.raises(ValueError):
             check_axioms(norm, trials=0, seed=1)
+        # 2.0 means 2; 2.5 is named, not truncated
+        with pytest.raises(ValueError, match="trials 2.5 is not an integer"):
+            check_axioms(norm, trials=2.5, seed=1)
+        assert pickle.dumps(check_axioms(norm, trials=2.0, seed=1)) == pickle.dumps(check_axioms(norm, trials=2, seed=1))
 
     def test_deterministic_given_seed(self):
         norm = standard_nnorm(cfg_of(3, 4))

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -100,6 +101,16 @@ class TestClassCollection:
         with pytest.raises(ValueError):
             class_collection(3, 4)
 
+    def test_sizes_are_whole_numbers(self):
+        # a cached (3, 2) would answer for 3.0 before any check ran
+        class_collection.cache_clear()
+        assert class_collection(3.0, 2) == class_collection(3, 2)
+        assert all(type(i) is int for s in class_collection(3.0, 2) for i in s)
+        with pytest.raises(ValueError, match="n 3.5 is not an integer"):
+            class_collection(3.5, 2)
+        with pytest.raises(ValueError, match="m 1.5 is not an integer"):
+            class_collection(3, 1.5)
+
     def test_json_round_trip(self):
         coll = class_collection(4, 2)
         again = ClassCollection.from_json(json.loads(json.dumps(coll.to_json())))
@@ -180,6 +191,10 @@ class TestFrame:
         space = Frame.from_json({**doc, "dim": 3.0, "arity": 2.0}).space
         assert (space.dim, space.arity) == (3, 2)
 
+    def test_whole_float_sizes_build_the_int_frame(self):
+        by_float = standard_frame(SpaceConfig(dim=3.0, arity=2))
+        assert by_float.vectors.tobytes() == standard_frame(SpaceConfig(dim=3, arity=2)).vectors.tobytes()
+
     def test_a_json_non_object_is_named(self):
         with pytest.raises(ValueError, match=r"frame must be a mapping, got \[3, 2\]"):
             Frame.from_json([3, 2])
@@ -221,7 +236,15 @@ def test_frame_indices_are_whole_numbers(injected):
     by_int = quotient.quotient_profile(frame, norm, u, [1, 3])
     assert by_float.values.tobytes() == by_int.values.tobytes()
     assert by_float.scales.tobytes() == by_int.scales.tobytes()
-    for call in (lambda: class1_norm(frame, norm, u, 1.5), lambda: quotient.quotient_profile(frame, norm, u, [1, 1.5])):
+    assert frame.row(2.0).tobytes() == frame.row(2).tobytes()
+    assert np.array_equal(frame.without(np.float64(2.0)), frame.without(2))
+    calls = [
+        lambda: class1_norm(frame, norm, u, 1.5),
+        lambda: quotient.quotient_profile(frame, norm, u, [1, 1.5]),
+        lambda: frame.row(1.5),
+        lambda: frame.without(1.5),
+    ]
+    for call in calls:
         with pytest.raises(ValueError, match="frame index 1.5 is not an integer"):
             call()
 
@@ -402,6 +425,11 @@ class TestQuotientNormAxioms:
         frame, norm = frame34
         with pytest.raises(ValueError):
             quotient_norm_axioms(frame, norm, IndexSet([1]), trials=0, seed=1)
+        # 2.0 means 2; 2.5 is named, not truncated
+        with pytest.raises(ValueError, match="trials 2.5 is not an integer"):
+            quotient_norm_axioms(frame, norm, IndexSet([1]), trials=2.5, seed=1)
+        by_float = quotient_norm_axioms(frame, norm, IndexSet([1]), trials=2.0, seed=1)
+        assert pickle.dumps(by_float) == pickle.dumps(quotient_norm_axioms(frame, norm, IndexSet([1]), trials=2, seed=1))
 
 
 

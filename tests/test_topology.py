@@ -6,7 +6,7 @@ import pytest
 
 from nnormkit.linalg import DimensionMismatch, SpaceConfig
 from nnormkit.nnorm import standard_nnorm
-from nnormkit.quotient import Frame, IndexSet, classm_norm, random_frame, standard_frame
+from nnormkit.quotient import IndexSet, classm_norm, random_frame, standard_frame
 from nnormkit.topology import (
     Conclusion,
     Method,
@@ -142,6 +142,21 @@ class TestSequenceSpec:
         with pytest.raises(ValueError, match=r"sequence spec must be a mapping, got \[1\]"):
             SequenceSpec.from_json([1])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_coefficient_is_named(self, bad):
+        # it was accepted, and every verdict on it raised from inside a profile
+        x, v = np.zeros(2), np.ones(2)
+        doc = {"kind": "oscillating", "base": [0.0, 0.0], "direction": [1.0, 1.0], "coefficient": bad}
+        calls = [
+            lambda: convergent_power(x, v, coefficient=bad),
+            lambda: oscillating(x, v, coefficient=bad),
+            lambda: SequenceSpec(kind=SequenceKind.DIVERGENT_LINEAR, direction=v, coefficient=bad),
+            lambda: SequenceSpec.from_json(doc),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"coefficient must be finite, got {bad}"):
+                call()
+
 
 class TestNormSelection:
     def test_mixed_sizes_rejected(self):
@@ -162,6 +177,18 @@ class TestNormSelection:
     def test_non_integral_indices_in_json_are_rejected(self):
         with pytest.raises(ValueError, match="index 1.9 is not an integer"):
             NormSelection.from_json({"n": 3, "subsets": [[1.9], [2.2]]})
+
+    def test_a_non_integral_arity_is_rejected(self):
+        # n 2.5 was kept, and covering_check then raised a TypeError
+        subsets = (IndexSet([1]), IndexSet([2]))
+        with pytest.raises(ValueError, match="n 2.5 is not an integer"):
+            NormSelection(n=2.5, subsets=subsets)
+        selection = NormSelection(n=2.0, subsets=subsets)
+        assert selection == NormSelection(n=2, subsets=subsets) and type(selection.n) is int
+        assert covering_check(selection)
+        assert full_selection(3.0, 2) == full_selection(3, 2)
+        with pytest.raises(ValueError, match="m 1.5 is not an integer"):
+            full_selection(3, 1.5)
 
     def test_a_non_integral_arity_in_json_is_rejected(self):
         with pytest.raises(ValueError, match="n 3.5 is not an integer"):
@@ -576,17 +603,6 @@ class TestCounterexampleR5:
         assert counterexample_r5(k_max=3.0).rows == counterexample_r5(k_max=3).rows
         with pytest.raises(ValueError, match="k_max 2.5 is not an integer"):
             counterexample_r5(k_max=2.5)
-
-    def test_wrong_space_rejected(self):
-        bad = standard_frame(SpaceConfig(dim=4, arity=4))
-        with pytest.raises(DimensionMismatch):
-            counterexample_r5(k_max=3, frame=bad)
-
-    def test_wrong_frame_rejected(self):
-        cfg = SpaceConfig(dim=5, arity=5)
-        frame = Frame(space=cfg, vectors=2.0 * np.eye(5))
-        with pytest.raises(ValueError):
-            counterexample_r5(k_max=3, frame=frame)
 
 
 class TestTraceCsv:
