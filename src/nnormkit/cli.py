@@ -157,7 +157,7 @@ def _parse_selection(text: str, n: int) -> NormSelection:
         raise UsageError(f"bad selection {text!r}: {exc}") from exc
 
 
-def _kv_csv(rows: list[tuple[str, object]]) -> str:
+def _kv_csv(rows: list[tuple[str, float]]) -> str:
     return "key,value\n" + "".join(f"{k},{v!r}\n" for k, v in rows)
 
 
@@ -174,7 +174,8 @@ def cmd_norm(args) -> int:
     inputs = {"config": config.raw, "vectors": vectors}
     results = {"norm": value, "gram": gram.tolist()}
     if args.format == "csv":
-        _write_output(args, _kv_csv([("norm", value)] + [(f"gram[{i}][{j}]", gram[i, j]) for i in range(len(gram)) for j in range(len(gram))]))
+        rows = [(f"gram[{i}][{j}]", x) for i, row in enumerate(results["gram"]) for j, x in enumerate(row)]
+        _write_output(args, _kv_csv([("norm", value)] + rows))
     else:
         _write_output(args, report_json("norm", inputs, results, []))
     return 0

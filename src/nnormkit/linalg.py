@@ -105,7 +105,12 @@ def _tolerance(raw) -> Tolerance:
 def _index(i, what: str = "index") -> int:
     """i as an int, for a 1-based index or a size: a float that is not a
     whole number (NaN and inf included) raises a ValueError naming it, as
-    `what`, instead of being truncated."""
+    `what`, instead of being truncated, and so do a string, bytes and a
+    bool, which are no numbers here although int() reads them."""
+    if type(i) is int:
+        return i
+    if isinstance(i, (str, bytes, bool, np.bool_)):
+        raise ValueError(f"{what} {i!r} is not an integer")
     if isinstance(i, (float, np.floating)) and not float(i).is_integer():
         raise ValueError(f"{what} {i} is not an integer")
     return int(i)

@@ -305,6 +305,15 @@ def _subset_sum(terms: list[float], s: IndexSet) -> float:
     return total
 
 
+def _subset_all(flags: list[bool], s: IndexSet) -> bool:
+    """Is every per-index flag named by s set? The one reader of zero flags
+    over an index set, off a profile or off flags combined from several."""
+    for j in s.indices:
+        if not flags[j - 1]:
+            return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class Profile:
     """The class-1 quotient norms of one vector u against a frame.
@@ -322,7 +331,7 @@ class Profile:
 
     Sums over s add Python floats, taken from the arrays once per profile,
     in index order from 0.0 (`_subset_sum`); the zero flags are read the
-    same way.
+    same way (`_subset_all`).
     """
 
     values: np.ndarray
@@ -360,11 +369,7 @@ class Profile:
 
     def is_zero(self, s: IndexSet) -> bool:
         """Is every class-1 term over s classified as zero on its own?"""
-        zero = self._zero_list
-        for j in s.indices:
-            if not zero[j - 1]:
-                return False
-        return True
+        return _subset_all(self._zero_list, s)
 
 
 class FrameGeometry:

@@ -60,6 +60,7 @@ from .quotient import (
     _check_compatible,
     _class_shape,
     _profile,
+    _subset_all,
     _subset_sum,
     class_collection,
     quotient_profile,
@@ -432,6 +433,14 @@ def _profiles(frame: Frame, norm: NNorm, vectors, columns: tuple[int, ...], memo
     return out
 
 
+def _zero_flags(profiles: list[Profile], n: int) -> list[bool]:
+    """The per-index AND of the profiles' zero flags; all True for none."""
+    flags = [True] * n
+    for p in profiles:
+        flags = [a and b for a, b in zip(flags, p._zero_list)]
+    return flags
+
+
 class _Class1Values(dict):
     """The class-1 value lists of one analytic call, by (u.tobytes(),
     columns), against the call's frame and norm. A vector is profiled on
@@ -456,8 +465,24 @@ class _Class1Values(dict):
 
 class AnalyticTraces:
     """Per-subset limiting behaviour of the norm traces of a closed-form
-    sequence, relative to a candidate limit (where one is involved). Zero
-    decisions are `Profile.is_zero`, the one per-index rule.
+    sequence, relative to a candidate limit (where one is involved).
+
+    A class-m norm is a sum of class-1 norms, so each question is per index:
+    a subset's trace tends to zero exactly when every class-1 trace over it
+    does. The constructor states once per kind which trace vectors decide
+    convergence to the limit and which decide Cauchy, with w = x - limit:
+
+    - divergent linear k v: (v, limit) and (v); k v must lie in the kept
+      span, after which the offset is constantly the (negated) limit;
+    - oscillating x + (-1)^k c v: (w + c v, w - c v) and (c v), or nothing
+      when c = 0;
+    - constant and convergent power: (w) and nothing.
+
+    It keeps one list of n flags per question, the AND of those traces'
+    `Profile.zero` flags (all True when no trace decides it), and
+    `trace_limit_zero` and `cauchy_on` read it over s with `_subset_all`,
+    the reader `Profile.is_zero` uses: zero decisions are the one per-index
+    rule. Traces made without a limit have no convergence flags.
 
     `evidence` names the rows a verdict or table samples, each as
     (ks, vector_at), and `columns` the sorted frame indices an injected
@@ -467,16 +492,17 @@ class AnalyticTraces:
     vector of the traces, their bounds and the evidence is computed under
     one `np.errstate` guard, and the profiles are taken after it: a vector
     that overflowed is named non-finite there, by the call even when it is
-    an evidence vector, with no numpy warning on the way.
+    an evidence vector (one check over the stacked rows, after the traces'
+    own errors), with no numpy warning on the way.
 
-    The traces are profiled at once, each distinct vector once. Everything
-    else goes through one `_Class1Values` map for the call, which the
-    verdicts keep: it starts with the trace values that an evidence row or a
-    bound asks for under its columns, so a constant's offsets are its traced
-    offset and a divergent sequence's x_2 - x_1 is its direction. The bound's
-    terms are read through it on first use, and an oscillating term then
-    finds its bound's values there; any other evidence vector is profiled
-    on the first read of a verdict's `evidence`.
+    The traces are profiled at once, each distinct vector once, under all n
+    columns. Everything else goes through one `_Class1Values` map for the
+    call, which the verdicts keep: it starts with every trace's values, so a
+    constant's offsets are its traced offset and a divergent sequence's
+    x_2 - x_1 is its direction, under all n columns. The bound's terms are
+    read through it on first use, and an oscillating term then finds its
+    bound's values there; any other evidence vector is profiled on the
+    first read of a verdict's `evidence`.
     """
 
     def __init__(self, spec: SequenceSpec, frame: Frame, norm: NNorm, limit=None, evidence=(), columns=None):
@@ -489,57 +515,43 @@ class AnalyticTraces:
         self.limit = None if limit is None else as_vector(limit, frame.dim)
         evidence = [([_index(k, "k") for k in ks], vector_at) for ks, vector_at in evidence]
         kind = spec.kind
-        traced = {}
+        # without a limit the offsets are stated against 0 and never profiled
+        origin = np.zeros(frame.dim) if self.limit is None else self.limit
         with np.errstate(over="ignore", invalid="ignore"):
-            if kind in (SequenceKind.CONSTANT, SequenceKind.CONVERGENT_POWER):
-                if self.limit is not None:
-                    traced["_w"] = spec.base - self.limit
-                bounds = (spec.base,) if kind is SequenceKind.CONSTANT else (spec.base, spec.direction)
+            if kind is SequenceKind.DIVERGENT_LINEAR:
+                to_limit, cauchy, bounds = (spec.direction, origin), (spec.direction,), ()
             elif kind is SequenceKind.OSCILLATING:
-                cv = spec.coefficient * spec.direction
-                if self.limit is not None:
-                    w = spec.base - self.limit
-                    traced["_plus"] = w + cv
-                    traced["_minus"] = w - cv
-                traced["_v"] = cv
+                w, cv = spec.base - origin, spec.coefficient * spec.direction
+                to_limit = (w + cv, w - cv)
+                cauchy = (cv,) if spec.coefficient else ()
                 bounds = (spec.base + cv, spec.base - cv)
             else:
-                traced["_v"] = spec.direction
-                if self.limit is not None:
-                    traced["_l"] = self.limit
-                bounds = ()
+                to_limit, cauchy = (spec.base - origin,), ()
+                bounds = (spec.base,) if kind is SequenceKind.CONSTANT else (spec.base, spec.direction)
             rows = [[(k, vector_at(spec, self.limit, k)) for k in ks if k >= 1] for ks, vector_at in evidence]
+        if self.limit is None:
+            to_limit = ()
         every, memo = tuple(range(1, frame.n + 1)), {}
-        for name, profile in zip(traced, _profiles(frame, norm, traced.values(), every, memo)):
-            setattr(self, name, profile)
-        if not all(map(math.isfinite, [x for row in rows for _, u in row for x in u.tolist()])):
+        traced = _profiles(frame, norm, to_limit + cauchy, every, memo)
+        self._limit_flags = None if self.limit is None else _zero_flags(traced[: len(to_limit)], frame.n)
+        self._cauchy_flags = _zero_flags(traced[len(to_limit) :], frame.n)
+        self.evidence = [[(k, u.tobytes()) for k, u in row] for row in rows]
+        if not np.isfinite(np.frombuffer(b"".join([key for row in self.evidence for _, key in row]))).all():
             raise ValueError(NON_FINITE)
         self._columns = every if columns is None else tuple(columns)
-        self.evidence = [[(k, u.tobytes()) for k, u in row] for row in rows]
         self._bound_keys = [(b.tobytes(), every) for b in bounds]
-        held = {(key, self._columns) for row in self.evidence for _, key in row}.union(self._bound_keys)
         self._values = _Class1Values(frame, norm)
-        self._values.update((key, p._value_list) for key, p in memo.items() if key in held)
+        self._values.update((key, p._value_list) for key, p in memo.items())
 
     def trace_limit_zero(self, s: IndexSet) -> bool:
         """Does classm_norm(x_k - limit, s) tend to zero?"""
-        kind = self.spec.kind
-        if kind in (SequenceKind.CONSTANT, SequenceKind.CONVERGENT_POWER):
-            return self._w.is_zero(s)
-        if kind is SequenceKind.OSCILLATING:
-            return self._plus.is_zero(s) and self._minus.is_zero(s)
-        # divergent linear: the kv part must lie in the kept span, after
-        # which the trace is constantly the norm of the (negated) limit
-        return self._v.is_zero(s) and self._l.is_zero(s)
+        if self._limit_flags is None:
+            raise ValueError("trace_limit_zero needs traces made with a candidate limit; these have none")
+        return _subset_all(self._limit_flags, s)
 
     def cauchy_on(self, s: IndexSet) -> bool:
         """Does classm_norm(x_k - x_l, s) tend to zero as k, l -> oo?"""
-        kind = self.spec.kind
-        if kind in (SequenceKind.CONSTANT, SequenceKind.CONVERGENT_POWER):
-            return True
-        if kind is SequenceKind.OSCILLATING:
-            return self.spec.coefficient == 0.0 or self._v.is_zero(s)
-        return self._v.is_zero(s)
+        return _subset_all(self._cauchy_flags, s)
 
     @cached_property
     def _bound_values(self) -> tuple:
@@ -551,10 +563,9 @@ class AnalyticTraces:
         """Is sup_k classm_norm(x_k, s) finite, and an analytic bound for it."""
         kind = self.spec.kind
         if kind is SequenceKind.DIVERGENT_LINEAR:
-            if self._v.is_zero(s):
-                # kv stays in the kept span, so every coset is the zero coset
-                return True, 0.0
-            return False, math.inf
+            # Cauchy on s exactly when k v stays in the kept span, where
+            # every coset is the zero coset
+            return (True, 0.0) if self.cauchy_on(s) else (False, math.inf)
         values = self._bound_values
         if kind is SequenceKind.CONSTANT:
             return True, _subset_sum(values[0], s)
@@ -656,9 +667,12 @@ def _steps(vectors: list[np.ndarray]) -> list[np.ndarray]:
         return [b - a for a, b in zip(vectors, vectors[1:])]
 
 
-def _validate_selection(frame: Frame, selection: NormSelection) -> None:
+def _columns(frame: Frame, selection: NormSelection) -> tuple[int, ...]:
+    """The sorted frame indices a selection reads, once its arity is checked
+    against the frame's."""
     if selection.n != frame.n:
         raise DimensionMismatch("selection arity", frame.n, selection.n)
+    return tuple(sorted(selection.union()))
 
 
 def converges_wrt(
@@ -691,8 +705,7 @@ def converges_wrt(
     calls and errors (such as `ScaleOutOfRange`) then fall. An evidence
     vector that overflowed is named non-finite by the call.
     """
-    _validate_selection(frame, selection)
-    columns = tuple(sorted(selection.union()))
+    columns = _columns(frame, selection)
     if spec.kind is not SequenceKind.CUSTOM:
         traces = AnalyticTraces(spec, frame, norm, candidate_limit, [(evidence_ks, _offset)], columns)
         return _convergence_row(traces, traces.evidence[0], selection)
@@ -737,8 +750,7 @@ def is_cauchy_wrt(
     the first read of `evidence`, unless a trace is the gap (a divergent
     sequence's x_2 - x_1).
     """
-    _validate_selection(frame, selection)
-    columns = tuple(sorted(selection.union()))
+    columns = _columns(frame, selection)
     if spec.kind is not SequenceKind.CUSTOM:
         traces = AnalyticTraces(spec, frame, norm, evidence=[(evidence_ks, _doubling_gap)], columns=columns)
         return _cauchy_row(traces, traces.evidence[0], selection)
@@ -783,8 +795,7 @@ def is_bounded_wrt(
     unless a trace or a bound's term is the term under the requested
     columns (a constant's x, an oscillation's x +- c v).
     """
-    _validate_selection(frame, selection)
-    columns = tuple(sorted(selection.union()))
+    columns = _columns(frame, selection)
     table = isinstance(points_or_spec, SequenceSpec)
     if table:
         spec = points_or_spec

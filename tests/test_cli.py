@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -83,6 +84,12 @@ class TestQuotientCommand:
         out = capsys.readouterr().out
         assert out.count("class-1 term") == 3
 
+    def test_csv_report(self, tmp_path):
+        cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 3}})
+        out = tmp_path / "quotient.csv"
+        assert main(["quotient", "--config", cfg, "-u", "1,2,3", "-s", "1,2", "--format", "csv", "--output", str(out)]) == 0
+        assert out.read_text() == "key,value\nclassm_norm,3.0\nclass1[1],1.0\nclass1[2],2.0\nresidual,0.0\n"
+
     def test_bad_indices_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 3}})
         assert main(["quotient", "--config", cfg, "-u", "1,2,3", "-s", "4"]) == 2
@@ -121,6 +128,24 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, tmp_path, ca
     assert not out.exists()
 
 
+CSV_COMMANDS = [
+    ["norm", "2,0,0", "0,3,0"],
+    ["quotient", "-u", "1,2,3", "-s", "1,2"],
+    ["demo", "counterexample", "--k", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", CSV_COMMANDS, ids=[a[0] for a in CSV_COMMANDS])
+def test_every_csv_value_parses_as_a_float(argv, tmp_path):
+    # the norm report wrote its gram entries as numpy reprs, np.float64(4.0)
+    out = tmp_path / "report.csv"
+    assert main(argv + ["--format", "csv", "--output", str(out)]) == 0
+    header, *rows = csv.reader(out.read_text().splitlines())
+    assert header[-1] == "value" and rows
+    for row in rows:
+        float(row[-1])
+
+
 class TestCoverCommand:
     def test_minimal_size_5_2(self, capsys):
         assert main(["cover", "--n", "5", "--m", "2"]) == 0
@@ -129,6 +154,12 @@ class TestCoverCommand:
     def test_selection_check(self, capsys):
         assert main(["cover", "--n", "5", "--m", "2", "--selection", "1,2;3,4"]) == 0
         assert "covers {1..5}: False" in capsys.readouterr().out
+
+    def test_selection_of_another_subset_size_exit_2(self, capsys):
+        assert main(["cover", "--n", "5", "--m", "2", "--selection", "1,2,3;3,4,5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: selection subsets have size 3, expected 2\n"
+        assert "selection" not in captured.out
 
     def test_enumerate(self, capsys):
         assert main(["cover", "--n", "3", "--m", "2", "--enumerate"]) == 0
@@ -150,6 +181,19 @@ class TestVerifyCommand:
         assert main(["verify", "axioms", "--trials", "20", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "0 failure(s)" in out
+
+    def test_failures_are_printed_reported_and_exit_1(self, tmp_path, capsys):
+        # at rel = 1e-300 every rounding gap of an equality check is a failure
+        cfg = write_config(tmp_path, {"tolerances": {"rel": 1e-300}})
+        out = tmp_path / "verify.json"
+        assert main(["verify", "axioms", "--config", cfg, "--trials", "5", "--seed", "1", "--output", str(out)]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        doc = json.loads(out.read_text())
+        failures = doc["failures"]
+        assert failures and doc["results"]["failure_count"] == len(failures)
+        assert printed[:-1] == [f"FAIL {f['check']}: {f['witness']}" for f in failures]
+        assert all(f["check"].startswith("axiom:") for f in failures)
+        assert printed[-1] == f"verify axioms: {len(failures)} failure(s) across axioms (seed=1, trials=5)"
 
     def test_quotient_suite_passes(self, tmp_path):
         cfg = write_config(tmp_path, {"space": {"dim": 4, "arity": 3}, "trials": 10})
@@ -198,8 +242,12 @@ class TestVerifyCommand:
             ({"space": {"dim": 3, "arity": 2.5}}, "arity 2.5 is not an integer"),
             ({"space": {"dim": 3, "arity": 2}, "trials": 10.5}, "trials 10.5 is not an integer"),
             ({"space": {"dim": 3, "arity": 2}, "seed": 1.5}, "seed 1.5 is not an integer"),
+            ({"space": {"dim": "3", "arity": 2}}, "dim '3' is not an integer"),
+            ({"space": {"dim": "3.0", "arity": 2}}, "dim '3.0' is not an integer"),
+            ({"space": {"dim": True}}, "dim True is not an integer"),
+            ({"space": {"dim": 3, "arity": 2}, "trials": "10"}, "trials '10' is not an integer"),
         ],
-        ids=["list", "space-list", "dim", "arity", "trials", "seed"],
+        ids=["list", "space-list", "dim", "arity", "trials", "seed", "dim-str", "dim-str-float", "dim-bool", "trials-str"],
     )
     def test_bad_config_is_a_usage_error(self, tmp_path, capsys, doc, message):
         # a list raised AttributeError, and sizes were truncated (dim 3.7 ran as d = 3)

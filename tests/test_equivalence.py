@@ -11,7 +11,7 @@ import pytest
 from corpus import build_corpus
 from nnormkit.linalg import SpaceConfig
 from nnormkit.nnorm import NNorm, standard_nnorm, standard_norm
-from nnormkit.quotient import random_frame
+from nnormkit.quotient import IndexSet, random_frame
 from nnormkit.topology import (
     AnalyticTraces,
     Verdict,
@@ -210,3 +210,39 @@ def test_a_table_computes_its_vectors_under_one_guard(monkeypatch):
     x = np.array([0.5, -0.25, 1.0, 0.125])
     equivalence_matrix(oscillating(x, np.ones(4), coefficient=0.75), frame, standard_nnorm(cfg), x)
     assert len(entered) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(DISTINCT_PROFILES))
+def test_traces_made_without_a_limit_name_it_when_asked_for_one(kind):
+    # trace_limit_zero read a trace that only a limit makes, and raised
+    # AttributeError
+    rng = np.random.default_rng(7)
+    cfg = SpaceConfig(dim=4, arity=3)
+    frame = random_frame(cfg, rng)
+    spec, limit = _spec(kind, rng, 4)
+    traces = AnalyticTraces(spec, frame, standard_nnorm(cfg))
+    with pytest.raises(ValueError, match="needs traces made with a candidate limit"):
+        traces.trace_limit_zero(IndexSet([1]))
+    with_limit = AnalyticTraces(spec, frame, standard_nnorm(cfg), limit)
+    for s in full_selection(3, 2).subsets:
+        assert traces.cauchy_on(s) == with_limit.cauchy_on(s)
+        assert traces.bounded_on(s) == with_limit.bounded_on(s)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_an_oscillation_of_no_swing_is_profiled_as_its_center(n):
+    # c v = 0 decides nothing, so the table profiles only the center's
+    # offset and the center, as a constant's table does
+    rng = np.random.default_rng(n)
+    cfg = SpaceConfig(dim=n + 1, arity=n)
+    frame = random_frame(cfg, rng)
+    x, v, limit = rng.uniform(-1.0, 1.0, (3, n + 1))
+    tables = []
+    for spec in (oscillating(x, v, coefficient=0.0), constant(x)):
+        norm, calls = _counting_norm(cfg)
+        tables.append(equivalence_matrix(spec, frame, norm, limit))
+        assert len(calls) == n * CALL_TIME_PROFILES["constant"]
+    still, fixed = tables
+    for which in ("convergence", "boundedness", "cauchy"):
+        assert still.conclusions(which) == fixed.conclusions(which)
+    assert [row.boundedness.bound for row in still.rows] == [row.boundedness.bound for row in fixed.rows]

@@ -67,6 +67,13 @@ class TestSpaceConfig:
         with pytest.raises(ValueError, match="arity 1.5 is not an integer"):
             SpaceConfig(dim=3, arity=1.5)
 
+    @pytest.mark.parametrize("bad", ["3", "3.0", b"3", True, np.bool_(True)], ids=["str", "str-float", "bytes", "bool", "numpy-bool"])
+    def test_strings_bytes_and_bools_are_no_sizes(self, bad):
+        # int() read "3" as 3 and True as 1, and "3.0" raised int()'s own message
+        with pytest.raises(ValueError) as err:
+            SpaceConfig(dim=bad, arity=1)
+        assert str(err.value) == f"dim {bad!r} is not an integer"
+
     def test_rejects_asymmetric_metric(self):
         with pytest.raises(ValueError):
             SpaceConfig(dim=2, arity=2, metric=[[1.0, 0.5], [0.0, 1.0]])

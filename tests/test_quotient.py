@@ -65,6 +65,16 @@ class TestIndexSet:
         with pytest.raises(ValueError, match=f"index {bad} is not an integer"):
             IndexSet([bad])
 
+    @pytest.mark.parametrize(
+        "bad", ["12", ["1", "2"], [b"1"], [True], [1, np.bool_(True)]], ids=["str", "strs", "bytes", "bool", "numpy-bool"]
+    )
+    def test_strings_bytes_and_bools_are_no_indices(self, bad):
+        # IndexSet("12") was {1, 2}, read one character at a time
+        with pytest.raises(ValueError, match="is not an integer"):
+            IndexSet(bad)
+        with pytest.raises(ValueError, match="is not an integer"):
+            IndexSet.from_json(bad)
+
     def test_whole_floats_and_numpy_integers_are_indices(self):
         assert IndexSet([1.0, np.float64(3.0), np.int64(4)]).indices == (1, 3, 4)
         assert all(type(i) is int for i in IndexSet([1.0, np.int64(4)]).indices)
@@ -646,3 +656,13 @@ class TestWitnessRule:
         passed, gap = coset_invariance_check(frame, norm, u, IndexSet([1, 2]), {3: 0.5})
         assert not passed
         assert math.isnan(gap)
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+def test_a_norm_of_another_space_is_refused(injected):
+    frame = standard_frame(SpaceConfig(dim=4, arity=3))
+    for cfg in (SpaceConfig(dim=5, arity=3), SpaceConfig(dim=4, arity=2)):
+        norm = NNorm(cfg, "injected", lambda vs, cfg=cfg: standard_norm(cfg, vs)) if injected else standard_nnorm(cfg)
+        with pytest.raises(DimensionMismatch) as err:
+            quotient.quotient_profile(frame, norm, np.ones(4))
+        assert str(err.value) == f"norm/frame space: expected (3, 4), got {(cfg.arity, cfg.dim)}"
