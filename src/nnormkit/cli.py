@@ -212,18 +212,19 @@ def cmd_quotient(args) -> int:
 def cmd_cover(args) -> int:
     n, m = args.n, args.m
     size = minimal_cover_size(n, m)
+    # every input is refused before the first line is printed
+    selection = _parse_selection(args.selection, n) if args.selection else None
+    if selection is not None and selection.m != m:
+        raise UsageError(f"selection subsets have size {selection.m}, expected {m}")
+    families = enumerate_minimal_covers(n, m) if args.enumerate else None
     print(f"least number of class-{m} norms for n={n}: {size}")
     results: dict = {"n": n, "m": m, "minimal_cover_size": size}
-    if args.selection:
-        selection = _parse_selection(args.selection, n)
-        if selection.m != m:
-            raise UsageError(f"selection subsets have size {selection.m}, expected {m}")
+    if selection is not None:
         covers = covering_check(selection)
         print(f"selection {args.selection} covers {{1..{n}}}: {covers}")
         results["selection"] = selection.to_json()
         results["covers"] = covers
-    if args.enumerate:
-        families = enumerate_minimal_covers(n, m)
+    if families is not None:
         print(f"minimal covering families: {len(families)}")
         for fam in families:
             print("  " + " ".join(str(s) for s in fam.subsets))

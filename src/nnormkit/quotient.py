@@ -305,10 +305,11 @@ def _subset_sum(terms: list[float], s: IndexSet) -> float:
     return total
 
 
-def _subset_all(flags: list[bool], s: IndexSet) -> bool:
-    """Is every per-index flag named by s set? The one reader of zero flags
-    over an index set, off a profile or off flags combined from several."""
-    for j in s.indices:
+def _subset_all(flags: list[bool], indices: tuple[int, ...]) -> bool:
+    """Is every per-index flag named by the 1-based `indices` set? The one
+    reader of zero flags over an index set's indices or a selection's
+    columns, off a profile or off flags combined from several."""
+    for j in indices:
         if not flags[j - 1]:
             return False
     return True
@@ -369,7 +370,7 @@ class Profile:
 
     def is_zero(self, s: IndexSet) -> bool:
         """Is every class-1 term over s classified as zero on its own?"""
-        return _subset_all(self._zero_list, s)
+        return _subset_all(self._zero_list, s.indices)
 
 
 class FrameGeometry:

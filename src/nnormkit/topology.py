@@ -16,10 +16,17 @@ evaluator once per distinct pair of a vector and a requested column.
 Zero/nonzero classification happens once per frame index, so verdicts
 derived from the same profile can never disagree by rounding: the
 cross-class equivalences hold through the same class-1 decomposition that
-makes them true. An equivalence table takes one set of trace profiles and
-reads all n of its class-m rows off it, through the same row builders the
-public verdicts use. A verdict keeps the class-1 values of the vectors it
-sampled and builds its trace points from them on the first read of
+makes them true. An analytic verdict reads its conclusion once, over the
+selection's columns, the sorted union of its subsets (the union rule): a
+class-m trace tends to zero exactly when every class-1 trace over its subset
+does, so all selected traces do exactly when every class-1 trace over the
+union does. That is the covering identity acceptance criterion 5 checks: a
+family that covers 1..n decides as the full collection does. An equivalence
+table takes one set of trace profiles and reads all n of its class-m rows
+off it, through the same row builders the public verdicts use, each
+conclusion once over 1..n; only a bound is read subset by subset, as the max
+of the per-subset bounds. A verdict keeps the class-1 values of the vectors
+it sampled and builds its trace points from them on the first read of
 `evidence` (`Verdict`). An analytic verdict's conclusion reads only the
 traces and the bounds, so it keeps its evidence vectors as bytes and reads
 their class-1 values, on that first read, through the call's one map from
@@ -44,7 +51,7 @@ import csv
 import io
 import math
 from dataclasses import InitVar, dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from enum import Enum
 from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
@@ -479,16 +486,25 @@ class AnalyticTraces:
     - constant and convergent power: (w) and nothing.
 
     It keeps one list of n flags per question, the AND of those traces'
-    `Profile.zero` flags (all True when no trace decides it), and
-    `trace_limit_zero` and `cauchy_on` read it over s with `_subset_all`,
-    the reader `Profile.is_zero` uses: zero decisions are the one per-index
-    rule. Traces made without a limit have no convergence flags.
+    `Profile.zero` flags (all True when no trace decides it), read with
+    `_subset_all`, the reader `Profile.is_zero` uses: zero decisions are the
+    one per-index rule. By the union rule a selection's question is the AND
+    of the flags over its columns, the union of its subsets, which is the
+    covering identity acceptance criterion 5 checks; so a verdict row reads
+    them once, over `columns`, and `trace_limit_zero` and `cauchy_on` read
+    them over one s. Boundedness is a third list: only a divergent
+    sequence's traces grow, exactly where it is not Cauchy. The bound is one
+    formula per kind (`_bound`), the max of its per-subset sums, which a row
+    takes over its subsets in one pass and `bounded_on` at one s. Traces
+    made without a limit have no convergence flags.
 
     `evidence` names the rows a verdict or table samples, each as
-    (ks, vector_at), and `columns` the sorted frame indices an injected
-    evaluator is called on there (all n when None); `self.evidence` holds
-    one list of (k, u.tobytes()) per row, for the k >= 1 of its ks
-    (sequences start at k = 1; a k that is not a whole number raises). Every
+    (ks, vector_at), and `columns` the selection's columns: the sorted frame
+    indices its conclusions are read over and an injected evaluator is
+    called on for the evidence (all n when None, as for a table);
+    `self.evidence` holds one list of (k, u.tobytes()) per row, for the
+    k >= 1 of its ks (sequences start at k = 1; a k that is not a whole
+    number raises). Every
     vector of the traces, their bounds and the evidence is computed under
     one `np.errstate` guard, and the profiles are taken after it: a vector
     that overflowed is named non-finite there, by the call even when it is
@@ -529,12 +545,15 @@ class AnalyticTraces:
                 to_limit, cauchy = (spec.base - origin,), ()
                 bounds = (spec.base,) if kind is SequenceKind.CONSTANT else (spec.base, spec.direction)
             rows = [[(k, vector_at(spec, self.limit, k)) for k in ks if k >= 1] for ks, vector_at in evidence]
-        if self.limit is None:
-            to_limit = ()
+        to_limit = () if self.limit is None else to_limit
         every, memo = tuple(range(1, frame.n + 1)), {}
         traced = _profiles(frame, norm, to_limit + cauchy, every, memo)
         self._limit_flags = None if self.limit is None else _zero_flags(traced[: len(to_limit)], frame.n)
         self._cauchy_flags = _zero_flags(traced[len(to_limit) :], frame.n)
+        # only a divergent sequence's traces grow, and they stay bounded
+        # exactly where it is Cauchy: where k v stays in the kept span, so
+        # that every coset is the zero coset
+        self._bounded_flags = self._cauchy_flags if kind is SequenceKind.DIVERGENT_LINEAR else [True] * frame.n
         self.evidence = [[(k, u.tobytes()) for k, u in row] for row in rows]
         if not np.isfinite(np.frombuffer(b"".join([key for row in self.evidence for _, key in row]))).all():
             raise ValueError(NON_FINITE)
@@ -543,38 +562,43 @@ class AnalyticTraces:
         self._values = _Class1Values(frame, norm)
         self._values.update((key, p._value_list) for key, p in memo.items())
 
-    def trace_limit_zero(self, s: IndexSet) -> bool:
-        """Does classm_norm(x_k - limit, s) tend to zero?"""
+    def _limit_zero(self, indices: tuple[int, ...]) -> bool:
+        """Does every class-1 trace to the limit over `indices` tend to zero?"""
         if self._limit_flags is None:
             raise ValueError("trace_limit_zero needs traces made with a candidate limit; these have none")
-        return _subset_all(self._limit_flags, s)
+        return _subset_all(self._limit_flags, indices)
+
+    def _bound(self, subsets: Sequence[IndexSet]) -> float:
+        """The max over `subsets`, in their order, of the analytic bound on
+        sup_k classm_norm(x_k, s), where that is finite: the one per-kind
+        formula, which a boundedness row reads over its selection and
+        `bounded_on` at one s. The kind is read once per call; the terms'
+        class-1 value lists are read through the call's map, where an
+        evidence vector that is one of them finds them too."""
+        kind = self.spec.kind
+        if kind is SequenceKind.DIVERGENT_LINEAR:
+            return 0.0
+        values = [self._values[key] for key in self._bound_keys]
+        if kind is SequenceKind.CONSTANT:
+            return max(_subset_sum(values[0], s) for s in subsets)
+        if kind is SequenceKind.CONVERGENT_POWER:
+            # k >= 1 so |c| k**-p <= |c|
+            (base, direction), c = values, abs(self.spec.coefficient)
+            return max(_subset_sum(base, s) + c * _subset_sum(direction, s) for s in subsets)
+        plus, minus = values
+        return max(max(_subset_sum(plus, s), _subset_sum(minus, s)) for s in subsets)
+
+    def trace_limit_zero(self, s: IndexSet) -> bool:
+        """Does classm_norm(x_k - limit, s) tend to zero?"""
+        return self._limit_zero(s.indices)
 
     def cauchy_on(self, s: IndexSet) -> bool:
         """Does classm_norm(x_k - x_l, s) tend to zero as k, l -> oo?"""
-        return _subset_all(self._cauchy_flags, s)
-
-    @cached_property
-    def _bound_values(self) -> tuple:
-        """Class-1 value lists of the bound's terms, read through the call's
-        map, where an evidence vector that is one of them finds them too."""
-        return tuple(self._values[key] for key in self._bound_keys)
+        return _subset_all(self._cauchy_flags, s.indices)
 
     def bounded_on(self, s: IndexSet) -> tuple[bool, float]:
         """Is sup_k classm_norm(x_k, s) finite, and an analytic bound for it."""
-        kind = self.spec.kind
-        if kind is SequenceKind.DIVERGENT_LINEAR:
-            # Cauchy on s exactly when k v stays in the kept span, where
-            # every coset is the zero coset
-            return (True, 0.0) if self.cauchy_on(s) else (False, math.inf)
-        values = self._bound_values
-        if kind is SequenceKind.CONSTANT:
-            return True, _subset_sum(values[0], s)
-        if kind is SequenceKind.CONVERGENT_POWER:
-            # k >= 1 so |c| k**-p <= |c|
-            base, direction = values
-            return True, _subset_sum(base, s) + abs(self.spec.coefficient) * _subset_sum(direction, s)
-        plus, minus = values
-        return True, max(_subset_sum(plus, s), _subset_sum(minus, s))
+        return (True, self._bound((s,))) if _subset_all(self._bounded_flags, s.indices) else (False, math.inf)
 
 
 # What the evidence rows of each verdict sample at index k.
@@ -609,26 +633,28 @@ def _trace_points(pairs, selection: NormSelection, values=None, columns=None) ->
 # Each analytic verdict is built from the sequence's traces and the (k, bytes)
 # pairs of its evidence row, for one selection, which it keeps with the
 # call's value map and column set as the source of its evidence. The public
-# verdicts and every row of equivalence_matrix go through these three.
+# verdicts and every row of equivalence_matrix go through these three. Each
+# reads its conclusion once, over the traces' columns, which are the
+# selection's; only a bound is read subset by subset, by Python's max in the
+# selection's order, which fixes where a NaN term ranks.
 
 
 def _convergence_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verdict:
     source = (pairs, selection, traces._values, traces._columns)
-    if all(traces.trace_limit_zero(s) for s in selection.subsets):
+    if traces._limit_zero(traces._columns):
         return Verdict(Conclusion.CONVERGES, Method.ANALYTIC, limit=traces.limit, _source=source)
     return Verdict(Conclusion.DIVERGES, Method.ANALYTIC, _source=source)
 
 
 def _boundedness_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verdict:
-    bounds = [traces.bounded_on(s) for s in selection.subsets]
     source = (pairs, selection, traces._values, traces._columns)
-    if not all(ok for ok, _ in bounds):
+    if not _subset_all(traces._bounded_flags, traces._columns):
         return Verdict(Conclusion.UNBOUNDED, Method.ANALYTIC, _source=source)
-    return Verdict(Conclusion.BOUNDED, Method.ANALYTIC, bound=max(b for _, b in bounds), _source=source)
+    return Verdict(Conclusion.BOUNDED, Method.ANALYTIC, bound=traces._bound(selection.subsets), _source=source)
 
 
 def _cauchy_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verdict:
-    ok = all(traces.cauchy_on(s) for s in selection.subsets)
+    ok = _subset_all(traces._cauchy_flags, traces._columns)
     conclusion = Conclusion.CAUCHY if ok else Conclusion.NOT_CAUCHY
     return Verdict(conclusion, Method.ANALYTIC, _source=(pairs, selection, traces._values, traces._columns))
 
@@ -860,6 +886,11 @@ def equivalence_matrix(spec: SequenceSpec, frame: Frame, norm: NNorm, candidate_
     full_selection(n, m) with evidence_ks=(1, 10). Every row reads the same
     traces and the same evidence profiles, taken once per table: a class-m
     norm is a sum of class-1 norms, so the rows differ only in the sums.
+    Each row reads its convergence, Cauchy and boundedness conclusions once,
+    over 1..n, the union of the full collection's subsets (the union rule,
+    the covering identity acceptance criterion 5 checks), so the n rows
+    agree on every conclusion by construction; its bound is the max, over
+    its subsets in order, of the one per-kind formula.
     The table profiles only its traces and bounds. Every verdict keeps the
     bytes of its row's evidence vectors and the table's one value map; the
     first read of any verdict's `evidence` profiles, through the map, the

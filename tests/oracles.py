@@ -3,7 +3,9 @@
 Everything here is deliberately brute force (cofactor expansion, exhaustive
 family enumeration, a Gram-matrix solve, one evaluator call per tuple) and
 shares no code with the implementation under test, except where a reference
-names the `linalg` kernel it reuses to match the package bit for bit.
+names the `linalg` kernel it reuses to match the package bit for bit, and
+`per_subset_verdicts`, which reads `AnalyticTraces`' per-subset answers to
+check how a whole selection combines them.
 """
 
 from __future__ import annotations
@@ -121,6 +123,21 @@ def generic_profile(frame, norm, u, columns):
         values[j - 1] = norm([u] + rows[: j - 1] + rows[j:])
         zero[j - 1] = values[j - 1] <= math.ldexp(geometry._zero_slope[j - 1] * length, shift)
     return values, scales, zero
+
+
+def per_subset_verdicts(traces, subsets):
+    """(converges, cauchy, bounded, bound) of a selection read subset by
+    subset off a `topology.AnalyticTraces`, as the verdict rows once read
+    them: every subset's trace to the limit tends to zero, every subset is
+    Cauchy, every subset is bounded, and the bound is Python's max of the
+    per-subset bounds in subset order (None when some subset is unbounded).
+    The union rule must reach the same conclusions off the selection's
+    columns at once, and the same bound bit for bit, NaN included."""
+    converges = all(traces.trace_limit_zero(s) for s in subsets)
+    cauchy = all(traces.cauchy_on(s) for s in subsets)
+    bounds = [traces.bounded_on(s) for s in subsets]
+    bounded = all(ok for ok, _ in bounds)
+    return converges, cauchy, bounded, max(b for _, b in bounds) if bounded else None
 
 
 def gunawan_norm(cfg, vs, p) -> float:

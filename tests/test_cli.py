@@ -156,17 +156,25 @@ class TestCoverCommand:
         assert "covers {1..5}: False" in capsys.readouterr().out
 
     def test_selection_of_another_subset_size_exit_2(self, capsys):
+        # refused before anything is printed, so no partial report is left
         assert main(["cover", "--n", "5", "--m", "2", "--selection", "1,2,3;3,4,5"]) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: selection subsets have size 3, expected 2\n"
-        assert "selection" not in captured.out
+        assert captured.out == ""
+
+    def test_malformed_selection_exit_2(self, capsys):
+        assert main(["cover", "--n", "5", "--m", "2", "--selection", "1,x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad index set '1,x'")
+        assert captured.out == ""
 
     def test_enumerate(self, capsys):
         assert main(["cover", "--n", "3", "--m", "2", "--enumerate"]) == 0
         assert "minimal covering families: 3" in capsys.readouterr().out
 
-    def test_enumerate_guard_exit_2(self):
+    def test_enumerate_guard_exit_2(self, capsys):
         assert main(["cover", "--n", "8", "--m", "2", "--enumerate"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_range_exit_2(self):
         assert main(["cover", "--n", "3", "--m", "4"]) == 2
