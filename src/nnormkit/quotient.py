@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
@@ -315,7 +315,7 @@ def _subset_all(flags: list[bool], indices: tuple[int, ...]) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Profile:
     """The class-1 quotient norms of one vector u against a frame.
 
@@ -330,22 +330,29 @@ class Profile:
     The one zero rule is per index: a sum of nonnegative class-1 norms
     vanishes exactly when each does, so `is_zero(s)` needs every flag over s.
 
-    Sums over s add Python floats, taken from the arrays once per profile,
-    in index order from 0.0 (`_subset_sum`); the zero flags are read the
-    same way (`_subset_all`).
+    Sums over s add Python floats, in index order from 0.0 (`_subset_sum`);
+    the zero flags are read the same way (`_subset_all`). The constructor
+    takes the three arrays as given, makes them read-only, as
+    `Frame.vectors` is, and reads their Python lists once, when the profile
+    is made, so the lists cannot drift from the arrays. A copy or a pickle
+    goes through the constructor too.
     """
 
     values: np.ndarray
     scales: np.ndarray
     zero: np.ndarray
 
-    @cached_property
-    def _value_list(self) -> list[float]:
-        return self.values.tolist()
+    def __init__(self, values: np.ndarray, scales: np.ndarray, zero: np.ndarray):
+        for array in (values, scales, zero):
+            array.setflags(False)  # write=False, passed by position
+        state = self.__dict__
+        state["values"], state["scales"], state["zero"] = values, scales, zero
+        state["_value_list"] = values.tolist()
+        state["_scale_list"] = scales.tolist()
+        state["_zero_list"] = zero.tolist()
 
-    @cached_property
-    def _scale_list(self) -> list[float]:
-        return self.scales.tolist()
+    def __reduce__(self):
+        return type(self), (self.values, self.scales, self.zero)
 
     def value(self, s: IndexSet) -> float:
         """classm_norm(u, s): the sum of the class-1 values over s."""
@@ -363,10 +370,6 @@ class Profile:
     def floor(self, s: IndexSet) -> float:
         """Tolerance of the sampled trend rule; not a zero rule."""
         return SPAN_DECISION_REL * self.scale(s)
-
-    @cached_property
-    def _zero_list(self) -> list[bool]:
-        return self.zero.tolist()
 
     def is_zero(self, s: IndexSet) -> bool:
         """Is every class-1 term over s classified as zero on its own?"""

@@ -352,7 +352,7 @@ class _DeferredEvidence:
         return evidence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Verdict:
     """A conclusion, how it was reached, and the trace points behind it.
 
@@ -371,6 +371,13 @@ class Verdict:
     `dataclasses.replace` and `asdict` read `evidence`, and a copy or a
     pickle carries the built tuple, so they see what a verdict given the
     same tuple as `evidence=` gives.
+
+    There is one constructor, which writes the instance dict directly: it
+    refuses a sampled verdict without its window, and keeps either the
+    `evidence` tuple or, when `_source` is given, that source in its place.
+    The dataclass supplies the fields, equality, `repr` and the frozen
+    guards; `_source` stays declared init-only, so `__match_args__` and
+    `dataclasses.replace` see it as a generated constructor's would.
     """
 
     conclusion: Conclusion
@@ -381,12 +388,16 @@ class Verdict:
     window: tuple[int, int] | None = None
     _source: InitVar[tuple | None] = None
 
-    def __post_init__(self, _source):
-        if self.method is Method.SAMPLED and self.window is None:
+    def __init__(self, conclusion, method, limit=None, bound=None, evidence=(), window=None, _source=None):
+        if method is Method.SAMPLED and window is None:
             raise ValueError("sampled verdicts must carry their window")
-        if _source is not None:
-            del self.__dict__["evidence"]
-            self.__dict__["_pending"] = _source
+        state = self.__dict__
+        state["conclusion"], state["method"], state["limit"], state["bound"] = conclusion, method, limit, bound
+        state["window"] = window
+        if _source is None:
+            state["evidence"] = evidence
+        else:
+            state["_pending"] = _source
 
     def __getstate__(self):
         self.evidence  # builds a deferred tuple, so a copy or a pickle holds no source
@@ -701,6 +712,12 @@ def _columns(frame: Frame, selection: NormSelection) -> tuple[int, ...]:
     return tuple(sorted(selection.union()))
 
 
+def _require_limit(candidate_limit) -> None:
+    """Convergence is to a candidate limit: refuse None before any trace."""
+    if candidate_limit is None:
+        raise ValueError("convergence needs a candidate limit, got None")
+
+
 def converges_wrt(
     spec: SequenceSpec,
     frame: Frame,
@@ -719,7 +736,8 @@ def converges_wrt(
     Converges only when every subset trace is nonincreasing and decays to a
     quarter of its starting value (or sits at zero scale); otherwise
     Inconclusive. A sampled CONVERGES is evidence from a finite window, not
-    a proof.
+    a proof. A candidate limit of None raises a ValueError that names it,
+    before any trace is made, on either branch.
 
     Each distinct vector is profiled once per call, so an injected evaluator
     is called once per distinct (vector, requested column) pair, over the
@@ -732,6 +750,7 @@ def converges_wrt(
     vector that overflowed is named non-finite by the call.
     """
     columns = _columns(frame, selection)
+    _require_limit(candidate_limit)
     if spec.kind is not SequenceKind.CUSTOM:
         traces = AnalyticTraces(spec, frame, norm, candidate_limit, [(evidence_ks, _offset)], columns)
         return _convergence_row(traces, traces.evidence[0], selection)
@@ -855,26 +874,37 @@ def is_bounded_wrt(
     return Verdict(Conclusion.BOUNDED, Method.SAMPLED, bound=bound, evidence=evidence, window=window)
 
 
-@dataclass(frozen=True)
+_QUESTIONS = ("convergence", "boundedness", "cauchy")
+
+
+@dataclass(frozen=True, init=False)
 class EquivalenceRow:
     m: int
     convergence: Verdict
     boundedness: Verdict
     cauchy: Verdict
 
+    def __init__(self, m, convergence, boundedness, cauchy):
+        state = self.__dict__
+        state["m"], state["convergence"], state["boundedness"], state["cauchy"] = m, convergence, boundedness, cauchy
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class EquivalenceTable:
     rows: tuple[EquivalenceRow, ...]
 
+    def __init__(self, rows):
+        self.__dict__["rows"] = rows
+
     def conclusions(self, which: str) -> list[Conclusion]:
+        """The rows' conclusions on one question: "convergence",
+        "boundedness" or "cauchy"; any other name raises a ValueError."""
+        if which not in _QUESTIONS:
+            raise ValueError(f"no question {which!r}; expected one of {', '.join(_QUESTIONS)}")
         return [getattr(row, which).conclusion for row in self.rows]
 
     def agrees(self) -> bool:
-        return all(
-            len(set(self.conclusions(which))) == 1
-            for which in ("convergence", "boundedness", "cauchy")
-        )
+        return all(len(set(self.conclusions(which))) == 1 for which in _QUESTIONS)
 
 
 def equivalence_matrix(spec: SequenceSpec, frame: Frame, norm: NNorm, candidate_limit) -> EquivalenceTable:
@@ -897,10 +927,12 @@ def equivalence_matrix(spec: SequenceSpec, frame: Frame, norm: NNorm, candidate_
     vectors it samples that no trace, bound or earlier read profiled, and
     builds its trace points. So a caller that reads only the conclusions
     profiles no other vector and builds no trace point, and one that reads
-    every row makes the evaluator calls an eager build made.
+    every row makes the evaluator calls an eager build made. A candidate
+    limit of None raises as it does in `converges_wrt`.
     """
     if spec.kind is SequenceKind.CUSTOM:
         raise ValueError("equivalence matrix needs a closed-form sequence")
+    _require_limit(candidate_limit)
     traces = AnalyticTraces(spec, frame, norm, candidate_limit, [((1, 10), vector_at) for vector_at in (_offset, _term, _doubling_gap)])
     offsets, terms, gaps = traces.evidence
     rows = []

@@ -1,6 +1,6 @@
 """Gunawan's l^p n-norm as an injected evaluator: a correct n-norm that no
-Gram matrix gives, so the axiom checkers must pass it through the injected
-paths alone."""
+Gram matrix gives, so the axiom checkers and the equivalence tables must
+pass it through the injected paths alone."""
 
 import math
 
@@ -11,6 +11,15 @@ from oracles import gunawan_norm
 from nnormkit.linalg import SpaceConfig
 from nnormkit.nnorm import NNorm, check_axioms, standard_norm
 from nnormkit.quotient import IndexSet, quotient_norm_axioms, random_frame
+from nnormkit.topology import Conclusion, constant, convergent_power, divergent_linear, equivalence_matrix, oscillating
+
+C = Conclusion
+# the full-collection conclusions of each closed-form case, as ordinary
+# convergence in R^d states them whatever the frame and the n-norm
+CONVERGENT = {"convergence": C.CONVERGES, "boundedness": C.BOUNDED, "cauchy": C.CAUCHY}
+WRONG_LIMIT = {"convergence": C.DIVERGES, "boundedness": C.BOUNDED, "cauchy": C.CAUCHY}
+DIVERGENT = {"convergence": C.DIVERGES, "boundedness": C.UNBOUNDED, "cauchy": C.NOT_CAUCHY}
+OSCILLATING = {"convergence": C.DIVERGES, "boundedness": C.BOUNDED, "cauchy": C.NOT_CAUCHY}
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (3, 5), (4, 6), (3, 3)])
@@ -32,3 +41,54 @@ def test_every_axiom_check_passes(n, d, p):
     frame = random_frame(cfg, np.random.default_rng(1))
     reports = quotient_norm_axioms(frame, norm, IndexSet(range(1, n + 1)), trials=6, seed=20260808)
     assert all(report.passed for report in reports)
+
+
+def _closed_form_cases(rng, frame):
+    """Every closed-form kind, with right and wrong candidate limits, its
+    direction (and a wrong limit's offset) off the frame's span and then
+    in it, with every frame coefficient away from zero."""
+    d, n = frame.dim, frame.n
+
+    def direction(in_span):
+        if in_span:
+            v = frame.vectors.T @ (rng.uniform(0.25, 1.0, n) * rng.choice([-1.0, 1.0], n))
+        else:
+            v = rng.uniform(-1.0, 1.0, d)
+            v[int(rng.integers(0, d))] += 1.0
+        return v / np.linalg.norm(v)
+
+    cases = []
+    for in_span in (False, True):
+        x, v, c = rng.uniform(-1.0, 1.0, d), direction(in_span), float(rng.uniform(0.25, 2.0))
+        power = convergent_power(x, v, coefficient=-c, exponent=float(rng.uniform(0.5, 2.0)))
+        cases += [
+            (power, x, CONVERGENT),
+            (power, x + direction(in_span), WRONG_LIMIT),
+            (divergent_linear(v), np.zeros(d), DIVERGENT),
+            (oscillating(x, v, coefficient=c), x, OSCILLATING),
+            (constant(x), x, CONVERGENT),
+            (constant(x), x + direction(in_span), WRONG_LIMIT),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("p", [1, 3, math.inf], ids=["p1", "p3", "pinf"])
+@pytest.mark.parametrize("n, d", [(2, 4), (3, 5)])
+def test_equivalence_tables_state_the_closed_form_conclusions(n, d, p):
+    cfg = SpaceConfig(dim=d, arity=n)
+    norm = NNorm(cfg, f"gunawan-{p}", lambda vs: gunawan_norm(cfg, vs, p))
+    rng = np.random.default_rng(100 * n + d)
+    frame = random_frame(cfg, rng)
+    for spec, limit, expected in _closed_form_cases(rng, frame):
+        table = equivalence_matrix(spec, frame, norm, limit)
+        assert [row.m for row in table.rows] == list(range(1, n + 1))
+        assert table.agrees(), spec.kind
+        for which, conclusion in expected.items():
+            assert table.conclusions(which) == [conclusion] * n, (spec.kind, which)
+        class1 = {(q.k, q.subset.indices[0]): q.value for q in table.rows[0].cauchy.evidence}
+        for row in table.rows:
+            bound = row.boundedness.bound
+            assert (bound is None) if expected is DIVERGENT else 0.0 < bound < math.inf
+            # a class-m value is the sum of the class-1 values over its subset
+            for q in row.cauchy.evidence:
+                assert q.value == pytest.approx(math.fsum(class1[q.k, j] for j in q.subset.indices), rel=1e-14)

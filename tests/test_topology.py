@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nnormkit.linalg import DimensionMismatch, SpaceConfig
-from nnormkit.nnorm import standard_nnorm
+from nnormkit.nnorm import NNorm, standard_nnorm, standard_norm
 from nnormkit.quotient import IndexSet, classm_norm, random_frame, standard_frame
 from nnormkit.topology import (
     Conclusion,
@@ -248,6 +248,45 @@ class TestConvergesWrt:
             converges_wrt(constant(np.zeros(4)), frame, norm, full_selection(4, 2), np.zeros(4))
 
 
+def _counting_space(n, d):
+    cfg, frame, _ = space(n, d)
+    calls = []
+
+    def evaluator(vs):
+        calls.append(len(vs))
+        return standard_norm(cfg, vs)
+
+    return frame, NNorm(cfg, "injected", evaluator), calls
+
+
+class TestMissingCandidateLimit:
+    """A candidate limit of None is refused at the public boundary, with one
+    error that names it, before any trace is made (no evaluator call)."""
+
+    MESSAGE = "convergence needs a candidate limit, got None"
+
+    @pytest.mark.parametrize("ks", [(1, 2, 5, 10, 100), ()], ids=["default-ks", "no-ks"])
+    def test_closed_form(self, ks):
+        frame, norm, calls = _counting_space(2, 3)
+        spec = convergent_power(np.ones(3), np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            converges_wrt(spec, frame, norm, full_selection(2, 1), None, evidence_ks=ks)
+        assert calls == []
+
+    def test_custom_table(self):
+        frame, norm, calls = _counting_space(2, 3)
+        spec = custom_sequence([(1, np.ones(3)), (2, np.ones(3))])
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            converges_wrt(spec, frame, norm, full_selection(2, 1), None)
+        assert calls == []
+
+    def test_equivalence_matrix(self):
+        frame, norm, calls = _counting_space(2, 3)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            equivalence_matrix(divergent_linear(np.array([0.0, 1.0, 1.0])), frame, norm, None)
+        assert calls == []
+
+
 class TestCauchyWrt:
     def test_convergent_power_is_cauchy(self):
         cfg, frame, norm = space(3, 5)
@@ -372,6 +411,14 @@ class TestEquivalenceMatrix:
         spec = custom_sequence([(1, np.zeros(2))])
         with pytest.raises(ValueError):
             equivalence_matrix(spec, frame, norm, np.zeros(2))
+
+    @pytest.mark.parametrize("which", ["m", "bogus", "rows"])
+    def test_conclusions_name_an_unknown_question(self, which):
+        cfg, frame, norm = space(2, 3)
+        table = equivalence_matrix(constant(np.ones(3)), frame, norm, np.ones(3))
+        with pytest.raises(ValueError, match=f"no question '{which}'"):
+            table.conclusions(which)
+        assert table.agrees()
 
     def test_agreement_survives_custom_metric(self):
         metric = np.diag([2.0, 1.0, 0.5, 1.5]) + 0.1
