@@ -4,7 +4,8 @@ reproduce the R^5 demonstration, with deterministic JSON/CSV reports.
 Exit codes: 0 success, 1 property failure (witnesses printed), 2 usage or
 config error. Reports contain no timestamps and are byte-identical for
 identical config + seed. The environment variable NNORMKIT_SEED overrides
-the seed (and only the seed).
+the seed (and only the seed); whichever source gives it, a seed below 0 is a
+usage error.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ def fmt(value: float, tol: Tolerance = DEFAULT_TOL) -> str:
 
 @dataclass
 class RunConfig:
-    space: SpaceConfig
     frame: Frame
     seed: int
     trials: int
@@ -98,19 +98,21 @@ class RunConfig:
             trials = _index(raw.get("trials", 200), "trials")
         except (ValueError, TypeError, KeyError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
-        return cls(space=space, frame=frame, seed=seed, trials=trials, raw=raw)
+        return cls(frame=frame, seed=seed, trials=trials, raw=raw)
 
 
 def _resolve_seed(args, config: RunConfig) -> int:
+    """NNORMKIT_SEED, else --seed, else the config's seed; refused below 0."""
+    seed = config.seed if args.seed is None else args.seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    if args.seed is not None:
-        return args.seed
-    return config.seed
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _digest(payload) -> str:
@@ -129,8 +131,11 @@ def report_json(command: str, inputs: dict, results, failures) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
 
 
-def _write_output(args, text: str) -> None:
+def _report(args, command: str, inputs: dict, results, failures=(), csv: str | None = None) -> None:
+    """Write the report to --output, if given: the CSV text when one is
+    passed and --format csv asks for it, else the JSON report."""
     if args.output:
+        text = csv if csv is not None and args.format == "csv" else report_json(command, inputs, results, failures)
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
 
@@ -164,26 +169,22 @@ def _kv_csv(rows: list[tuple[str, float]]) -> str:
 def cmd_norm(args) -> int:
     vectors = [_parse_vector(v) for v in args.vector]
     config = RunConfig.from_file(args.config, fallback_dim=len(vectors[0]), fallback_arity=len(vectors))
-    cfg = config.space
+    cfg = config.frame.space
     value = standard_norm(cfg, vectors)
     gram = gram_matrix(cfg, vectors)
     print(f"standard {cfg.arity}-norm = {fmt(value, cfg.tol)}")
     print("gram matrix:")
     for row in gram:
         print("  " + "  ".join(fmt(x, cfg.tol) for x in row))
-    inputs = {"config": config.raw, "vectors": vectors}
     results = {"norm": value, "gram": gram.tolist()}
-    if args.format == "csv":
-        rows = [(f"gram[{i}][{j}]", x) for i, row in enumerate(results["gram"]) for j, x in enumerate(row)]
-        _write_output(args, _kv_csv([("norm", value)] + rows))
-    else:
-        _write_output(args, report_json("norm", inputs, results, []))
+    rows = [(f"gram[{i}][{j}]", x) for i, row in enumerate(results["gram"]) for j, x in enumerate(row)]
+    _report(args, "norm", {"config": config.raw, "vectors": vectors}, results, csv=_kv_csv([("norm", value)] + rows))
     return 0
 
 
 def cmd_quotient(args) -> int:
     config = RunConfig.from_file(args.config)
-    frame, cfg = config.frame, config.space
+    frame, cfg = config.frame, config.frame.space
     u = _parse_vector(args.vector)
     s = _parse_indices(args.indices)
     s.validate_for(frame.n)
@@ -201,11 +202,8 @@ def cmd_quotient(args) -> int:
         "class1_terms": {str(j): v for j, v in per_class1.items()},
         "residual": residual,
     }
-    if args.format == "csv":
-        rows = [("classm_norm", total)] + [(f"class1[{j}]", v) for j, v in per_class1.items()] + [("residual", residual)]
-        _write_output(args, _kv_csv(rows))
-    else:
-        _write_output(args, report_json("quotient", inputs, results, []))
+    rows = [("classm_norm", total)] + [(f"class1[{j}]", v) for j, v in per_class1.items()] + [("residual", residual)]
+    _report(args, "quotient", inputs, results, csv=_kv_csv(rows))
     return 0
 
 
@@ -229,7 +227,7 @@ def cmd_cover(args) -> int:
         for fam in families:
             print("  " + " ".join(str(s) for s in fam.subsets))
         results["minimal_families"] = [f.to_json() for f in families]
-    _write_output(args, report_json("cover", {"n": n, "m": m}, results, []))
+    _report(args, "cover", {"n": n, "m": m}, results)
     return 0
 
 
@@ -237,29 +235,31 @@ def _failure_entry(kind: str, detail: str) -> dict:
     return {"check": kind, "witness": detail}
 
 
+def _report_failures(prefix: str, where: str, reports) -> list[dict]:
+    """A failure entry for each axiom report that did not pass."""
+    return [
+        _failure_entry(f"{prefix}:{r.axiom.value}", f"{where} discrepancy={r.witness.discrepancy:.3e}")
+        for r in reports
+        if not r.passed
+    ]
+
+
 def _suite_axioms(config: RunConfig, seed: int, trials: int) -> list[dict]:
     failures = []
-    cfg = config.space
+    cfg = config.frame.space
     grid = [(cfg.arity, cfg.dim)]
     if config.raw.get("space") is None:
         grid = [(n, d) for n in (2, 3) for d in (n, n + 2)]
     for n, d in grid:
         space = SpaceConfig(dim=d, arity=n, tol=cfg.tol)
-        for report in check_axioms(standard_nnorm(space), trials=trials, seed=seed):
-            if not report.passed:
-                failures.append(
-                    _failure_entry(
-                        f"axiom:{report.axiom.value}",
-                        f"n={n} d={d} discrepancy={report.witness.discrepancy:.3e}",
-                    )
-                )
+        failures += _report_failures("axiom", f"n={n} d={d}", check_axioms(standard_nnorm(space), trials=trials, seed=seed))
     return failures
 
 
 def _suite_quotient(config: RunConfig, seed: int, trials: int) -> list[dict]:
     failures = []
-    frame, cfg = config.frame, config.space
-    norm = standard_nnorm(cfg)
+    frame = config.frame
+    norm = standard_nnorm(frame.space)
     rng = np.random.default_rng(seed)
     n = frame.n
     index_sets = [IndexSet((j,)) for j in range(1, n + 1)]
@@ -267,16 +267,9 @@ def _suite_quotient(config: RunConfig, seed: int, trials: int) -> list[dict]:
         index_sets.append(IndexSet((1, n)))
     index_sets.append(IndexSet(tuple(range(1, n + 1))))
     for s in index_sets:
-        for report in quotient_norm_axioms(frame, norm, s, trials=trials, seed=seed):
-            if not report.passed:
-                failures.append(
-                    _failure_entry(
-                        f"quotient:{report.axiom.value}",
-                        f"s={s} discrepancy={report.witness.discrepancy:.3e}",
-                    )
-                )
+        failures += _report_failures("quotient", f"s={s}", quotient_norm_axioms(frame, norm, s, trials=trials, seed=seed))
         for _ in range(trials):
-            u = rng.uniform(-1, 1, cfg.dim)
+            u = rng.uniform(-1, 1, frame.dim)
             coeffs = {i: float(rng.uniform(-5, 5)) for i in s.complement(n)}
             passed, gap = coset_invariance_check(frame, norm, u, s, coeffs)
             if not passed:
@@ -302,7 +295,7 @@ def _equivalence_tables(config: RunConfig, seed: int) -> list[tuple]:
     """(spec, frame number, table) for each mini-corpus spec on the config's
     frame and two seeded random frames: every table the convergence,
     boundedness and cauchy suites check, built once per run."""
-    cfg = config.space
+    cfg = config.frame.space
     norm = standard_nnorm(cfg)
     rng = np.random.default_rng(seed)
     frames = [config.frame] + [random_frame(cfg, rng) for _ in range(2)]
@@ -336,7 +329,7 @@ def _suite_equivalence(tables: list[tuple], which: str) -> list[dict]:
     return failures
 
 
-def _suite_covering(config: RunConfig, seed: int) -> list[dict]:
+def _suite_covering() -> list[dict]:
     failures = []
     for n in range(1, 7):
         for m in range(1, n + 1):
@@ -353,6 +346,7 @@ def _suite_covering(config: RunConfig, seed: int) -> list[dict]:
         failures.append(_failure_entry("covering:counterexample", "two-norm selection should report convergence"))
     if record.covering_verdict.conclusion is not Conclusion.DIVERGES:
         failures.append(_failure_entry("covering:counterexample", "three-norm selection should report divergence"))
+    print(f"minimal cover size for n=5, m=2: {minimal_cover_size(5, 2)}")
     return failures
 
 
@@ -361,30 +355,23 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args, config)
     trials = _trials(args.trials if args.trials is not None else config.trials)
     suite = args.suite
-    failures: list[dict] = []
-    ran: list[str] = []
-    if suite in ("axioms", "all"):
-        failures += _suite_axioms(config, seed, trials)
-        ran.append("axioms")
-    if suite in ("quotient", "all"):
-        failures += _suite_quotient(config, seed, max(1, trials // 4))
-        ran.append("quotient")
-    tables = None
-    for which in ("convergence", "boundedness", "cauchy"):
-        if suite in (which, "all"):
-            if tables is None:
-                tables = _equivalence_tables(config, seed)
-            failures += _suite_equivalence(tables, which)
-            ran.append(which)
-    if suite in ("covering", "all"):
-        failures += _suite_covering(config, seed)
-        ran.append("covering")
-        print(f"minimal cover size for n=5, m=2: {minimal_cover_size(5, 2)}")
+    # the equivalence suites share one set of tables, built on first use
+    tables = functools.cache(lambda: _equivalence_tables(config, seed))
+    suites = {
+        "axioms": lambda: _suite_axioms(config, seed, trials),
+        "quotient": lambda: _suite_quotient(config, seed, max(1, trials // 4)),
+        "convergence": lambda: _suite_equivalence(tables(), "convergence"),
+        "boundedness": lambda: _suite_equivalence(tables(), "boundedness"),
+        "cauchy": lambda: _suite_equivalence(tables(), "cauchy"),
+        "covering": _suite_covering,
+    }
+    ran = list(VERIFY_SUITES[:-1]) if suite == "all" else [suite]
+    failures = [failure for name in ran for failure in suites[name]()]
     for failure in failures:
         print(f"FAIL {failure['check']}: {failure['witness']}")
     print(f"verify {suite}: {len(failures)} failure(s) across {', '.join(ran)} (seed={seed}, trials={trials})")
     inputs = {"config": config.raw, "suite": suite, "seed": seed, "trials": trials}
-    _write_output(args, report_json("verify", inputs, {"suites": ran, "failure_count": len(failures)}, failures))
+    _report(args, "verify", inputs, {"suites": ran, "failure_count": len(failures)}, failures)
     return 1 if failures else 0
 
 
@@ -401,16 +388,12 @@ def cmd_demo_counterexample(args) -> int:
     cv = record.covering_verdict.conclusion.value
     print(f"selection {{1,2}},{{3,4}} covers: {record.noncovering_covers} -> verdict {nc} (false conclusion)")
     print(f"selection {{1,2}},{{3,4}},{{1,5}} covers: {record.covering_covers} -> verdict {cv}")
-    if args.format == "csv":
-        _write_output(args, emit_trace_csv(record.traces))
-    else:
-        inputs = {"k": args.k}
-        results = {
-            "rows": [list(r) for r in record.rows],
-            "noncovering": {"covers": record.noncovering_covers, "verdict": nc},
-            "covering": {"covers": record.covering_covers, "verdict": cv},
-        }
-        _write_output(args, report_json("demo.counterexample", inputs, results, []))
+    results = {
+        "rows": [list(r) for r in record.rows],
+        "noncovering": {"covers": record.noncovering_covers, "verdict": nc},
+        "covering": {"covers": record.covering_covers, "verdict": cv},
+    }
+    _report(args, "demo.counterexample", {"k": args.k}, results, csv=emit_trace_csv(record.traces))
     return 0
 
 

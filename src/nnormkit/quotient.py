@@ -508,6 +508,11 @@ def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profi
     the evaluator call (whose value `NNorm.__call__` has converted to a
     float) and its zero flag, on Python floats read off lists the frame
     geometry holds; the profile's arrays are built once at the end.
+
+    The zero flag is value <= slope_j * |u| with the Gram slope
+    `FrameGeometry._zero_slope`, the standard norm's threshold. For another
+    n-norm it is off by that norm's ratio to the standard one: for
+    Gunawan's l^p norm with p != 2, by at most C(d, n)**|1/p - 1/2|.
     """
     geometry = frame.geometry(norm.cfg)
     length = _row_lengths(norm.cfg, u[None, :])[1][0]

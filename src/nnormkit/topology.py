@@ -50,6 +50,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Mapping
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
 from enum import Enum
@@ -136,11 +137,15 @@ class SequenceSpec:
         if self.kind is SequenceKind.CUSTOM:
             if not self.table:
                 raise ValueError("custom sequence needs a nonempty table")
-            ks = [_index(k) for k, _ in self.table]
+            try:
+                pairs = [(k, v) for k, v in self.table]
+            except (TypeError, ValueError):
+                raise ValueError("a custom table holds (k, vector) pairs") from None
+            ks = [_index(k) for k, _ in pairs]
             if any(k < 1 for k in ks) or any(a >= b for a, b in zip(ks, ks[1:])):
                 raise ValueError("table indices must be strictly increasing and >= 1")
-            dim = len(as_vector(self.table[0][1]))
-            frozen = tuple((k, as_vector(v, dim)) for k, (_, v) in zip(ks, self.table))
+            dim = len(as_vector(pairs[0][1]))
+            frozen = tuple((k, as_vector(v, dim)) for k, (_, v) in zip(ks, pairs))
             object.__setattr__(self, "table", frozen)
             return
         if self.base is None and self.kind is not SequenceKind.DIVERGENT_LINEAR:
@@ -186,7 +191,7 @@ class SequenceSpec:
         _mapping(obj, "sequence spec")
         kind = SequenceKind(obj["kind"])
         if kind is SequenceKind.CUSTOM:
-            return custom_sequence([(k, np.array(v, dtype=float)) for k, v in obj["table"]])
+            return custom_sequence(obj["table"])
         return cls(
             kind=kind,
             base=None if obj.get("base") is None else np.array(obj["base"], dtype=float),
@@ -222,7 +227,9 @@ def constant(point) -> SequenceSpec:
 
 
 def custom_sequence(table) -> SequenceSpec:
-    return SequenceSpec(kind=SequenceKind.CUSTOM, table=tuple(table))
+    """A finite table of (k, vector) pairs, k strictly increasing from 1; a
+    mapping gives its items, in order."""
+    return SequenceSpec(kind=SequenceKind.CUSTOM, table=tuple(table.items() if isinstance(table, Mapping) else table))
 
 
 def eval_sequence(spec: SequenceSpec, k: int):

@@ -183,6 +183,16 @@ class TestCoverCommand:
         assert main(["cover", "--n", "5", "--m", "7"]) == 2
         assert capsys.readouterr().err == "error: need 1 <= m <= n, got m=7, n=5\n"
 
+    def test_json_report(self, tmp_path):
+        out = tmp_path / "cover.json"
+        assert main(["cover", "--n", "4", "--m", "2", "--selection", "1,2;3,4", "--enumerate", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["command"], doc["inputs"], doc["failures"]) == ("cover", {"n": 4, "m": 2}, [])
+        results = doc["results"]
+        assert (results["minimal_cover_size"], results["covers"]) == (2, True)
+        assert results["selection"] == {"n": 4, "subsets": [[1, 2], [3, 4]]}
+        assert len(results["minimal_families"]) == 3
+
 
 class TestVerifyCommand:
     def test_axioms_suite_passes(self, capsys):
@@ -232,6 +242,19 @@ class TestVerifyCommand:
         assert main(["verify", "all", "--seed", "3", "--trials", "8", "--output", str(out)]) == 0
         assert len(built) == 48
         assert hashlib.sha256(out.read_bytes()).hexdigest() == "24863912adbae2a08d93be41307a91759599401279f25ef467e80968a460924d"
+
+    def test_verify_all_report_names_the_six_suites_in_order(self, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "all", "--seed", "0", "--trials", "8", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["results"] == {
+            "suites": ["axioms", "quotient", "convergence", "boundedness", "cauchy", "covering"],
+            "failure_count": 0,
+        }
+        assert doc["failures"] == []
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "verify all: 0 failure(s) across axioms, quotient, convergence, boundedness, cauchy, covering (seed=0, trials=8)"
+        )
 
     def test_corrupted_frame_exits_2(self, tmp_path, capsys):
         cfg = write_config(
@@ -299,6 +322,15 @@ class TestDemoCommand:
         assert doc["results"]["noncovering"]["verdict"] == "converges"
         assert doc["results"]["covering"]["verdict"] == "diverges"
 
+    def test_explicit_json_format_is_the_default_report(self, tmp_path):
+        default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+        assert main(["demo", "counterexample", "--k", "3", "--output", str(default)]) == 0
+        assert main(["demo", "counterexample", "--k", "3", "--format", "json", "--output", str(explicit)]) == 0
+        assert explicit.read_bytes() == default.read_bytes()
+        doc = json.loads(explicit.read_text())
+        assert (doc["command"], doc["inputs"], doc["failures"]) == ("demo.counterexample", {"k": 3}, [])
+        assert doc["results"]["rows"] == [list(row) for row in counterexample_r5(k_max=3).rows]
+
 
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path):
@@ -333,6 +365,22 @@ class TestDeterminism:
     def test_env_var_must_be_integer(self, monkeypatch):
         monkeypatch.setenv("NNORMKIT_SEED", "not-a-number")
         assert main(["verify", "axioms", "--trials", "5"]) == 2
+
+    @pytest.mark.parametrize("source", ["config", "flag", "env"])
+    @pytest.mark.parametrize("suite", ["axioms", "covering"])
+    def test_a_negative_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch, source, suite):
+        # axioms reported numpy's "expected non-negative integer", and
+        # covering, which draws nothing, ran and exited 0
+        argv = ["verify", suite, "--trials", "5", "--output", str(tmp_path / "verify.json")]
+        if source == "config":
+            argv += ["--config", write_config(tmp_path, {"seed": -1})]
+        elif source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("NNORMKIT_SEED", "-1")
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+        assert not (tmp_path / "verify.json").exists()
 
 
 class TestConfigHandling:

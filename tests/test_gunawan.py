@@ -10,7 +10,7 @@ from oracles import gunawan_norm
 
 from nnormkit.linalg import SpaceConfig
 from nnormkit.nnorm import NNorm, check_axioms, standard_norm
-from nnormkit.quotient import IndexSet, quotient_norm_axioms, random_frame
+from nnormkit.quotient import IndexSet, quotient_norm_axioms, quotient_profile, random_frame
 from nnormkit.topology import Conclusion, constant, convergent_power, divergent_linear, equivalence_matrix, oscillating
 
 C = Conclusion
@@ -92,3 +92,33 @@ def test_equivalence_tables_state_the_closed_form_conclusions(n, d, p):
             # a class-m value is the sum of the class-1 values over its subset
             for q in row.cauchy.evidence:
                 assert q.value == pytest.approx(math.fsum(class1[q.k, j] for j in q.subset.indices), rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1, 3, math.inf], ids=["p1", "p3", "pinf"])
+@pytest.mark.parametrize("n, d", [(2, 4), (3, 8)])
+def test_the_generic_zero_flag_reads_the_gram_slope(n, d, p):
+    # an injected norm's class-1 zero flag is value <= slope_j * |u|, with the
+    # standard norm's slope; for p != 2 the value is the standard one times a
+    # ratio within C(d, n)**+-|1/p - 1/2|, so the flag flips at a u whose
+    # distance from the kept span is off by that ratio
+    cfg = SpaceConfig(dim=d, arity=n)
+    norm = NNorm(cfg, f"gunawan-{p}", lambda vs: gunawan_norm(cfg, vs, p))
+    rng = np.random.default_rng(1000 * n + d)
+    frame = random_frame(cfg, rng)
+    slopes = frame.geometry(cfg)._zero_slope
+    factor = math.comb(d, n) ** abs(1.0 / p - 0.5)
+    for j in range(1, n + 1):
+        others = np.delete(frame.vectors, j - 1, axis=0)
+        inside = rng.uniform(0.5, 1.0, n - 1) @ others
+        # a unit vector off the span of the other rows
+        off = np.linalg.qr(others.T, mode="complete")[0][:, -1]
+        threshold = slopes[j - 1] * np.linalg.norm(inside) / standard_norm(cfg, [off, *others])
+        flags = []
+        for step in range(-6, 7):
+            u = inside + threshold * 2.0**step * off
+            profile = quotient_profile(frame, norm, u, [j])
+            value = profile.values[j - 1]
+            assert profile.zero[j - 1] == (value <= slopes[j - 1] * np.linalg.norm(u))
+            assert 1.0 / factor <= value / standard_norm(cfg, [u, *others]) <= factor
+            flags.append(bool(profile.zero[j - 1]))
+        assert flags[0] and not flags[-1]

@@ -88,6 +88,25 @@ class TestSequenceSpec:
         with pytest.raises(ValueError):
             custom_sequence([(2, np.zeros(2)), (2, np.ones(2))])
 
+    def test_a_mapping_table_is_read_through_its_items(self):
+        # a mapping raised TypeError: cannot unpack non-iterable int object
+        v, w = np.zeros(2), np.ones(2)
+        spec = custom_sequence({1: v, 3: w})
+        assert [k for k, _ in spec.table] == [1, 3]
+        assert np.array_equal(eval_sequence(spec, 3), w)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            custom_sequence({3: w, 1: v})
+
+    @pytest.mark.parametrize("table", [[1, 2], [(1,)], [(1, np.zeros(2), np.ones(2))], [(1, np.zeros(2)), 2]])
+    def test_an_item_that_is_not_a_pair_is_named(self, table):
+        # [1, 2] raised TypeError and [(1,)] "not enough values to unpack"
+        with pytest.raises(ValueError, match=r"\(k, vector\) pairs"):
+            custom_sequence(table)
+
+    def test_a_json_table_item_that_is_not_a_pair_is_named(self):
+        with pytest.raises(ValueError, match=r"\(k, vector\) pairs"):
+            SequenceSpec.from_json({"kind": "custom", "table": [[1]]})
+
     def test_a_non_integral_table_index_is_named_not_truncated(self):
         v, w = np.zeros(2), np.ones(2)
         with pytest.raises(ValueError, match="index 1.5 is not an integer"):
