@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .topology import (
     emit_trace_csv,
     enumerate_minimal_covers,
     equivalence_matrix,
+    full_selection,
     minimal_cover_size,
     oscillating,
 )
@@ -61,6 +63,33 @@ def fmt(value: float, tol: Tolerance = DEFAULT_TOL) -> str:
     return f"{value:.12g}"
 
 
+def _read_config(path: str | None) -> dict:
+    """The JSON at `path`, or {} when no config is given."""
+    if path is None:
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
+
+
+def _config_space(raw, dim: int = 3, arity: int | None = None) -> SpaceConfig:
+    """The config's space: its dim, arity, metric and tolerances. An absent
+    dim is `dim`, and an absent arity is `arity`, else min(2, dim)."""
+    try:
+        space_raw = _mapping(_mapping(raw, "config").get("space", {}), "space")
+        dim = space_raw.get("dim", dim)
+        # min(2, dim) by an equality test, which any JSON value passes until
+        # SpaceConfig checks dim
+        arity = space_raw.get("arity", arity if arity is not None else 1 if dim == 1 else 2)
+        return SpaceConfig(dim=dim, arity=arity, metric=space_raw.get("metric"), tol=_tolerance(raw.get("tolerances", {})))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise UsageError(f"bad config: {exc}") from exc
+
+
 @dataclass
 class RunConfig:
     frame: Frame
@@ -69,31 +98,12 @@ class RunConfig:
     raw: dict
 
     @classmethod
-    def from_file(cls, path: str | None, fallback_dim: int | None = None, fallback_arity: int | None = None):
-        raw: dict = {}
-        if path is not None:
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    raw = json.load(fh)
-            except OSError as exc:
-                raise UsageError(f"cannot read config {path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
+    def from_file(cls, path: str | None):
+        raw = _read_config(path)
+        space = _config_space(raw)
         try:
-            _mapping(raw, "config")
-            space_raw = _mapping(raw.get("space", {}), "space")
-            dim = space_raw.get("dim", fallback_dim if fallback_dim is not None else 3)
-            # min(2, dim) by an equality test, which any JSON value passes
-            # until SpaceConfig checks dim
-            default_arity = fallback_arity if fallback_arity is not None else 1 if dim == 1 else 2
-            arity = space_raw.get("arity", default_arity)
-            tol = _tolerance(raw.get("tolerances", {}))
-            space = SpaceConfig(dim=dim, arity=arity, metric=space_raw.get("metric"), tol=tol)
             frame_raw = raw.get("frame", "standard-basis")
-            if frame_raw == "standard-basis":
-                frame = standard_frame(space)
-            else:
-                frame = Frame(space=space, vectors=np.array(frame_raw, dtype=float))
+            frame = standard_frame(space) if frame_raw == "standard-basis" else Frame(space=space, vectors=frame_raw)
             seed = _index(raw.get("seed", 0), "seed")
             trials = _index(raw.get("trials", 200), "trials")
         except (ValueError, TypeError, KeyError) as exc:
@@ -168,8 +178,8 @@ def _kv_csv(rows: list[tuple[str, float]]) -> str:
 
 def cmd_norm(args) -> int:
     vectors = [_parse_vector(v) for v in args.vector]
-    config = RunConfig.from_file(args.config, fallback_dim=len(vectors[0]), fallback_arity=len(vectors))
-    cfg = config.frame.space
+    raw = _read_config(args.config)
+    cfg = _config_space(raw, dim=len(vectors[0]), arity=len(vectors))
     value = standard_norm(cfg, vectors)
     gram = gram_matrix(cfg, vectors)
     print(f"standard {cfg.arity}-norm = {fmt(value, cfg.tol)}")
@@ -178,7 +188,7 @@ def cmd_norm(args) -> int:
         print("  " + "  ".join(fmt(x, cfg.tol) for x in row))
     results = {"norm": value, "gram": gram.tolist()}
     rows = [(f"gram[{i}][{j}]", x) for i, row in enumerate(results["gram"]) for j, x in enumerate(row)]
-    _report(args, "norm", {"config": config.raw, "vectors": vectors}, results, csv=_kv_csv([("norm", value)] + rows))
+    _report(args, "norm", {"config": raw, "vectors": vectors}, results, csv=_kv_csv([("norm", value)] + rows))
     return 0
 
 
@@ -191,7 +201,11 @@ def cmd_quotient(args) -> int:
     profile = quotient_profile(frame, standard_nnorm(cfg), u, s)
     per_class1 = {j: float(profile.values[j - 1]) for j in s}
     total = profile.value(s)
-    residual = total - sum(per_class1.values())
+    # the closed form against the definition: each class-1 term taken as
+    # the n-norm of u and the frame less y_j, relative to the terms' scale
+    defined = sum(standard_norm(cfg, [u] + frame.without(j)) for j in s)
+    scale = profile.scale(s)
+    residual = (total - defined) / scale if scale else 0.0
     print(f"quotient norm, removed {s} = {fmt(total, cfg.tol)}")
     for j, v in per_class1.items():
         print(f"  class-1 term j={j}: {fmt(v, cfg.tol)}")
@@ -277,70 +291,72 @@ def _suite_quotient(config: RunConfig, seed: int, trials: int) -> list[dict]:
     return failures
 
 
-def _mini_corpus(cfg: SpaceConfig, rng: np.random.Generator) -> list:
+#: the corpus answers, frame-free: every table reads the full class-m
+#: collections, which cover, so each row answers as the ordinary norm does;
+#: the corpus keeps directions nonzero, and R^d is complete
+CONVERGENT = {"convergence": Conclusion.CONVERGES, "boundedness": Conclusion.BOUNDED, "cauchy": Conclusion.CAUCHY}
+DIVERGENT = {"convergence": Conclusion.DIVERGES, "boundedness": Conclusion.UNBOUNDED, "cauchy": Conclusion.NOT_CAUCHY}
+OSCILLATING = {"convergence": Conclusion.DIVERGES, "boundedness": Conclusion.BOUNDED, "cauchy": Conclusion.NOT_CAUCHY}
+
+
+def _mini_corpus(cfg: SpaceConfig, rng: np.random.Generator) -> list[tuple]:
+    """(spec, answer) pairs: four of each closed-form kind."""
     d = cfg.dim
-    specs = []
+    corpus = []
     for _ in range(4):
         x = rng.uniform(-1, 1, d)
         v = rng.uniform(-1, 1, d)
         v[int(rng.integers(0, d))] += 1.0  # keep directions away from zero
-        specs.append(convergent_power(x, v, coefficient=float(rng.uniform(0.5, 2.0)), exponent=float(rng.uniform(0.5, 2.0))))
-        specs.append(divergent_linear(v))
-        specs.append(oscillating(x, v, coefficient=float(rng.uniform(0.25, 2.0))))
-        specs.append(constant(x))
-    return specs
+        coefficient, exponent = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))
+        corpus.append((convergent_power(x, v, coefficient=coefficient, exponent=exponent), CONVERGENT))
+        corpus.append((divergent_linear(v), DIVERGENT))
+        corpus.append((oscillating(x, v, coefficient=float(rng.uniform(0.25, 2.0))), OSCILLATING))
+        corpus.append((constant(x), CONVERGENT))
+    return corpus
 
 
 def _equivalence_tables(config: RunConfig, seed: int) -> list[tuple]:
-    """(spec, frame number, table) for each mini-corpus spec on the config's
-    frame and two seeded random frames: every table the convergence,
-    boundedness and cauchy suites check, built once per run."""
+    """(spec, frame number, answer, table) for each mini-corpus spec on the
+    config's frame and two seeded random frames: every table the
+    convergence, boundedness and cauchy suites check, built once per run."""
     cfg = config.frame.space
     norm = standard_nnorm(cfg)
     rng = np.random.default_rng(seed)
     frames = [config.frame] + [random_frame(cfg, rng) for _ in range(2)]
     tables = []
-    for spec in _mini_corpus(cfg, rng):
+    for spec, answer in _mini_corpus(cfg, rng):
         limit = spec.base if spec.base is not None else np.zeros(cfg.dim)
-        tables += [(spec, fi, equivalence_matrix(spec, frame, norm, limit)) for fi, frame in enumerate(frames)]
+        tables += [(spec, fi, answer, equivalence_matrix(spec, frame, norm, limit)) for fi, frame in enumerate(frames)]
     return tables
 
 
 def _suite_equivalence(tables: list[tuple], which: str) -> list[dict]:
+    """A failure for each table in which some row does not give the corpus
+    answer to `which`."""
     failures = []
-    for spec, fi, table in tables:
-        conclusions = table.conclusions(which)
-        if len(set(conclusions)) != 1:
-            failures.append(
-                _failure_entry(
-                    f"{which}:cross_class",
-                    f"spec={spec.kind.value} frame#{fi} verdicts={[c.value for c in conclusions]}",
-                )
-            )
-        if which == "cauchy":
-            for row in table.rows:
-                if row.convergence.conclusion is Conclusion.CONVERGES and row.cauchy.conclusion is not Conclusion.CAUCHY:
-                    failures.append(
-                        _failure_entry(
-                            "cauchy:convergent_implies_cauchy",
-                            f"spec={spec.kind.value} frame#{fi} m={row.m}",
-                        )
-                    )
+    for spec, fi, answer, table in tables:
+        verdicts = [c.value for c in table.conclusions(which)]
+        if set(verdicts) != {answer[which].value}:
+            witness = f"spec={spec.kind.value} frame#{fi} answer={answer[which].value} verdicts={verdicts}"
+            failures.append(_failure_entry(f"{which}:answer", witness))
     return failures
 
 
 def _suite_covering() -> list[dict]:
+    """The covering claim for n <= 6: no family of minimal_cover_size - 1
+    subsets covers, and the enumerated families are some, each of that size,
+    each covering; then the R^5 demonstration's two verdicts."""
     failures = []
     for n in range(1, 7):
         for m in range(1, n + 1):
-            expected = -(-n // m)
-            if minimal_cover_size(n, m) != expected:
-                failures.append(_failure_entry("covering:minimal_size", f"n={n} m={m}"))
+            size = minimal_cover_size(n, m)
+            # an empty family covers nothing, and a size below 1 fails below
+            fewer = combinations(full_selection(n, m).subsets, size - 1) if size > 1 else ()
+            if any(covering_check(NormSelection(n=n, subsets=family)) for family in fewer):
+                failures.append(_failure_entry("covering:smaller_family_covers", f"n={n} m={m} size={size}"))
             families = enumerate_minimal_covers(n, m)
-            if not families:
-                failures.append(_failure_entry("covering:no_minimal_family", f"n={n} m={m}"))
-            if any(not covering_check(f) for f in families):
-                failures.append(_failure_entry("covering:family_does_not_cover", f"n={n} m={m}"))
+            if not families or any(len(f.subsets) != size or not covering_check(f) for f in families):
+                failures.append(_failure_entry("covering:minimal_families", f"n={n} m={m} size={size} families={len(families)}"))
     record = counterexample_r5(k_max=20)
     if record.noncovering_verdict.conclusion is not Conclusion.CONVERGES:
         failures.append(_failure_entry("covering:counterexample", "two-norm selection should report convergence"))

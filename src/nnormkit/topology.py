@@ -368,8 +368,11 @@ class Verdict:
     `_source` (the arguments of `_trace_points`): the sampled vectors' (k,
     class-1 value list) pairs and the selection, or for an analytic verdict
     (k, u.tobytes()) pairs, the selection, the call's value map and its
-    column set. No source holds a `quotient.Profile`. `evidence` is then
-    built from it, subset by subset, on first read and cached, so a reader
+    column set. The exception is `is_bounded_wrt` on a point set or a
+    custom table, whose bound is the maximum of its evidence: it passes the
+    tuple, built at once, k outer and s inner. No source holds a
+    `quotient.Profile`. From a source, `evidence` is then built subset by
+    subset, on first read, and cached, so a reader
     pays what an eager build cost and a caller that reads only the
     conclusion pays nothing. That first read profiles, through the map, any
     evidence vector of an analytic verdict that no trace, bound or earlier

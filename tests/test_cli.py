@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import nnormkit.cli as cli
+from nnormkit import topology
 from nnormkit.cli import build_parser, main
 from nnormkit.topology import counterexample_r5, parse_trace_csv
 
@@ -55,6 +57,26 @@ class TestNormCommand:
         assert main(["norm", "--config", cfg, "1,0,0", "0,1,0"]) == 2
         assert capsys.readouterr().err == "error: vector count: expected 3, got 2\n"
 
+    @pytest.mark.parametrize(
+        "doc, space_part",
+        [
+            ({"space": {"dim": 3, "arity": 2}, "frame": [[1, 0, 0], [2, 0, 0]]}, {"space": {"dim": 3, "arity": 2}}),
+            ({"trials": 2.5}, {}),
+        ],
+        ids=["dependent-frame", "fractional-trials"],
+    )
+    def test_a_config_part_the_norm_does_not_read_is_ignored(self, tmp_path, capsys, doc, space_part):
+        # the frame was built and the trials checked, and both exited 2
+        assert main(["norm", "--config", write_config(tmp_path, space_part, "space.json"), "1,0,0", "0,1,0"]) == 0
+        expected = capsys.readouterr()
+        assert main(["norm", "--config", write_config(tmp_path, doc), "1,0,0", "0,1,0"]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_a_bad_space_is_still_a_bad_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"space": {"dim": 3.7, "arity": 2}})
+        assert main(["norm", "--config", cfg, "1,0,0", "0,1,0"]) == 2
+        assert capsys.readouterr() == ("", "error: bad config: dim 3.7 is not an integer\n")
+
     def test_json_report_written(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["norm", "2,0,0", "0,3,0", "--output", str(out)]) == 0
@@ -88,7 +110,28 @@ class TestQuotientCommand:
         cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 3}})
         out = tmp_path / "quotient.csv"
         assert main(["quotient", "--config", cfg, "-u", "1,2,3", "-s", "1,2", "--format", "csv", "--output", str(out)]) == 0
-        assert out.read_text() == "key,value\nclassm_norm,3.0\nclass1[1],1.0\nclass1[2],2.0\nresidual,0.0\n"
+        head, residual = out.read_text().split("residual,")
+        assert head == "key,value\nclassm_norm,3.0\nclass1[1],1.0\nclass1[2],2.0\n"
+        # the closed form against each term's own 3-norm: equal but for the
+        # rounding of two determinant evaluations
+        assert residual.endswith("\n") and abs(float(residual)) < 1e-12
+
+    def test_residual_measures_the_closed_form_against_the_definition(self, tmp_path, monkeypatch):
+        # each class-1 term taken by its definition 1e-3 too large moves the
+        # residual by -2e-3 over the terms' scale: |u| = sqrt(14) times the
+        # kept unit frame vectors' lengths, for each of the two terms
+        norm = cli.standard_norm
+        monkeypatch.setattr(cli, "standard_norm", lambda cfg, vs: norm(cfg, vs) + 1e-3)
+        cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 3}})
+        out = tmp_path / "quotient.json"
+        assert main(["quotient", "--config", cfg, "-u", "1,2,3", "-s", "1,2", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["residual"] == pytest.approx(-2e-3 / (2 * np.sqrt(14)))
+
+    def test_a_zero_vector_has_residual_zero(self, tmp_path):
+        cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 3}})
+        out = tmp_path / "quotient.json"
+        assert main(["quotient", "--config", cfg, "-u", "0,0,0", "-s", "1,2", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["residual"] == 0.0
 
     def test_bad_indices_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 3}})
@@ -255,6 +298,62 @@ class TestVerifyCommand:
         assert capsys.readouterr().out.splitlines()[-1] == (
             "verify all: 0 failure(s) across axioms, quotient, convergence, boundedness, cauchy, covering (seed=0, trials=8)"
         )
+
+    @staticmethod
+    def failing_run(tmp_path, capsys, suite: str, count: int, checks: set[str]) -> None:
+        """`verify <suite>` under an injected fault: exit 1, and `count`
+        failures, each printed as one FAIL line, each named by one of
+        `checks`, and counted by the report's failure_count."""
+        out = tmp_path / "verify.json"
+        assert main(["verify", suite, "--seed", "3", "--trials", "4", "--output", str(out)]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        doc = json.loads(out.read_text())
+        failures = doc["failures"]
+        assert doc["results"]["failure_count"] == len(failures) == count
+        assert [line for line in printed if line.startswith("FAIL ")] == [f"FAIL {f['check']}: {f['witness']}" for f in failures]
+        assert {f["check"] for f in failures} == checks
+        assert printed[-1] == f"verify {suite}: {count} failure(s) across {suite} (seed=3, trials=4)"
+
+    @pytest.mark.parametrize("suite, count", [("convergence", 24), ("boundedness", 12), ("cauchy", 24)])
+    def test_a_sequence_suite_checks_each_table_against_its_answer(self, tmp_path, capsys, monkeypatch, suite, count):
+        # every trace called zero: k e1 converges, is bounded and is Cauchy,
+        # so every row of a table agrees, and a convergent row is Cauchy. 16
+        # specs on 3 frames: the 12 divergent tables fail each question, and
+        # the 12 oscillating ones convergence and cauchy
+        monkeypatch.setattr(topology, "_zero_flags", lambda profiles, n: [True] * n)
+        self.failing_run(tmp_path, capsys, suite, count, {f"{suite}:answer"})
+
+    @pytest.mark.parametrize("shift, count", [(1, 42), (-1, 21)])
+    def test_the_covering_suite_checks_the_claimed_least_size(self, tmp_path, capsys, monkeypatch, shift, count):
+        # 21 shapes (n, m), n <= 6. One too large: a family of the true size
+        # covers, and the enumerated ones are not of the claimed size. One
+        # too small (0 when m = n, which is no error): only the sizes differ
+        size = cli.minimal_cover_size
+        monkeypatch.setattr(cli, "minimal_cover_size", lambda n, m: size(n, m) + shift)
+        checks = {"covering:minimal_families"} | ({"covering:smaller_family_covers"} if shift > 0 else set())
+        self.failing_run(tmp_path, capsys, "covering", count, checks)
+
+    def test_the_covering_suite_needs_a_minimal_family(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "enumerate_minimal_covers", lambda n, m: [])
+        self.failing_run(tmp_path, capsys, "covering", 21, {"covering:minimal_families"})
+
+    def test_the_covering_suite_checks_the_r5_verdicts(self, tmp_path, capsys, monkeypatch):
+        demo = cli.counterexample_r5
+
+        def swapped(k_max):
+            record = demo(k_max)
+            return dataclasses.replace(
+                record, noncovering_verdict=record.covering_verdict, covering_verdict=record.noncovering_verdict
+            )
+
+        monkeypatch.setattr(cli, "counterexample_r5", swapped)
+        self.failing_run(tmp_path, capsys, "covering", 2, {"covering:counterexample"})
+
+    def test_the_quotient_suite_checks_coset_invariance(self, tmp_path, capsys, monkeypatch):
+        # n = 2 by default: s = {1}, {2}, {1,2}, {1,2}, one coset each at
+        # trials 4 // 4
+        monkeypatch.setattr(cli, "coset_invariance_check", lambda *args: (False, 1.0))
+        self.failing_run(tmp_path, capsys, "quotient", 4, {"quotient:coset_invariance"})
 
     def test_corrupted_frame_exits_2(self, tmp_path, capsys):
         cfg = write_config(
