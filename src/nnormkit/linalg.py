@@ -18,9 +18,11 @@ check runs before the rows are whitened, because inf * 0 in that product
 would warn.
 
 Every Gram volume sqrt(det G) in the package comes from one kernel,
-`_volumes`: one QR factor of the unit whitened rows of a tuple or of a stack
-of tuples, so no Gram matrix is formed, let alone solved, on the way;
-`_volumes` says why it calls numpy's dgeqrf gufunc directly. Every product
+`_unit_volumes`: one QR factor of the unit whitened rows of a tuple or of a
+stack of tuples, so no Gram matrix is formed, let alone solved, on the way;
+`_unit_volumes` says why it calls numpy's dgeqrf gufunc directly. `_volumes`
+takes the unit rows first, and a stack derived from another reuses that
+one's unit rows (`unit_rows` measures only new first rows). Every product
 of lengths and QR diagonals (a volume, a Hadamard scale, a frame's unit
 volume) comes from one helper, `_products`: inf only past the double range,
 and the plain product's bits wherever no partial product leaves the normal
@@ -243,35 +245,47 @@ def hadamard_scale(cfg: SpaceConfig, vs) -> float:
     return _products(len(vs), _row_lengths(cfg, as_rows(vs, cfg.dim))[1])[0] if len(vs) else 1.0
 
 
-def unit_rows(cfg: SpaceConfig, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+def unit_rows(cfg: SpaceConfig, rows: np.ndarray, first: bool = False) -> tuple[np.ndarray, list[float]]:
     """Whitened rows L^T v of a (..., n, d) array scaled to unit length, and
     their metric lengths in row-major order, as `_row_lengths` takes them.
 
     No row overflows or underflows on the way to unit length. Zero rows stay
     zero, and a finite row whose length overflows divides by inf. A stack of
-    tuples comes out bit for bit as each tuple would alone.
+    tuples comes out bit for bit as each tuple would alone, and each row as
+    it would in any other order of its tuple's rows.
+
+    With `first`, rows is a (B, n, d) stack and only each tuple's first row
+    is measured and made unit: a (B, d) array and B lengths, bit for bit the
+    first rows of `unit_rows(cfg, rows)`. A stack that differs from another
+    only in its first rows so reuses the other's unit rows for the rest.
     """
-    flat, lengths = _row_lengths(cfg, rows)
+    flat, lengths = _row_lengths(cfg, rows, first)
     # a zero row divides by 1.0, and so does a NaN length (a metric's product
     # can overflow on finite rows); lengths in range divide as they are
     divisors = lengths if sum(lengths) < math.inf and 0.0 not in lengths else [x if x > 0.0 else 1.0 for x in lengths]
     units = flat / np.array(divisors)[:, None]
-    return (units if rows.ndim == 2 else units.reshape(rows.shape)), lengths
+    return (units if first or rows.ndim == 2 else units.reshape(rows.shape)), lengths
 
 
-def _row_lengths(cfg: SpaceConfig, rows: np.ndarray) -> tuple[np.ndarray, list[float]]:
+def _row_lengths(cfg: SpaceConfig, rows: np.ndarray, first: bool = False) -> tuple[np.ndarray, list[float]]:
     """The whitened rows L^T v of a (..., n, d) array as one (N, d) array,
     and their metric lengths in row-major order, each as math.hypot takes
-    it: never through a squared length.
+    it: never through a squared length. With `first`, only the first row of
+    each tuple of a (B, n, d) stack, as a (B, d) array and B lengths.
 
     The shape is the caller's to check; finiteness is decided here, from
     the lengths (see the module docstring): a non-finite entry raises
     ValueError(NON_FINITE), under a metric before the whitening product.
+    That product whitens the whole array even for `first`: a row's product
+    with L^T, taken in its (n, d) tuple, can differ in the last bit from the
+    same row's taken alone or in a stack of first rows.
     """
     if cfg.whitening is not None:
         if not np.isfinite(rows).all():
             raise ValueError(NON_FINITE)
         rows = rows @ cfg.whitening.T
+    if first:
+        rows = rows[:, 0]
     flat = rows if rows.ndim == 2 else rows.reshape(-1, rows.shape[-1])
     lengths = [math.hypot(*row) for row in flat.tolist()]
     if not sum(lengths) < math.inf and cfg.whitening is None and not np.isfinite(flat).all():
@@ -285,14 +299,28 @@ def _volumes(cfg: SpaceConfig, tuples: np.ndarray) -> tuple[list[float], list[fl
     `unit_rows` gives them; the shape is the caller's to check, and a
     non-finite entry raises from `_row_lengths`.
 
+    The volumes are `_unit_volumes` of the tuples' `unit_rows`: a caller
+    that derives a stack from another whose unit rows it holds (a permuted
+    stack, or one with new first rows) takes the volumes from those rows,
+    rearranged, instead of measuring every row again.
+    """
+    units, lengths = unit_rows(cfg, tuples)
+    return _unit_volumes(units, lengths), lengths
+
+
+def _unit_volumes(units: np.ndarray, lengths: list[float]) -> list[float]:
+    """Gram volumes of a (k, d) tuple or a (B, k, d) stack, given as its
+    unit whitened rows and their lengths in row-major order, as `unit_rows`
+    gives them.
+
     A volume is the product of the lengths times |prod r_ii| of the QR
-    factor of the unit whitened rows (no Gram matrix, whose condition number
-    is the square of theirs), or 0.0 when a row is zero; no QR is taken
-    when every tuple has one. The volumes are one `_products` call on the
-    stack, the lengths' product times the |r_ii|'s product: inf only beyond
-    the double range, not lost to an r_ii product that underflows where the
-    lengths carry the volume back into range, and the plain product's bits
-    wherever no partial product leaves the normal range.
+    factor of the unit rows (no Gram matrix, whose condition number is the
+    square of theirs), or 0.0 when a row is zero; no QR is taken when every
+    tuple has one. The volumes are one `_products` call on the stack, the
+    lengths' product times the |r_ii|'s product: inf only beyond the double
+    range, not lost to an r_ii product that underflows where the lengths
+    carry the volume back into range, and the plain product's bits wherever
+    no partial product leaves the normal range.
 
     One dgeqrf gufunc call (numpy >= 2.0) factors the tuple or the whole
     stack in place, in a fresh copy of the transposed unit rows, and the
@@ -304,13 +332,12 @@ def _volumes(cfg: SpaceConfig, tuples: np.ndarray) -> tuple[list[float], list[fl
     "invalid", when LAPACK reports a failure, which dgeqrf does not do on
     finite unit rows.
     """
-    k = tuples.shape[-2]
-    units, lengths = unit_rows(cfg, tuples)
+    k = units.shape[-2]
     if min(lengths) == 0.0 and not any(min(lengths[i : i + k]) for i in range(0, len(lengths), k)):
-        return [0.0] * (len(lengths) // k), lengths
+        return [0.0] * (len(lengths) // k)
     factor = units.swapaxes(-1, -2).copy()
     _qr_r_raw(factor)
-    return _products(k, lengths, [abs(r) for r in factor.diagonal(0, -2, -1).ravel().tolist()]), lengths
+    return _products(k, lengths, [abs(r) for r in factor.diagonal(0, -2, -1).ravel().tolist()])
 
 
 def _products(k: int, factors: list[float], more: list[float] | None = None) -> list[float]:

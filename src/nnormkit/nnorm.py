@@ -9,9 +9,11 @@ The checker evaluates each batch of tuples at once, and every tuple a check
 derives from it (permuted, scaled, summed, alternative or shifted) in one
 more stack, all through `_evaluate`. For the standard kind, one stacked QR
 gives every value, bit for bit the value `standard_norm` gives the tuple
-alone; any other evaluator is called once per tuple, in stack order. The
-public `shift_invariance_check` runs the checker's shift code on a
-one-tuple batch. The sampler's volume gate reads the same kernel.
+alone, and a derived stack reuses the batch's unit rows and lengths: a
+permuted tuple has its base's, permuted, and a tuple with a new first row
+measures only that row. Any other evaluator is called once per tuple, in
+stack order. The public `shift_invariance_check` runs the checker's shift
+code on a one-tuple batch. The sampler's volume gate reads the same kernel.
 
 `NNorm` is the one boundary between an evaluator and every engine, here and
 in `quotient`: a standard-kind norm is checked against `standard_norm` once,
@@ -21,7 +23,6 @@ other evaluator converts its value to a float in `NNorm.__call__`.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,10 +38,12 @@ from .linalg import (
     _metric_length,
     _products,
     _row_lengths,
+    _unit_volumes,
     _volumes,
     as_rows,
     determinant,  # unused here; bench/spans.py traces this binding
     rank,
+    unit_rows,
 )
 
 __all__ = [
@@ -83,19 +86,22 @@ def standard_norm(cfg: SpaceConfig, vs) -> float:
     return _volumes(cfg, rows)[0][0]
 
 
-def _evaluate(norm: NNorm, stack: np.ndarray) -> tuple[list, list[float]]:
+def _evaluate(norm: NNorm, stack: np.ndarray, units=None) -> tuple[list, list[float]]:
     """Values of `norm` on each tuple of a checked (B, n, d) stack, in
     order, and the Hadamard scale of each tuple.
 
-    The standard kind takes all values from one `_volumes` call on the
-    stack, bit for bit what `standard_norm` gives each tuple alone; any other
-    kind takes only the row lengths (no QR) and is called once per tuple, in
-    order, with the tuple as a list of rows. The scales are one `_products`
-    call on the stack's lengths, bit for bit what `hadamard_scale` gives each
-    tuple alone.
+    The standard kind takes all values from one `_unit_volumes` call on the
+    stack's unit rows, bit for bit what `standard_norm` gives each tuple
+    alone: `units`, the unit rows (B, n, d) and lengths (B, n) of a batch
+    (`_Batch.units`) or derived from a batch's, or else `unit_rows` of the
+    stack. Any other kind takes only the row lengths (no QR) and is called
+    once per tuple, in order, with the tuple as a list of rows. The scales
+    are one `_products` call on the stack's lengths, bit for bit what
+    `hadamard_scale` gives each tuple alone.
     """
     if norm.kind == "standard":
-        values, lengths = _volumes(norm.cfg, stack)
+        units, lengths = unit_rows(norm.cfg, stack) if units is None else (units[0], units[1].ravel().tolist())
+        values = _unit_volumes(units, lengths)
     else:
         lengths = _row_lengths(norm.cfg, stack)[1]
         values = [norm(list(vs)) for vs in stack]
@@ -196,7 +202,8 @@ class _Batch:
     `base(norm)` evaluates the batch once per norm, so every check that
     reads the batch shares its values and scales. The standard kind takes
     them from the stacked kernel, which `NNorm` guarantees its evaluator
-    matches.
+    matches, on the unit rows `units(norm)` takes once per config, which the
+    checks' derived stacks reuse.
     """
 
     def __init__(self, tuples: list[list[np.ndarray]], labels: list[str] | None = None):
@@ -204,11 +211,23 @@ class _Batch:
         self.labels = labels
         self.stack = np.array(tuples)
         self._base = None
+        self._units = None
 
     def base(self, norm: NNorm) -> tuple[list, list[float]]:
         if self._base is None or self._base[0] is not norm:
-            self._base = (norm, _evaluate(norm, self.stack))
+            self._base = (norm, _evaluate(norm, self.stack, self.units(norm)))
         return self._base[1]
+
+    def units(self, norm: NNorm) -> tuple[np.ndarray, np.ndarray] | None:
+        """The stack's unit rows, (B, n, d), and their lengths, (B, n), as
+        `unit_rows` gives them, for the standard kind; None for any other
+        kind, whose stacks are evaluated without them."""
+        if norm.kind != "standard":
+            return None
+        if self._units is None or self._units[0] is not norm.cfg:
+            units, lengths = unit_rows(norm.cfg, self.stack)
+            self._units = (norm.cfg, units, np.array(lengths).reshape(units.shape[:2]))
+        return self._units[1:]
 
 
 class _Sampler:
@@ -394,8 +413,12 @@ def _check_permutation(norm, batch, rng):
         perms = [list(itertools.permutations(range(n)))] * len(batch.tuples)
     else:
         perms = [[tuple(rng.permutation(n)) for _ in range(8)] for _ in batch.tuples]
-    rows = np.arange(len(perms))[:, None, None]
-    values = iter(_evaluate(norm, batch.stack[rows, np.array(perms)].reshape(-1, n, cfg.dim))[0])
+    index = (np.arange(len(perms))[:, None, None], np.array(perms))
+    stack = batch.stack[index].reshape(-1, n, cfg.dim)
+    units = batch.units(norm)
+    if units is not None:  # a permuted tuple's unit rows and lengths are its base's, permuted
+        units = (units[0][index].reshape(stack.shape), units[1][index])
+    values = iter(_evaluate(norm, stack, units)[0])
     return _worst(
         Witness(tuple(vs), {"permutation": perm, "value": value, "base": base}, gap)
         for vs, base, scale, tuple_perms in zip(batch.tuples, bases, scales, perms)
@@ -443,12 +466,18 @@ def _check_shift(norm, batch, rng):
 def _first_rows(norm: NNorm, batch: _Batch, *firsts: np.ndarray) -> tuple[list, list[float]]:
     """Values and scales of the batch's tuples with new first rows: each
     (B, d) array of `firsts` in turn replaces the first rows, and every
-    variant is evaluated in one `_evaluate` stack, in that order. A
+    variant is evaluated in one `_evaluate` stack, in that order. The
+    standard kind measures only the new first rows (`unit_rows` with
+    `first`) and reuses the batch's unit rows and lengths for the rest. A
     non-finite new row raises the ValueError a non-finite vector raises,
     from `linalg._row_lengths`, before any evaluator call."""
     stack = np.concatenate([batch.stack] * len(firsts))
     stack[:, 0] = np.concatenate(firsts)
-    return _evaluate(norm, stack)
+    units = batch.units(norm)
+    if units is not None:
+        units = (np.concatenate([units[0]] * len(firsts)), np.concatenate([units[1]] * len(firsts)))
+        units[0][:, 0], units[1][:, 0] = unit_rows(norm.cfg, stack, first=True)
+    return _evaluate(norm, stack, units)
 
 
 def _shift_gaps(norm: NNorm, batch: _Batch, alphas) -> list[float]:
@@ -469,6 +498,17 @@ def _trials(trials) -> int:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     return trials
+
+
+def _copy_rng(rng: np.random.Generator) -> np.random.Generator:
+    """A generator that draws what the PCG64-backed `rng` (the kind
+    `np.random.default_rng` makes) draws next: a PCG64 given its bit
+    generator's state, about a third of a `copy.deepcopy`'s cost. The new
+    PCG64 is seeded with 0, which its state then replaces: unseeded, it
+    would read OS entropy on every copy."""
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator)
 
 
 #: each check with the `_Sampler` method that draws its batch
@@ -497,17 +537,20 @@ def check_axioms(norm: NNorm, trials: int, seed: int) -> list[AxiomReport]:
     reported with witnesses rather than raised.
 
     Each batch is drawn once, from a generator seeded with `seed`; each check
-    reading it draws on from its own copy of that generator. The checks share
+    reading it draws on from its own copy of that generator, made from the
+    generator's state (`_copy_rng`) rather than by deep copy. The checks share
     the batch's values: the boundary batch's serve nonnegativity and forward
     definiteness, the equality batch's base values and scales serve
     permutation, homogeneity, triangle and shift invariance. Every permuted,
     scaled, summed, alternative or shifted tuple of a check is evaluated in
     one stack; `_first_rows` builds the stacks of the three checks that
     change only the first row. The standard kind evaluates each stack with
-    one QR and never calls its evaluator (`NNorm` checked it when the norm
-    was made); an injected evaluator is called once per tuple, in batch
-    order, through `NNorm.__call__`, so a value that is not a float (None,
-    say) is converted, and a NaN fails its checks rather than raising.
+    one QR, on unit rows reused from the batch's (permuted, or with only the
+    new first rows measured), and never calls its evaluator (`NNorm`
+    checked it when the norm was made); an injected evaluator is called
+    once per tuple, in batch order, through `NNorm.__call__`, so a value
+    that is not a float (None, say) is converted, and a NaN fails its checks
+    rather than raising.
 
     A decision that compares a gap with its threshold fails unless gap <=
     threshold, so a NaN value or gap fails. Each check hands the witnesses
@@ -524,7 +567,7 @@ def check_axioms(norm: NNorm, trials: int, seed: int) -> list[AxiomReport]:
             sampler = _Sampler(norm.cfg, np.random.default_rng(seed))
             drawn[draw] = (getattr(sampler, draw)(trials), sampler.rng)
         batch, rng = drawn[draw]
-        witness = fn(norm, batch, copy.deepcopy(rng))
+        witness = fn(norm, batch, _copy_rng(rng))
         reports.append(AxiomReport(axiom=axiom, passed=witness is None, trials=trials, witness=witness))
     return reports
 

@@ -424,6 +424,14 @@ class FrameGeometry:
     NaN makes the whitened length NaN. Either raises the ValueError that
     `as_vector` raises, so a computed vector that overflowed is named as
     such instead of giving NaN values.
+
+    `profiles` takes a whole stack of vectors through the same steps, with
+    one batched product, `(K[None] @ U[:, :, None])[:, :, 0]`, whose rows
+    have the bits of `K @ u` (np.einsum's do not), and gives each row the
+    profile `profile` gives it. The axiom and coset loops profile their
+    samples so. The single-vector `profile` stays for the verdicts, which
+    profile one to six vectors a call, where a stack costs more than it
+    saves.
     """
 
     def __init__(self, frame: Frame, cfg: SpaceConfig):
@@ -478,6 +486,34 @@ class FrameGeometry:
             exponent = self._shifts + exponent
             _check_range(values, scales, exponent, range(1, n + 1) if columns is None else columns)
         return Profile(np.ldexp(values, exponent), np.ldexp(scales, exponent), zero)
+
+    def profiles(self, us: np.ndarray, columns=None) -> list[Profile]:
+        """`profile` of each row of a (B, d) array, in order, bit for bit:
+        per row the power of two, the whitened and perpendicular lengths
+        (math.hypot) and the exact range check, over the whole stack one
+        batched product and the elementwise values, scales and zero flags.
+        A stack with a non-finite entry goes row by row through `profile`,
+        so the first bad row raises what it raises there."""
+        if not np.isfinite(us).all():
+            return [self.profile(u, columns) for u in us]
+        n = self._n
+        tops = np.abs(us).max(axis=1).tolist()
+        exponents = np.frexp(tops)[1].astype(np.int64)
+        y = (self._kernel[None] @ np.ldexp(us, -exponents[:, None])[:, :, None])[:, :, 0]
+        rows = y.tolist()
+        lengths = np.array([math.hypot(*row[n:]) for row in rows])[:, None]
+        perps = np.array([math.hypot(*row[2 * n :]) for row in rows])[:, None]
+        values = self._others * np.hypot(self._minor_volumes * perps, y[:, :n])
+        scales = self._others * lengths
+        zero = values <= self._zero_slope * lengths
+        powers = np.repeat(exponents[:, None], n, axis=1)
+        for i, exponent in enumerate(exponents.tolist()):
+            # an all-zero row's values and scales are +0.0 and its flags
+            # True, as `profile` gives them, and no shift moves them
+            if exponent > self._safe_exponent and tops[i]:
+                powers[i] += self._shifts
+                _check_range(values[i], scales[i], powers[i], range(1, n + 1) if columns is None else columns)
+        return list(map(Profile, np.ldexp(values, powers), np.ldexp(scales, powers), zero))
 
 
 def _check_range(values: np.ndarray, scales: np.ndarray, shifts: np.ndarray, columns) -> None:
@@ -544,6 +580,16 @@ def _profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profile:
     return _generic_profile(frame, norm, u, columns)
 
 
+def _stacked_profiles(frame: Frame, norm: NNorm, us: list[np.ndarray], columns) -> list[Profile]:
+    """`_profile` of each vector of `us`, in order, on the same terms: the
+    standard kind's from one `FrameGeometry.profiles` stack, any other
+    evaluator's one vector at a time, so that it sees the calls `_profile`
+    would make, in the same order."""
+    if norm.kind == "standard":
+        return frame.geometry(norm.cfg).profiles(np.asarray(us), columns)
+    return [_generic_profile(frame, norm, u, columns) for u in us]
+
+
 def quotient_profile(frame: Frame, norm: NNorm, u, columns=None) -> Profile:
     """Class-1 profile of u under the norm's own metric.
 
@@ -605,6 +651,9 @@ def coset_invariance_check(frame: Frame, norm: NNorm, u, s: IndexSet, coeffs: Ma
     the larger of the term's two Hadamard scales, in the zero band of the
     frame's space), and the discrepancy is the worst term's, a NaN term
     ranking worst (`nnorm._severity`), so that it fails wherever it sits.
+
+    This is the one-row public boundary of `_coset_gaps`, which the CLI's
+    quotient suite calls on all its trials at once.
     """
     _check_compatible(frame, norm)
     s.validate_for(frame.n)
@@ -615,19 +664,34 @@ def coset_invariance_check(frame: Frame, norm: NNorm, u, s: IndexSet, coeffs: Ma
     coefficients = {i: float(coeffs[i]) for i in complement}
     if not all(map(math.isfinite, coefficients.values())):
         raise ValueError(f"coset coefficients must be finite, got {coefficients}")
-    shifted = u.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, c in coefficients.items():
-            shifted = shifted + c * frame.row(i)
-    here = _profile(frame, norm, u, s)
-    moved = _profile(frame, norm, shifted, s)
-    band = _zero_band(frame.space)
-    gaps = [
-        _rel_gap(base, value, max(here_scale, moved_scale), band)
-        for (base, here_scale), (value, moved_scale) in zip(here.terms(s), moved.terms(s))
-    ]
-    gap = max(gaps, key=_severity)
+    gap = _coset_gaps(frame, norm, s, u[None, :], np.array([list(coefficients.values())]))[0]
     return gap <= frame.space.tol.rel, gap
+
+
+def _coset_gaps(frame: Frame, norm: NNorm, s: IndexSet, us: np.ndarray, coefficients: np.ndarray) -> list[float]:
+    """The `coset_invariance_check` discrepancy of each row of a (B, d)
+    array, shifted by its row of a (B, |complement of s|) array times the
+    kept frame vectors, in index order; a complement may be empty, and then
+    the shifted rows are the rows themselves. The inputs are the caller's
+    to check.
+
+    Every row and its shifted row are profiled in one stack, each row
+    before its shifted one, as the one-row check profiles them.
+    """
+    shifted = us
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, i in enumerate(s.complement(frame.n)):
+            shifted = shifted + coefficients[:, k, None] * frame.vectors[i - 1]
+    pairs = np.empty((2 * len(us), frame.dim))
+    pairs[0::2], pairs[1::2] = us, shifted
+    profiles = iter(_stacked_profiles(frame, norm, pairs, s))
+    band = _zero_band(frame.space)
+    gaps = []
+    for here, moved in zip(profiles, profiles):
+        terms = zip(here.terms(s), moved.terms(s))
+        term_gaps = [_rel_gap(base, value, max(b_scale, v_scale), band) for (base, b_scale), (value, v_scale) in terms]
+        gaps.append(max(term_gaps, key=_severity))
+    return gaps
 
 
 def _adversarial_member(frame: Frame, s: IndexSet, rng: np.random.Generator) -> np.ndarray:
@@ -683,6 +747,12 @@ def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, se
     whose witnesses all carry inf, reports its first failing sample. The
     four checks draw from one generator, in the order of the reports.
 
+    Each check draws its samples, then profiles them as one stack
+    (`_stacked_profiles`): the standard norm through one
+    `FrameGeometry.profiles` product, bit for bit the per-vector profiles,
+    and an injected evaluator vector by vector, in the order in which a
+    check profiling each sample as it is drawn would call it.
+
     An injected evaluator built as the square root of the LU `determinant`
     of `gram_matrix` carries noise near sqrt(eps) of the scale on members of
     the kept span. Over 632 reports per axiom and setting (shapes (2,2),
@@ -704,24 +774,22 @@ def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, se
     band = _zero_band(frame.space)
     rng = np.random.default_rng(seed)
 
-    def profile(u):
-        return _profile(frame, norm, u, s)
+    def profiles(us):
+        return iter(_stacked_profiles(frame, norm, us, s))
 
     def homogeneity():
-        for _ in range(trials):
-            u = rng.uniform(-1.0, 1.0, frame.dim)
-            alpha = float(rng.uniform(-10.0, 10.0))
-            here, moved = profile(u), profile(alpha * u)
+        samples = [(rng.uniform(-1.0, 1.0, frame.dim), float(rng.uniform(-10.0, 10.0))) for _ in range(trials)]
+        stacked = profiles([v for u, alpha in samples for v in (u, alpha * u)])
+        for (u, alpha), here, moved in zip(samples, stacked, stacked):
             for (value, _), (base, scale) in zip(moved.terms(s), here.terms(s)):
                 gap = _rel_gap(value, abs(alpha) * base, abs(alpha) * scale, band)
                 if not gap <= tol.rel:
                     yield Witness((u,), {"alpha": alpha, "value": moved.value(s), "base": here.value(s)}, gap)
 
     def triangle():
-        for _ in range(trials):
-            u = rng.uniform(-1.0, 1.0, frame.dim)
-            v = rng.uniform(-1.0, 1.0, frame.dim)
-            pu, pv, psum = profile(u), profile(v), profile(u + v)
+        samples = [(rng.uniform(-1.0, 1.0, frame.dim), rng.uniform(-1.0, 1.0, frame.dim)) for _ in range(trials)]
+        stacked = profiles([w for u, v in samples for w in (u, v, u + v)])
+        for (u, v), pu, pv, psum in zip(samples, stacked, stacked, stacked):
             terms = zip(pu.terms(s), pv.terms(s), psum.terms(s))
             for (u_value, u_scale), (v_value, v_scale), (lhs, sum_scale) in terms:
                 violation = _excess(lhs, u_value + v_value, max(u_scale, v_scale, sum_scale), band)
@@ -730,21 +798,21 @@ def quotient_norm_axioms(frame: Frame, norm: NNorm, s: IndexSet, trials: int, se
 
     def forward():
         # norm ~ 0 must imply membership of the kept span
+        us = []
         for t in range(trials):
             if t % 2 == 0:
-                u = _adversarial_member(frame, s, rng)
+                us.append(_adversarial_member(frame, s, rng))
             else:
                 delta = 1e-6 if t % 4 == 1 else 1e-3
-                u = _adversarial_member(frame, s, rng) + delta * _escape_direction(frame, s, rng)
-            here = profile(u)
+                us.append(_adversarial_member(frame, s, rng) + delta * _escape_direction(frame, s, rng))
+        for u, here in zip(us, profiles(us)):
             if here.is_zero(s) and not in_kept_span(frame, u, s):
                 yield Witness((u,), {"value": here.value(s)}, math.inf)
 
     def backward():
         # members of the kept span must evaluate to zero
-        for _ in range(trials):
-            u = _adversarial_member(frame, s, rng)
-            here = profile(u)
+        us = [_adversarial_member(frame, s, rng) for _ in range(trials)]
+        for u, here in zip(us, profiles(us)):
             if not here.is_zero(s):
                 yield Witness((u,), {"value": here.value(s)}, here.value(s) / max(here.scale(s), _TINY))
 

@@ -52,9 +52,10 @@ import io
 import math
 from collections.abc import Mapping
 from dataclasses import InitVar, dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from enum import Enum
 from itertools import combinations
+from operator import or_
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -965,7 +966,21 @@ def equivalence_matrix(spec: SequenceSpec, frame: Frame, norm: NNorm, candidate_
 
 def covering_check(selection: NormSelection) -> bool:
     """Does the union of the selected index sets cover {1..n}?"""
-    return selection.union() >= set(range(1, selection.n + 1))
+    # the selection is the one family of its own size
+    return any(_covering_families(selection.n, selection.subsets, len(selection.subsets)))
+
+
+def _covering_families(n: int, members: Sequence[IndexSet], size: int):
+    """The families of `size` of the index sets `members` (within 1..n)
+    that cover 1..n, as tuples, in `combinations` order. The one covering
+    rule: a family covers when the OR of its index sets' bitmasks (bit j-1
+    for index j) is the full mask, so no selection is built for a family
+    that does not cover."""
+    full = (1 << n) - 1
+    masks = [sum(1 << (j - 1) for j in s.indices) for s in members]
+    for family, family_masks in zip(combinations(members, size), combinations(masks, size)):
+        if reduce(or_, family_masks, 0) == full:
+            yield family
 
 
 def _cover_shape(n, m) -> tuple[int, int, int]:
@@ -985,20 +1000,17 @@ ENUMERATION_LIMIT = 7
 
 def enumerate_minimal_covers(n: int, m: int) -> list[NormSelection]:
     """All families of exactly minimal_cover_size(n, m) size-m subsets whose
-    union covers {1..n}, deduplicated up to family order. Guarded to n <= 7:
-    beyond that the family space explodes."""
+    union covers {1..n}, deduplicated up to family order, in `combinations`
+    order of the class collection. Guarded to n <= 7: beyond that the family
+    space explodes.
+
+    Each candidate family is tried by the bitmask rule `covering_check`
+    applies (`_covering_families`), and a `NormSelection` is built only for
+    a family that covers."""
     n, m, size = _cover_shape(n, m)
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumeration is guarded to n <= {ENUMERATION_LIMIT}, got n={n}")
-    members = class_collection(n, m).members
-    out = []
-    for family in combinations(members, size):
-        union: set[int] = set()
-        for s in family:
-            union |= set(s.indices)
-        if union >= set(range(1, n + 1)):
-            out.append(NormSelection(n=n, subsets=family))
-    return out
+    return [NormSelection(n=n, subsets=family) for family in _covering_families(n, class_collection(n, m).members, size)]
 
 
 # ---------------------------------------------------------------------------

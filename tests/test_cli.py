@@ -29,6 +29,15 @@ class TestNormCommand:
         out = capsys.readouterr().out
         assert "standard 3-norm = 0" in out
 
+    def test_a_negative_leading_vector_after_the_separator(self, capsys):
+        # the README's form: after --, -1,2,0 is a vector, not an option;
+        # the norm is even, so it prints the negated vector's value
+        assert main(["norm", "--", "-1,2,0", "0,1,3"]) == 0
+        value = capsys.readouterr().out.splitlines()[0]
+        assert main(["norm", "1,-2,0", "0,1,3"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == value
+        assert main(["norm", "-1,2,0", "0,1,3"]) == 2
+
     def test_rectangle_area(self, capsys):
         assert main(["norm", "2,0,0", "0,3,0"]) == 0
         assert "standard 2-norm = 6" in capsys.readouterr().out
@@ -94,6 +103,16 @@ class TestQuotientCommand:
         out = capsys.readouterr().out
         assert "= 1" in out
         assert "decomposition residual = 0" in out
+
+    def test_a_negative_leading_vector_attached_to_its_flag(self, tmp_path, capsys):
+        # the README's form: -u=-1,2,3 is a vector, -u -1,2,3 a usage error;
+        # the quotient norm is even, so it prints the negated vector's output
+        cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 2}, "frame": [[1, 1, 0], [0, 1, 2]]})
+        assert main(["quotient", "--config", cfg, "-u=-1,2,3", "-s", "1,2"]) == 0
+        out = capsys.readouterr().out
+        assert main(["quotient", "--config", cfg, "-u", "1,-2,-3", "-s", "1,2"]) == 0
+        assert capsys.readouterr().out == out
+        assert main(["quotient", "--config", cfg, "-u", "-1,2,3", "-s", "1,2"]) == 2
 
     def test_vector_in_kept_span_is_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"space": {"dim": 4, "arity": 4}})
@@ -351,8 +370,8 @@ class TestVerifyCommand:
 
     def test_the_quotient_suite_checks_coset_invariance(self, tmp_path, capsys, monkeypatch):
         # n = 2 by default: s = {1}, {2}, {1,2}, {1,2}, one coset each at
-        # trials 4 // 4
-        monkeypatch.setattr(cli, "coset_invariance_check", lambda *args: (False, 1.0))
+        # trials 4 // 4; the suite checks each s's cosets in one stack
+        monkeypatch.setattr(cli, "_coset_gaps", lambda frame, norm, s, us, coefficients: [1.0] * len(us))
         self.failing_run(tmp_path, capsys, "quotient", 4, {"quotient:coset_invariance"})
 
     def test_corrupted_frame_exits_2(self, tmp_path, capsys):
