@@ -25,24 +25,29 @@ family that covers 1..n decides as the full collection does. An equivalence
 table takes one set of trace profiles and reads all n of its class-m rows
 off it, through the same row builders the public verdicts use, each
 conclusion once over 1..n; only a bound is read subset by subset, as the max
-of the per-subset bounds. A verdict keeps the class-1 values of the vectors
-it sampled and builds its trace points from them on the first read of
-`evidence` (`Verdict`). An analytic verdict's conclusion reads only the
-traces and the bounds, so it keeps its evidence vectors as bytes and reads
-their class-1 values, on that first read, through the call's one map from
-(vector bytes, columns) to value list (`_Class1Values`), which profiles a
-vector on its first request: a caller that reads only the conclusions never
-profiles a vector that is neither a trace nor a bound's term.
+of the per-subset bounds. Every verdict keeps the class-1 values of the
+vectors it sampled and builds its trace points from them on the first read
+of `evidence`, subset by subset (`Verdict`): one evidence path, which a
+sampled bound does not bypass. An analytic verdict's conclusion reads only
+the traces and the bounds, so it keeps its evidence vectors as bytes and
+reads their class-1 values, on that first read, through the call's one
+map from (vector bytes, columns) to value list (`_Class1Values`), which
+profiles a vector on its first request: a caller that reads only the
+conclusions never profiles a vector that is neither a trace nor a bound's
+term.
 
 Inputs are validated once, at the public boundary; a sequence's vectors
 when it is built, and its fit to a frame once per verdict. Table entries,
 and the vectors a verdict computes from a checked sequence and limit (under
 one `np.errstate` guard), go to the profile's private entry unchecked; one
 that overflowed is still named non-finite there, with no numpy warning on
-the way. Tabulated verdicts share one trend rule (`_decays`). Cauchy and
-boundedness read a table through its L - 1 successive gaps, so a tabulated
-linear sequence, whose gaps stay level, is neither Cauchy nor Bounded: a
-finite table alone never passes as bounded.
+the way. Tabulated verdicts share one trend rule (`_decays`), and every
+sampled verdict, a point set's too, one constructor (`_sampled`), which
+takes a sampled bound as the largest evidence value and reads a BOUNDED
+whose values include a NaN or an infinity as Inconclusive. Cauchy and
+boundedness read a table through its L - 1 successive gaps, so a
+tabulated linear sequence, whose gaps stay level, is neither Cauchy nor
+Bounded: a finite table alone never passes as bounded.
 """
 
 from __future__ import annotations
@@ -369,19 +374,21 @@ class Verdict:
     `_source` (the arguments of `_trace_points`): the sampled vectors' (k,
     class-1 value list) pairs and the selection, or for an analytic verdict
     (k, u.tobytes()) pairs, the selection, the call's value map and its
-    column set. The exception is `is_bounded_wrt` on a point set or a
-    custom table, whose bound is the maximum of its evidence: it passes the
-    tuple, built at once, k outer and s inner. No source holds a
-    `quotient.Profile`. From a source, `evidence` is then built subset by
-    subset, on first read, and cached, so a reader
-    pays what an eager build cost and a caller that reads only the
-    conclusion pays nothing. That first read profiles, through the map, any
-    evidence vector of an analytic verdict that no trace, bound or earlier
-    read profiled, so it may call an injected evaluator or raise what such a
-    profile raises, such as `ScaleOutOfRange`. Equality, `repr`,
-    `dataclasses.replace` and `asdict` read `evidence`, and a copy or a
-    pickle carries the built tuple, so they see what a verdict given the
-    same tuple as `evidence=` gives.
+    column set. Every verdict function passes a source, a sampled
+    boundedness verdict too: its bound is the largest value of its
+    evidence (at least 0), read off the same value lists by the call, and
+    a sampled BOUNDED whose values include a NaN or an infinity is
+    Inconclusive, with no bound. No source holds a `quotient.Profile`.
+    From it `evidence` is built subset by subset (s outer, k inner), on
+    first read, and cached, so a reader pays what an eager build cost and
+    a caller that reads only the conclusion pays nothing. That first read
+    profiles, through the map, any evidence vector of an analytic verdict
+    that no trace, bound or earlier read profiled, so it may call an
+    injected evaluator or raise what such a profile raises, such as
+    `ScaleOutOfRange`. Equality, `repr`, `dataclasses.replace` and
+    `asdict` read `evidence`, and a copy or a pickle carries the built
+    tuple, so they see what a verdict given the same tuple as `evidence=`
+    gives.
 
     There is one constructor, which writes the instance dict directly: it
     refuses a sampled verdict without its window, and keeps either the
@@ -715,6 +722,26 @@ def _steps(vectors: list[np.ndarray]) -> list[np.ndarray]:
         return [b - a for a, b in zip(vectors, vectors[1:])]
 
 
+def _sampled(conclusion, ks, profiles: list[Profile], selection: NormSelection, limit=None) -> Verdict:
+    """The one constructor of a sampled verdict: `conclusion` over the
+    window (ks[0], ks[-1]), or INCONCLUSIVE, with no limit or bound, for
+    None. The evidence source pairs the ks, in order, with the profiles'
+    class-1 value lists, so a table's L - 1 gaps take the first L - 1 ks. A
+    BOUNDED verdict's bound is the largest evidence value, and at least 0;
+    one whose values include a NaN or an infinity is INCONCLUSIVE, since
+    neither lies below a finite bound."""
+    pairs = list(zip(ks, [p._value_list for p in profiles]))
+    bound = None
+    if conclusion is Conclusion.BOUNDED:
+        values = [_subset_sum(terms, s) for s in selection.subsets for _, terms in pairs]
+        bound = max([0.0] + values)
+        if not all(map(math.isfinite, values)):
+            conclusion = None
+    if conclusion is None:
+        conclusion, limit, bound = Conclusion.INCONCLUSIVE, None, None
+    return Verdict(conclusion, Method.SAMPLED, limit=limit, bound=bound, window=(ks[0], ks[-1]), _source=(pairs, selection))
+
+
 def _columns(frame: Frame, selection: NormSelection) -> tuple[int, ...]:
     """The sorted frame indices a selection reads, once its arity is checked
     against the frame's."""
@@ -768,15 +795,11 @@ def converges_wrt(
 
     _check_spec(spec, frame, norm)
     limit = as_vector(candidate_limit, frame.dim)
-    ks = [k for k, _ in spec.table]
-    window = (ks[0], ks[-1])
     with np.errstate(over="ignore", invalid="ignore"):
         offsets = [v - limit for _, v in spec.table]
     profiles = _profiles(frame, norm, offsets, columns, {})
-    source = (list(zip(ks, [p._value_list for p in profiles])), selection)
-    if all(_decays([p.value(s) for p in profiles], max(p.floor(s) for p in profiles)) for s in selection.subsets):
-        return Verdict(Conclusion.CONVERGES, Method.SAMPLED, limit=limit, window=window, _source=source)
-    return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, window=window, _source=source)
+    decays = all(_decays([p.value(s) for p in profiles], max(p.floor(s) for p in profiles)) for s in selection.subsets)
+    return _sampled(Conclusion.CONVERGES if decays else None, [k for k, _ in spec.table], profiles, selection, limit)
 
 
 def is_cauchy_wrt(
@@ -812,14 +835,10 @@ def is_cauchy_wrt(
         return _cauchy_row(traces, traces.evidence[0], selection)
 
     _check_spec(spec, frame, norm)
-    ks = [k for k, _ in spec.table]
-    window = (ks[0], ks[-1])
     vectors = [v for _, v in spec.table]
     first, *gaps = _profiles(frame, norm, vectors[:1] + _steps(vectors), columns, {})
-    source = (list(zip(ks, [g._value_list for g in gaps])), selection)
-    if all(_decays([g.value(s) for g in gaps], first.floor(s)) for s in selection.subsets):
-        return Verdict(Conclusion.CAUCHY, Method.SAMPLED, window=window, _source=source)
-    return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, window=window, _source=source)
+    decays = all(_decays([g.value(s) for g in gaps], first.floor(s)) for s in selection.subsets)
+    return _sampled(Conclusion.CAUCHY if decays else None, [k for k, _ in spec.table], gaps, selection)
 
 
 def is_bounded_wrt(
@@ -838,10 +857,13 @@ def is_bounded_wrt(
     subset's trace rises (the later half of the trace stays within the
     largest entry floor of the earlier half's maximum), or when the
     successive gaps of every trace that rises decay (`_decays`, at the
-    same floor); otherwise Inconclusive, with no bound. The evidence holds
-    the entries' values, k outer and s inner. A sampled BOUNDED on a table
-    is evidence, not proof: the partial sums of 1/k pass, as they pass as
-    Cauchy.
+    same floor); otherwise Inconclusive, with no bound. A point set or
+    table whose values include a NaN or an infinity (an injected
+    evaluator's) is Inconclusive, with no bound: neither lies below a
+    finite bound. The evidence holds the points' or entries' values, built
+    on first read as every verdict builds it, subset by subset. A sampled
+    BOUNDED on a table is evidence, not proof: the partial sums of 1/k
+    pass, as they pass as Cauchy.
 
     Each distinct point, entry or gap is profiled once per call, so an
     injected evaluator is called once per distinct (vector, requested
@@ -852,37 +874,26 @@ def is_bounded_wrt(
     columns (a constant's x, an oscillation's x +- c v).
     """
     columns = _columns(frame, selection)
-    table = isinstance(points_or_spec, SequenceSpec)
-    if table:
-        spec = points_or_spec
-        if spec.kind is not SequenceKind.CUSTOM:
-            traces = AnalyticTraces(spec, frame, norm, evidence=[(evidence_ks, _term)], columns=columns)
-            return _boundedness_row(traces, traces.evidence[0], selection)
-        _check_spec(spec, frame, norm)
-        ks = [k for k, _ in spec.table]
-        points = [v for _, v in spec.table]
-    else:
+    if not isinstance(points_or_spec, SequenceSpec):
         points = [as_vector(p, frame.dim) for p in points_or_spec]
         if not points:
             raise ValueError("boundedness needs a nonempty point set")
         _check_compatible(frame, norm)
-        ks = range(1, len(points) + 1)
-    window = (ks[0], ks[-1])
+        profiles = _profiles(frame, norm, points, columns, {})
+        return _sampled(Conclusion.BOUNDED, range(1, len(points) + 1), profiles, selection)
+    spec = points_or_spec
+    if spec.kind is not SequenceKind.CUSTOM:
+        traces = AnalyticTraces(spec, frame, norm, evidence=[(evidence_ks, _term)], columns=columns)
+        return _boundedness_row(traces, traces.evidence[0], selection)
+    _check_spec(spec, frame, norm)
+    points = [v for _, v in spec.table]
     memo = {}
     profiles = _profiles(frame, norm, points, columns, memo)
-    evidence = tuple(TracePoint(k, s, p.value(s)) for k, p in zip(ks, profiles) for s in selection.subsets)
-    if table:
-        rising = []
-        for s in selection.subsets:
-            floor = max(p.floor(s) for p in profiles)
-            if _rises([p.value(s) for p in profiles], floor):
-                rising.append((s, floor))
-        if rising:
-            gaps = _profiles(frame, norm, _steps(points), columns, memo)
-            if not all(_decays([g.value(s) for g in gaps], floor) for s, floor in rising):
-                return Verdict(Conclusion.INCONCLUSIVE, Method.SAMPLED, evidence=evidence, window=window)
-    bound = max([0.0] + [p.value for p in evidence])
-    return Verdict(Conclusion.BOUNDED, Method.SAMPLED, bound=bound, evidence=evidence, window=window)
+    floors = [(s, max(p.floor(s) for p in profiles)) for s in selection.subsets]
+    rising = [(s, floor) for s, floor in floors if _rises([p.value(s) for p in profiles], floor)]
+    gaps = _profiles(frame, norm, _steps(points), columns, memo) if rising else []
+    bounded = all(_decays([g.value(s) for g in gaps], floor) for s, floor in rising)
+    return _sampled(Conclusion.BOUNDED if bounded else None, [k for k, _ in spec.table], profiles, selection)
 
 
 _QUESTIONS = ("convergence", "boundedness", "cauchy")

@@ -223,7 +223,8 @@ def _table(rng, d, kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_sampled_evidence_matches_the_eager_build(kind, injected):
     # per subset s, per table entry (or gap) in order: (k, s, classm_norm
-    # of the entry's offset or of the gap), from a fresh profile
+    # of the entry's offset, of the gap or of the entry), from a fresh
+    # profile; a sampled bound is the largest of them
     n, d = 3, 5
     rng, frame, norm = _setup(n, d, injected)
     table, limit = _table(rng, d, kind)
@@ -238,6 +239,38 @@ def test_sampled_evidence_matches_the_eager_build(kind, injected):
         gaps = [quotient_profile(frame, norm, b - a, columns) for a, b in zip(vectors, vectors[1:])]
         expected = [(k, s.indices, p.value(s).hex()) for s in sel.subsets for k, p in zip(ks, gaps)]
         assert _hex(is_cauchy_wrt(table, frame, norm, sel).evidence) == expected
+        # boundedness samples the entries, or a point set's points at k = 1..L
+        entries = [quotient_profile(frame, norm, v, columns) for v in vectors]
+        for verdict, indices in [
+            (is_bounded_wrt(table, frame, norm, sel), ks),
+            (is_bounded_wrt(vectors, frame, norm, sel), range(1, len(vectors) + 1)),
+        ]:
+            expected = [(k, s.indices, p.value(s).hex()) for s in sel.subsets for k, p in zip(indices, entries)]
+            assert _hex(verdict.evidence) == expected
+            if verdict.conclusion is Conclusion.BOUNDED:
+                assert verdict.bound.hex() == max(p.value for p in verdict.evidence).hex()
+
+
+def test_sampled_verdicts_build_no_trace_point_until_their_evidence_is_read(monkeypatch):
+    n, d = 3, 5
+    rng, frame, norm = _setup(n, d, injected=False)
+    table, limit = _table(rng, d, "convergent_power")
+    sel = full_selection(n, 2)
+    built = _counting_trace_points(monkeypatch)
+    verdicts = [
+        converges_wrt(table, frame, norm, sel, limit),
+        is_cauchy_wrt(table, frame, norm, sel),
+        is_bounded_wrt(table, frame, norm, sel),
+        is_bounded_wrt([v for _, v in table.table], frame, norm, sel),
+    ]
+    assert built == []
+    total = 0
+    for verdict in verdicts:
+        assert "evidence" not in vars(verdict)
+        total += len(verdict.evidence)
+        assert len(built) == total
+    # 6 entries (5 gaps for Cauchy) per subset of class 2
+    assert total == 3 * (6 + 5 + 6 + 6)
 
 
 def _verdicts(table) -> list:
@@ -357,6 +390,8 @@ def test_an_unread_verdict_reaches_no_profile(kind, injected):
         is_bounded_wrt(spec, frame, norm, sel),
         converges_wrt(table, frame, norm, sel, limit),
         is_cauchy_wrt(table, frame, norm, sel),
+        is_bounded_wrt(table, frame, norm, sel),
+        is_bounded_wrt([v for _, v in table.table], frame, norm, sel),
     ]
     for verdict in verdicts:
         assert "evidence" not in vars(verdict)

@@ -100,7 +100,7 @@ def test_repeated_points_are_evaluated_once(selection):
     # lists and arrays of the same coordinates are the same vector
     verdict = is_bounded_wrt([p, q, p.tolist(), p, list(q)], frame, norm, selection)
     assert len(calls) == 2 * len(selection.union())
-    assert [point.k for point in verdict.evidence] == [k for k in range(1, 6) for _ in selection.subsets]
+    assert [point.k for point in verdict.evidence] == [k for _ in selection.subsets for k in range(1, 6)]
 
 
 def _unmemoised(monkeypatch):

@@ -404,6 +404,31 @@ class TestBoundedWrt:
         with pytest.raises(ValueError):
             is_bounded_wrt([], frame, norm, full_selection(2, 1))
 
+    def test_a_nan_value_leaves_a_table_inconclusive(self):
+        # NaN past the largest value 3: the later half of each trace is all
+        # NaN, which reads as not rising, and a max from 0.0 skips it
+        cfg, frame, _ = space(2, 3)
+
+        def nan_above_three(vs):
+            value = standard_norm(cfg, vs)
+            return math.nan if value > 3.0 else value
+
+        norm = NNorm(cfg, "injected", nan_above_three)
+        table = custom_sequence([(k, k * np.eye(3)[2]) for k in range(1, 7)])
+        verdict = is_bounded_wrt(table, frame, norm, full_selection(2, 1))
+        assert verdict.conclusion is Conclusion.INCONCLUSIVE
+        assert verdict.bound is None
+        assert sum(math.isnan(p.value) for p in verdict.evidence) == 6
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_a_non_finite_value_leaves_a_point_set_inconclusive(self, value):
+        cfg, frame, _ = space(2, 3)
+        norm = NNorm(cfg, "injected", lambda vs: value)
+        verdict = is_bounded_wrt([np.eye(3)[2], 2.0 * np.eye(3)[2]], frame, norm, full_selection(2, 1))
+        assert verdict.conclusion is Conclusion.INCONCLUSIVE
+        assert verdict.bound is None
+        assert len(verdict.evidence) == 4
+
 
 class TestEquivalenceMatrix:
     def test_all_kinds_agree_across_classes(self):
