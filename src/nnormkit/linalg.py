@@ -241,6 +241,11 @@ def hadamard_scale(cfg: SpaceConfig, vs) -> float:
     `_products`, so the scale is inf only past the double range and nonzero
     wherever the true product rounds to a nonzero double. The empty tuple's
     scale is the empty product, 1.0.
+
+    A tuple's scale is bit for bit the scale a stack of tuples gives it
+    (`unit_rows`), tuple by tuple. Under a metric a vector's length depends
+    on the shape it is whitened in, so `hadamard_scale(cfg, [v])` can differ
+    by an ulp from v's length inside a tuple of several vectors.
     """
     return _products(len(vs), _row_lengths(cfg, as_rows(vs, cfg.dim))[1])[0] if len(vs) else 1.0
 
@@ -252,7 +257,11 @@ def unit_rows(cfg: SpaceConfig, rows: np.ndarray, first: bool = False) -> tuple[
     No row overflows or underflows on the way to unit length. Zero rows stay
     zero, and a finite row whose length overflows divides by inf. A stack of
     tuples comes out bit for bit as each tuple would alone, and each row as
-    it would in any other order of its tuple's rows.
+    it would in any other order of its tuple's rows. That holds tuple by
+    tuple, not row by row: under a metric, a row whitened alone, or in a
+    stack of single rows, can differ by an ulp from the same row inside its
+    (n, d) tuple, since the whitening product's bits depend on the shape of
+    the product it is in.
 
     With `first`, rows is a (B, n, d) stack and only each tuple's first row
     is measured and made unit: a (B, d) array and B lengths, bit for bit the

@@ -5,15 +5,17 @@ A value of the standard norm is sqrt(det(Gram)), the volume of the
 parallelepiped the vectors span; it is taken from a QR factor of the unit
 whitened vectors (`linalg._volumes`), so the Gram matrix is never formed.
 
-The checker evaluates each batch of tuples at once, and every tuple a check
-derives from it (permuted, scaled, summed, alternative or shifted) in one
-more stack, all through `_evaluate`. For the standard kind, one stacked QR
-gives every value, bit for bit the value `standard_norm` gives the tuple
-alone, and a derived stack reuses the batch's unit rows and lengths: a
-permuted tuple has its base's, permuted, and a tuple with a new first row
-measures only that row. Any other evaluator is called once per tuple, in
-stack order. The public `shift_invariance_check` runs the checker's shift
-code on a one-tuple batch. The sampler's volume gate reads the same kernel.
+The checker measures each drawn batch's unit rows and lengths and takes
+its values and scales once, right after the draw (`_Batch.evaluate`), for
+every norm kind; every tuple a check derives from it (permuted, scaled,
+summed, alternative or shifted) is evaluated in one more stack, all through
+`_evaluate`, on unit rows and lengths reused from the batch's: a permuted
+tuple has its base's, permuted, and a tuple with a new first row measures
+only that row. For the standard kind, one stacked QR gives every value, bit
+for bit the value `standard_norm` gives the tuple alone; any other
+evaluator is called once per tuple, in stack order. The public
+`shift_invariance_check` runs the checker's shift code on a one-tuple
+batch. The sampler's volume gate reads the same kernel.
 
 `NNorm` is the one boundary between an evaluator and every engine, here and
 in `quotient`: a standard-kind norm is checked against `standard_norm` once,
@@ -37,7 +39,6 @@ from .linalg import (
     _index,
     _metric_length,
     _products,
-    _row_lengths,
     _unit_volumes,
     _volumes,
     as_rows,
@@ -86,25 +87,22 @@ def standard_norm(cfg: SpaceConfig, vs) -> float:
     return _volumes(cfg, rows)[0][0]
 
 
-def _evaluate(norm: NNorm, stack: np.ndarray, units=None) -> tuple[list, list[float]]:
+def _evaluate(norm: NNorm, stack: np.ndarray, units: tuple[np.ndarray, np.ndarray]) -> tuple[list, list[float]]:
     """Values of `norm` on each tuple of a checked (B, n, d) stack, in
-    order, and the Hadamard scale of each tuple.
+    order, and the Hadamard scale of each tuple, given the stack's unit
+    rows (B, n, d) and their lengths (B, n): a batch's (`_Batch.evaluate`),
+    or derived from a batch's. This is the one evaluation path of every
+    norm kind.
 
     The standard kind takes all values from one `_unit_volumes` call on the
-    stack's unit rows, bit for bit what `standard_norm` gives each tuple
-    alone: `units`, the unit rows (B, n, d) and lengths (B, n) of a batch
-    (`_Batch.units`) or derived from a batch's, or else `unit_rows` of the
-    stack. Any other kind takes only the row lengths (no QR) and is called
-    once per tuple, in order, with the tuple as a list of rows. The scales
-    are one `_products` call on the stack's lengths, bit for bit what
-    `hadamard_scale` gives each tuple alone.
+    unit rows, bit for bit what `standard_norm` gives each tuple alone. Any
+    other kind is called once per tuple, in order, with the tuple as a list
+    of rows, and takes no QR. The scales are one `_products` call on the
+    given lengths, bit for bit what `hadamard_scale` gives each tuple
+    alone.
     """
-    if norm.kind == "standard":
-        units, lengths = unit_rows(norm.cfg, stack) if units is None else (units[0], units[1].ravel().tolist())
-        values = _unit_volumes(units, lengths)
-    else:
-        lengths = _row_lengths(norm.cfg, stack)[1]
-        values = [norm(list(vs)) for vs in stack]
+    lengths = units[1].ravel().tolist()
+    values = _unit_volumes(units[0], lengths) if norm.kind == "standard" else [norm(list(vs)) for vs in stack]
     return values, _products(norm.cfg.arity, lengths)
 
 
@@ -199,35 +197,22 @@ class _Batch:
     """Drawn tuples as the sampler made them (witnesses carry them), their
     construction labels, and the tuples stacked as one (B, n, d) array.
 
-    `base(norm)` evaluates the batch once per norm, so every check that
-    reads the batch shares its values and scales. The standard kind takes
-    them from the stacked kernel, which `NNorm` guarantees its evaluator
-    matches, on the unit rows `units(norm)` takes once per config, which the
-    checks' derived stacks reuse.
+    `evaluate(norm)` measures the stack once, for every norm kind: `units`,
+    its unit rows (B, n, d) and lengths (B, n) as `unit_rows` gives them,
+    which the checks' derived stacks reuse, and the `values` and `scales`
+    that every check reading the batch shares.
     """
 
     def __init__(self, tuples: list[list[np.ndarray]], labels: list[str] | None = None):
         self.tuples = tuples
         self.labels = labels
         self.stack = np.array(tuples)
-        self._base = None
-        self._units = None
 
-    def base(self, norm: NNorm) -> tuple[list, list[float]]:
-        if self._base is None or self._base[0] is not norm:
-            self._base = (norm, _evaluate(norm, self.stack, self.units(norm)))
-        return self._base[1]
-
-    def units(self, norm: NNorm) -> tuple[np.ndarray, np.ndarray] | None:
-        """The stack's unit rows, (B, n, d), and their lengths, (B, n), as
-        `unit_rows` gives them, for the standard kind; None for any other
-        kind, whose stacks are evaluated without them."""
-        if norm.kind != "standard":
-            return None
-        if self._units is None or self._units[0] is not norm.cfg:
-            units, lengths = unit_rows(norm.cfg, self.stack)
-            self._units = (norm.cfg, units, np.array(lengths).reshape(units.shape[:2]))
-        return self._units[1:]
+    def evaluate(self, norm: NNorm) -> _Batch:
+        units, lengths = unit_rows(norm.cfg, self.stack)
+        self.units = (units, np.array(lengths).reshape(units.shape[:2]))
+        self.values, self.scales = _evaluate(norm, self.stack, self.units)
+        return self
 
 
 class _Sampler:
@@ -346,7 +331,7 @@ def _severity(gap: float) -> float:
 def _check_nonnegativity(norm, batch, rng):
     return _worst(
         Witness(tuple(vs), {"construction": label, "value": value}, -value if math.isfinite(value) else math.inf)
-        for vs, label, value in zip(batch.tuples, batch.labels, batch.base(norm)[0])
+        for vs, label, value in zip(batch.tuples, batch.labels, batch.values)
         if not (math.isfinite(value) and value >= -norm.cfg.tol.zero)
     )
 
@@ -356,7 +341,7 @@ def _check_definiteness_forward(norm, batch, rng):
     cfg = norm.cfg
     return _worst(
         Witness(tuple(vs), {"construction": label, "value": value}, math.inf)
-        for vs, label, value, scale in zip(batch.tuples, batch.labels, *batch.base(norm))
+        for vs, label, value, scale in zip(batch.tuples, batch.labels, batch.values, batch.scales)
         if value <= cfg.tol.zero * scale and rank(vs, cfg.tol) == cfg.arity
     )
 
@@ -366,7 +351,7 @@ def _check_definiteness_backward(norm, batch, rng):
     band = _zero_band(norm.cfg)
     return _worst(
         Witness(tuple(vs), {"construction": label, "value": value}, value - band * scale)
-        for vs, label, value, scale in zip(batch.tuples, batch.labels, *batch.base(norm))
+        for vs, label, value, scale in zip(batch.tuples, batch.labels, batch.values, batch.scales)
         if not value <= band * scale
     )
 
@@ -408,20 +393,18 @@ def _check_permutation(norm, batch, rng):
     cfg = norm.cfg
     n = cfg.arity
     band = _zero_band(cfg)
-    bases, scales = batch.base(norm)
     if n <= 4:
         perms = [list(itertools.permutations(range(n)))] * len(batch.tuples)
     else:
         perms = [[tuple(rng.permutation(n)) for _ in range(8)] for _ in batch.tuples]
     index = (np.arange(len(perms))[:, None, None], np.array(perms))
     stack = batch.stack[index].reshape(-1, n, cfg.dim)
-    units = batch.units(norm)
-    if units is not None:  # a permuted tuple's unit rows and lengths are its base's, permuted
-        units = (units[0][index].reshape(stack.shape), units[1][index])
-    values = iter(_evaluate(norm, stack, units)[0])
+    # a permuted tuple's unit rows and lengths are its base's, permuted
+    units, lengths = batch.units
+    values = iter(_evaluate(norm, stack, (units[index].reshape(stack.shape), lengths[index]))[0])
     return _worst(
         Witness(tuple(vs), {"permutation": perm, "value": value, "base": base}, gap)
-        for vs, base, scale, tuple_perms in zip(batch.tuples, bases, scales, perms)
+        for vs, base, scale, tuple_perms in zip(batch.tuples, batch.values, batch.scales, perms)
         for perm, value in zip(tuple_perms, values)
         if not (gap := _rel_gap(value, base, scale, band)) <= cfg.tol.rel
     )
@@ -430,12 +413,11 @@ def _check_permutation(norm, batch, rng):
 def _check_homogeneity(norm, batch, rng):
     cfg = norm.cfg
     band = _zero_band(cfg)
-    bases, scales = batch.base(norm)
     alphas = [float(rng.uniform(-10.0, 10.0)) for _ in batch.tuples]
     values = _first_rows(norm, batch, batch.stack[:, 0] * np.array(alphas)[:, None])[0]
     return _worst(
         Witness(tuple(vs), {"alpha": alpha, "value": value, "base": base}, gap)
-        for vs, alpha, value, base, scale in zip(batch.tuples, alphas, values, bases, scales)
+        for vs, alpha, value, base, scale in zip(batch.tuples, alphas, values, batch.values, batch.scales)
         if not (gap := _rel_gap(value, abs(alpha) * base, abs(alpha) * scale, band)) <= cfg.tol.rel
     )
 
@@ -443,13 +425,12 @@ def _check_homogeneity(norm, batch, rng):
 def _check_triangle(norm, batch, rng):
     cfg = norm.cfg
     band = _zero_band(cfg)
-    bases, base_scales = batch.base(norm)
     first_alts = [rng.uniform(-1.0, 1.0, cfg.dim) for _ in batch.tuples]
     # summed tuples first, then the alternatives, in one stack
     values, scales = _first_rows(norm, batch, batch.stack[:, 0] + first_alts, np.array(first_alts))
     count = len(first_alts)
-    sums = [bases[t] + values[count + t] for t in range(count)]
-    bounds = [max(scales[t], base_scales[t], scales[count + t]) for t in range(count)]
+    sums = [batch.values[t] + values[count + t] for t in range(count)]
+    bounds = [max(scales[t], batch.scales[t], scales[count + t]) for t in range(count)]
     return _worst(
         Witness(tuple(vs), {"added": first_alt, "lhs": lhs, "rhs": rhs}, violation)
         for vs, first_alt, lhs, rhs, scale in zip(batch.tuples, first_alts, values, sums, bounds)
@@ -466,17 +447,15 @@ def _check_shift(norm, batch, rng):
 def _first_rows(norm: NNorm, batch: _Batch, *firsts: np.ndarray) -> tuple[list, list[float]]:
     """Values and scales of the batch's tuples with new first rows: each
     (B, d) array of `firsts` in turn replaces the first rows, and every
-    variant is evaluated in one `_evaluate` stack, in that order. The
-    standard kind measures only the new first rows (`unit_rows` with
-    `first`) and reuses the batch's unit rows and lengths for the rest. A
-    non-finite new row raises the ValueError a non-finite vector raises,
-    from `linalg._row_lengths`, before any evaluator call."""
+    variant is evaluated in one `_evaluate` stack, in that order. Only the
+    new first rows are measured (`unit_rows` with `first`); the batch's unit
+    rows and lengths serve for the rest. A non-finite new row raises the
+    ValueError a non-finite vector raises, from `linalg._row_lengths`,
+    before any evaluator call."""
     stack = np.concatenate([batch.stack] * len(firsts))
     stack[:, 0] = np.concatenate(firsts)
-    units = batch.units(norm)
-    if units is not None:
-        units = (np.concatenate([units[0]] * len(firsts)), np.concatenate([units[1]] * len(firsts)))
-        units[0][:, 0], units[1][:, 0] = unit_rows(norm.cfg, stack, first=True)
+    units = tuple(np.concatenate([part] * len(firsts)) for part in batch.units)
+    units[0][:, 0], units[1][:, 0] = unit_rows(norm.cfg, stack, first=True)
     return _evaluate(norm, stack, units)
 
 
@@ -488,7 +467,7 @@ def _shift_gaps(norm: NNorm, batch: _Batch, alphas) -> list[float]:
         firsts = np.array([rows[0] + sum(a * v for a, v in zip(a_t, rows[1:])) for rows, a_t in zip(batch.stack, alphas)])
     values, scales = _first_rows(norm, batch, firsts)
     band = _zero_band(norm.cfg)
-    return [_rel_gap(b, v, max(b_s, v_s), band) for b, b_s, v, v_s in zip(*batch.base(norm), values, scales)]
+    return [_rel_gap(b, v, max(b_s, v_s), band) for b, b_s, v, v_s in zip(batch.values, batch.scales, values, scales)]
 
 
 def _trials(trials) -> int:
@@ -538,15 +517,18 @@ def check_axioms(norm: NNorm, trials: int, seed: int) -> list[AxiomReport]:
 
     Each batch is drawn once, from a generator seeded with `seed`; each check
     reading it draws on from its own copy of that generator, made from the
-    generator's state (`_copy_rng`) rather than by deep copy. The checks share
-    the batch's values: the boundary batch's serve nonnegativity and forward
+    generator's state (`_copy_rng`) rather than by deep copy. Right after
+    its draw, a batch's unit rows, lengths, values and scales are taken
+    once (`_Batch.evaluate`), the same way for every norm kind, and the
+    checks share them: the boundary batch's serve nonnegativity and forward
     definiteness, the equality batch's base values and scales serve
     permutation, homogeneity, triangle and shift invariance. Every permuted,
     scaled, summed, alternative or shifted tuple of a check is evaluated in
-    one stack; `_first_rows` builds the stacks of the three checks that
-    change only the first row. The standard kind evaluates each stack with
-    one QR, on unit rows reused from the batch's (permuted, or with only the
-    new first rows measured), and never calls its evaluator (`NNorm`
+    one stack, on unit rows and lengths reused from the batch's (permuted,
+    or with only the new first rows measured), so an injected norm measures
+    the rows the standard kind measures; `_first_rows` builds the stacks of
+    the three checks that change only the first row. The standard kind
+    evaluates each stack with one QR and never calls its evaluator (`NNorm`
     checked it when the norm was made); an injected evaluator is called
     once per tuple, in batch order, through `NNorm.__call__`, so a value
     that is not a float (None, say) is converted, and a NaN fails its checks
@@ -565,7 +547,7 @@ def check_axioms(norm: NNorm, trials: int, seed: int) -> list[AxiomReport]:
     for axiom, draw, fn in _CHECKS:
         if draw not in drawn:
             sampler = _Sampler(norm.cfg, np.random.default_rng(seed))
-            drawn[draw] = (getattr(sampler, draw)(trials), sampler.rng)
+            drawn[draw] = (getattr(sampler, draw)(trials).evaluate(norm), sampler.rng)
         batch, rng = drawn[draw]
         witness = fn(norm, batch, _copy_rng(rng))
         reports.append(AxiomReport(axiom=axiom, passed=witness is None, trials=trials, witness=witness))
@@ -577,7 +559,9 @@ def shift_invariance_check(norm: NNorm, vs, alphas) -> tuple[bool, float]:
     leaves the norm unchanged. Returns (passed, relative discrepancy).
 
     The coefficients must be finite; a shifted first vector that overflows
-    raises the ValueError a non-finite vector raises.
+    raises the ValueError a non-finite vector raises. The tuple is
+    evaluated first, as a one-tuple batch (`_Batch.evaluate`), then the
+    shifted tuple, as `check_axioms` evaluates them.
     """
     cfg = norm.cfg
     if len(vs) != cfg.arity:
@@ -587,5 +571,5 @@ def shift_invariance_check(norm: NNorm, vs, alphas) -> tuple[bool, float]:
         raise DimensionMismatch("shift coefficient count", cfg.arity - 1, alphas.shape)
     if not np.isfinite(alphas).all():
         raise ValueError(f"shift coefficients must be finite, got {alphas.tolist()}")
-    gap = _shift_gaps(norm, _Batch([as_rows(vs, cfg.dim)]), [alphas])[0]
+    gap = _shift_gaps(norm, _Batch([as_rows(vs, cfg.dim)]).evaluate(norm), [alphas])[0]
     return gap <= cfg.tol.rel, gap

@@ -322,8 +322,10 @@ class Profile:
     Entry j-1 of `values` is the n-norm of (u, Y without y_j), entry j-1 of
     `scales` is that tuple's Hadamard scale (the product of its metric
     lengths), and entry j-1 of `zero` says dist(u, span(Y without y_j)) <=
-    tol.zero * |u|, the rule of the rank oracle `in_kept_span`, read as
-    value <= tol.zero * V_j * scale off `FrameGeometry`'s slope. A class-m
+    tol.zero * |u|, a distance rule, read as value <= tol.zero * V_j *
+    scale off `FrameGeometry`'s slope. The rank oracle `in_kept_span` reads
+    a pivot of `rank` instead, so near the threshold the two can disagree
+    (at tol.zero = 1e-7, on some (5, 5) frames). A class-m
     norm is the sum of the entries named by its index set. Entries a generic
     evaluation skipped hold NaN (and False).
 
@@ -624,7 +626,8 @@ def classm_norm(frame: Frame, norm: NNorm, u, s: IndexSet) -> float:
 def is_quotient_zero(frame: Frame, norm: NNorm, u, s: IndexSet) -> bool:
     """Is the coset of u zero after removing s? True when, for every j in
     s, u lies within tol.zero * |u| of the span of the frame without y_j
-    (`Profile.is_zero`), the rule `in_kept_span` applies."""
+    (`Profile.is_zero`): a distance rule. `in_kept_span` reads a pivot of
+    `rank` instead, and near the threshold the two can disagree."""
     return quotient_profile(frame, norm, u, s).is_zero(s)
 
 

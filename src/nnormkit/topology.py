@@ -41,10 +41,11 @@ when it is built, and its fit to a frame once per verdict. Table entries,
 and the vectors a verdict computes from a checked sequence and limit (under
 one `np.errstate` guard), go to the profile's private entry unchecked; one
 that overflowed is still named non-finite there, with no numpy warning on
-the way. Tabulated verdicts share one trend rule (`_decays`), and every
-sampled verdict, a point set's too, one constructor (`_sampled`), which
-takes a sampled bound as the largest evidence value and reads a BOUNDED
-whose values include a NaN or an infinity as Inconclusive. Cauchy and
+the way. Tabulated verdicts share one trend rule (`_decays`), under which
+a trace with a NaN or an infinity never decays, and every sampled verdict,
+a point set's too, one constructor (`_sampled`), which takes a sampled
+bound as the largest evidence value and reads a BOUNDED whose values
+include a NaN or an infinity as Inconclusive. Cauchy and
 boundedness read a table through its L - 1 successive gaps, so a
 tabulated linear sequence, whose gaps stay level, is neither Cauchy nor
 Bounded: a finite table alone never passes as bounded.
@@ -689,9 +690,11 @@ def _cauchy_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verd
 
 
 def _decays(series: list[float], floor: float) -> bool:
-    """Sampled trend rule: every sample is at zero scale (at most `floor`),
-    or there are at least three, nonincreasing up to `floor`, and the last
-    is at zero scale or a quarter of the first.
+    """Sampled trend rule: every sample is finite, and either every one is
+    at zero scale (at most `floor`), or there are at least three,
+    nonincreasing up to `floor`, and the last is at zero scale or a quarter
+    of the first. A NaN or an infinity never decays: inf <= 0.25 * inf
+    holds, and a NaN compares false.
 
     The floor is a tolerance on the samples, taken from the vectors the
     series is measured against, never from the series itself: for Cauchy,
@@ -701,6 +704,8 @@ def _decays(series: list[float], floor: float) -> bool:
     taken from the gaps' own scales would hold them to their own rounding
     and find them not decaying.
     """
+    if not all(map(math.isfinite, series)):
+        return False
     if series and all(v <= floor for v in series):
         return True
     nonincreasing = all(a >= b - floor for a, b in zip(series, series[1:]))

@@ -3,9 +3,10 @@
 Everything here is deliberately brute force (cofactor expansion, exhaustive
 family enumeration, a Gram-matrix solve, one evaluator call per tuple) and
 shares no code with the implementation under test, except where a reference
-names the `linalg` kernel it reuses to match the package bit for bit, and
-`per_subset_verdicts`, which reads `AnalyticTraces`' per-subset answers to
-check how a whole selection combines them.
+names the `linalg` kernel it reuses to match the package bit for bit,
+`fresh_evaluate`, which hands a stack's own unit rows to `nnorm._evaluate`,
+and `per_subset_verdicts`, which reads `AnalyticTraces`' per-subset answers
+to check how a whole selection combines them.
 """
 
 from __future__ import annotations
@@ -93,6 +94,26 @@ def per_tuple_shift_gap(norm, vs, alphas) -> float:
     if abs(base) <= band * scale and abs(shifted) <= band * scale:
         return 0.0
     return abs(base - shifted) / max(abs(base), abs(shifted), scale, 1e-300)
+
+
+def fresh_units(cfg, stack):
+    """The unit rows (B, n, d) and lengths (B, n) of a (B, n, d) stack,
+    measured afresh by `linalg.unit_rows`, in the form `nnorm._evaluate`
+    takes them."""
+    from nnormkit.linalg import unit_rows
+
+    units, lengths = unit_rows(cfg, stack)
+    return units, np.array(lengths).reshape(units.shape[:2])
+
+
+def fresh_evaluate(norm, stack):
+    """Values and scales of `norm` on each tuple of a (B, n, d) stack, by
+    `nnorm._evaluate` on the stack's own unit rows, measured again
+    (`fresh_units`): what a stack derived from a batch's unit rows, or a
+    batch's own evaluation, must match bit for bit."""
+    from nnormkit.nnorm import _evaluate
+
+    return _evaluate(norm, stack, fresh_units(norm.cfg, stack))
 
 
 def generic_profile(frame, norm, u, columns):

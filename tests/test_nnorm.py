@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -159,7 +160,7 @@ class TestCheckAxioms:
         assert sum(not r.passed for r in reports) >= 3
         for (axiom, draw, check), report in zip(nnorm._CHECKS, reports):
             sampler = nnorm._Sampler(cfg, np.random.default_rng(8))
-            witness = check(norm, getattr(sampler, draw)(30), sampler.rng)
+            witness = check(norm, getattr(sampler, draw)(30).evaluate(norm), sampler.rng)
             expected = AxiomReport(axiom=axiom, passed=witness is None, trials=30, witness=witness)
             assert pickle.dumps(report) == pickle.dumps(expected)
 
@@ -180,9 +181,9 @@ class TestCheckAxioms:
         # and every value and scale of the drawn batches, bit for bit
         sampler = nnorm._Sampler(cfg, np.random.default_rng(5))
         for batch in (sampler.boundary_batch(40), sampler.dependent_batch(40), sampler.equality_batch(40)):
-            values, scales = nnorm._evaluate(standard_nnorm(cfg), batch.stack)
-            assert values == [standard_norm(cfg, vs) for vs in batch.tuples]
-            assert scales == [hadamard_scale(cfg, vs) for vs in batch.tuples]
+            batch.evaluate(standard_nnorm(cfg))
+            assert batch.values == [standard_norm(cfg, vs) for vs in batch.tuples]
+            assert batch.scales == [hadamard_scale(cfg, vs) for vs in batch.tuples]
 
     @pytest.mark.parametrize("n, d, perms", [(1, 2, 1), (2, 3, 2), (3, 3, 6), (4, 5, 24), (5, 6, 8)])
     def test_injected_evaluator_calls_per_trial(self, n, d, perms):
@@ -195,6 +196,29 @@ class TestCheckAxioms:
         norm = NNorm(cfg, "injected", lambda vs: calls.append(1) or standard_norm(cfg, vs))
         check_axioms(norm, trials=7, seed=3)
         assert len(calls) == 7 * (perms + 7)
+
+    @pytest.mark.parametrize("spd", [False, True], ids=["dot", "spd"])
+    @pytest.mark.parametrize("n, d", [(1, 2), (3, 5), (5, 6)])
+    def test_injected_evaluator_measures_the_rows_standard_measures(self, n, d, spd):
+        # an injected norm's derived stacks reuse the batch's unit rows and
+        # lengths, as the standard kind's do, so an evaluator that never
+        # calls linalg leaves the row count where the standard kind has it.
+        # The profiler counts calls of the function under any name bound to it
+        cfg = cfg_of(n, d, np.diag(np.linspace(0.5, 2.0, d)) + 0.1 if spd else None)
+        norms = {"standard": standard_nnorm(cfg), "injected": NNorm(cfg, "injected", lambda vs: 1.0)}
+        measured = dict.fromkeys(norms, 0)
+        for name, norm in norms.items():
+
+            def counting(frame, event, returned, name=name):
+                if event == "return" and frame.f_code is linalg._row_lengths.__code__:
+                    measured[name] += len(returned[1])
+
+            sys.setprofile(counting)
+            try:
+                check_axioms(norm, trials=40, seed=3)
+            finally:
+                sys.setprofile(None)
+        assert measured["injected"] == measured["standard"] > 0
 
     @pytest.mark.parametrize("n, d", [(1, 2), (3, 4), (5, 6)])
     def test_standard_kind_makes_no_per_tuple_standard_norm_calls(self, n, d, monkeypatch):
@@ -456,7 +480,7 @@ class TestShiftInvariance:
                 expected = [per_tuple_shift_gap(norm, vs, a) for vs, a in zip(batch.tuples, alphas)]
                 public = [shift_invariance_check(norm, vs, a)[1] for vs, a in zip(batch.tuples, alphas)]
                 assert [float(g).hex() for g in public] == [g.hex() for g in expected], (size, norm.kind)
-                witnesses = nnorm._check_shift(norm, batch, np.random.default_rng(3))
+                witnesses = nnorm._check_shift(norm, batch.evaluate(norm), np.random.default_rng(3))
                 reported = [(id(w.vectors[0]), w.detail["alphas"].tolist(), float(w.discrepancy).hex()) for w in witnesses]
                 failing = [(id(vs[0]), a.tolist(), g.hex()) for vs, a, g in zip(batch.tuples, alphas, expected) if not g <= 1e-300]
                 assert reported == failing, (size, norm.kind)

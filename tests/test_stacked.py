@@ -14,7 +14,7 @@ import pytest
 
 from nnormkit import nnorm, quotient
 from nnormkit.linalg import SpaceConfig, Tolerance, _unit_volumes, _volumes, unit_rows
-from nnormkit.nnorm import NNorm, _Batch, _evaluate, _first_rows, check_axioms, standard_nnorm, standard_norm
+from nnormkit.nnorm import NNorm, _Batch, _first_rows, check_axioms, standard_nnorm, standard_norm
 from nnormkit.quotient import (
     Frame,
     FrameGeometry,
@@ -29,6 +29,8 @@ from nnormkit.quotient import (
     random_frame,
 )
 from nnormkit.topology import NormSelection, _covering_families, covering_check, enumerate_minimal_covers, minimal_cover_size
+
+from oracles import fresh_evaluate, fresh_units
 
 SHAPES = [(n, d) for n in range(1, 6) for d in range(n, 8)]
 BATCHES = (1, 2, 7, 257)
@@ -232,21 +234,26 @@ class TestReusedUnitRows:
         rng = np.random.default_rng(3 * n + d)
         cfg = space(n, d, metric)
         norm = standard_nnorm(cfg) if kind == "standard" else NNorm(cfg, "injected", lambda vs: standard_norm(cfg, vs))
-        batch = _Batch(list(self.stacks(rng, n, d)))
-        batch.base(norm)
+        batch = _Batch(list(self.stacks(rng, n, d))).evaluate(norm)
         scaled, summed = batch.stack[:, 0] * 3.5, batch.stack[:, 0] + rng.uniform(-1.0, 1.0, (len(batch.tuples), d))
         derived = np.concatenate([batch.stack] * 2)
         derived[:, 0] = np.concatenate([scaled, summed])
-        assert _first_rows(norm, batch, scaled, summed) == _evaluate(norm, derived)
-        assert batch.base(norm) == _evaluate(norm, batch.stack)
+        assert _first_rows(norm, batch, scaled, summed) == fresh_evaluate(norm, derived)
+        assert (batch.values, batch.scales) == fresh_evaluate(norm, batch.stack)
 
-    def test_a_non_finite_first_row_raises(self):
+    @pytest.mark.parametrize("kind", ["standard", "injected"])
+    def test_a_non_finite_first_row_raises(self, kind):
+        # before any evaluator call on the derived stack
         cfg = SpaceConfig(3, 2)
-        batch = _Batch([np.eye(2, 3)] * 3)
+        calls = []
+        norm = standard_nnorm(cfg) if kind == "standard" else NNorm(cfg, "injected", lambda vs: calls.append(1) or 1.0)
+        batch = _Batch([np.eye(2, 3)] * 3).evaluate(norm)
+        calls.clear()
         firsts = np.ones((3, 3))
         firsts[1, 2] = math.inf
         with pytest.raises(ValueError, match="non-finite"):
-            _first_rows(standard_nnorm(cfg), batch, firsts)
+            _first_rows(norm, batch, firsts)
+        assert calls == []
 
     @pytest.mark.parametrize("tol", [Tolerance(), Tolerance(rel=1e-300)], ids=["default", "strict"])
     @pytest.mark.parametrize("n, d, metric", [(2, 2, False), (3, 5, True), (4, 4, False), (5, 6, True)])
@@ -254,7 +261,8 @@ class TestReusedUnitRows:
         # the same reports with every derived stack measured afresh
         cfg = SpaceConfig(d, n, spd_metric(np.random.default_rng(0), d) if metric else None, tol)
         stacked = check_axioms(standard_nnorm(cfg), trials=30, seed=n + d)
-        monkeypatch.setattr(nnorm, "_evaluate", lambda norm, stack, units=None: _evaluate(norm, stack))
+        evaluate = nnorm._evaluate
+        monkeypatch.setattr(nnorm, "_evaluate", lambda norm, stack, units: evaluate(norm, stack, fresh_units(cfg, stack)))
         assert frozen(check_axioms(standard_nnorm(cfg), trials=30, seed=n + d)) == frozen(stacked)
 
 

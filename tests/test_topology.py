@@ -219,6 +219,14 @@ class TestNormSelection:
             NormSelection.from_json([1])
 
 
+def _always_inf_on_k_e3():
+    # every value inf: inf <= 0.25 * inf holds, so an unguarded trend rule
+    # read the trace, and its gaps, as decaying
+    cfg, frame, _ = space(2, 3)
+    norm = NNorm(cfg, "injected", lambda vs: math.inf)
+    return custom_sequence([(k, k * np.eye(3)[2]) for k in range(1, 7)]), frame, norm
+
+
 class TestConvergesWrt:
     def test_convergent_power_all_classes(self):
         cfg, frame, norm = space(3, 4)
@@ -266,6 +274,12 @@ class TestConvergesWrt:
         with pytest.raises(DimensionMismatch):
             converges_wrt(constant(np.zeros(4)), frame, norm, full_selection(4, 2), np.zeros(4))
 
+    def test_an_infinite_trace_does_not_converge(self):
+        table, frame, norm = _always_inf_on_k_e3()
+        verdict = converges_wrt(table, frame, norm, full_selection(2, 1), np.zeros(3))
+        assert verdict.conclusion is Conclusion.INCONCLUSIVE
+        assert verdict.limit is None
+
 
 def _counting_space(n, d):
     cfg, frame, _ = space(n, d)
@@ -307,6 +321,11 @@ class TestMissingCandidateLimit:
 
 
 class TestCauchyWrt:
+    def test_an_infinite_trace_is_not_cauchy(self):
+        table, frame, norm = _always_inf_on_k_e3()
+        verdict = is_cauchy_wrt(table, frame, norm, full_selection(2, 1))
+        assert verdict.conclusion is Conclusion.INCONCLUSIVE
+
     def test_convergent_power_is_cauchy(self):
         cfg, frame, norm = space(3, 5)
         spec = convergent_power(np.zeros(5), np.ones(5), coefficient=2.0, exponent=1.0)

@@ -21,10 +21,10 @@ import pytest
 
 from nnormkit import linalg, nnorm, quotient
 from nnormkit.linalg import DimensionMismatch, SpaceConfig, _qr_r_raw, _row_lengths, _volumes, as_rows, determinant, gram_matrix, hadamard_scale, unit_rows
-from nnormkit.nnorm import NNorm, _evaluate, _Sampler, standard_nnorm, standard_norm
+from nnormkit.nnorm import NNorm, _Sampler, standard_nnorm, standard_norm
 from nnormkit.quotient import IndexSet, _escape_direction, random_frame
 
-from oracles import cofactor_det, gram_perp_part
+from oracles import cofactor_det, fresh_evaluate, gram_perp_part
 
 
 def _spd(d):
@@ -285,12 +285,12 @@ def test_qr_calls_of_injected_and_standard_stacks(spd, monkeypatch):
     qr_calls = []
     monkeypatch.setattr(linalg, "_qr_r_raw", lambda a: qr_calls.append(1) or _qr_r_raw(a))
     product = NNorm(cfg, "injected", lambda vs: math.prod(float(np.abs(v).sum()) for v in vs))
-    values, scales = _evaluate(product, stack)
+    values, scales = fresh_evaluate(product, stack)
     assert qr_calls == []
     assert values == [product(list(t)) for t in stack]
     assert scales == [hadamard_scale(cfg, t) for t in stack]
     # the standard kind takes one QR for the whole stack
-    values, _ = _evaluate(standard, stack)
+    values, _ = fresh_evaluate(standard, stack)
     assert len(qr_calls) == 1
     assert values == [standard_norm(cfg, t) for t in stack]
     # and none when every tuple has a zero row
