@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -414,11 +415,23 @@ def cmd_demo_counterexample(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and the class of its subcommands' parsers, that
+    reads a token of a minus sign and a digit (or a point and a digit), such
+    as -1,2,3, as a value: a vector whose first coordinate is negative. No
+    flag starts so, and argparse alone passes only a plain negative number;
+    a flag with no value, as in `-u -s 1`, is still a usage error."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
     `main` call; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(prog="nnormkit", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="nnormkit", description=__doc__.splitlines()[0])
 
     # each subcommand takes only the flags it reads
     flags = {

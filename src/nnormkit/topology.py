@@ -25,16 +25,17 @@ family that covers 1..n decides as the full collection does. An equivalence
 table takes one set of trace profiles and reads all n of its class-m rows
 off it, through the same row builders the public verdicts use, each
 conclusion once over 1..n; only a bound is read subset by subset, as the max
-of the per-subset bounds. Every verdict keeps the class-1 values of the
-vectors it sampled and builds its trace points from them on the first read
-of `evidence`, subset by subset (`Verdict`): one evidence path, which a
-sampled bound does not bypass. An analytic verdict's conclusion reads only
-the traces and the bounds, so it keeps its evidence vectors as bytes and
-reads their class-1 values, on that first read, through the call's one
-map from (vector bytes, columns) to value list (`_Class1Values`), which
-profiles a vector on its first request: a caller that reads only the
-conclusions never profiles a vector that is neither a trace nor a bound's
-term.
+of the per-subset bounds (`_bound`, one formula per kind). Every verdict
+keeps the class-1 values of the vectors it sampled and builds its trace
+points from them on the first read of `evidence`, subset by subset
+(`Verdict`): one evidence path, which a sampled bound does not bypass. An
+analytic verdict's conclusion reads only the traces, so it keeps its
+evidence vectors as bytes, and a BOUNDED one the keys of its bound's terms,
+and reads their class-1 values on the first read of `evidence` or of
+`bound` through the call's one map from (vector bytes, columns) to value
+list (`_Class1Values`), which profiles a vector on its first request: a
+caller that reads only the conclusions profiles the traces and nothing
+else.
 
 Inputs are validated once, at the public boundary; a sequence's vectors
 when it is built, and its fit to a frame once per verdict. Table entries,
@@ -347,23 +348,37 @@ class TracePoint(NamedTuple):
     value: float
 
 
-class _DeferredEvidence:
-    """`Verdict.evidence` of a verdict built from its evidence source: the
-    first read builds the tuple (`_trace_points`) and stores it in the
-    instance dict. This is a non-data descriptor, so the stored tuple
-    shadows it and every later read is a plain attribute read."""
+class _Deferred:
+    """A verdict field built from its pending source on first read: the
+    first read calls `build` on the source, kept in the instance dict under
+    "_pending_<field>", stores the value under the field's name and drops
+    the source. This is a non-data descriptor, so the stored value shadows
+    it and every later read is a plain attribute read. A build that raises
+    stores nothing and keeps the source, so the next read raises again."""
+
+    def __init__(self, build, default):
+        self.build, self.default = build, default
+
+    def __set_name__(self, owner, name):
+        self.name, self.pending = name, "_pending_" + name
 
     def __get__(self, verdict, owner=None):
         if verdict is None:
-            return ()  # the field's default
+            return self.default
         state = verdict.__dict__
-        source = state.get("_pending")
+        source = state.get(self.pending)
         if source is None:  # another thread built it after this lookup began
-            return state["evidence"]
-        # setdefault, so that readers racing on the first read share one tuple
-        evidence = state.setdefault("evidence", _trace_points(*source))
-        state.pop("_pending", None)
-        return evidence
+            return state[self.name]
+        # setdefault, so that readers racing on the first read share one value
+        value = state.setdefault(self.name, self.build(source))
+        state.pop(self.pending, None)
+        return value
+
+
+class _BoundTerms(tuple):
+    """The source of an analytic bound, passed as `bound`: `_bound`'s
+    arguments (the call's value map, the keys of the bound's terms, the
+    kind and coefficient, and the selection's subsets), and nothing else."""
 
 
 @dataclass(frozen=True, init=False)
@@ -386,24 +401,33 @@ class Verdict:
     profiles, through the map, any evidence vector of an analytic verdict
     that no trace, bound or earlier read profiled, so it may call an
     injected evaluator or raise what such a profile raises, such as
-    `ScaleOutOfRange`. Equality, `repr`, `dataclasses.replace` and
-    `asdict` read `evidence`, and a copy or a pickle carries the built
-    tuple, so they see what a verdict given the same tuple as `evidence=`
-    gives.
+    `ScaleOutOfRange`.
+
+    An analytic BOUNDED verdict defers its `bound` the same way: it is
+    given the bound's source (`_BoundTerms`, no trace or `Profile`) as
+    `bound`, and the first read of `bound` computes it (`_bound`), through
+    the same map, profiling a term that no trace or earlier read
+    profiled; a term whose scale is out of range raises `ScaleOutOfRange`
+    there, on each read until one succeeds. Equality, `repr`,
+    `dataclasses.replace` and `asdict` read `bound` and `evidence`, and a
+    copy or a pickle carries the built values, so they see what a verdict
+    given the same values gives, bit for bit.
 
     There is one constructor, which writes the instance dict directly: it
-    refuses a sampled verdict without its window, and keeps either the
-    `evidence` tuple or, when `_source` is given, that source in its place.
-    The dataclass supplies the fields, equality, `repr` and the frozen
-    guards; `_source` stays declared init-only, so `__match_args__` and
-    `dataclasses.replace` see it as a generated constructor's would.
+    refuses a sampled verdict without its window, and keeps the `evidence`
+    tuple or, when `_source` is given, that source in its place, and the
+    `bound` or its source. The dataclass supplies the fields, equality,
+    `repr` and the frozen guards; `_source` stays declared init-only, so
+    `__match_args__` and `dataclasses.replace` see it as a generated
+    constructor's would.
     """
 
     conclusion: Conclusion
     method: Method
     limit: np.ndarray | None = None
-    bound: float | None = None
-    evidence: tuple[TracePoint, ...] = _DeferredEvidence()
+    # the builders are defined below, so each is looked up when it runs
+    bound: float | None = _Deferred(lambda source: _bound(*source), None)
+    evidence: tuple[TracePoint, ...] = _Deferred(lambda source: _trace_points(*source), ())
     window: tuple[int, int] | None = None
     _source: InitVar[tuple | None] = None
 
@@ -411,16 +435,17 @@ class Verdict:
         if method is Method.SAMPLED and window is None:
             raise ValueError("sampled verdicts must carry their window")
         state = self.__dict__
-        state["conclusion"], state["method"], state["limit"], state["bound"] = conclusion, method, limit, bound
+        state["conclusion"], state["method"], state["limit"] = conclusion, method, limit
+        state["_pending_bound" if type(bound) is _BoundTerms else "bound"] = bound
         state["window"] = window
         if _source is None:
             state["evidence"] = evidence
         else:
-            state["_pending"] = _source
+            state["_pending_evidence"] = _source
 
     def __getstate__(self):
-        self.evidence  # builds a deferred tuple, so a copy or a pickle holds no source
-        return self.__dict__
+        # every field read, so a copy or a pickle holds no source
+        return {name: getattr(self, name) for name in ("conclusion", "method", "limit", "bound", "evidence", "window")}
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +508,10 @@ class _Class1Values(dict):
     columns), against the call's frame and norm. A vector is profiled on
     its first request, rebuilt from its bytes, so the map holds no vector,
     trace or `Profile` of the call, only lists of n floats. The call seeds
-    it with the lists of the trace profiles that an evidence row or a bound
-    asks for; the bounds and every verdict's evidence read through it, so a
-    vector that several rows sample is profiled once, on the first read of
-    any of them."""
+    it with the lists of its trace profiles; every verdict's bound and
+    evidence read through it, so a vector that several rows sample, or that
+    is both a sampled vector and a bound's term, is profiled once, on the
+    first read of any of them."""
 
     __slots__ = ("frame", "norm")
 
@@ -524,9 +549,10 @@ class AnalyticTraces:
     them once, over `columns`, and `trace_limit_zero` and `cauchy_on` read
     them over one s. Boundedness is a third list: only a divergent
     sequence's traces grow, exactly where it is not Cauchy. The bound is one
-    formula per kind (`_bound`), the max of its per-subset sums, which a row
-    takes over its subsets in one pass and `bounded_on` at one s. Traces
-    made without a limit have no convergence flags.
+    formula per kind (`_bound`), the max of its per-subset sums, which a
+    BOUNDED row leaves to the first read of its `bound` (`_BoundTerms`) and
+    `bounded_on` takes at one s. Traces made without a limit have no
+    convergence flags.
 
     `evidence` names the rows a verdict or table samples, each as
     (ks, vector_at), and `columns` the selection's columns: the sorted frame
@@ -538,17 +564,19 @@ class AnalyticTraces:
     vector of the traces, their bounds and the evidence is computed under
     one `np.errstate` guard, and the profiles are taken after it: a vector
     that overflowed is named non-finite there, by the call even when it is
-    an evidence vector (one check over the stacked rows, after the traces'
-    own errors), with no numpy warning on the way.
+    an evidence vector (one check over the stacked rows and the bound's
+    terms, after the traces' own errors) or a bound's term (by the
+    boundedness row, or `bounded_on`), with no numpy warning on the way.
 
     The traces are profiled at once, each distinct vector once, under all n
     columns. Everything else goes through one `_Class1Values` map for the
     call, which the verdicts keep: it starts with every trace's values, so a
     constant's offsets are its traced offset and a divergent sequence's
-    x_2 - x_1 is its direction, under all n columns. The bound's terms are
-    read through it on first use, and an oscillating term then finds its
-    bound's values there; any other evidence vector is profiled on the
-    first read of a verdict's `evidence`.
+    x_2 - x_1 is its direction, under all n columns. The bound's terms and
+    every other evidence vector are profiled through it on first use, the
+    first read of a verdict's `bound` or `evidence`, so an oscillation's
+    terms x_1 = x - c v and x_10 = x + c v, its bound's terms, are
+    profiled once, whichever is read first.
     """
 
     def __init__(self, spec: SequenceSpec, frame: Frame, norm: NNorm, limit=None, evidence=(), columns=None):
@@ -585,38 +613,25 @@ class AnalyticTraces:
         # that every coset is the zero coset
         self._bounded_flags = self._cauchy_flags if kind is SequenceKind.DIVERGENT_LINEAR else [True] * frame.n
         self.evidence = [[(k, u.tobytes()) for k, u in row] for row in rows]
-        if not np.isfinite(np.frombuffer(b"".join([key for row in self.evidence for _, key in row]))).all():
-            raise ValueError(NON_FINITE)
+        keys, bound_keys = [key for row in self.evidence for _, key in row], [(b.tobytes(), every) for b in bounds]
+        # one check over the stacked evidence rows and the bound's terms; a
+        # term that overflowed is named by the row that reads the bound
+        finite = np.isfinite(np.frombuffer(b"".join(keys + [key for key, _ in bound_keys])))
+        self._bounds_finite = True
+        if not finite.all():
+            if not finite[: len(keys) * frame.dim].all():
+                raise ValueError(NON_FINITE)
+            self._bounds_finite = False
         self._columns = every if columns is None else tuple(columns)
-        self._bound_keys = [(b.tobytes(), every) for b in bounds]
         self._values = _Class1Values(frame, norm)
         self._values.update((key, p._value_list) for key, p in memo.items())
+        self._bound_terms = (self._values, bound_keys, kind, spec.coefficient)
 
     def _limit_zero(self, indices: tuple[int, ...]) -> bool:
         """Does every class-1 trace to the limit over `indices` tend to zero?"""
         if self._limit_flags is None:
             raise ValueError("trace_limit_zero needs traces made with a candidate limit; these have none")
         return _subset_all(self._limit_flags, indices)
-
-    def _bound(self, subsets: Sequence[IndexSet]) -> float:
-        """The max over `subsets`, in their order, of the analytic bound on
-        sup_k classm_norm(x_k, s), where that is finite: the one per-kind
-        formula, which a boundedness row reads over its selection and
-        `bounded_on` at one s. The kind is read once per call; the terms'
-        class-1 value lists are read through the call's map, where an
-        evidence vector that is one of them finds them too."""
-        kind = self.spec.kind
-        if kind is SequenceKind.DIVERGENT_LINEAR:
-            return 0.0
-        values = [self._values[key] for key in self._bound_keys]
-        if kind is SequenceKind.CONSTANT:
-            return max(_subset_sum(values[0], s) for s in subsets)
-        if kind is SequenceKind.CONVERGENT_POWER:
-            # k >= 1 so |c| k**-p <= |c|
-            (base, direction), c = values, abs(self.spec.coefficient)
-            return max(_subset_sum(base, s) + c * _subset_sum(direction, s) for s in subsets)
-        plus, minus = values
-        return max(max(_subset_sum(plus, s), _subset_sum(minus, s)) for s in subsets)
 
     def trace_limit_zero(self, s: IndexSet) -> bool:
         """Does classm_norm(x_k - limit, s) tend to zero?"""
@@ -628,7 +643,27 @@ class AnalyticTraces:
 
     def bounded_on(self, s: IndexSet) -> tuple[bool, float]:
         """Is sup_k classm_norm(x_k, s) finite, and an analytic bound for it."""
-        return (True, self._bound((s,))) if _subset_all(self._bounded_flags, s.indices) else (False, math.inf)
+        return (True, _bound(*self._bound_terms, (s,))) if _subset_all(self._bounded_flags, s.indices) else (False, math.inf)
+
+
+def _bound(values: dict, keys, kind: SequenceKind, coefficient: float, subsets: Sequence[IndexSet]) -> float:
+    """The max over `subsets`, in their order, of the analytic bound on
+    sup_k classm_norm(x_k, s), where that is finite: the one per-kind
+    formula, which a BOUNDED row's `bound` reads over its selection on its
+    first read and `AnalyticTraces.bounded_on` at one s. The terms'
+    class-1 value lists are read through the call's map by their `keys`,
+    where an evidence vector that is one of them finds them too."""
+    if kind is SequenceKind.DIVERGENT_LINEAR:
+        return 0.0
+    terms = [values[key] for key in keys]
+    if kind is SequenceKind.CONSTANT:
+        return max(_subset_sum(terms[0], s) for s in subsets)
+    if kind is SequenceKind.CONVERGENT_POWER:
+        # k >= 1 so |c| k**-p <= |c|
+        (base, direction), c = terms, abs(coefficient)
+        return max(_subset_sum(base, s) + c * _subset_sum(direction, s) for s in subsets)
+    plus, minus = terms
+    return max(max(_subset_sum(plus, s), _subset_sum(minus, s)) for s in subsets)
 
 
 # What the evidence rows of each verdict sample at index k.
@@ -665,8 +700,10 @@ def _trace_points(pairs, selection: NormSelection, values=None, columns=None) ->
 # call's value map and column set as the source of its evidence. The public
 # verdicts and every row of equivalence_matrix go through these three. Each
 # reads its conclusion once, over the traces' columns, which are the
-# selection's; only a bound is read subset by subset, by Python's max in the
-# selection's order, which fixes where a NaN term ranks.
+# selection's; a BOUNDED row keeps its bound's terms and the selection's
+# subsets as the source of its bound, which the first read takes subset by
+# subset, by Python's max in the selection's order, which fixes where a NaN
+# term ranks.
 
 
 def _convergence_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verdict:
@@ -680,7 +717,9 @@ def _boundedness_row(traces: AnalyticTraces, pairs, selection: NormSelection) ->
     source = (pairs, selection, traces._values, traces._columns)
     if not _subset_all(traces._bounded_flags, traces._columns):
         return Verdict(Conclusion.UNBOUNDED, Method.ANALYTIC, _source=source)
-    return Verdict(Conclusion.BOUNDED, Method.ANALYTIC, bound=traces._bound(selection.subsets), _source=source)
+    if not traces._bounds_finite:
+        raise ValueError(NON_FINITE)
+    return Verdict(Conclusion.BOUNDED, Method.ANALYTIC, bound=_BoundTerms((*traces._bound_terms, selection.subsets)), _source=source)
 
 
 def _cauchy_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verdict:
@@ -876,7 +915,11 @@ def is_bounded_wrt(
     closed form the terms are profiled as `converges_wrt` profiles its
     offsets: through the call's value map on the first read of `evidence`,
     unless a trace or a bound's term is the term under the requested
-    columns (a constant's x, an oscillation's x +- c v).
+    columns (a constant's x, an oscillation's x +- c v), profiled on the
+    first read of either. A BOUNDED verdict's `bound` is computed on its
+    first read, through the same map, where a term's evaluator calls and
+    errors (such as `ScaleOutOfRange`) then fall; a term that overflowed is
+    named non-finite by the call.
     """
     columns = _columns(frame, selection)
     if not isinstance(points_or_spec, SequenceSpec):
@@ -948,14 +991,15 @@ def equivalence_matrix(spec: SequenceSpec, frame: Frame, norm: NNorm, candidate_
     the covering identity acceptance criterion 5 checks), so the n rows
     agree on every conclusion by construction; its bound is the max, over
     its subsets in order, of the one per-kind formula.
-    The table profiles only its traces and bounds. Every verdict keeps the
-    bytes of its row's evidence vectors and the table's one value map; the
-    first read of any verdict's `evidence` profiles, through the map, the
-    vectors it samples that no trace, bound or earlier read profiled, and
-    builds its trace points. So a caller that reads only the conclusions
-    profiles no other vector and builds no trace point, and one that reads
-    every row makes the evaluator calls an eager build made. A candidate
-    limit of None raises as it does in `converges_wrt`.
+    The table profiles only its traces. Every verdict keeps the bytes of its
+    row's evidence vectors and the table's one value map, and a BOUNDED
+    boundedness verdict the keys of its bound's terms; the first read of a
+    verdict's `evidence` or `bound` profiles, through the map, the vectors
+    it reads that no trace or earlier read profiled, and builds its trace
+    points or its bound. So a caller that reads only the conclusions
+    profiles no other vector, computes no bound and builds no trace point,
+    and one that reads every row makes the evaluator calls an eager build
+    made. A candidate limit of None raises as it does in `converges_wrt`.
     """
     if spec.kind is SequenceKind.CUSTOM:
         raise ValueError("equivalence matrix needs a closed-form sequence")
@@ -965,15 +1009,9 @@ def equivalence_matrix(spec: SequenceSpec, frame: Frame, norm: NNorm, candidate_
     rows = []
     for m in range(1, frame.n + 1):
         sel = full_selection(frame.n, m)
-        rows.append(
-            EquivalenceRow(
-                m=m,
-                convergence=_convergence_row(traces, offsets, sel),
-                boundedness=_boundedness_row(traces, terms, sel),
-                cauchy=_cauchy_row(traces, gaps, sel),
-            )
-        )
-    return EquivalenceTable(rows=tuple(rows))
+        verdicts = _convergence_row(traces, offsets, sel), _boundedness_row(traces, terms, sel), _cauchy_row(traces, gaps, sel)
+        rows.append(EquivalenceRow(m, *verdicts))
+    return EquivalenceTable(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -1105,14 +1143,8 @@ class CounterexampleRecord:
 
     @property
     def traces(self) -> tuple[TracePoint, ...]:
-        s12, s34 = self.noncovering_selection.subsets
-        s15 = self.covering_selection.subsets[-1]
-        points = []
-        for k, v12, v34, v15 in self.rows:
-            points.append(TracePoint(k, s12, v12))
-            points.append(TracePoint(k, s34, v34))
-            points.append(TracePoint(k, s15, v15))
-        return tuple(points)
+        subsets = (*self.noncovering_selection.subsets, self.covering_selection.subsets[-1])  # {1,2}, {3,4}, {1,5}
+        return tuple(TracePoint(k, s, value) for k, *values in self.rows for s, value in zip(subsets, values))
 
 
 def counterexample_r5(k_max: int = 100) -> CounterexampleRecord:
@@ -1155,8 +1187,7 @@ def emit_trace_csv(points: Sequence[TracePoint]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "subset", "value"])
-    for p in points:
-        writer.writerow([p.k, ",".join(str(i) for i in p.subset.indices), repr(p.value)])
+    writer.writerows([p.k, ",".join(str(i) for i in p.subset.indices), repr(p.value)] for p in points)
     return buf.getvalue()
 
 
@@ -1165,10 +1196,5 @@ def parse_trace_csv(text: str) -> tuple[TracePoint, ...]:
     header = next(reader, None)
     if header != ["k", "subset", "value"]:
         raise ValueError(f"unexpected trace header: {header}")
-    out = []
-    for row in reader:
-        if not row:
-            continue
-        k, subset, value = row
-        out.append(TracePoint(int(k), IndexSet(int(i) for i in subset.split(",")), float(value)))
-    return tuple(out)
+    rows = [row for row in reader if row]  # a blank line is no point
+    return tuple(TracePoint(int(k), IndexSet(int(i) for i in subset.split(",")), float(value)) for k, subset, value in rows)

@@ -30,13 +30,15 @@ class TestNormCommand:
         assert "standard 3-norm = 0" in out
 
     def test_a_negative_leading_vector_after_the_separator(self, capsys):
-        # the README's form: after --, -1,2,0 is a vector, not an option;
-        # the norm is even, so it prints the negated vector's value
+        # -1,2,0 is a vector, not an option, with or without --; the norm is
+        # even, so it prints the negated vector's value
         assert main(["norm", "--", "-1,2,0", "0,1,3"]) == 0
         value = capsys.readouterr().out.splitlines()[0]
         assert main(["norm", "1,-2,0", "0,1,3"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == value
-        assert main(["norm", "-1,2,0", "0,1,3"]) == 2
+        assert main(["norm", "-1,2,0", "0,1,3"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == value
+        assert main(["norm", "-.5,2,0", "0,1,3"]) == 0
 
     def test_rectangle_area(self, capsys):
         assert main(["norm", "2,0,0", "0,3,0"]) == 0
@@ -105,14 +107,18 @@ class TestQuotientCommand:
         assert "decomposition residual = 0" in out
 
     def test_a_negative_leading_vector_attached_to_its_flag(self, tmp_path, capsys):
-        # the README's form: -u=-1,2,3 is a vector, -u -1,2,3 a usage error;
-        # the quotient norm is even, so it prints the negated vector's output
+        # -u=-1,2,3 and -u -1,2,3 are one vector; the quotient norm is even,
+        # so it prints the negated vector's output. A flag with no value is
+        # still a usage error.
         cfg = write_config(tmp_path, {"space": {"dim": 3, "arity": 2}, "frame": [[1, 1, 0], [0, 1, 2]]})
         assert main(["quotient", "--config", cfg, "-u=-1,2,3", "-s", "1,2"]) == 0
         out = capsys.readouterr().out
         assert main(["quotient", "--config", cfg, "-u", "1,-2,-3", "-s", "1,2"]) == 0
         assert capsys.readouterr().out == out
-        assert main(["quotient", "--config", cfg, "-u", "-1,2,3", "-s", "1,2"]) == 2
+        assert main(["quotient", "--config", cfg, "-u", "-1,2,3", "-s", "1,2"]) == 0
+        assert capsys.readouterr().out == out
+        assert main(["quotient", "--config", cfg, "-u", "-s", "1,2"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
 
     def test_vector_in_kept_span_is_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"space": {"dim": 4, "arity": 4}})

@@ -88,11 +88,14 @@ def test_rows_equal_the_public_verdicts(n, extra, metric, injected):
 #: and x_2 - x_1), 10 v (also x_20 - x_10), the limit and the two offsets
 DISTINCT_PROFILES = {"constant": 2, "convergent_power": 9, "oscillating": 6, "divergent_linear": 5}
 #: of those, the ones the conclusions read, so the call profiles them: the
-#: traces and the bound's terms (constant, the zero offset and x; convergent
-#: power, the zero offset and the bound's two terms; oscillating, +-c v and
-#: x +- c v; divergent linear, v and the limit). The rest are profiled on
-#: the first read of the evidence.
-CALL_TIME_PROFILES = {"constant": 2, "convergent_power": 3, "oscillating": 4, "divergent_linear": 2}
+#: traces (constant and convergent power, the zero offset; oscillating,
+#: +-c v; divergent linear, v and the limit)
+CALL_TIME_PROFILES = {"constant": 1, "convergent_power": 1, "oscillating": 2, "divergent_linear": 2}
+#: then the bound's terms, profiled on the first read of a `bound`
+#: (constant, x; convergent power, x and v; oscillating, x +- c v; a
+#: divergent sequence is never BOUNDED with a term). The rest are profiled
+#: on the first read of the evidence.
+BOUND_PROFILES = {"constant": 1, "convergent_power": 2, "oscillating": 2, "divergent_linear": 0}
 
 
 def _spec(kind, rng, d):
@@ -121,6 +124,10 @@ def test_a_table_calls_the_evaluator_once_per_profile_column(n, kind):
     spec, limit = _spec(kind, rng, n + 1)
     table = equivalence_matrix(spec, frame, norm, limit)
     assert len(calls) == n * CALL_TIME_PROFILES[kind]
+    for row in table.rows:
+        for verdict in (row.convergence, row.boundedness, row.cauchy):
+            verdict.bound
+    assert len(calls) == n * (CALL_TIME_PROFILES[kind] + BOUND_PROFILES[kind])
     for row in table.rows:
         for verdict in (row.convergence, row.boundedness, row.cauchy):
             verdict.evidence
@@ -196,6 +203,32 @@ def test_overflowing_oscillations_are_named_non_finite(spec, injected):
                 call()
 
 
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+def test_an_overflowing_bound_term_is_named_by_the_call(injected):
+    # x - c v = 0 and c v are finite, x + c v is not: at odd k alone the
+    # terms are x - c v, so only the bound's terms hold the overflow, and
+    # the call names it, not the first read of the bound; a table samples
+    # x_10 = x + c v as a term
+    cfg = SpaceConfig(dim=3, arity=2)
+    frame = random_frame(cfg, np.random.default_rng(5))
+    norm = _counting_norm(cfg)[0] if injected else standard_nnorm(cfg)
+    x = np.array([1e308, 0.0, 0.0])
+    spec = oscillating(x, x)
+    sel = full_selection(2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: is_bounded_wrt(spec, frame, norm, sel, evidence_ks=(1, 3)),
+            lambda: equivalence_matrix(spec, frame, norm, x),
+            lambda: AnalyticTraces(spec, frame, norm).bounded_on(IndexSet([1])),
+        ):
+            with pytest.raises(ValueError, match="non-finite coordinates"):
+                call()
+        # a verdict that reads no bound does not meet it
+        verdict = converges_wrt(spec, frame, norm, sel, x, evidence_ks=(1,))
+    assert verdict.conclusion.value == "diverges"
+
+
 def test_a_table_computes_its_vectors_under_one_guard(monkeypatch):
     entered = []
     errstate = np.errstate
@@ -232,17 +265,20 @@ def test_traces_made_without_a_limit_name_it_when_asked_for_one(kind):
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_an_oscillation_of_no_swing_is_profiled_as_its_center(n):
     # c v = 0 decides nothing, so the table profiles only the center's
-    # offset and the center, as a constant's table does
+    # offset, and its bounds the center, as a constant's table does
     rng = np.random.default_rng(n)
     cfg = SpaceConfig(dim=n + 1, arity=n)
     frame = random_frame(cfg, rng)
     x, v, limit = rng.uniform(-1.0, 1.0, (3, n + 1))
-    tables = []
+    tables, counts = [], []
     for spec in (oscillating(x, v, coefficient=0.0), constant(x)):
         norm, calls = _counting_norm(cfg)
         tables.append(equivalence_matrix(spec, frame, norm, limit))
         assert len(calls) == n * CALL_TIME_PROFILES["constant"]
+        counts.append(calls)
     still, fixed = tables
     for which in ("convergence", "boundedness", "cauchy"):
         assert still.conclusions(which) == fixed.conclusions(which)
     assert [row.boundedness.bound for row in still.rows] == [row.boundedness.bound for row in fixed.rows]
+    for calls in counts:
+        assert len(calls) == n * (CALL_TIME_PROFILES["constant"] + BOUND_PROFILES["constant"])

@@ -1,9 +1,10 @@
-"""A verdict builds its evidence on first read: the trace points equal, as
-float.hex, the class-m norms of the sampled vectors; none is built until a
-caller reads `evidence`; an analytic evidence vector that no conclusion
-reads is profiled only then, once per call; the tuple is built once; and
-equality, repr, pickle, copy, replace and asdict see what a verdict given
-the same tuple gives."""
+"""A verdict builds its evidence on first read, and an analytic BOUNDED
+verdict its bound: the trace points equal, as float.hex, the class-m norms
+of the sampled vectors; none is built until a caller reads `evidence`; an
+analytic evidence vector or bound term that no conclusion reads is
+profiled only then, once per call; the tuple and the bound are built once;
+and equality, repr, pickle, copy, replace and asdict of an unread verdict
+see what a verdict given the same values gives."""
 
 import copy
 import dataclasses
@@ -35,7 +36,7 @@ from nnormkit.topology import (
     is_cauchy_wrt,
     oscillating,
 )
-from test_equivalence import CALL_TIME_PROFILES, DISTINCT_PROFILES, _counting_norm
+from test_equivalence import BOUND_PROFILES, CALL_TIME_PROFILES, DISTINCT_PROFILES, _counting_norm
 from test_equivalence import _spec as _exact_spec
 
 SHAPES = [(2, 4), (3, 5), (5, 7)]
@@ -132,33 +133,42 @@ def test_the_tuple_is_built_once(monkeypatch):
     first = verdict.evidence
     # stored on the instance, so later reads are plain attribute reads
     assert vars(verdict)["evidence"] is first
-    assert "_pending" not in vars(verdict)
+    assert "_pending_evidence" not in vars(verdict)
     assert verdict.evidence is first
     assert verdict.evidence is first
     assert len(calls) == 1
 
 
-def _pairs(kind="convergent_power"):
-    """(deferred, explicit): the same verdict with unread deferred evidence
-    and with that evidence given as a tuple."""
+def _pairs():
+    """(deferred, explicit) per verdict of a table of each kind: the verdict
+    with its evidence and bound unread, and the same verdict given the
+    evidence tuple and the bound that another table's verdict built."""
     rng, frame, norm = _setup(3, 5, injected=False)
-    spec, limit = _spec(kind, rng, 5)
     out = []
-    for index in range(3):
-        deferred_row = equivalence_matrix(spec, frame, norm, limit).rows[index]
-        read_row = equivalence_matrix(spec, frame, norm, limit).rows[index]
-        for which in ("convergence", "boundedness", "cauchy"):
-            deferred, read = getattr(deferred_row, which), getattr(read_row, which)
-            explicit = Verdict(
-                deferred.conclusion,
-                deferred.method,
-                limit=deferred.limit,
-                bound=deferred.bound,
-                evidence=tuple(read.evidence),
-                window=deferred.window,
-            )
-            out.append((deferred, explicit))
+    for kind in KINDS:
+        spec, limit = _spec(kind, rng, 5)
+        for deferred_row, read_row in zip(*(equivalence_matrix(spec, frame, norm, limit).rows for _ in range(2))):
+            for which in ("convergence", "boundedness", "cauchy"):
+                deferred, read = getattr(deferred_row, which), getattr(read_row, which)
+                assert "_pending_evidence" in vars(deferred)
+                explicit = Verdict(
+                    read.conclusion,
+                    read.method,
+                    limit=read.limit,
+                    bound=read.bound,
+                    evidence=tuple(read.evidence),
+                    window=read.window,
+                )
+                out.append((deferred, explicit))
+    # each kind's boundedness rows are BOUNDED with a pending bound, but a
+    # divergent sequence's
+    assert sum("_pending_bound" in vars(deferred) for deferred, _ in out) == 3 * 3
     return out
+
+
+def _unsourced(verdict) -> bool:
+    """Does a verdict hold no pending source?"""
+    return not {"_pending_evidence", "_pending_bound"} & vars(verdict).keys()
 
 
 def _bits(verdict) -> tuple:
@@ -184,9 +194,11 @@ def test_equality_and_repr_match_an_explicit_tuple():
 def test_pickle_carries_the_built_tuple_and_no_profile():
     for deferred, explicit in _pairs():
         blob = pickle.dumps(deferred)
-        assert b"Profile" not in blob
+        assert b"Profile" not in blob and b"BoundTerms" not in blob
+        # the fields in their order, whichever was read first
+        assert blob == pickle.dumps(explicit)
         again = pickle.loads(blob)
-        assert "_pending" not in vars(again)
+        assert _unsourced(again)
         assert _bits(again) == _bits(explicit)
         assert repr(again) == repr(explicit)
 
@@ -194,7 +206,7 @@ def test_pickle_carries_the_built_tuple_and_no_profile():
 def test_copy_replace_and_asdict_match_an_explicit_tuple():
     for deferred, explicit in _pairs():
         shallow = copy.copy(deferred)
-        assert "_pending" not in vars(shallow)
+        assert _unsourced(shallow)
         assert shallow == explicit
     for deferred, explicit in _pairs():
         assert dataclasses.replace(deferred) == dataclasses.replace(explicit)
@@ -210,7 +222,29 @@ def test_an_explicit_tuple_and_the_default_still_work():
     point = TracePoint(1, full_selection(2, 1).subsets[0], 0.5)
     assert Verdict(Conclusion.CAUCHY, Method.ANALYTIC, evidence=(point,)).evidence == (point,)
     assert Verdict(Conclusion.CAUCHY, Method.ANALYTIC).evidence == ()
-    assert [f.default for f in dataclasses.fields(Verdict) if f.name == "evidence"] == [()]
+    assert Verdict(Conclusion.BOUNDED, Method.ANALYTIC, bound=2.5).bound == 2.5
+    assert Verdict(Conclusion.BOUNDED, Method.ANALYTIC).bound is None
+    defaults = {f.name: f.default for f in dataclasses.fields(Verdict)}
+    assert (defaults["evidence"], defaults["bound"]) == ((), None)
+
+
+def test_the_bound_is_computed_once(monkeypatch):
+    rng, frame, norm = _setup(3, 5, injected=True)
+    spec, limit = _spec("oscillating", rng, 5)
+    verdict = equivalence_matrix(spec, frame, norm, limit).rows[1].boundedness
+    assert "bound" not in vars(verdict)
+    calls = []
+    bound = topology._bound
+    monkeypatch.setattr(topology, "_bound", lambda *a: calls.append(a) or bound(*a))
+    first = verdict.bound
+    # stored on the instance, so later reads are plain attribute reads
+    assert vars(verdict)["bound"] is first
+    assert "_pending_bound" not in vars(verdict)
+    assert verdict.bound is first
+    assert verdict.bound is first
+    assert len(calls) == 1
+    # the evidence is still pending, and reads its own source
+    assert "_pending_evidence" in vars(verdict)
 
 
 def _table(rng, d, kind):
@@ -290,6 +324,19 @@ def _counting_profiles(monkeypatch) -> list:
     return profiled
 
 
+def _bound_keys(spec, n) -> set:
+    """(u.tobytes(), all n columns) of the terms of a table's bound: x, or
+    x and v, or x +- c v; none for a divergent sequence."""
+    x, v, c = spec.base, spec.direction, spec.coefficient
+    terms = {
+        "constant": lambda: [x],
+        "convergent_power": lambda: [x, v],
+        "oscillating": lambda: [x + c * v, x - c * v],
+        "divergent_linear": lambda: [],
+    }[spec.kind.value]()
+    return {(u.tobytes(), tuple(range(1, n + 1))) for u in terms}
+
+
 def _evidence_keys(spec, limit, n, ks=(1, 10)) -> set:
     """(u.tobytes(), all n columns) of every vector a table's evidence
     samples: x_k - limit, x_k and x_{2k} - x_k."""
@@ -300,8 +347,9 @@ def _evidence_keys(spec, limit, n, ks=(1, 10)) -> set:
     return {(u.tobytes(), tuple(range(1, n + 1))) for u in vectors}
 
 
+@pytest.mark.parametrize("bounds_first", [True, False], ids=["bounds-first", "evidence-first"])
 @pytest.mark.parametrize("kind", sorted(DISTINCT_PROFILES))
-def test_pending_evidence_is_profiled_once_on_first_read(monkeypatch, kind):
+def test_pending_evidence_is_profiled_once_on_first_read(monkeypatch, kind, bounds_first):
     n = 3
     rng = np.random.default_rng(n)
     cfg = SpaceConfig(dim=n + 1, arity=n)
@@ -312,12 +360,20 @@ def test_pending_evidence_is_profiled_once_on_first_read(monkeypatch, kind):
     verdicts = _verdicts(equivalence_matrix(spec, frame, norm, limit))
     assert len(profiled) == CALL_TIME_PROFILES[kind]
     assert len(calls) == n * CALL_TIME_PROFILES[kind]
-    waiting = _evidence_keys(spec, limit, n) - set(profiled)
+    waiting = _evidence_keys(spec, limit, n) | _bound_keys(spec, n)
+    waiting -= set(profiled)
     assert len(waiting) == DISTINCT_PROFILES[kind] - CALL_TIME_PROFILES[kind]
+    if bounds_first:
+        for verdict in verdicts:
+            verdict.bound
+        assert sorted(profiled[CALL_TIME_PROFILES[kind] :]) == sorted(_bound_keys(spec, n))
+        assert len(calls) == n * (CALL_TIME_PROFILES[kind] + BOUND_PROFILES[kind])
     for verdict in verdicts:
         verdict.evidence
-    # each sampled vector the call did not profile, once however many
-    # verdicts sample it, and the evaluator as often as an eager build
+        verdict.bound
+    # each sampled vector or bound term the call did not profile, once
+    # however many verdicts sample it, and the evaluator as often as an
+    # eager build
     assert sorted(profiled[CALL_TIME_PROFILES[kind] :]) == sorted(waiting)
     assert len(calls) == n * DISTINCT_PROFILES[kind]
 
@@ -343,6 +399,32 @@ def test_an_out_of_range_evidence_scale_raises_on_first_read(injected):
             verdict.evidence
 
 
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+def test_an_out_of_range_bound_scale_raises_on_first_read(injected):
+    # a constant x = 5e307 e_3 is finite and its offset from x is zero, but
+    # the scale of x, the bound's one term, is 5e308: the conclusions never
+    # read it, the first read of a bound does
+    cfg = SpaceConfig(dim=3, arity=2)
+    frame = Frame(space=cfg, vectors=10.0 * np.eye(3)[:2])
+    norm = _counting_norm(cfg)[0] if injected else standard_nnorm(cfg)
+    x = 5e307 * np.eye(3)[2]
+    table = equivalence_matrix(constant(x), frame, norm, x)
+    assert table.conclusions("convergence") == [Conclusion.CONVERGES] * 2
+    assert table.conclusions("boundedness") == [Conclusion.BOUNDED] * 2
+    assert table.conclusions("cauchy") == [Conclusion.CAUCHY] * 2
+    verdicts = [row.boundedness for row in table.rows] + [is_bounded_wrt(constant(x), frame, norm, full_selection(2, 1))]
+    for verdict in verdicts:
+        with pytest.raises(ScaleOutOfRange):
+            verdict.bound
+        # nothing is stored, so a second read raises again
+        assert "bound" not in vars(verdict)
+        with pytest.raises(ScaleOutOfRange):
+            verdict.bound
+    # the verdicts that sample only the zero offset and gap read as ever
+    for row in table.rows:
+        assert {p.value for p in row.convergence.evidence + row.cauchy.evidence} == {0.0}
+
+
 def test_a_pickled_unread_verdict_holds_no_frame_norm_or_key(monkeypatch):
     rng, frame, norm = _setup(3, 5, injected=False)
     spec, limit = _spec("convergent_power", rng, 5)
@@ -352,12 +434,17 @@ def test_a_pickled_unread_verdict_holds_no_frame_norm_or_key(monkeypatch):
     # first verdict of each kind profiles it
     keys = _evidence_keys(spec, limit, 3)
     assert len(keys) == 6 and not keys & set(profiled)
+    # and so are the bound's terms, x and v; x is also the limit a
+    # converging verdict carries
+    bound_keys = _bound_keys(spec, 3)
+    assert len(bound_keys) == 2 and not bound_keys & set(profiled)
     for verdict in verdicts:
         blob = pickle.dumps(verdict)
         assert b"Frame" not in blob and b"NNorm" not in blob and b"Class1Values" not in blob
         assert not any(key in blob for key, _ in keys)
+        assert spec.direction.tobytes() not in blob
         assert _bits(pickle.loads(blob)) == _bits(verdict)
-    assert keys <= set(profiled)
+    assert keys | bound_keys <= set(profiled)
 
 
 def _reaches(root, kind) -> bool:
@@ -393,8 +480,15 @@ def test_an_unread_verdict_reaches_no_profile(kind, injected):
         is_bounded_wrt(table, frame, norm, sel),
         is_bounded_wrt([v for _, v in table.table], frame, norm, sel),
     ]
+    pending_bounds = 0
     for verdict in verdicts:
         assert "evidence" not in vars(verdict)
+        if verdict.method is Method.ANALYTIC and verdict.conclusion is Conclusion.BOUNDED:
+            assert "bound" not in vars(verdict)
+            pending_bounds += "_pending_bound" in vars(verdict)
         assert not _reaches(vars(verdict), (Profile, topology.AnalyticTraces))
         # the walk finds what a verdict does hold
         assert _reaches(vars(verdict), IndexSet)
+    # every table row and the public verdict keep a bound's source, but for
+    # a divergent sequence, whose direction here leaves the kept spans
+    assert pending_bounds == (0 if kind == "divergent_linear" else n + 1)

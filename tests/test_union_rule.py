@@ -24,6 +24,8 @@ from nnormkit.topology import (
     converges_wrt,
     covering_check,
     divergent_linear,
+    equivalence_matrix,
+    full_selection,
     is_bounded_wrt,
     is_cauchy_wrt,
     oscillating,
@@ -124,6 +126,29 @@ def test_public_verdicts_equal_the_per_subset_reading(n, norm_kind):
     # each question gets both answers somewhere, so no answer is read off a
     # constant
     assert seen == {(q, a) for q in ("converges", "cauchy", "bounded") for a in (True, False)}
+
+
+@pytest.mark.parametrize("norm_kind", ["standard", "injected"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_pending_bound_reads_the_per_subset_max(n, norm_kind):
+    # a BOUNDED verdict, public or a table row, keeps its bound unread, and
+    # its first read gives Python's max of `bounded_on` over its subsets
+    rng, frame, norm = _setup(n, norm_kind, seed=7 * n + len(norm_kind))
+    selections = _selections(rng, n)
+    read = 0
+    for spec, limit in _specs(rng, frame):
+        traces = AnalyticTraces(spec, frame, norm, limit)
+        verdicts = [(is_bounded_wrt(spec, frame, norm, sel), sel) for sel in selections]
+        verdicts += [(row.boundedness, full_selection(n, row.m)) for row in equivalence_matrix(spec, frame, norm, limit).rows]
+        for verdict, sel in verdicts:
+            bounds = [traces.bounded_on(s) for s in sel.subsets]
+            if verdict.conclusion is Conclusion.UNBOUNDED:
+                assert not all(ok for ok, _ in bounds) and verdict.bound is None
+                continue
+            assert "bound" not in vars(verdict)
+            assert _hex(verdict.bound) == _hex(max(b for _, b in bounds))
+            read += 1
+    assert read
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
