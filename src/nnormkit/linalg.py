@@ -129,7 +129,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch("vector ndim", 1, v.ndim)
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch("vector length", dim, v.shape[0])
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(NON_FINITE)
     return v
 

@@ -35,7 +35,11 @@ and reads their class-1 values on the first read of `evidence` or of
 `bound` through the call's one map from (vector bytes, columns) to value
 list (`_Class1Values`), which profiles a vector on its first request: a
 caller that reads only the conclusions profiles the traces and nothing
-else.
+else. When the call can prove that no evidence vector can overflow
+(`_rows_stay_finite`), it does not even compute them: each evidence row is
+built on its first read, from the read-only copies that the spec keeps of
+its vectors and the call of its limit, so a caller's later write to its
+arrays changes nothing a verdict reads.
 
 Inputs are validated once, at the public boundary; a sequence's vectors
 when it is built, and its fit to a frame once per verdict. Table entries,
@@ -121,6 +125,15 @@ __all__ = [
 DEFAULT_EVIDENCE_KS = (1, 2, 5, 10, 100)
 
 
+def _frozen(x, dim: int | None = None) -> np.ndarray:
+    """A read-only copy of `as_vector(x, dim)`: what a spec or an analytic
+    call keeps of a caller's vector, so that a later write by the caller
+    changes nothing it reads, at the call or on a deferred read."""
+    v = as_vector(x, dim).copy()
+    v.flags.writeable = False
+    return v
+
+
 class SequenceKind(Enum):
     CONVERGENT_POWER = "convergent_power"  # x + c * k**(-p) * v
     DIVERGENT_LINEAR = "divergent_linear"  # k * v
@@ -132,7 +145,10 @@ class SequenceKind(Enum):
 @dataclass(frozen=True, eq=False)
 class SequenceSpec:
     """A parametric sequence family in R^d with exact per-k evaluation; a
-    kind with a direction needs a finite coefficient."""
+    kind with a direction needs a finite coefficient. The spec keeps
+    read-only copies of its base, direction and table vectors, as `Frame`
+    keeps its vectors, so writing to the arrays it was given changes no
+    term."""
 
     kind: SequenceKind
     base: np.ndarray | None = None
@@ -153,18 +169,18 @@ class SequenceSpec:
             if any(k < 1 for k in ks) or any(a >= b for a, b in zip(ks, ks[1:])):
                 raise ValueError("table indices must be strictly increasing and >= 1")
             dim = len(as_vector(pairs[0][1]))
-            frozen = tuple((k, as_vector(v, dim)) for k, (_, v) in zip(ks, pairs))
+            frozen = tuple((k, _frozen(v, dim)) for k, (_, v) in zip(ks, pairs))
             object.__setattr__(self, "table", frozen)
             return
         if self.base is None and self.kind is not SequenceKind.DIVERGENT_LINEAR:
             raise ValueError(f"{self.kind.value} needs a base point")
         if self.base is not None:
-            object.__setattr__(self, "base", as_vector(self.base))
+            object.__setattr__(self, "base", _frozen(self.base))
         if self.kind is SequenceKind.CONSTANT:
             return
         if self.direction is None:
             raise ValueError(f"{self.kind.value} needs a direction vector")
-        direction = as_vector(self.direction, None if self.base is None else self.base.shape[0])
+        direction = _frozen(self.direction, None if self.base is None else self.base.shape[0])
         if not np.any(direction != 0.0):
             raise ValueError("direction vector must be nonzero")
         object.__setattr__(self, "direction", direction)
@@ -411,15 +427,27 @@ class Verdict:
     there, on each read until one succeeds. Equality, `repr`,
     `dataclasses.replace` and `asdict` read `bound` and `evidence`, and a
     copy or a pickle carries the built values, so they see what a verdict
-    given the same values gives, bit for bit.
+    given the same values gives, bit for bit. Equality, copy, pickle,
+    `replace` and `asdict` raise what such a read raises; `repr` never
+    does: a field whose read raises shows as `<raises Name: message>`, so
+    printing a table or a failed assertion on one stays possible.
+
+    An analytic verdict's `limit` is the call's read-only copy of the
+    candidate limit, never the caller's array. Its evidence vectors
+    themselves (x_k - limit, x_k, x_{2k} - x_k) are built at the call,
+    where one that overflowed is named non-finite, unless the call proves
+    that none can overflow (`AnalyticTraces`); then they too wait for the
+    first read of `evidence`, and are computed from the spec's and the
+    call's read-only copies, so they are what the call would have built.
 
     There is one constructor, which writes the instance dict directly: it
     refuses a sampled verdict without its window, and keeps the `evidence`
     tuple or, when `_source` is given, that source in its place, and the
-    `bound` or its source. The dataclass supplies the fields, equality,
-    `repr` and the frozen guards; `_source` stays declared init-only, so
-    `__match_args__` and `dataclasses.replace` see it as a generated
-    constructor's would.
+    `bound` or its source. The dataclass supplies the fields, the hash and
+    the frozen guards; equality is its field-by-field comparison with the
+    limit compared by value, and `repr` its form with the marker above.
+    `_source` stays declared init-only, so `__match_args__` and
+    `dataclasses.replace` see it as a generated constructor's would.
     """
 
     conclusion: Conclusion
@@ -445,7 +473,36 @@ class Verdict:
 
     def __getstate__(self):
         # every field read, so a copy or a pickle holds no source
-        return {name: getattr(self, name) for name in ("conclusion", "method", "limit", "bound", "evidence", "window")}
+        return {name: getattr(self, name) for name in _VERDICT_FIELDS}
+
+    def __eq__(self, other):
+        # the dataclass's comparison, field by field, with a limit compared
+        # by its values: each analytic call keeps its own copy of it
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _compared(self) == _compared(other)
+
+    def __repr__(self):
+        # the dataclass's form, with a marker for a field whose read raises
+        shown = []
+        for name in _VERDICT_FIELDS:
+            try:
+                text = repr(getattr(self, name))
+            except Exception as error:
+                text = f"<raises {type(error).__name__}: {error}>"
+            shown.append(f"{name}={text}")
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+_VERDICT_FIELDS = ("conclusion", "method", "limit", "bound", "evidence", "window")
+
+
+def _compared(verdict: Verdict) -> tuple:
+    """A verdict's fields, in order, as its equality compares them."""
+    fields = [getattr(verdict, name) for name in _VERDICT_FIELDS]
+    if fields[2] is not None:
+        fields[2] = fields[2].tolist()
+    return tuple(fields)
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +615,28 @@ class AnalyticTraces:
     (ks, vector_at), and `columns` the selection's columns: the sorted frame
     indices its conclusions are read over and an injected evaluator is
     called on for the evidence (all n when None, as for a table);
-    `self.evidence` holds one list of (k, u.tobytes()) per row, for the
-    k >= 1 of its ks (sequences start at k = 1; a k that is not a whole
-    number raises). Every
-    vector of the traces, their bounds and the evidence is computed under
-    one `np.errstate` guard, and the profiles are taken after it: a vector
-    that overflowed is named non-finite there, by the call even when it is
-    an evidence vector (one check over the stacked rows and the bound's
-    terms, after the traces' own errors) or a bound's term (by the
-    boundedness row, or `bounded_on`), with no numpy warning on the way.
+    `self.evidence` holds one `_EvidenceRow` per row, whose iteration gives
+    its (k, u.tobytes()) pairs, for the k >= 1 of its ks (sequences start
+    at k = 1; a k that is not a whole number raises at the call). The call
+    keeps a read-only copy of the limit (`self.limit`), which the verdicts'
+    `limit` and the rows share. Every vector of the traces and their bounds
+    is computed under one `np.errstate` guard, each evidence row under one
+    of its own, and the profiles are taken after them: a vector that
+    overflowed is named non-finite, with no numpy warning on the way, by
+    the call, even when it is an evidence vector (one check over the
+    stacked rows and the bound's terms, after the traces' own errors) or a
+    bound's term (by the boundedness row, or `bounded_on`).
+
+    The evidence rows are built at the call, and checked there, unless the
+    call proves that no vector of theirs and no bound's term can overflow
+    (`_rows_stay_finite`: the rows are the verdicts' own, every sampled k
+    is at most 2**40, and 2·(|x|∞ + |c|·|v|∞·K + |limit|∞) <= 2**1020,
+    with K = 2·k_max for a divergent sequence and 1 otherwise). Then the
+    check could not fail, so it is skipped, and each row is built on its
+    first iteration, the first read of a verdict's `evidence` that samples
+    it, once for every verdict that shares it, from the spec's and the
+    call's read-only copies: bit for bit the bytes the call would have
+    built.
 
     The traces are profiled at once, each distinct vector once, under all n
     columns. Everything else goes through one `_Class1Values` map for the
@@ -586,8 +656,8 @@ class AnalyticTraces:
         self.spec = spec
         self.frame = frame
         self.norm = norm
-        self.limit = None if limit is None else as_vector(limit, frame.dim)
-        evidence = [([_index(k, "k") for k in ks], vector_at) for ks, vector_at in evidence]
+        self.limit = None if limit is None else _frozen(limit, frame.dim)
+        rows = [_EvidenceRow(vector_at, spec, self.limit, [k for k in [_index(k, "k") for k in ks] if k >= 1]) for ks, vector_at in evidence]
         kind = spec.kind
         # without a limit the offsets are stated against 0 and never profiled
         origin = np.zeros(frame.dim) if self.limit is None else self.limit
@@ -602,7 +672,9 @@ class AnalyticTraces:
             else:
                 to_limit, cauchy = (spec.base - origin,), ()
                 bounds = (spec.base,) if kind is SequenceKind.CONSTANT else (spec.base, spec.direction)
-            rows = [[(k, vector_at(spec, self.limit, k)) for k in ks if k >= 1] for ks, vector_at in evidence]
+        stay_finite = _rows_stay_finite(spec, self.limit, rows)
+        # a row built here raises what building it raises before any profile
+        keys = [] if stay_finite else [key for row in rows for _, key in row]
         to_limit = () if self.limit is None else to_limit
         every, memo = tuple(range(1, frame.n + 1)), {}
         traced = _profiles(frame, norm, to_limit + cauchy, every, memo)
@@ -612,16 +684,18 @@ class AnalyticTraces:
         # exactly where it is Cauchy: where k v stays in the kept span, so
         # that every coset is the zero coset
         self._bounded_flags = self._cauchy_flags if kind is SequenceKind.DIVERGENT_LINEAR else [True] * frame.n
-        self.evidence = [[(k, u.tobytes()) for k, u in row] for row in rows]
-        keys, bound_keys = [key for row in self.evidence for _, key in row], [(b.tobytes(), every) for b in bounds]
-        # one check over the stacked evidence rows and the bound's terms; a
-        # term that overflowed is named by the row that reads the bound
-        finite = np.isfinite(np.frombuffer(b"".join(keys + [key for key, _ in bound_keys])))
+        self.evidence = rows
+        bound_keys = [(b.tobytes(), every) for b in bounds]
         self._bounds_finite = True
-        if not finite.all():
-            if not finite[: len(keys) * frame.dim].all():
-                raise ValueError(NON_FINITE)
-            self._bounds_finite = False
+        if not stay_finite:
+            # one check over the stacked evidence rows and the bound's
+            # terms; a term that overflowed is named by the row that reads
+            # the bound
+            finite = np.isfinite(np.frombuffer(b"".join(keys + [key for key, _ in bound_keys])))
+            if not finite.all():
+                if not finite[: len(keys) * frame.dim].all():
+                    raise ValueError(NON_FINITE)
+                self._bounds_finite = False
         self._columns = every if columns is None else tuple(columns)
         self._values = _Class1Values(frame, norm)
         self._values.update((key, p._value_list) for key, p in memo.items())
@@ -684,6 +758,74 @@ def _doubling_gap(spec: SequenceSpec, limit, k: int):
     return _eval(spec, 2 * k) - _eval(spec, k)
 
 
+class _EvidenceRow:
+    """One evidence row of an analytic call: iterating it gives the (k,
+    u.tobytes()) pairs of u = vector_at(spec, limit, k) at the sampled ks,
+    in order, computed under one `np.errstate` guard on the first
+    iteration and kept, so the verdicts that share the row share one
+    build. It holds the spec and the call's limit, read-only copies both,
+    and no trace, profile or frame."""
+
+    __slots__ = ("vector_at", "spec", "limit", "ks", "_pairs")
+
+    def __init__(self, vector_at, spec: SequenceSpec, limit, ks: list[int]):
+        self.vector_at, self.spec, self.limit, self.ks, self._pairs = vector_at, spec, limit, ks, None
+
+    def __iter__(self):
+        if self._pairs is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                row = [(k, self.vector_at(self.spec, self.limit, k)) for k in self.ks]
+            self._pairs = [(k, u.tobytes()) for k, u in row]
+        return iter(self._pairs)
+
+
+#: the largest overflow bound under which evidence rows wait for their
+#: first read (`_rows_stay_finite`), and the largest sampled k
+_DEFER_BELOW = 2.0**1020
+_DEFER_K_MAX = 2**40
+
+
+def _top(u) -> float:
+    """|u|_inf of a finite vector, and 0 for None."""
+    return 0.0 if u is None else max(map(abs, u.tolist()), default=0.0)
+
+
+def _rows_stay_finite(spec: SequenceSpec, limit, rows: list[_EvidenceRow]) -> bool:
+    """Can no vector of the `rows`, and no term of the bound, overflow? Only
+    then may the rows wait for their first read: their check at the call
+    could not fail.
+
+    The rows must be the verdicts' own (`_offset`, given a limit, `_term`
+    and `_doubling_gap`), whose vectors the spec and the limit bound; any
+    other `vector_at` is built and checked at the call. With x the base
+    (0 for none), v the direction (0 for a constant), c the coefficient (1
+    for a divergent sequence), k_max the largest sampled k and K = 2·k_max
+    for a divergent sequence (x_{2k} = 2k v) and 1 otherwise (|k**-p| <= 1,
+    |(-1)**k| = 1), every term x_k, 2k included, is at most |x|∞ +
+    |c|·|v|∞·K in each entry, so every offset x_k - limit, doubling gap
+    x_{2k} - x_k and bound's term (x, v, x +- c v) is at most B = 2·(|x|∞ +
+    |c|·|v|∞·K + |limit|∞), up to a few roundings of relative size 2**-53,
+    in each entry. The rows wait when k_max <= 2**40, so `float(k)` is
+    exact and cannot raise, and B, computed in floats (an overflow to inf
+    fails the test), is at most 2**1020: every entry then stays below
+    2**1021, a factor 8 under the largest double. All the inputs are
+    finite already: the spec's vectors and coefficient when it was made,
+    the limit by the call."""
+    known = (_term, _doubling_gap) if limit is None else (_offset, _term, _doubling_gap)
+    if not all(row.vector_at in known for row in rows):
+        return False
+    k_max = max((k for row in rows for k in row.ks), default=1)
+    if k_max > _DEFER_K_MAX:
+        return False
+    if spec.kind is SequenceKind.DIVERGENT_LINEAR:
+        reach = 2.0 * k_max * _top(spec.direction)
+    elif spec.kind is SequenceKind.CONSTANT:
+        reach = 0.0
+    else:
+        reach = abs(spec.coefficient) * _top(spec.direction)
+    return 2.0 * (_top(spec.base) + reach + _top(limit)) <= _DEFER_BELOW
+
+
 def _trace_points(pairs, selection: NormSelection, values=None, columns=None) -> tuple[TracePoint, ...]:
     """Trace points (k, s, classm_norm(x, s)) of (k, class-1 value list)
     pairs, or of (k, u.tobytes()) pairs read through an analytic call's
@@ -695,36 +837,36 @@ def _trace_points(pairs, selection: NormSelection, values=None, columns=None) ->
     return tuple(TracePoint(k, s, _subset_sum(terms, s)) for s in selection.subsets for k, terms in pairs)
 
 
-# Each analytic verdict is built from the sequence's traces and the (k, bytes)
-# pairs of its evidence row, for one selection, which it keeps with the
-# call's value map and column set as the source of its evidence. The public
-# verdicts and every row of equivalence_matrix go through these three. Each
-# reads its conclusion once, over the traces' columns, which are the
-# selection's; a BOUNDED row keeps its bound's terms and the selection's
-# subsets as the source of its bound, which the first read takes subset by
-# subset, by Python's max in the selection's order, which fixes where a NaN
-# term ranks.
+# Each analytic verdict is built from the sequence's traces, its conclusion,
+# read once over the traces' columns, which are the selection's, and the
+# evidence row it samples, for one selection, which it keeps with the call's
+# value map and column set as the source of its evidence. The public
+# verdicts and every row of equivalence_matrix go through these three; a
+# table reads each conclusion once and passes it to all its rows. A
+# BOUNDED row keeps its bound's terms and the selection's subsets as the
+# source of its bound, which the first read takes subset by subset, by
+# Python's max in the selection's order, which fixes where a NaN term
+# ranks.
 
 
-def _convergence_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verdict:
+def _convergence_row(traces: AnalyticTraces, pairs, selection: NormSelection, converges: bool) -> Verdict:
     source = (pairs, selection, traces._values, traces._columns)
-    if traces._limit_zero(traces._columns):
+    if converges:
         return Verdict(Conclusion.CONVERGES, Method.ANALYTIC, limit=traces.limit, _source=source)
     return Verdict(Conclusion.DIVERGES, Method.ANALYTIC, _source=source)
 
 
-def _boundedness_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verdict:
+def _boundedness_row(traces: AnalyticTraces, pairs, selection: NormSelection, bounded: bool) -> Verdict:
     source = (pairs, selection, traces._values, traces._columns)
-    if not _subset_all(traces._bounded_flags, traces._columns):
+    if not bounded:
         return Verdict(Conclusion.UNBOUNDED, Method.ANALYTIC, _source=source)
     if not traces._bounds_finite:
         raise ValueError(NON_FINITE)
     return Verdict(Conclusion.BOUNDED, Method.ANALYTIC, bound=_BoundTerms((*traces._bound_terms, selection.subsets)), _source=source)
 
 
-def _cauchy_row(traces: AnalyticTraces, pairs, selection: NormSelection) -> Verdict:
-    ok = _subset_all(traces._cauchy_flags, traces._columns)
-    conclusion = Conclusion.CAUCHY if ok else Conclusion.NOT_CAUCHY
+def _cauchy_row(traces: AnalyticTraces, pairs, selection: NormSelection, cauchy: bool) -> Verdict:
+    conclusion = Conclusion.CAUCHY if cauchy else Conclusion.NOT_CAUCHY
     return Verdict(conclusion, Method.ANALYTIC, _source=(pairs, selection, traces._values, traces._columns))
 
 
@@ -829,13 +971,18 @@ def converges_wrt(
     requested columns takes the trace's values, and the others are profiled
     through the map on the first read of `evidence`, where their evaluator
     calls and errors (such as `ScaleOutOfRange`) then fall. An evidence
-    vector that overflowed is named non-finite by the call.
+    vector that overflowed is named non-finite by the call. When the spec,
+    the limit and the evidence_ks bound every evidence vector below the
+    double range (`AnalyticTraces`: 2·(|x|∞ + |c|·|v|∞·K + |limit|∞) <=
+    2**1020 and every k <= 2**40), none can overflow, and the offsets
+    themselves are computed on that first read; otherwise the call computes
+    and checks them. The verdict's `limit` is the call's read-only copy.
     """
     columns = _columns(frame, selection)
     _require_limit(candidate_limit)
     if spec.kind is not SequenceKind.CUSTOM:
         traces = AnalyticTraces(spec, frame, norm, candidate_limit, [(evidence_ks, _offset)], columns)
-        return _convergence_row(traces, traces.evidence[0], selection)
+        return _convergence_row(traces, traces.evidence[0], selection, traces._limit_zero(columns))
 
     _check_spec(spec, frame, norm)
     limit = as_vector(candidate_limit, frame.dim)
@@ -871,12 +1018,13 @@ def is_cauchy_wrt(
     entries give one zero gap. For a closed form the doubling gaps are profiled as
     `converges_wrt` profiles its offsets: through the call's value map on
     the first read of `evidence`, unless a trace is the gap (a divergent
-    sequence's x_2 - x_1).
+    sequence's x_2 - x_1), and computed, or checked for overflow at the
+    call, under the bound `converges_wrt` states.
     """
     columns = _columns(frame, selection)
     if spec.kind is not SequenceKind.CUSTOM:
         traces = AnalyticTraces(spec, frame, norm, evidence=[(evidence_ks, _doubling_gap)], columns=columns)
-        return _cauchy_row(traces, traces.evidence[0], selection)
+        return _cauchy_row(traces, traces.evidence[0], selection, _subset_all(traces._cauchy_flags, columns))
 
     _check_spec(spec, frame, norm)
     vectors = [v for _, v in spec.table]
@@ -919,7 +1067,8 @@ def is_bounded_wrt(
     first read of either. A BOUNDED verdict's `bound` is computed on its
     first read, through the same map, where a term's evaluator calls and
     errors (such as `ScaleOutOfRange`) then fall; a term that overflowed is
-    named non-finite by the call.
+    named non-finite by the call. The terms x_k are computed, or checked
+    for overflow at the call, under the bound `converges_wrt` states.
     """
     columns = _columns(frame, selection)
     if not isinstance(points_or_spec, SequenceSpec):
@@ -932,7 +1081,7 @@ def is_bounded_wrt(
     spec = points_or_spec
     if spec.kind is not SequenceKind.CUSTOM:
         traces = AnalyticTraces(spec, frame, norm, evidence=[(evidence_ks, _term)], columns=columns)
-        return _boundedness_row(traces, traces.evidence[0], selection)
+        return _boundedness_row(traces, traces.evidence[0], selection, _subset_all(traces._bounded_flags, columns))
     _check_spec(spec, frame, norm)
     points = [v for _, v in spec.table]
     memo = {}
@@ -986,11 +1135,12 @@ def equivalence_matrix(spec: SequenceSpec, frame: Frame, norm: NNorm, candidate_
     full_selection(n, m) with evidence_ks=(1, 10). Every row reads the same
     traces and the same evidence profiles, taken once per table: a class-m
     norm is a sum of class-1 norms, so the rows differ only in the sums.
-    Each row reads its convergence, Cauchy and boundedness conclusions once,
-    over 1..n, the union of the full collection's subsets (the union rule,
-    the covering identity acceptance criterion 5 checks), so the n rows
-    agree on every conclusion by construction; its bound is the max, over
-    its subsets in order, of the one per-kind formula.
+    The table reads its convergence, Cauchy and boundedness conclusions
+    once each, over 1..n, the union of every full collection's subsets (the
+    union rule, the covering identity acceptance criterion 5 checks), and
+    gives them to all n rows, so the rows agree on every conclusion by
+    construction; each row keeps its own verdicts, and its bound is the
+    max, over its subsets in order, of the one per-kind formula.
     The table profiles only its traces. Every verdict keeps the bytes of its
     row's evidence vectors and the table's one value map, and a BOUNDED
     boundedness verdict the keys of its bound's terms; the first read of a
@@ -999,17 +1149,30 @@ def equivalence_matrix(spec: SequenceSpec, frame: Frame, norm: NNorm, candidate_
     points or its bound. So a caller that reads only the conclusions
     profiles no other vector, computes no bound and builds no trace point,
     and one that reads every row makes the evaluator calls an eager build
-    made. A candidate limit of None raises as it does in `converges_wrt`.
+    made. The three evidence rows (x_k - limit, x_k, x_{2k} - x_k at k = 1
+    and 10) are computed at the call, where one that overflowed is named
+    non-finite, unless 2·(|x|∞ + |c|·|v|∞·K + |limit|∞) <= 2**1020 (K = 20
+    for a divergent sequence, 1 otherwise) proves that none can overflow;
+    then each is computed on the first read of an `evidence` that samples
+    it, once for all n rows. A candidate limit of None raises as it does in
+    `converges_wrt`.
     """
     if spec.kind is SequenceKind.CUSTOM:
         raise ValueError("equivalence matrix needs a closed-form sequence")
     _require_limit(candidate_limit)
     traces = AnalyticTraces(spec, frame, norm, candidate_limit, [((1, 10), vector_at) for vector_at in (_offset, _term, _doubling_gap)])
     offsets, terms, gaps = traces.evidence
+    # every full selection covers 1..n, so each conclusion is read once
+    every = traces._columns
+    converges, bounded, cauchy = traces._limit_zero(every), _subset_all(traces._bounded_flags, every), _subset_all(traces._cauchy_flags, every)
     rows = []
     for m in range(1, frame.n + 1):
         sel = full_selection(frame.n, m)
-        verdicts = _convergence_row(traces, offsets, sel), _boundedness_row(traces, terms, sel), _cauchy_row(traces, gaps, sel)
+        verdicts = (
+            _convergence_row(traces, offsets, sel, converges),
+            _boundedness_row(traces, terms, sel, bounded),
+            _cauchy_row(traces, gaps, sel, cauchy),
+        )
         rows.append(EquivalenceRow(m, *verdicts))
     return EquivalenceTable(tuple(rows))
 
