@@ -17,17 +17,23 @@ entry, and a finite row whose length overflows goes on. Under a metric the
 check runs before the rows are whitened, because inf * 0 in that product
 would warn.
 
-Every Gram volume sqrt(det G) in the package comes from one kernel,
-`_unit_volumes`: one QR factor of the unit whitened rows of a tuple or of a
-stack of tuples, so no Gram matrix is formed, let alone solved, on the way;
-`_unit_volumes` says why it calls numpy's dgeqrf gufunc directly. `_volumes`
-takes the unit rows first, and a stack derived from another reuses that
-one's unit rows (`unit_rows` measures only new first rows). Every product
-of lengths and QR diagonals (a volume, a Hadamard scale, a frame's unit
+Every Gram volume sqrt(det G) in the package is one QR factor of the unit
+whitened rows of a tuple or of a stack of tuples, taken by numpy's dgeqrf
+gufunc directly (`_unit_volumes` says why), so no Gram matrix is formed,
+let alone solved, on the way. A stack's volumes come from `_unit_volumes`
+on its unit rows, and a stack derived from another reuses that one's unit
+rows (`unit_rows` measures only new first rows). A single tuple, the
+`_volumes` call behind `standard_norm`, the sampler's volume gates,
+`random_frame` and the `NNorm` probe, skips that bookkeeping where its
+lengths and |r_ii| lie in the band of `_products`: its rows are divided by
+their lengths straight into the QR buffer, and the volume is the plain
+product. Any other tuple falls back to the stack's route, so a tuple gets
+the bits the stack of that one tuple gets. Every other product of lengths
+and QR diagonals (a stack's volumes, a Hadamard scale, a frame's unit
 volume) comes from one helper, `_products`: inf only past the double range,
 and the plain product's bits wherever no partial product leaves the normal
-range. The LU `determinant` is a public function with no caller inside the
-package.
+range; `_band` is the range rule both read. The LU `determinant` is a
+public function with no caller inside the package.
 """
 
 from __future__ import annotations
@@ -269,11 +275,16 @@ def unit_rows(cfg: SpaceConfig, rows: np.ndarray, first: bool = False) -> tuple[
     only in its first rows so reuses the other's unit rows for the rest.
     """
     flat, lengths = _row_lengths(cfg, rows, first)
+    units = _units(flat, lengths)
+    return (units if first or rows.ndim == 2 else units.reshape(rows.shape)), lengths
+
+
+def _units(flat: np.ndarray, lengths: list[float]) -> np.ndarray:
+    """The (N, d) rows of `_row_lengths` divided by their lengths."""
     # a zero row divides by 1.0, and so does a NaN length (a metric's product
     # can overflow on finite rows); lengths in range divide as they are
     divisors = lengths if sum(lengths) < math.inf and 0.0 not in lengths else [x if x > 0.0 else 1.0 for x in lengths]
-    units = flat / np.array(divisors)[:, None]
-    return (units if first or rows.ndim == 2 else units.reshape(rows.shape)), lengths
+    return flat / np.array(divisors)[:, None]
 
 
 def _row_lengths(cfg: SpaceConfig, rows: np.ndarray, first: bool = False) -> tuple[np.ndarray, list[float]]:
@@ -308,13 +319,35 @@ def _volumes(cfg: SpaceConfig, tuples: np.ndarray) -> tuple[list[float], list[fl
     `unit_rows` gives them; the shape is the caller's to check, and a
     non-finite entry raises from `_row_lengths`.
 
-    The volumes are `_unit_volumes` of the tuples' `unit_rows`: a caller
-    that derives a stack from another whose unit rows it holds (a permuted
-    stack, or one with new first rows) takes the volumes from those rows,
+    A stack's volumes are `_unit_volumes` of its `unit_rows`: a caller that
+    derives a stack from another whose unit rows it holds (a permuted stack,
+    or one with new first rows) takes the volumes from those rows,
     rearranged, instead of measuring every row again.
+
+    A single tuple whose lengths have a finite sum and all lie in the band
+    [2**-b, 2**b] of `_products` (b = 1020 // 2k) skips the stack's
+    bookkeeping: its transposed whitened rows are divided by their lengths
+    straight into the QR buffer, the same divisions as `unit_rows` makes,
+    so the same bits as the transposed copy `_unit_volumes` factors, and
+    when every |r_ii| lies in the band too, the volume is the plain product
+    of the lengths times that of the |r_ii|, the product `_products` takes
+    in the band. An |r_ii| outside the band goes to `_products` with the
+    same factors, and any other tuple (a zero row, a length outside the
+    band, a NaN or infinite sum of lengths) takes the stack's route, so
+    every tuple gets the bits the stack of that one tuple gets.
     """
-    units, lengths = unit_rows(cfg, tuples)
-    return _unit_volumes(units, lengths), lengths
+    flat, lengths = _row_lengths(cfg, tuples)
+    if tuples.ndim == 2:
+        k = len(lengths)
+        low, high = _band(2 * k)
+        if sum(lengths) < math.inf and low <= min(lengths) and max(lengths) <= high:
+            factor = flat.T / np.array(lengths)
+            _qr_r_raw(factor)
+            r = [abs(x) for x in factor.diagonal().tolist()]
+            if low <= min(r) and max(r) <= high:
+                return [math.prod(lengths) * math.prod(r)], lengths
+            return _products(k, lengths, r), lengths
+    return _unit_volumes(_units(flat, lengths).reshape(tuples.shape), lengths), lengths
 
 
 def _unit_volumes(units: np.ndarray, lengths: list[float]) -> list[float]:
@@ -366,12 +399,12 @@ def _products(k: int, factors: list[float], more: list[float] | None = None) -> 
     the subnormal range, can land a unit away from it).
     """
     every = factors if more is None else factors + more
-    b = 1020 // (k if more is None else 2 * k)
+    band_low, band_high = _band(k if more is None else 2 * k)
     low = min(every)
     if low == 0.0:
         low = min(filter(None, every), default=1.0)
     starts = range(0, len(factors), k)
-    if 2.0**-b <= low and max(every) <= 2.0**b:
+    if band_low <= low and max(every) <= band_high:
         if len(factors) == k:  # one entry, taken without slices
             return [math.prod(factors)] if more is None else [math.prod(factors) * math.prod(more)]
         if more is None:
@@ -385,6 +418,13 @@ def _products(k: int, factors: list[float], more: list[float] | None = None) -> 
             p = float(math.prod(map(Fraction, itertools.chain(*groups))))
         products.append(math.inf if shift > 0 else p)
     return products
+
+
+def _band(count: int) -> tuple[float, float]:
+    """[2**-b, 2**b], b = 1020 // count: a product of `count` factors that
+    all lie in it stays in the normal range at every partial product."""
+    b = 1020 // count
+    return 2.0**-b, 2.0**b
 
 
 def _split_product(*groups: list[float]) -> tuple[float, int]:

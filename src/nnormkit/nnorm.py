@@ -71,10 +71,15 @@ def standard_norm(cfg: SpaceConfig, vs) -> float:
 
     The value is `linalg._volumes` of the checked tuple: the product of the
     metric lengths times |prod r_ii| of one QR factor of the unit whitened
-    vectors, 0.0 when a vector is zero. A tuple that converts to an (n, d)
-    array goes to the kernel as it is, and `linalg._row_lengths` decides its
-    finiteness from the lengths it takes anyway; any other tuple goes
-    through `as_rows`, whose error names the first bad vector.
+    vectors, 0.0 when a vector is zero. Where the lengths and |r_ii| lie in
+    the band in which no partial product leaves the normal range, the rows
+    are divided by their lengths straight into the QR buffer and the
+    product is taken plainly; any other tuple takes the stack's route
+    (`unit_rows`, `_unit_volumes`, `_products`), with the same bits either
+    way. A tuple that converts to an (n, d) array goes to the kernel as it
+    is, and `linalg._row_lengths` decides its finiteness from the lengths
+    it takes anyway; any other tuple goes through `as_rows`, whose error
+    names the first bad vector.
     """
     if len(vs) != cfg.arity:
         raise DimensionMismatch("vector count", cfg.arity, len(vs))

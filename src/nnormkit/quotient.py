@@ -305,6 +305,12 @@ def _subset_sum(terms: list[float], s: IndexSet) -> float:
     return total
 
 
+def _floor(scales: list[float], s: IndexSet) -> float:
+    """The sampled trend rule's tolerance over s, off a vector's scale list:
+    `SPAN_DECISION_REL` of the scales' sum over s (`Profile.floor`)."""
+    return SPAN_DECISION_REL * _subset_sum(scales, s)
+
+
 def _subset_all(flags: list[bool], indices: tuple[int, ...]) -> bool:
     """Is every per-index flag named by the 1-based `indices` set? The one
     reader of zero flags over an index set's indices or a selection's
@@ -371,7 +377,7 @@ class Profile:
 
     def floor(self, s: IndexSet) -> float:
         """Tolerance of the sampled trend rule; not a zero rule."""
-        return SPAN_DECISION_REL * self.scale(s)
+        return _floor(self._scale_list, s)
 
     def is_zero(self, s: IndexSet) -> bool:
         """Is every class-1 term over s classified as zero on its own?"""
@@ -476,12 +482,13 @@ class FrameGeometry:
             zeros = np.zeros(self._n)
             return Profile(zeros, zeros, zeros == 0.0)
         exponent = math.frexp(top)[1]
-        y = (self._kernel @ np.ldexp(u, -exponent)).tolist()
+        product = self._kernel @ np.ldexp(u, -exponent)
+        y = product.tolist()
         n = self._n
         length = math.hypot(*y[n:])
         if not length < math.inf:
             raise ValueError(NON_FINITE)
-        values = self._others * np.hypot(self._minor_volumes * math.hypot(*y[2 * n :]), y[:n])
+        values = self._others * np.hypot(self._minor_volumes * math.hypot(*y[2 * n :]), product[:n])
         scales = self._others * length
         zero = values <= self._zero_slope * length
         if exponent > self._safe_exponent:
@@ -540,12 +547,12 @@ def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profi
     share one scale and neither squares a length on the way. That length
     also decides u's finiteness (under a metric, a check before u is
     whitened), so a non-finite u raises before any call. Each requested
-    column takes, in order, its range check (a scale beyond the double
-    range raises `ScaleOutOfRange` before the column's call; the zero
-    vector's scale, 0, is in range whatever the shift), its scale,
-    the evaluator call (whose value `NNorm.__call__` has converted to a
-    float) and its zero flag, on Python floats read off lists the frame
-    geometry holds; the profile's arrays are built once at the end.
+    column takes, in order, its range-checked scale (`_column_scale`: a
+    scale beyond the double range raises `ScaleOutOfRange` before the
+    column's call), the evaluator call (whose value `NNorm.__call__` has
+    converted to a float) and its zero flag, on Python floats read off
+    lists the frame geometry holds; the profile's arrays are built once at
+    the end. `_scale_list` takes the same scales without the calls.
 
     The zero flag is value <= slope_j * |u| with the Gram slope
     `FrameGeometry._zero_slope`, the standard norm's threshold. For another
@@ -554,16 +561,43 @@ def _generic_profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profi
     """
     geometry = frame.geometry(norm.cfg)
     length = _row_lengths(norm.cfg, u[None, :])[1][0]
-    others, shifts, slopes, rows = geometry._other_list, geometry._shift_list, geometry._slope_list, geometry._rows
+    shifts, slopes, rows = geometry._shift_list, geometry._slope_list, geometry._rows
     values, scales, zero = [math.nan] * frame.n, [math.nan] * frame.n, [False] * frame.n
     for j in columns:
-        scale, shift = others[j - 1] * length, shifts[j - 1]
-        if not scale < math.inf or (scale and math.frexp(scale)[1] + shift > 1024):
-            raise ScaleOutOfRange(j, math.log10(others[j - 1]) + math.log10(length) + shift * math.log10(2.0))
-        scales[j - 1] = math.ldexp(scale, shift)
+        scales[j - 1] = _column_scale(geometry, length, j)
         values[j - 1] = value = norm([u] + rows[: j - 1] + rows[j:])
-        zero[j - 1] = value <= math.ldexp(slopes[j - 1] * length, shift)
+        zero[j - 1] = value <= math.ldexp(slopes[j - 1] * length, shifts[j - 1])
     return Profile(np.array(values), np.array(scales), np.array(zero))
+
+
+def _column_scale(geometry: FrameGeometry, length: float, j: int) -> float:
+    """The scale of column j of a vector whose metric length is `length`:
+    that length times the product of the other frame rows' lengths, the
+    power of two of the product's split applied; a scale beyond the double
+    range raises `ScaleOutOfRange` (the zero vector's scale, 0, is in range
+    whatever the shift)."""
+    other, shift = geometry._other_list[j - 1], geometry._shift_list[j - 1]
+    scale = other * length
+    if not scale < math.inf or (scale and math.frexp(scale)[1] + shift > 1024):
+        raise ScaleOutOfRange(j, math.log10(other) + math.log10(length) + shift * math.log10(2.0))
+    return math.ldexp(scale, shift)
+
+
+def _scale_list(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> list[float]:
+    """The scales `_profile` gives u, as a list, NaN off the requested
+    columns, with the same range checks and errors, but without calling an
+    injected evaluator: the standard kind's off its closed-form profile,
+    any other kind's as `_generic_profile` takes them before its calls. A
+    reader of u's scales alone, such as the Cauchy floor of x_1, so pays
+    no evaluator call."""
+    if norm.kind == "standard":
+        return frame.geometry(norm.cfg).profile(u, columns)._scale_list
+    geometry = frame.geometry(norm.cfg)
+    length = _row_lengths(norm.cfg, u[None, :])[1][0]
+    scales = [math.nan] * frame.n
+    for j in columns:
+        scales[j - 1] = _column_scale(geometry, length, j)
+    return scales
 
 
 def _profile(frame: Frame, norm: NNorm, u: np.ndarray, columns) -> Profile:

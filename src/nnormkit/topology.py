@@ -79,7 +79,9 @@ from .quotient import (
     Profile,
     _check_compatible,
     _class_shape,
+    _floor,
     _profile,
+    _scale_list,
     _subset_all,
     _subset_sum,
     class_collection,
@@ -145,10 +147,10 @@ class SequenceKind(Enum):
 @dataclass(frozen=True, eq=False)
 class SequenceSpec:
     """A parametric sequence family in R^d with exact per-k evaluation; a
-    kind with a direction needs a finite coefficient. The spec keeps
-    read-only copies of its base, direction and table vectors, as `Frame`
-    keeps its vectors, so writing to the arrays it was given changes no
-    term."""
+    kind with a direction needs a finite coefficient, and a constant, which
+    has none, refuses one with a ValueError. The spec keeps read-only
+    copies of its base, direction and table vectors, as `Frame` keeps its
+    vectors, so writing to the arrays it was given changes no term."""
 
     kind: SequenceKind
     base: np.ndarray | None = None
@@ -177,6 +179,8 @@ class SequenceSpec:
         if self.base is not None:
             object.__setattr__(self, "base", _frozen(self.base))
         if self.kind is SequenceKind.CONSTANT:
+            if self.direction is not None:
+                raise ValueError("constant takes no direction vector")
             return
         if self.direction is None:
             raise ValueError(f"{self.kind.value} needs a direction vector")
@@ -879,11 +883,12 @@ def _decays(series: list[float], floor: float) -> bool:
 
     The floor is a tolerance on the samples, taken from the vectors the
     series is measured against, never from the series itself: for Cauchy,
-    `SPAN_DECISION_REL` of x_1's summed scale over s; for boundedness, the
-    largest such floor of the table's entries. A table whose entries differ
-    by one ulp has gaps at zero scale against its entries, but a floor
-    taken from the gaps' own scales would hold them to their own rounding
-    and find them not decaying.
+    `SPAN_DECISION_REL` of x_1's summed scale over s (`quotient._floor` of
+    x_1's scales, which are measured without evaluating x_1); for
+    boundedness, the largest such floor of the table's entries. A table
+    whose entries differ by one ulp has gaps at zero scale against its
+    entries, but a floor taken from the gaps' own scales would hold them to
+    their own rounding and find them not decaying.
     """
     if not all(map(math.isfinite, series)):
         return False
@@ -1012,10 +1017,15 @@ def is_cauchy_wrt(
 
     A sampled CAUCHY is evidence, not proof: the partial sums of 1/k have
     gaps 1/k, which pass that rule on any table of eight or more terms from
-    k = 1, yet the sums diverge. Each distinct vector, x_1 and the gaps
-    together, is profiled once per call, so an injected evaluator is called
-    once per distinct (vector, requested column) pair; equal successive
-    entries give one zero gap. For a closed form the doubling gaps are profiled as
+    k = 1, yet the sums diverge. The floor reads x_1's scales only, so x_1
+    is measured, not evaluated (`quotient._scale_list`): under an injected
+    norm its scales come from its length and the frame's factor, with no
+    evaluator call, and a requested column whose scale is out of range
+    raises `ScaleOutOfRange` before any gap is profiled; the standard norm
+    takes them off x_1's closed-form profile. Each distinct gap is profiled
+    once per call, so an injected evaluator is called once per distinct
+    (gap, requested column) pair; equal successive entries give one zero
+    gap. For a closed form the doubling gaps are profiled as
     `converges_wrt` profiles its offsets: through the call's value map on
     the first read of `evidence`, unless a trace is the gap (a divergent
     sequence's x_2 - x_1), and computed, or checked for overflow at the
@@ -1028,8 +1038,9 @@ def is_cauchy_wrt(
 
     _check_spec(spec, frame, norm)
     vectors = [v for _, v in spec.table]
-    first, *gaps = _profiles(frame, norm, vectors[:1] + _steps(vectors), columns, {})
-    decays = all(_decays([g.value(s) for g in gaps], first.floor(s)) for s in selection.subsets)
+    first_scales = _scale_list(frame, norm, vectors[0], columns)
+    gaps = _profiles(frame, norm, _steps(vectors), columns, {})
+    decays = all(_decays([g.value(s) for g in gaps], _floor(first_scales, s)) for s in selection.subsets)
     return _sampled(Conclusion.CAUCHY if decays else None, [k for k, _ in spec.table], gaps, selection)
 
 

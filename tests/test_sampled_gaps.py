@@ -1,8 +1,11 @@
 """Sampled Cauchy and boundedness verdicts read a table through its
 successive gaps: they agree with the closed form wherever they conclude,
 tables at zero scale settle at the floor of their entries, and each verdict
-call profiles the first entry and the L - 1 gaps (Cauchy), or the entries
-and, only when a trace rises, the gaps (boundedness)."""
+call profiles the L - 1 gaps (Cauchy, which measures the first entry's
+scales for its floor without evaluating it), or the entries and, only when
+a trace rises, the gaps (boundedness)."""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from corpus import build_corpus
 from nnormkit import topology
 from nnormkit.linalg import SpaceConfig
 from nnormkit.nnorm import NNorm, standard_nnorm, standard_norm
-from nnormkit.quotient import random_frame
+from nnormkit.quotient import Frame, ScaleOutOfRange, random_frame
 from nnormkit.topology import (
     Conclusion,
     SequenceKind,
@@ -133,12 +136,14 @@ def test_gaps_are_profiled_once_and_only_where_needed(injected, monkeypatch):
     e = np.array([1.0, 0.0, 0.0, 0.0])
     x = rng.uniform(1.0, 2.0, 4)
     tables = {
-        # (entries, Cauchy profiles, boundedness profiles)
+        # (entries, Cauchy profiles, boundedness profiles); Cauchy profiles
+        # the L - 1 gaps, and takes only the scales of x_1, with no profile
         # every trace falls: boundedness takes the entries only
-        "falling": ([(k, x / k) for k in range(1, TABLE_LENGTH + 1)], TABLE_LENGTH, TABLE_LENGTH),
+        "falling": ([(k, x / k) for k in range(1, TABLE_LENGTH + 1)], TABLE_LENGTH - 1, TABLE_LENGTH),
         # traces rise with fresh gaps: the entries and the L - 1 gaps
-        "rising": ([(k, k * x + np.sqrt(k) * e) for k in range(1, TABLE_LENGTH + 1)], TABLE_LENGTH, 2 * TABLE_LENGTH - 1),
-        # traces rise, but every gap is exactly x_1: no further profile
+        "rising": ([(k, k * x + np.sqrt(k) * e) for k in range(1, TABLE_LENGTH + 1)], TABLE_LENGTH - 1, 2 * TABLE_LENGTH - 1),
+        # traces rise, but every gap is exactly x_1: one gap profile, and
+        # no further profile for boundedness
         "rising by x_1": ([(k, k * e) for k in range(1, TABLE_LENGTH + 1)], 1, TABLE_LENGTH),
     }
     for name, (entries, cauchy_profiles, bounded_profiles) in tables.items():
@@ -149,3 +154,67 @@ def test_gaps_are_profiled_once_and_only_where_needed(injected, monkeypatch):
             assert len(calls) == (3 * profiles if injected else 0), (name, verdict.__name__)
             taken.clear()
             calls.clear()
+
+
+def _refusing_norm(cfg, x1):
+    """An injected `standard_norm` that raises on any tuple whose first row
+    is x1."""
+
+    def evaluator(vs):
+        if np.array_equal(vs[0], x1):
+            raise AssertionError("x_1 was evaluated")
+        return standard_norm(cfg, vs)
+
+    return NNorm(cfg, "injected", evaluator)
+
+
+def _cauchy_bits(verdict) -> tuple:
+    """Everything a sampled Cauchy verdict reports, floats as their bits."""
+    return (
+        verdict.conclusion,
+        verdict.window,
+        verdict.limit,
+        None if verdict.bound is None else verdict.bound.hex(),
+        tuple((p.k, p.subset.indices, p.value.hex()) for p in verdict.evidence),
+    )
+
+
+@pytest.mark.parametrize("n, d", SHAPES)
+def test_the_cauchy_floor_does_not_evaluate_x_1(n, d):
+    # the floor reads x_1's scales only: an evaluator that refuses x_1 gives
+    # the verdicts a well-behaved one gives, bit for bit, on every table
+    # none of whose gaps is x_1 itself (a linear table's are)
+    cfg = SpaceConfig(dim=d, arity=n)
+    rng = np.random.default_rng(10 * n + d)
+    frame = random_frame(cfg, rng)
+    checked = 0
+    for spec, _, _ in build_corpus(rng, d, frame.vectors, per_kind=3):
+        table = _table(spec)
+        vectors = [v for _, v in table.table]
+        if any(np.array_equal(b - a, vectors[0]) for a, b in zip(vectors, vectors[1:])):
+            continue
+        for m in (1, n):
+            selection = full_selection(n, m)
+            want = is_cauchy_wrt(table, frame, _counting_norm(cfg)[0], selection)
+            got = is_cauchy_wrt(table, frame, _refusing_norm(cfg, vectors[0]), selection)
+            assert _cauchy_bits(got) == _cauchy_bits(want), (spec.kind, m)
+            checked += 1
+    assert checked >= 12
+
+
+@pytest.mark.parametrize("injected", [False, True], ids=["standard", "injected"])
+def test_an_out_of_range_x_1_scale_raises_before_any_call(injected):
+    # x_1's scales against y_2 and y_3 are about 5e399, against y_1 in
+    # range; its one gap is in range against every row. The floor's range
+    # check raises for column 2 before any column is evaluated, where x_1's
+    # profile called the evaluator for column 1 first
+    cfg = SpaceConfig(dim=3, arity=3)
+    frame = Frame(cfg, np.diag([1e200, 1.0, 1.0]))
+    norm, calls = _counting_norm(cfg) if injected else (standard_nnorm(cfg), [])
+    x1 = np.array([5e199, 0.0, 0.3])
+    table = custom_sequence([(1, x1), (2, x1 + np.array([0.0, 1e-3, 0.0]))])
+    with pytest.raises(ScaleOutOfRange) as caught:
+        is_cauchy_wrt(table, frame, norm, full_selection(3, 1))
+    assert caught.value.index == 2
+    assert caught.value.log10_scale == pytest.approx(199 + math.log10(5.0) + 200, abs=1e-9)
+    assert calls == []

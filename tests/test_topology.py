@@ -157,6 +157,17 @@ class TestSequenceSpec:
                     continue
                 assert np.array_equal(eval_sequence(again, k), expected)
 
+    def test_a_constant_refuses_a_direction(self):
+        # it was kept as given, so to_json raised AttributeError on a list
+        with pytest.raises(ValueError, match="constant takes no direction"):
+            SequenceSpec(kind=SequenceKind.CONSTANT, base=[1.0, 2.0], direction=[1.0, 0.0])
+        assert "direction" not in constant([1.0, 2.0]).to_json()
+
+    def test_a_json_constant_with_a_direction_is_refused(self):
+        # it was accepted with a writable NaN direction
+        with pytest.raises(ValueError, match="constant takes no direction"):
+            SequenceSpec.from_json({"kind": "constant", "base": [1, 2], "direction": [math.nan, 0]})
+
     def test_a_json_non_object_is_named(self):
         with pytest.raises(ValueError, match=r"sequence spec must be a mapping, got \[1\]"):
             SequenceSpec.from_json([1])

@@ -2,7 +2,8 @@
 factor of the unit whitened rows: its one direct dgeqrf gufunc call gives
 the diagonal `np.linalg.qr(..., mode="raw")` gives, bit for bit and without
 a floating-point flag; it equals `standard_norm` bit for bit on a tuple and
-on a stack, agrees with the cofactor oracle and, where a product leaves the
+on a stack, a single tuple on each of its routes the stack of that one
+tuple, agrees with the cofactor oracle and, where a product leaves the
 normal range, with mpmath, decides the sampler's and `random_frame`'s volume
 gates as the LU Gram volume did, and an injected evaluator's stack takes the
 row lengths without any QR. The projections that replaced a Gram solve
@@ -375,3 +376,111 @@ def test_split_product_serves_the_frame_geometry():
     frame = quotient.Frame(cfg, np.diag([1e-160, 1e-160, 1e160, 1.0]))
     assert linalg._split_product([1e-160, 1e-160, 1e160]) == (1e-160, 0)
     assert quotient.class1_norm(frame, standard_nnorm(cfg), np.eye(4)[3], 4) == 1e-160
+
+
+def _route_counter(monkeypatch) -> tuple[list, object]:
+    """A `_volumes` that records its route in the list: "stack" through
+    `_unit_volumes`, "products" for `_products` on a single tuple's |r_ii|,
+    and "plain" for the plain product in the band, which calls neither.
+    Calls that do not go through it record nothing."""
+    routes, active = [], []
+    unit_volumes, products = linalg._unit_volumes, linalg._products
+
+    def counting_unit_volumes(units, lengths):
+        if active:
+            routes[-1] = "stack"
+        return unit_volumes(units, lengths)
+
+    def counting_products(k, factors, more=None):
+        if active and routes[-1] == "plain":
+            routes[-1] = "products"
+        return products(k, factors, more)
+
+    def volumes(cfg, tuples):
+        routes.append("plain")
+        active.append(True)
+        try:
+            return _volumes(cfg, tuples)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(linalg, "_unit_volumes", counting_unit_volumes)
+    monkeypatch.setattr(linalg, "_products", counting_products)
+    return routes, volumes
+
+
+def _band_tuples(rng, n, d):
+    """Generic tuples; a row scaled by 2**(+-(b + delta)) for delta in -3..3,
+    b = 1020 // 2n, one at a length of exactly such a power and one at
+    about it; a zero row; a duplicated row; exactly dependent rows (a row
+    twice another, and in a square tuple a row that sums two others); and
+    rows that are equal unit vectors, whose r_22 is exactly 0; and at n = 3
+    three tuples whose products leave the normal range."""
+    b = 1020 // (2 * n)
+    tuples = list(rng.uniform(-1.0, 1.0, (4, n, d)))
+    for delta in range(-3, 4):
+        for sign in (1, -1):
+            scale = 2.0 ** (sign * (b + delta))
+            exact, about = rng.uniform(-1.0, 1.0, (2, n, d))
+            exact[0] = scale * np.eye(d)[0]
+            about[-1] *= scale
+            tuples += [exact, about]
+    t = rng.uniform(-1.0, 1.0, (n, d))
+    t[n // 2] = 0.0
+    tuples.append(t)
+    if n > 1:
+        t = rng.integers(-4, 5, (n, d)).astype(float)
+        t[1] = t[0]
+        tuples.append(t.copy())
+        t[1] = 2.0 * t[0]
+        tuples.append(t.copy())
+        t[:2] = np.eye(d)[0]
+        tuples.append(t)
+    if n > 2 and d == n:
+        t = rng.integers(-4, 5, (n, d)).astype(float)
+        t[2] = t[0] + t[1]
+        tuples.append(t)
+    if n == 3:
+        # two |r_ii| near 1e-160 below the band; a partial product of the
+        # lengths that goes subnormal; |r_ii| whose product underflows
+        for rows in (SUBNORMAL_R, np.diag([1e-160, 1e-160, 1e160]), [1e200 * E[0], [1e200, 1.0, 0.0], [1e200, 0.0, 1.0]]):
+            t = np.zeros((n, d))
+            t[:, :3] = rows
+            tuples.append(t)
+    return tuples
+
+
+@pytest.mark.parametrize("spd", [False, True], ids=["dot", "spd"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_one_tuple_volumes_are_the_stacks_bit_for_bit(n, spd, monkeypatch):
+    # a single tuple skips the stack's bookkeeping where its lengths and
+    # |r_ii| lie in the band of `_products`, and takes the stack's route
+    # elsewhere: either way the bits of the stack of that one tuple
+    routes, volumes = _route_counter(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in range(n, 10):
+            cfg = SpaceConfig(dim=d, arity=n, metric=_spd(d) if spd else None)
+            for t in _band_tuples(np.random.default_rng(100 * n + d), n, d):
+                stacked, stacked_lengths = volumes(cfg, t[None])
+                assert routes[-1] == "stack"
+                (one,), lengths = volumes(cfg, t)
+                assert lengths == stacked_lengths
+                assert one.hex() == stacked[0].hex()
+                assert standard_norm(cfg, t).hex() == one.hex()
+                assert standard_norm(cfg, list(t)).hex() == one.hex()
+    # every route was taken by a single tuple: the plain product,
+    # `_products` on a zero or tiny r_ii and, outside the band, the stack's
+    assert set(routes[1::2]) == ({"plain", "products", "stack"} if n > 1 else {"plain", "stack"})
+
+
+def test_an_overflowing_length_is_nan_on_both_routes():
+    # a finite row whose length overflows divides to a zero unit row, and
+    # inf times its zero r_ii is NaN, on the stack's route and a single
+    # tuple's alike (the value, about 2.2e298, is representable)
+    cfg = SpaceConfig(dim=6, arity=2)
+    t = np.array([np.full(6, 1e308), [1e-10, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(_volumes(cfg, t)[0][0])
+        assert _volumes(cfg, t)[0][0].hex() == _volumes(cfg, t[None])[0][0].hex() == standard_norm(cfg, t).hex()
