@@ -418,8 +418,9 @@ def _check_permutation(norm, batch, rng):
 def _check_homogeneity(norm, batch, rng):
     cfg = norm.cfg
     band = _zero_band(cfg)
-    alphas = [float(rng.uniform(-10.0, 10.0)) for _ in batch.tuples]
-    values = _first_rows(norm, batch, batch.stack[:, 0] * np.array(alphas)[:, None])[0]
+    alphas = rng.uniform(-10.0, 10.0, len(batch.tuples))
+    values = _first_rows(norm, batch, batch.stack[:, 0] * alphas[:, None])[0]
+    alphas = alphas.tolist()
     return _worst(
         Witness(tuple(vs), {"alpha": alpha, "value": value, "base": base}, gap)
         for vs, alpha, value, base, scale in zip(batch.tuples, alphas, values, batch.values, batch.scales)
@@ -430,9 +431,9 @@ def _check_homogeneity(norm, batch, rng):
 def _check_triangle(norm, batch, rng):
     cfg = norm.cfg
     band = _zero_band(cfg)
-    first_alts = [rng.uniform(-1.0, 1.0, cfg.dim) for _ in batch.tuples]
+    first_alts = rng.uniform(-1.0, 1.0, (len(batch.tuples), cfg.dim))
     # summed tuples first, then the alternatives, in one stack
-    values, scales = _first_rows(norm, batch, batch.stack[:, 0] + first_alts, np.array(first_alts))
+    values, scales = _first_rows(norm, batch, batch.stack[:, 0] + first_alts, first_alts)
     count = len(first_alts)
     sums = [batch.values[t] + values[count + t] for t in range(count)]
     bounds = [max(scales[t], batch.scales[t], scales[count + t]) for t in range(count)]
@@ -444,7 +445,7 @@ def _check_triangle(norm, batch, rng):
 
 
 def _check_shift(norm, batch, rng):
-    alphas = [rng.uniform(-5.0, 5.0, norm.cfg.arity - 1) for _ in batch.tuples]
+    alphas = rng.uniform(-5.0, 5.0, (len(batch.tuples), norm.cfg.arity - 1))
     checked = zip(batch.tuples, alphas, _shift_gaps(norm, batch, alphas))
     return _worst(Witness(tuple(vs), {"alphas": a}, gap) for vs, a, gap in checked if not gap <= norm.cfg.tol.rel)
 
