@@ -15,7 +15,9 @@ or NaN. Only when the lengths' sum is not below inf does one exact
 `np.isfinite` check run: it raises ValueError(NON_FINITE) for a non-finite
 entry, and a finite row whose length overflows goes on. Under a metric the
 check runs before the rows are whitened, because inf * 0 in that product
-would warn.
+would warn; the product itself ignores overflow, so a finite row whose
+whitened entry passes the double range has an inf length, as a finite row
+whose length overflows has on the dot product.
 
 Every Gram volume sqrt(det G) in the package is one QR factor of the unit
 whitened rows of a tuple or of a stack of tuples, taken by numpy's dgeqrf
@@ -281,10 +283,13 @@ def unit_rows(cfg: SpaceConfig, rows: np.ndarray, first: bool = False) -> tuple[
 
 def _units(flat: np.ndarray, lengths: list[float]) -> np.ndarray:
     """The (N, d) rows of `_row_lengths` divided by their lengths."""
-    # a zero row divides by 1.0, and so does a NaN length (a metric's product
-    # can overflow on finite rows); lengths in range divide as they are
-    divisors = lengths if sum(lengths) < math.inf and 0.0 not in lengths else [x if x > 0.0 else 1.0 for x in lengths]
-    return flat / np.array(divisors)[:, None]
+    # lengths in range divide as they are. A zero row divides by 1.0, and so
+    # does a NaN length; an inf length divides an overflowed whitened entry
+    # (inf / inf), which is NaN without a warning, as its length's product is
+    if sum(lengths) < math.inf and 0.0 not in lengths:
+        return flat / np.array(lengths)[:, None]
+    with np.errstate(invalid="ignore"):
+        return flat / np.array([x if x > 0.0 else 1.0 for x in lengths])[:, None]
 
 
 def _row_lengths(cfg: SpaceConfig, rows: np.ndarray, first: bool = False) -> tuple[np.ndarray, list[float]]:
@@ -303,7 +308,10 @@ def _row_lengths(cfg: SpaceConfig, rows: np.ndarray, first: bool = False) -> tup
     if cfg.whitening is not None:
         if not np.isfinite(rows).all():
             raise ValueError(NON_FINITE)
-        rows = rows @ cfg.whitening.T
+        # a finite row's whitened entry may pass the double range: it is inf
+        # then, and its row's length inf, as the dot product's is
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = rows @ cfg.whitening.T
     if first:
         rows = rows[:, 0]
     flat = rows if rows.ndim == 2 else rows.reshape(-1, rows.shape[-1])

@@ -144,11 +144,15 @@ class SequenceKind(Enum):
     CUSTOM = "custom"  # finite table of (k, vector)
 
 
+_CUSTOM_TAKES_NO_VECTORS = "custom sequence takes no base point or direction vector"
+
+
 @dataclass(frozen=True, eq=False)
 class SequenceSpec:
     """A parametric sequence family in R^d with exact per-k evaluation; a
     kind with a direction needs a finite coefficient, and a constant, which
-    has none, refuses one with a ValueError. The spec keeps read-only
+    has none, refuses one with a ValueError, as a custom table refuses a
+    base point or a direction. The spec keeps read-only
     copies of its base, direction and table vectors, as `Frame` keeps its
     vectors, so writing to the arrays it was given changes no term."""
 
@@ -161,6 +165,8 @@ class SequenceSpec:
 
     def __post_init__(self):
         if self.kind is SequenceKind.CUSTOM:
+            if self.base is not None or self.direction is not None:
+                raise ValueError(_CUSTOM_TAKES_NO_VECTORS)
             if not self.table:
                 raise ValueError("custom sequence needs a nonempty table")
             try:
@@ -219,6 +225,8 @@ class SequenceSpec:
         _mapping(obj, "sequence spec")
         kind = SequenceKind(obj["kind"])
         if kind is SequenceKind.CUSTOM:
+            if obj.get("base") is not None or obj.get("direction") is not None:
+                raise ValueError(_CUSTOM_TAKES_NO_VECTORS)
             return custom_sequence(obj["table"])
         return cls(
             kind=kind,

@@ -168,6 +168,21 @@ class TestSequenceSpec:
         with pytest.raises(ValueError, match="constant takes no direction"):
             SequenceSpec.from_json({"kind": "constant", "base": [1, 2], "direction": [math.nan, 0]})
 
+    @pytest.mark.parametrize("field", ["base", "direction"])
+    def test_a_custom_table_refuses_a_base_or_a_direction(self, field):
+        # it was kept unchecked and uncopied, a writable NaN list included
+        with pytest.raises(ValueError, match="custom sequence takes no base point or direction"):
+            SequenceSpec(kind=SequenceKind.CUSTOM, table=((1, [0.0, 1.0]),), **{field: [math.nan, 1.0]})
+        assert custom_sequence([(1, [0.0, 1.0])]).to_json() == {"kind": "custom", "table": [[1, [0.0, 1.0]]]}
+
+    @pytest.mark.parametrize("field", ["base", "direction"])
+    def test_a_json_custom_table_with_a_base_or_a_direction_is_refused(self, field):
+        doc = {"kind": "custom", "table": [[1, [0.0, 1.0]]], field: [1, 2]}
+        with pytest.raises(ValueError, match="custom sequence takes no base point or direction"):
+            SequenceSpec.from_json(doc)
+        doc[field] = None  # an absent vector, as for every kind
+        assert SequenceSpec.from_json(doc).to_json() == {"kind": "custom", "table": [[1, [0.0, 1.0]]]}
+
     def test_a_json_non_object_is_named(self):
         with pytest.raises(ValueError, match=r"sequence spec must be a mapping, got \[1\]"):
             SequenceSpec.from_json([1])

@@ -484,3 +484,20 @@ def test_an_overflowing_length_is_nan_on_both_routes():
         warnings.simplefilter("error")
         assert math.isnan(_volumes(cfg, t)[0][0])
         assert _volumes(cfg, t)[0][0].hex() == _volumes(cfg, t[None])[0][0].hex() == standard_norm(cfg, t).hex()
+
+
+def test_an_overflowing_whitened_entry_is_an_inf_length_without_a_warning():
+    # under a metric, the whitening product of a finite row can pass the
+    # double range; the row's length is then inf, as the dot product gives a
+    # finite row whose length overflows, and the volume is NaN on every
+    # route, as above (the value is representable)
+    cfg = SpaceConfig(dim=2, arity=2, metric=[[9.0, -8.9], [-8.9, 9.0]])
+    t = np.array([[0.5, 0.25], [1e308, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        volumes, lengths = _volumes(cfg, t)
+        assert math.isfinite(lengths[0]) and lengths[1] == math.inf
+        assert _row_lengths(cfg, t)[1] == lengths == unit_rows(cfg, t)[1]
+        assert hadamard_scale(cfg, t) == math.inf
+        assert math.isnan(volumes[0])
+        assert volumes[0].hex() == _volumes(cfg, t[None])[0][0].hex() == standard_norm(cfg, t).hex()
