@@ -24,9 +24,10 @@ whitened rows of a tuple or of a stack of tuples, taken by numpy's dgeqrf
 gufunc directly (`_unit_volumes` says why), so no Gram matrix is formed,
 let alone solved, on the way. A stack's volumes come from `_unit_volumes`
 on its unit rows, and a stack derived from another reuses that one's unit
-rows (`unit_rows` measures only new first rows). A single tuple, the
-`_volumes` call behind `standard_norm`, the sampler's volume gates,
-`random_frame` and the `NNorm` probe, skips that bookkeeping where its
+rows (`unit_rows` measures only new first rows); the axiom sampler gates
+each draw round's candidates as one stack. A single tuple, the `_volumes`
+call behind `standard_norm`, `random_frame`'s gate and the `NNorm` probe,
+skips that bookkeeping where its
 lengths and |r_ii| lie in the band of `_products`: its rows are divided by
 their lengths straight into the QR buffer, and the volume is the plain
 product. Any other tuple falls back to the stack's route, so a tuple gets
@@ -229,13 +230,14 @@ def _inner(cfg: SpaceConfig, a: np.ndarray, b: np.ndarray) -> float:
 
 def _metric_length(cfg: SpaceConfig, v: np.ndarray) -> float:
     # squares before the root, so it is 0 or inf for entries beyond about
-    # 1e±154. Only vectors of unit scale reach it: `random_frame` rows, the
-    # axiom sampler's draws and combinations, and `_escape_direction`'s
+    # 1e±154. Only vectors of unit scale reach it, from its two callers:
+    # `random_frame`, for its normal draws, and `_escape_direction`, for the
     # complement parts of normal draws, which the frame's unit rows keep at
-    # unit scale however tiny or huge the frame. Taking `unit_rows`' length
-    # here would move those draws' bits, so it waits for a change of the
-    # random stream; a length of anything else, such as a frame row, is
-    # taken as `unit_rows` takes it
+    # unit scale however tiny or huge the frame. Both keep it because the
+    # `_row_lengths` length would move their bits, and with them the frames
+    # every seeded quotient check and benchmark input is built on; the
+    # axiom sampler's draws take the `_row_lengths` length, and so does a
+    # length of anything else, such as a frame row
     return math.sqrt(max(_inner(cfg, v, v), 0.0))
 
 

@@ -15,7 +15,9 @@ only that row. For the standard kind, one stacked QR gives every value, bit
 for bit the value `standard_norm` gives the tuple alone; any other
 evaluator is called once per tuple, in stack order. The public
 `shift_invariance_check` runs the checker's shift code on a one-tuple
-batch. The sampler's volume gate reads the same kernel.
+batch. The sampler draws each batch one construction group at a time, as
+one stack, and its volume gates read the same kernel, one stacked call per
+draw round.
 
 `NNorm` is the one boundary between an evaluator and every engine, here and
 in `quotient`: a standard-kind norm is checked against `standard_norm` once,
@@ -37,8 +39,8 @@ from .linalg import (
     DimensionMismatch,
     SpaceConfig,
     _index,
-    _metric_length,
     _products,
+    _row_lengths,
     _unit_volumes,
     _volumes,
     as_rows,
@@ -199,8 +201,8 @@ class AxiomReport:
 
 
 class _Batch:
-    """Drawn tuples as the sampler made them (witnesses carry them), their
-    construction labels, and the tuples stacked as one (B, n, d) array.
+    """A drawn (B, n, d) stack as the sampler made it, its tuples (the rows
+    of the stack, which witnesses carry) and their construction labels.
 
     `evaluate(norm)` measures the stack once, for every norm kind: `units`,
     its unit rows (B, n, d) and lengths (B, n) as `unit_rows` gives them,
@@ -208,10 +210,10 @@ class _Batch:
     that every check reading the batch shares.
     """
 
-    def __init__(self, tuples: list[list[np.ndarray]], labels: list[str] | None = None):
-        self.tuples = tuples
+    def __init__(self, stack, labels: list[str] | None = None):
+        self.stack = np.asarray(stack)
+        self.tuples = list(self.stack)
         self.labels = labels
-        self.stack = np.array(tuples)
 
     def evaluate(self, norm: NNorm) -> _Batch:
         units, lengths = unit_rows(norm.cfg, self.stack)
@@ -221,12 +223,24 @@ class _Batch:
 
 
 class _Sampler:
-    """Seeded tuple generator with control over (near-)dependence.
+    """Seeded stacks of tuples with control over (near-)dependence.
 
     Dependence probes are built from unit-length vectors whose spanning
     volume is kept away from zero, so the gap between "dependent up to
     rounding" and "independent at perturbation delta" stays several orders
     of magnitude wide in double precision.
+
+    A batch is built one construction group at a time (dependent, generic,
+    each perturbation), each group as one (count, n, d) stack: its rows are
+    drawn in one call, made unit by their metric lengths as `_row_lengths`
+    takes them, and gated whole. Each gate is rejection sampling per tuple:
+    every pending tuple of the group is gated with one stacked `_volumes`
+    call per round, and only the rejected ones are drawn again, for at most
+    200 rounds; a tuple still rejected then keeps its last draw. The others
+    of a dependent or perturbed tuple need volume MIN_VOLUME (a single unit
+    row has volume 1 and takes no gate), and a perturbation direction w
+    needs distance MIN_PERP from the others' span: the volume of the others
+    with w, over the others' volume that their own gate returned.
     """
 
     #: perturbation sizes probing the tolerance boundary
@@ -241,83 +255,116 @@ class _Sampler:
         self.cfg = cfg
         self.rng = rng
 
-    def generic(self) -> list[np.ndarray]:
-        return list(self.rng.uniform(-1.0, 1.0, (self.cfg.arity, self.cfg.dim)))
+    def _lengths(self, rows: np.ndarray) -> np.ndarray:
+        """The metric lengths of an array of rows, in its leading shape."""
+        return np.array(_row_lengths(self.cfg, rows)[1]).reshape(rows.shape[:-1])
 
-    def _unit(self, v: np.ndarray) -> np.ndarray:
-        return v / _metric_length(self.cfg, v)
+    def _unit_draws(self, *shape: int) -> np.ndarray:
+        """Normal rows of the given leading shape, each made unit."""
+        rows = self.rng.normal(size=(*shape, self.cfg.dim))
+        return rows / self._lengths(rows)[..., None]
 
-    def _conditioned_units(self, count: int) -> list[np.ndarray]:
-        if count == 0:
-            return []
-        for _ in range(200):
-            rows = [self._unit(self.rng.normal(size=self.cfg.dim)) for _ in range(count)]
-            if _volumes(self.cfg, np.array(rows))[0][0] >= self.MIN_VOLUME:
-                return rows
-        return rows  # pathological metric; keep the last draw
+    def _gated(self, rows: np.ndarray, passes) -> np.ndarray:
+        """Rejection sampling on a stack of unit candidates: `passes(index,
+        candidates)` decides the candidates at `index` in one call, and the
+        rejected ones are drawn again, for at most 200 rounds in all."""
+        pending = np.arange(len(rows))
+        for attempt in range(200):
+            pending = pending[~passes(pending, rows[pending])]
+            if not pending.size or attempt == 199:
+                return rows  # a pathological metric's rejects keep their last draw
+            rows[pending] = self._unit_draws(pending.size, *rows.shape[1:-1])
 
-    def _insert(self, rows: list[np.ndarray], special: np.ndarray) -> list[np.ndarray]:
-        slot = int(self.rng.integers(0, len(rows) + 1))
-        return rows[:slot] + [special] + rows[slot:]
+    def _conditioned_units(self, count: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """count tuples of k unit rows, each of volume >= MIN_VOLUME, as a
+        (count, k, d) stack, and their volumes."""
+        volumes = np.ones(count)
+        if k < 2:
+            return self._unit_draws(count, k), volumes
 
-    def _combination(self, others: list[np.ndarray]) -> np.ndarray:
-        """A random combination of the rows, made unit unless it is tiny."""
-        combo = np.array(others).T @ self.rng.uniform(-0.75, 0.75, len(others))
-        if _metric_length(self.cfg, combo) > 1e-3:
-            combo = self._unit(combo)
-        return combo
+        def passes(index, rows):
+            volumes[index] = _volumes(self.cfg, rows)[0]
+            return volumes[index] >= self.MIN_VOLUME
 
-    def dependent(self) -> list[np.ndarray]:
+        return self._gated(self._unit_draws(count, k), passes), volumes
+
+    def _combinations(self, others: np.ndarray) -> np.ndarray:
+        """A random combination of each tuple's rows, made unit unless it
+        is tiny."""
+        coefficients = self.rng.uniform(-0.75, 0.75, others.shape[:2])
+        combos = (coefficients[:, None] @ others)[:, 0]
+        lengths = self._lengths(combos)
+        large = lengths > 1e-3
+        combos[large] /= lengths[large, None]
+        return combos
+
+    def _insert(self, others: np.ndarray, special: np.ndarray) -> np.ndarray:
+        """Each tuple's special row put among its others at a random slot."""
+        count, k = others.shape[:2]
+        slots = self.rng.integers(0, k + 1, size=count)[:, None]
+        rows = np.arange(k + 1)
+        index = np.where(rows == slots, k, rows - (rows > slots))
+        return np.concatenate([others, special[:, None]], axis=1)[np.arange(count)[:, None], index]
+
+    def generic(self, count: int) -> np.ndarray:
+        return self.rng.uniform(-1.0, 1.0, (count, self.cfg.arity, self.cfg.dim))
+
+    def dependent(self, count: int) -> np.ndarray:
         n = self.cfg.arity
-        kind = int(self.rng.integers(0, 3))
-        others = self._conditioned_units(n - 1)
-        if kind == 0 and n >= 2:  # exact combination of the others
-            special = self._combination(others)
-        elif kind == 1 and n >= 2:  # duplicated vector
-            special = others[int(self.rng.integers(0, n - 1))].copy()
-        else:  # zero vector
-            special = np.zeros(self.cfg.dim)
+        kinds = self.rng.integers(0, 3, size=count)
+        others = self._conditioned_units(count, n - 1)[0]
+        special = np.zeros((count, self.cfg.dim))  # zero vector
+        if n >= 2:
+            combined = np.flatnonzero(kinds == 0)  # exact combination of the others
+            special[combined] = self._combinations(others[combined])
+            copied = np.flatnonzero(kinds == 1)  # duplicated vector
+            special[copied] = others[copied, self.rng.integers(0, n - 1, size=copied.size)]
         return self._insert(others, special)
 
-    def near_dependent(self, delta: float) -> list[np.ndarray]:
+    def near_dependent(self, count: int, delta: float) -> np.ndarray:
         n = self.cfg.arity
         if n == 1:
-            return [delta * self._conditioned_units(1)[0]]
-        others = self._conditioned_units(n - 1)
-        combo = self._combination(others)
-        volume = _volumes(self.cfg, np.array(others))[0][0]
-        for _ in range(200):
-            w = self._unit(self.rng.normal(size=self.cfg.dim))
+            return delta * self._unit_draws(count, 1)
+        others, volumes = self._conditioned_units(count, n - 1)
+        combos = self._combinations(others)
+
+        def passes(index, w):
             # the distance of w from the others' span is the ratio of the
             # volumes with and without it
-            if _volumes(self.cfg, np.array(others + [w]))[0][0] >= self.MIN_PERP * volume:
-                break
-        return self._insert(others, combo + delta * w)
+            with_w = _volumes(self.cfg, np.concatenate([others[index], w[:, None]], axis=1))[0]
+            return np.array(with_w) >= self.MIN_PERP * volumes[index]
+
+        return self._insert(others, combos + delta * self._gated(self._unit_draws(count), passes))
+
+    def _batch(self, trials: int, groups) -> _Batch:
+        """A batch of `(label, mask, draw)` groups: in group order, draw(count)
+        fills the masked trials with a (count, n, d) stack."""
+        stack = np.empty((trials, self.cfg.arity, self.cfg.dim))
+        labels = np.empty(trials, dtype=object)
+        for label, mask, draw in groups:
+            index = np.flatnonzero(mask)
+            if index.size:
+                stack[index] = draw(index.size)
+                labels[index] = label
+        return _Batch(stack, labels.tolist())
+
+    def _perturbed(self, delta: float, mask: np.ndarray) -> tuple:
+        return f"perturbed:{delta:g}", mask, lambda count: self.near_dependent(count, delta)
 
     def equality_batch(self, trials: int) -> _Batch:
         """Tuples for value-comparison checks: generic plus mild perturbation."""
-        return _Batch([self.near_dependent(self.MILD_DELTA) if t % 7 == 6 else self.generic() for t in range(trials)])
+        mild = np.arange(trials) % 7 == 6
+        return self._batch(trials, [("generic", ~mild, self.generic), self._perturbed(self.MILD_DELTA, mild)])
 
     def dependent_batch(self, trials: int) -> _Batch:
         """Exactly dependent tuples, for the zero-value check."""
-        return _Batch([self.dependent() for _ in range(trials)], ["dependent"] * trials)
+        return self._batch(trials, [("dependent", np.ones(trials, dtype=bool), self.dependent)])
 
     def boundary_batch(self, trials: int) -> _Batch:
         """Tuples for threshold checks, labelled by construction."""
-        tuples, labels = [], []
-        for t in range(trials):
-            r = t % 5
-            if r == 0:
-                tuples.append(self.dependent())
-                labels.append("dependent")
-            elif r == 1:
-                tuples.append(self.generic())
-                labels.append("generic")
-            else:
-                delta = self.DEEP_DELTAS[r - 2]
-                tuples.append(self.near_dependent(delta))
-                labels.append(f"perturbed:{delta:g}")
-        return _Batch(tuples, labels)
+        r = np.arange(trials) % 5
+        groups = [("dependent", r == 0, self.dependent), ("generic", r == 1, self.generic)]
+        return self._batch(trials, groups + [self._perturbed(delta, r == i + 2) for i, delta in enumerate(self.DEEP_DELTAS)])
 
 
 def _worst(witnesses) -> Witness | None:
@@ -521,9 +568,13 @@ def check_axioms(norm: NNorm, trials: int, seed: int) -> list[AxiomReport]:
     1e-3, 1e-6, and 1e-12. Deterministic for a given seed; failures are
     reported with witnesses rather than raised.
 
-    Each batch is drawn once, from a generator seeded with `seed`; each check
-    reading it draws on from its own copy of that generator, made from the
-    generator's state (`_copy_rng`) rather than by deep copy. Right after
+    Each batch is drawn once, from a generator seeded with `seed`, as one
+    (trials, n, d) stack built one construction group at a time (`_Sampler`):
+    each group's rows come from one draw, and its volume gates decide every
+    pending tuple of the group with one stacked `_volumes` call per round,
+    drawing again only the tuples they reject. Each check reading a batch
+    draws on from its own copy of that generator, made from the generator's
+    state (`_copy_rng`) rather than by deep copy. Right after
     its draw, a batch's unit rows, lengths, values and scales are taken
     once (`_Batch.evaluate`), the same way for every norm kind, and the
     checks share them: the boundary batch's serve nonnegativity and forward
@@ -577,5 +628,5 @@ def shift_invariance_check(norm: NNorm, vs, alphas) -> tuple[bool, float]:
         raise DimensionMismatch("shift coefficient count", cfg.arity - 1, alphas.shape)
     if not np.isfinite(alphas).all():
         raise ValueError(f"shift coefficients must be finite, got {alphas.tolist()}")
-    gap = _shift_gaps(norm, _Batch([as_rows(vs, cfg.dim)]).evaluate(norm), [alphas])[0]
+    gap = _shift_gaps(norm, _Batch(as_rows(vs, cfg.dim)[None]).evaluate(norm), [alphas])[0]
     return gap <= cfg.tol.rel, gap

@@ -481,8 +481,9 @@ class TestShiftInvariance:
                 public = [shift_invariance_check(norm, vs, a)[1] for vs, a in zip(batch.tuples, alphas)]
                 assert [float(g).hex() for g in public] == [g.hex() for g in expected], (size, norm.kind)
                 witnesses = nnorm._check_shift(norm, batch.evaluate(norm), np.random.default_rng(3))
-                reported = [(id(w.vectors[0]), w.detail["alphas"].tolist(), float(w.discrepancy).hex()) for w in witnesses]
-                failing = [(id(vs[0]), a.tolist(), g.hex()) for vs, a, g in zip(batch.tuples, alphas, expected) if not g <= 1e-300]
+                # a witness carries the rows of its tuple of the batch's stack
+                reported = [(np.array(w.vectors).tobytes(), w.detail["alphas"].tolist(), float(w.discrepancy).hex()) for w in witnesses]
+                failing = [(vs.tobytes(), a.tolist(), g.hex()) for vs, a, g in zip(batch.tuples, alphas, expected) if not g <= 1e-300]
                 assert reported == failing, (size, norm.kind)
         assert splits
 

@@ -185,9 +185,12 @@ GATE_SHAPES = [(n, d, None) for n in (2, 3, 4, 5) for d in (n, n + 1, n + 3)] + 
 
 
 def _recording(monkeypatch, module, log):
+    """Log each `_volumes` call of `module` as (its tuples as one (B, k, d)
+    stack, their volumes)."""
+
     def volumes(cfg, tuples):
         out = _volumes(cfg, tuples)
-        log.append((np.array(tuples), out[0][0]))
+        log.append((np.array(tuples).reshape(-1, *tuples.shape[-2:]), out[0]))
         return out
 
     monkeypatch.setattr(module, "_volumes", volumes)
@@ -197,22 +200,52 @@ def _lu_gram_volume(cfg, rows):
     return math.sqrt(max(determinant(gram_matrix(cfg, rows)), 0.0))
 
 
+def _rounds(gates, rejected):
+    """The number of rounds of each gate loop in a log of gating stacks:
+    a round that rejects some tuples is followed by the round that gates
+    their new draws, exactly as many, and a round that rejects none ends
+    its loop."""
+    rounds, loops = 1, []
+    for stack, following, rejects in zip(gates, gates[1:] + [None], rejected):
+        if rejects:
+            assert len(following) == rejects
+            rounds += 1
+        else:
+            loops.append(rounds)
+            rounds = 1
+    assert rounds == 1  # the last loop ended in an acceptance
+    return loops
+
+
 def _gate_decisions(cfg, monkeypatch):
     """(floor, our decision, the LU Gram volume's decision) for every gate
     decision of random_frame (at 0.05 and 0.1) and of the sampler's three
-    batches (at 0.3), over seeds 1, 2 and 3."""
+    batches, over seeds 1, 2 and 3. The sampler's volume gates are stacked:
+    every tuple of every stack of n - 1 rows (the others of a dependent or
+    perturbed tuple, at 0.3) is one decision, and each of its loops ends in
+    an acceptance within 200 rounds."""
+    n = cfg.arity
     batches = ("boundary_batch", "dependent_batch", "equality_batch")
     decisions = []
-    for module, draw, floor in [
-        (quotient, lambda rng: [random_frame(cfg, rng) for _ in range(10)], 0.05),
-        (quotient, lambda rng: [random_frame(cfg, rng, min_volume=0.1) for _ in range(10)], 0.1),
-        (nnorm, lambda rng: [getattr(_Sampler(cfg, rng), b)(40) for b in batches], _Sampler.MIN_VOLUME),
+    for module, draw, floor, k in [
+        (quotient, lambda rng: [random_frame(cfg, rng) for _ in range(10)], 0.05, n),
+        (quotient, lambda rng: [random_frame(cfg, rng, min_volume=0.1) for _ in range(10)], 0.1, n),
+        (nnorm, lambda rng: [getattr(_Sampler(cfg, rng), b)(40) for b in batches], _Sampler.MIN_VOLUME, n - 1),
     ]:
         for seed in (1, 2, 3):
             log = []
             _recording(monkeypatch, module, log)
             draw(np.random.default_rng(seed))
-            decisions += [(floor, volume >= floor, _lu_gram_volume(cfg, rows) >= floor) for rows, volume in log]
+            gates = [(stack, volumes) for stack, volumes in log if stack.shape[1] == k]
+            ours = [[volume >= floor for volume in volumes] for _, volumes in gates]
+            decisions += [
+                (floor, accepted, _lu_gram_volume(cfg, rows) >= floor)
+                for (stack, _), decided in zip(gates, ours)
+                for rows, accepted in zip(stack, decided)
+            ]
+            if module is nnorm:
+                loops = _rounds([stack for stack, _ in gates], [decided.count(False) for decided in ours])
+                assert max(loops, default=1) < 200
     return decisions
 
 
@@ -230,9 +263,11 @@ def _metric_length(cfg, v):
 
 @pytest.mark.parametrize("n, d, metric", GATE_SHAPES)
 def test_near_dependent_gate_decides_as_the_gram_solve_projection(n, d, metric, monkeypatch):
-    # each volume of n rows the sampler takes is a near_dependent gate on
-    # its last row w, and each run of them is one call's loop, which stops
-    # at the first w it accepts: the gate rejected all others of the run
+    # each stack of n rows the sampler takes a volume of is a near_dependent
+    # gate: every tuple is the others (its first n - 1 rows) and one
+    # candidate w. A rejected w is drawn again with the same others, so the
+    # sampler rejected a tuple exactly when its others come back, in order,
+    # as the next round's stack; a round that rejects none ends its loop
     cfg = SpaceConfig(dim=d, arity=n, metric=_spd(d) if metric else None)
     decisions = []
     for seed in (1, 2, 3):
@@ -241,12 +276,19 @@ def test_near_dependent_gate_decides_as_the_gram_solve_projection(n, d, metric, 
         sampler = _Sampler(cfg, np.random.default_rng(seed))
         sampler.boundary_batch(40)
         sampler.equality_batch(40)
-        runs = [list(run) for wide, run in itertools.groupby(log, lambda entry: len(entry[0]) == n) if wide]
-        for run in runs:
-            assert len(run) < 200  # every loop accepted a draw
-            for t, (rows, _) in enumerate(run):
+        gates = [stack for stack, _ in log if stack.shape[1] == n]
+        rejected = []
+        for stack, following in zip(gates, gates[1:] + [np.empty((0, n, d))]):
+            others = [rows[:-1].tobytes() for rows in stack]
+            redrawn = [rows[:-1].tobytes() for rows in following]
+            accepted = [o not in redrawn for o in others]
+            if not all(accepted):  # the next round gates exactly the rejected, in order
+                assert redrawn == [o for o, ok in zip(others, accepted) if not ok]
+            rejected.append(accepted.count(False))
+            for rows, ours in zip(stack, accepted):
                 oracle = _metric_length(cfg, gram_perp_part(cfg.metric, rows[:-1], rows[-1])) >= _Sampler.MIN_PERP
-                decisions.append((t == len(run) - 1, oracle))
+                decisions.append((ours, oracle))
+        assert max(_rounds(gates, rejected)) < 200  # every loop accepted a draw
     assert decisions
     assert all(ours == oracle for ours, oracle in decisions)
     if d == n:  # a square shape rejects draws as well
