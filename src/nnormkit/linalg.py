@@ -27,15 +27,15 @@ on its unit rows, and a stack derived from another reuses that one's unit
 rows (`unit_rows` measures only new first rows); the axiom sampler gates
 each draw round's candidates as one stack. A single tuple, the `_volumes`
 call behind `standard_norm`, `random_frame`'s gate and the `NNorm` probe,
-skips that bookkeeping where its
-lengths and |r_ii| lie in the band of `_products`: its rows are divided by
-their lengths straight into the QR buffer, and the volume is the plain
-product. Any other tuple falls back to the stack's route, so a tuple gets
-the bits the stack of that one tuple gets. Every other product of lengths
-and QR diagonals (a stack's volumes, a Hadamard scale, a frame's unit
-volume) comes from one helper, `_products`: inf only past the double range,
-and the plain product's bits wherever no partial product leaves the normal
-range; `_band` is the range rule both read. The LU `determinant` is a
+skips that bookkeeping where its lengths and |r_ii| lie in the band of
+`_products`: its rows are divided by their lengths straight into the QR
+buffer, and the volume is the plain product. Any other tuple falls back
+to the stack's route, so a tuple gets the bits the stack of that one tuple
+gets. Every other product of lengths and QR diagonals (a stack's volumes,
+a Hadamard scale, a frame's unit volume) comes from one helper,
+`_products`: inf only past the double range, and the plain product's bits
+wherever no partial product leaves the normal range; `_band` is the range
+rule both read. The LU `determinant` is a
 public function with no caller inside the package.
 """
 
@@ -285,9 +285,9 @@ def unit_rows(cfg: SpaceConfig, rows: np.ndarray, first: bool = False) -> tuple[
 
 def _units(flat: np.ndarray, lengths: list[float]) -> np.ndarray:
     """The (N, d) rows of `_row_lengths` divided by their lengths."""
-    # lengths in range divide as they are. A zero row divides by 1.0, and so
-    # does a NaN length; an inf length divides an overflowed whitened entry
-    # (inf / inf), which is NaN without a warning, as its length's product is
+    # lengths in range divide as they are; a zero row divides by 1.0, and so
+    # does a NaN length. An overflowed whitened entry over its row's inf
+    # length is NaN, taken without a warning: the volume is NaN either way
     if sum(lengths) < math.inf and 0.0 not in lengths:
         return flat / np.array(lengths)[:, None]
     with np.errstate(invalid="ignore"):

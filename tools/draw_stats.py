@@ -42,7 +42,7 @@ tests (Bonferroni), so under one law the whole comparison fails with
 probability at most alpha. It prints every statistic that differs, each
 statistic present on one side only, and every check that failed at some
 seed on either side, and exits 1 when any statistic differs or is missing.
-It reads numpy nowhere: only the stdlib.
+This form needs only the stdlib.
 """
 
 import json
