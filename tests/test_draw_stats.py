@@ -1,6 +1,7 @@
 """The compare mode of tools/draw_stats.py, on synthetic statistics: two
 proportions by the two-proportion z test, two samples by the two-sample
-Kolmogorov-Smirnov test, at a family-wise alpha split over the tests."""
+Kolmogorov-Smirnov test, at a family-wise alpha of 0.01 split over the
+tests."""
 
 import importlib.util
 import json
@@ -41,12 +42,12 @@ def test_the_same_law_passes(stats_tool, tmp_path, capsys):
 def test_a_moved_proportion_a_moved_sample_and_a_lone_statistic_are_named(stats_tool, tmp_path, capsys):
     a = _file(tmp_path / "a.json", {"gate:min_perp": [500, 1000], "kind:zero": [1, 3]}, {"value:generic": _uniform(1, 2000)})
     b = _file(tmp_path / "b.json", {"gate:min_perp": [700, 1000]}, {"value:generic": _uniform(2, 2000, shift=0.1)})
-    assert stats_tool.main(["draw_stats.py", "--compare", a, b, "--alpha", "0.05"]) == 1
+    assert stats_tool.main(["draw_stats.py", "--compare", a, b]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "n=2 d=2 kind:zero: only in the first file"
     assert out[1].startswith("n=2 d=2 gate:min_perp: 500/1000 against 700/1000, |z| = 9.")
     assert out[2].startswith("n=2 d=2 value:generic: KS 0.1")
-    assert out[3] == "3 difference(s) in 2 test(s); family-wise alpha 0.05, 0.025 per test"
+    assert out[3] == "3 difference(s) in 2 test(s); family-wise alpha 0.01, 0.005 per test"
 
 
 def test_a_failing_check_is_reported_even_where_the_sides_agree(stats_tool):

@@ -2,7 +2,7 @@
 draw by the same law.
 
     python3 tools/draw_stats.py [checkout] [seeds] [--output stats.json]
-    python3 tools/draw_stats.py --compare <a.json> <b.json> [--alpha A]
+    python3 tools/draw_stats.py --compare <a.json> <b.json>
 
 The first form draws, in <checkout> (default: the checkout this tool is in),
 for each shape of AXIOM_SHAPES of ``tools/output_digest.py`` (the
@@ -37,9 +37,9 @@ The second form tests, for every statistic both files hold for a shape,
 that the two sides agree: a proportion by the two-sided two-proportion z
 test (pooled variance), a sample by the two-sample Kolmogorov-Smirnov test
 (asymptotic critical value sqrt(-ln(a / 2) / 2) * sqrt((m + n) / (m n))).
-The family-wise level is --alpha (default 0.01), split evenly over the
-tests (Bonferroni), so under one law the whole comparison fails with
-probability at most alpha. It prints every statistic that differs, each
+The family-wise level is ALPHA = 0.01, split evenly over the tests
+(Bonferroni), so under one law the whole comparison fails with
+probability at most ALPHA. It prints every statistic that differs, each
 statistic present on one side only, and every check that failed at some
 seed on either side, and exits 1 when any statistic differs or is missing.
 This form needs only the stdlib.
@@ -54,7 +54,7 @@ from collections import Counter
 
 TRIALS = 1000
 DEFAULT_SEEDS = range(1, 21)
-DEFAULT_ALPHA = 0.01
+ALPHA = 0.01
 
 
 def _seeds(text: str) -> list[int]:
@@ -177,14 +177,14 @@ def ks_statistic(a: list[float], b: list[float]) -> float:
     return gap
 
 
-def ks_bound(m: int, n: int, alpha: float) -> float:
-    """The asymptotic critical value of the KS statistic at level alpha."""
-    return math.sqrt(-math.log(alpha / 2.0) / 2.0) * math.sqrt((m + n) / (m * n))
+def ks_bound(m: int, n: int, level: float) -> float:
+    """The asymptotic critical value of the KS statistic at the given level."""
+    return math.sqrt(-math.log(level / 2.0) / 2.0) * math.sqrt((m + n) / (m * n))
 
 
-def compare_stats(a: dict, b: dict, alpha: float = DEFAULT_ALPHA) -> tuple[list[str], list[str], int]:
+def compare_stats(a: dict, b: dict) -> tuple[list[str], list[str], int]:
     """(differences, notes, tests) between two collected files: one line per
-    statistic that differs at the Bonferroni level alpha / tests or that one
+    statistic that differs at the Bonferroni level ALPHA / tests or that one
     side lacks, one note per check that failed at some seed, and the number
     of tests made."""
     pairs = []
@@ -199,7 +199,7 @@ def compare_stats(a: dict, b: dict, alpha: float = DEFAULT_ALPHA) -> tuple[list[
                 else:
                     missing.append(f"{shape} {name}: only in {'the first' if name in ours else 'the second'} file")
     tests = len(pairs)
-    level = alpha / max(tests, 1)
+    level = ALPHA / max(tests, 1)
     z_bound = statistics.NormalDist().inv_cdf(1.0 - level / 2.0)
     differences = list(missing)
     notes = []
@@ -222,20 +222,15 @@ def compare_stats(a: dict, b: dict, alpha: float = DEFAULT_ALPHA) -> tuple[list[
 
 def main(argv) -> int:
     args = list(argv[1:])
-    alpha = DEFAULT_ALPHA
-    if "--alpha" in args:
-        i = args.index("--alpha")
-        alpha = float(args[i + 1])
-        del args[i : i + 2]
     if args and args[0] == "--compare":
         with open(args[1]) as f:
             a = json.load(f)
         with open(args[2]) as f:
             b = json.load(f)
-        differences, notes, tests = compare_stats(a, b, alpha)
+        differences, notes, tests = compare_stats(a, b)
         for line in notes + differences:
             print(line)
-        print(f"{len(differences)} difference(s) in {tests} test(s); family-wise alpha {alpha:g}, {alpha / max(tests, 1):.3g} per test")
+        print(f"{len(differences)} difference(s) in {tests} test(s); family-wise alpha {ALPHA:g}, {ALPHA / max(tests, 1):.3g} per test")
         return 1 if differences else 0
     output = None
     if "--output" in args:
